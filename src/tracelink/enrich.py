@@ -45,7 +45,7 @@ def select_related_intermediates(
 
     Ties break by ascending id; an all-zero similarity row selects nothing.
     """
-    scored = [(other, table.score(artifact_id, other)) for other in intermediate_ids]
+    scored = list(zip(intermediate_ids, table.row_scores(artifact_id, intermediate_ids)))
     scored.sort(key=lambda item: (-item[1], item[0]))
     if not scored or scored[0][1] <= 0.0:
         return []

@@ -3,8 +3,15 @@
 The term-document matrix uses raw term counts (including enrichment weights)
 times ln(N/df). LSI takes a deterministic dense SVD of that matrix and
 compares documents in the scaled topic space; JS compares smoothed term
-distributions with base-2 Jensen-Shannon divergence. All stored similarities
-are clamped into [0, 1] and symmetric.
+distributions with base-2 Jensen-Shannon divergence.
+
+`build_similarity_table` computes one n x n score matrix per table, and
+consumers read its rows through the table's id -> row index. VSM and LSI
+divide one Gram matrix of the tf-idf rows (or of the LSI topic coordinates,
+from one SVD per table) by the outer product of the row norms. JS keeps the
+exact per-pair arithmetic of `similarity_js` (sorted union vocabulary,
+epsilon smoothing, base-2 KL) with the per-document work done once. All
+stored similarities are clamped into [0, 1] and symmetric.
 """
 
 from __future__ import annotations
@@ -104,20 +111,24 @@ def similarity_lsi(matrix: TermDocMatrix, k: int, a: str, b: str) -> float:
     return _cosine(space[index[a]], space[index[b]])
 
 
-def _distribution(doc: Document, vocabulary: list[str]) -> np.ndarray:
-    counts = doc.weighted_terms()
-    vec = np.array([counts.get(t, 0.0) for t in vocabulary], dtype=float)
-    vec += _JS_EPSILON
-    return vec / vec.sum()
-
-
 def similarity_js(doc_a: Document, doc_b: Document) -> float:
     """1 minus the base-2 Jensen-Shannon divergence of the term distributions."""
-    vocabulary = sorted(set(doc_a.weighted_terms()) | set(doc_b.weighted_terms()))
+    a, b = doc_a.weighted_terms(), doc_b.weighted_terms()
+    vocabulary = sorted(set(a) | set(b))
     if not vocabulary:
         return 0.0
-    p = _distribution(doc_a, vocabulary)
-    q = _distribution(doc_b, vocabulary)
+    return _js(
+        np.array([a.get(t, 0.0) for t in vocabulary], dtype=float),
+        np.array([b.get(t, 0.0) for t in vocabulary], dtype=float),
+    )
+
+
+def _js(counts_a: np.ndarray, counts_b: np.ndarray) -> float:
+    """JS similarity of two count vectors over the pair's sorted union vocabulary."""
+    p = counts_a + _JS_EPSILON
+    p = p / p.sum()
+    q = counts_b + _JS_EPSILON
+    q = q / q.sum()
     m = (p + q) / 2.0
     jsd = 0.5 * _kl_base2(p, m) + 0.5 * _kl_base2(q, m)
     return 1.0 - float(jsd)
@@ -129,29 +140,109 @@ def _kl_base2(p: np.ndarray, q: np.ndarray) -> float:
 
 
 class SimilarityTable:
-    """Symmetric pairwise similarities in [0, 1] under one model."""
+    """Symmetric pairwise similarities in [0, 1] under one model.
 
-    def __init__(self, model: str):
+    `scores[i, j]` is the similarity of `ids[i]` and `ids[j]`; only the
+    strict upper triangle of the given matrix is read, so the stored matrix
+    is exactly symmetric. A document has no similarity with itself.
+    """
+
+    def __init__(self, model: str, ids: list[str], scores: np.ndarray):
         if model not in MODELS:
             raise ConfigError(f"unknown IR model {model!r}; expected one of {MODELS}")
+        n = len(ids)
+        if len(set(ids)) != n:
+            raise ValidationError("duplicate document ids in similarity table")
+        if scores.shape != (n, n):
+            raise ValidationError(f"score matrix shape {scores.shape} does not match {n} ids")
+        upper = np.triu(np.clip(scores, 0.0, 1.0), 1)
         self.model = model
-        self._scores: dict[tuple[str, str], float] = {}
+        self.ids = list(ids)
+        # The zeros of `upper.T` also turn a clipped -0.0 into 0.0 ("0.000000").
+        self.scores = upper + upper.T
+        self._index = {doc_id: i for i, doc_id in enumerate(self.ids)}
 
-    @staticmethod
-    def _key(a: str, b: str) -> tuple[str, str]:
-        return (a, b) if a <= b else (b, a)
-
-    def put(self, a: str, b: str, score: float) -> None:
-        self._scores[self._key(a, b)] = min(1.0, max(0.0, score))
+    def _rows(self, ids: list[str]) -> list[int]:
+        try:
+            return [self._index[doc_id] for doc_id in ids]
+        except KeyError as exc:
+            raise ValidationError(f"unknown document id {exc.args[0]!r}") from None
 
     def score(self, a: str, b: str) -> float:
-        key = self._key(a, b)
-        if key not in self._scores:
+        if a == b:
             raise ValidationError(f"no similarity stored for pair ({a!r}, {b!r})")
-        return self._scores[key]
+        i, j = self._rows([a, b])
+        return float(self.scores[i, j])
+
+    def row_scores(self, a: str, others: list[str]) -> list[float]:
+        """Similarities of `a` to each of `others`, in the order given."""
+        if a in others:
+            raise ValidationError(f"no similarity stored for pair ({a!r}, {a!r})")
+        (i,) = self._rows([a])
+        return self.scores[i, self._rows(others)].tolist()
 
     def pairs(self) -> dict[tuple[str, str], float]:
-        return dict(self._scores)
+        """Every stored pair, keyed by its two ids in ascending order."""
+        ids, scores = self.ids, self.scores.tolist()
+        return {
+            (a, b) if a <= b else (b, a): scores[i][j]
+            for i, a in enumerate(ids)
+            for j, b in enumerate(ids[i + 1:], start=i + 1)
+        }
+
+
+def _gram(vectors: np.ndarray) -> np.ndarray:
+    """Dot products of every pair of rows, each summed column by column in order.
+
+    Each entry depends only on the values of its two rows, so identical
+    documents tie exactly with every third one. A blocked BLAS product
+    (`vectors @ vectors.T`) sums by row position and splits such ties by an ulp.
+    """
+    n = len(vectors)
+    gram = np.zeros(n * n)
+    columns, rows = np.nonzero(vectors.T)  # by column, then by row
+    values = vectors[rows, columns]
+    starts = np.flatnonzero(np.diff(columns)) + 1
+    for r, v in zip(np.split(rows, starts), np.split(values, starts)):
+        if len(r) > 1:
+            gram[(r * n)[:, None] + r] += np.multiply.outer(v, v)
+    return gram.reshape(n, n)
+
+
+def _cosine_matrix(vectors: np.ndarray) -> np.ndarray:
+    """Row-by-row cosines, with the norms and the division of `_cosine`."""
+    norms = np.array([float(np.linalg.norm(row)) for row in vectors])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cosines = _gram(vectors) / np.outer(norms, norms)
+    zero = norms == 0.0
+    cosines[zero, :] = 0.0
+    cosines[:, zero] = 0.0
+    return cosines
+
+
+def _js_matrix(documents: list[Document]) -> np.ndarray:
+    """`similarity_js` for every pair, with the per-document work done once.
+
+    Each pair still smooths and normalizes over its own union vocabulary:
+    the columns of the shared sorted vocabulary that either document uses.
+    """
+    counts = [d.weighted_terms() for d in documents]
+    vocabulary = sorted(set().union(*counts))
+    column = {term: k for k, term in enumerate(vocabulary)}
+    n = len(documents)
+    dense = np.zeros((n, len(vocabulary)))
+    used = np.zeros((n, len(vocabulary)), dtype=bool)
+    for i, doc_counts in enumerate(counts):
+        for term, count in doc_counts.items():
+            dense[i, column[term]] = count
+            used[i, column[term]] = True
+    nonempty = [i for i, d in enumerate(documents) if d.total_mass() != 0]
+    scores = np.zeros((n, n))
+    for x, i in enumerate(nonempty):
+        for j in nonempty[x + 1:]:
+            union = np.flatnonzero(used[i] | used[j])
+            scores[i, j] = _js(dense[i, union], dense[j, union])
+    return scores
 
 
 def build_similarity_table(
@@ -163,40 +254,25 @@ def build_similarity_table(
 
     Documents that are entirely empty compare as 0 to everything. When every
     document is empty the table is all zeros (degenerate but well-defined).
+    An LSI rank above min(vocabulary, documents) is lowered to that bound.
     """
-    table = SimilarityTable(model)
+    if model not in MODELS:
+        raise ConfigError(f"unknown IR model {model!r}; expected one of {MODELS}")
     ids = [d.artifact_id for d in documents]
-
     if model == "js":
-        by_id = {d.artifact_id: d for d in documents}
-        for i, a in enumerate(ids):
-            for b in ids[i + 1:]:
-                da, db = by_id[a], by_id[b]
-                if da.total_mass() == 0 or db.total_mass() == 0:
-                    table.put(a, b, 0.0)
-                else:
-                    table.put(a, b, similarity_js(da, db))
-        return table
-
+        return SimilarityTable(model, ids, _js_matrix(documents))
     if all(d.total_mass() == 0 for d in documents):
-        for i, a in enumerate(ids):
-            for b in ids[i + 1:]:
-                table.put(a, b, 0.0)
-        return table
+        return SimilarityTable(model, ids, np.zeros((len(ids), len(ids))))
 
     matrix = build_matrix(documents)
     if model == "vsm":
-        vectors = {doc_id: matrix.row(doc_id) for doc_id in matrix.doc_ids}
+        vectors = matrix.weights
     else:
         k = lsi_rank if lsi_rank is not None else default_lsi_rank(len(documents))
-        k = max(1, min(k, min(len(matrix.vocabulary), len(matrix.doc_ids))))
-        space = lsi_document_space(matrix, k)
-        vectors = {doc_id: space[i] for i, doc_id in enumerate(matrix.doc_ids)}
-
-    for i, a in enumerate(ids):
-        for b in ids[i + 1:]:
-            table.put(a, b, _cosine(vectors[a], vectors[b]))
-    return table
+        vectors = lsi_document_space(
+            matrix, min(k, len(matrix.vocabulary), len(matrix.doc_ids))
+        )
+    return SimilarityTable(model, ids, _cosine_matrix(vectors))
 
 
 def rank_candidates(
@@ -207,7 +283,7 @@ def rank_candidates(
     """Per-source target ranking, descending score with ascending-id tie-break."""
     ranked: dict[str, list[tuple[str, float]]] = {}
     for source in source_ids:
-        scored = [(target, table.score(source, target)) for target in target_ids]
+        scored = list(zip(target_ids, table.row_scores(source, target_ids)))
         scored.sort(key=lambda item: (-item[1], item[0]))
         ranked[source] = scored
     return ranked

@@ -41,6 +41,8 @@ class PipelineConfig:
         if self.model not in MODELS:
             raise ConfigError(f"unknown IR model {self.model!r}; expected one of {MODELS}")
         parse_mode(self.mode)
+        if self.lsi_rank is not None and (not isinstance(self.lsi_rank, int) or self.lsi_rank < 1):
+            raise ConfigError(f"LSI rank must be an integer >= 1, got {self.lsi_rank!r}")
         # Threshold validation is shared with EnrichmentConfig.
         EnrichmentConfig(m=self.m, t=self.t)
 

@@ -82,7 +82,7 @@ def candidate_links(
     Keeps at most t_eff members whose similarity to `from_id` is at least
     m_eff times the pool maximum; an all-zero pool yields nothing.
     """
-    scored = [(other, table.score(from_id, other)) for other in pool]
+    scored = list(zip(pool, table.row_scores(from_id, pool)))
     scored.sort(key=lambda item: (-item[1], item[0]))
     if not scored or scored[0][1] <= 0.0:
         return []

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from tracelink.cli import main
 
 
@@ -64,6 +66,23 @@ class TestTrace:
         # mode flag wins over config file: paths exist
         traces = json.loads((out / "path_traces.json").read_text())
         assert traces
+
+    @pytest.mark.parametrize("rank", ["0", "-3"])
+    def test_lsi_rank_below_one_exits_2(self, tmp_path, motivating_manifest, capsys, rank):
+        code = run_cli(
+            "trace", "--manifest", str(motivating_manifest), "--model", "lsi",
+            "--lsi-rank", rank, "--out", str(tmp_path / "out"),
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: LSI rank must be an integer >= 1")
+        assert not (tmp_path / "out").exists()
+
+    def test_non_integer_lsi_rank_in_config_exits_2(self, tmp_path, motivating_manifest, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"model": "lsi", "lsi_rank": "2"}))
+        code = run_cli("trace", "--manifest", str(motivating_manifest), "--config", str(config))
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: LSI rank")
 
     def test_bad_config_key_exits_2(self, tmp_path, motivating_manifest, capsys):
         config = tmp_path / "config.json"

@@ -13,14 +13,8 @@ from tracelink.enrich import (
     select_related_intermediates,
 )
 from tracelink.errors import ConfigError
-from tracelink.irmodels import SimilarityTable
 
-
-def table_with(scores):
-    table = SimilarityTable("vsm")
-    for (a, b), s in scores.items():
-        table.put(a, b, s)
-    return table
+from test_transitive import table_from_pairs
 
 
 class TestConfig:
@@ -38,23 +32,23 @@ class TestConfig:
 
 class TestSelectRelated:
     def test_relative_cutoff(self):
-        table = table_with({("a", "i1"): 0.8, ("a", "i2"): 0.45, ("a", "i3"): 0.39})
+        table = table_from_pairs({("a", "i1"): 0.8, ("a", "i2"): 0.45, ("a", "i3"): 0.39})
         cfg = EnrichmentConfig()
         # max 0.8 -> cutoff 0.4: the artifact at 0.39 falls out
         assert select_related_intermediates("a", ["i1", "i2", "i3"], table, cfg) == ["i1", "i2"]
 
     def test_cap_with_id_tie_break(self):
-        table = table_with({("a", f"i{k}"): 0.8 for k in range(4)})
+        table = table_from_pairs({("a", f"i{k}"): 0.8 for k in range(4)})
         cfg = EnrichmentConfig()
         selected = select_related_intermediates("a", ["i3", "i1", "i0", "i2"], table, cfg)
         assert selected == ["i0", "i1", "i2"]
 
     def test_all_zero_selects_nothing(self):
-        table = table_with({("a", "i1"): 0.0, ("a", "i2"): 0.0})
+        table = table_from_pairs({("a", "i1"): 0.0, ("a", "i2"): 0.0})
         assert select_related_intermediates("a", ["i1", "i2"], table, EnrichmentConfig()) == []
 
     def test_prefix_of_sorted_list(self):
-        table = table_with({("a", "i1"): 0.9, ("a", "i2"): 0.6, ("a", "i3"): 0.5})
+        table = table_from_pairs({("a", "i1"): 0.9, ("a", "i2"): 0.6, ("a", "i3"): 0.5})
         cfg = EnrichmentConfig(m=0.5, t=2)
         assert select_related_intermediates("a", ["i1", "i2", "i3"], table, cfg) == ["i1", "i2"]
 

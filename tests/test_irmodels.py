@@ -13,10 +13,12 @@ import numpy as np
 import pytest
 
 from tracelink.corpus.types import Document
-from tracelink.errors import ValidationError
+from tracelink.errors import ConfigError, ValidationError
 from tracelink.irmodels import (
+    SimilarityTable,
     build_matrix,
     build_similarity_table,
+    default_lsi_rank,
     format_ranked_csv,
     global_ranked_links,
     parse_ranked_csv,
@@ -280,24 +282,119 @@ class TestJs:
 
 class TestLsiRankBounds:
     def test_out_of_range_rank_rejected(self):
-        from tracelink.errors import ConfigError
-
         matrix = build_matrix([doc("d1", ["a", "b"]), doc("d2", ["b", "c"])])
         with pytest.raises(ConfigError):
             similarity_lsi(matrix, 0, "d1", "d2")
         with pytest.raises(ConfigError):
             similarity_lsi(matrix, 99, "d1", "d2")
 
+    def test_table_lowers_only_a_high_rank(self):
+        docs = [doc("d1", ["a", "b"]), doc("d2", ["b", "c"]), doc("d3", ["c"])]
+        high = build_similarity_table(docs, "lsi", lsi_rank=99)
+        full = build_similarity_table(docs, "lsi", lsi_rank=3)
+        assert high.pairs() == full.pairs()
+        with pytest.raises(ConfigError):
+            build_similarity_table(docs, "lsi", lsi_rank=0)
+
+
+def clamp(score):
+    return min(1.0, max(0.0, score))
+
+
+def id_pairs(ids):
+    return [(a, b) for i, a in enumerate(ids) for b in ids[i + 1:]]
+
+
+def documents_with_duplicates(rng):
+    """Random documents plus an exact copy of the first one and an empty one."""
+    docs = random_documents(rng, rng.randint(2, 12), rng.randint(2, 30))
+    return [*docs, doc("copy", docs[0].terms), doc("empty", [])]
+
+
+class TestTableOracles:
+    """Every entry of the score matrix against the per-pair functions."""
+
+    def test_js_matrix_equals_similarity_js_exactly(self):
+        rng = random.Random(41)
+        for _ in range(20):
+            docs = documents_with_duplicates(rng)
+            by_id = {d.artifact_id: d for d in docs}
+            table = build_similarity_table(docs, "js")
+            for a, b in id_pairs(list(by_id)):
+                expected = 0.0 if "empty" in (a, b) else clamp(similarity_js(by_id[a], by_id[b]))
+                assert table.score(a, b) == expected
+
+    def test_vsm_and_lsi_match_their_oracles(self):
+        rng = random.Random(43)
+        for _ in range(30):
+            docs = documents_with_duplicates(rng)
+            matrix = build_matrix(docs)
+            k = min(default_lsi_rank(len(docs)), len(matrix.vocabulary))
+            for model, oracle in (
+                ("vsm", lambda a, b: similarity_vsm(matrix, a, b)),
+                ("lsi", lambda a, b: similarity_lsi(matrix, k, a, b)),
+            ):
+                table = build_similarity_table(docs, model)
+                for a, b in id_pairs(matrix.doc_ids):
+                    expected = clamp(oracle(a, b))
+                    assert abs(table.score(a, b) - expected) <= 1e-12
+                    if expected == 0.0:
+                        assert table.score(a, b) == 0.0
+
+    def test_duplicate_documents_tie_exactly(self):
+        # Under lsi the SVD gives a copy coordinates that differ in the last
+        # bits, so there neither the oracle nor the table ties the two.
+        rng = random.Random(47)
+        for _ in range(30):
+            docs = documents_with_duplicates(rng)
+            others = [d.artifact_id for d in docs if d.artifact_id not in ("d0", "copy")]
+            for model in ("vsm", "js"):
+                table = build_similarity_table(docs, model)
+                assert table.row_scores("d0", others) == table.row_scores("copy", others)
+
 
 class TestSimilarityTable:
     def test_clamps_to_unit_interval(self):
-        from tracelink.irmodels import SimilarityTable
-
-        table = SimilarityTable("vsm")
-        table.put("a", "b", -0.25)
-        table.put("a", "c", 1.0000001)
+        table = SimilarityTable("vsm", ["a", "b", "c"], np.array([
+            [0.0, -0.25, 1.0000001],
+            [-0.25, 0.0, -0.0],
+            [1.0000001, -0.0, 0.0],
+        ]))
         assert table.score("a", "b") == 0.0
         assert table.score("a", "c") == 1.0
+        assert f"{table.score('b', 'c'):.6f}" == "0.000000"
+
+    def test_reads_only_the_upper_triangle(self):
+        table = SimilarityTable("vsm", ["a", "b"], np.array([[0.0, 0.25], [0.75, 1.0]]))
+        assert table.score("a", "b") == table.score("b", "a") == 0.25
+        assert table.pairs() == {("a", "b"): 0.25}
+
+    def test_self_pair_and_unknown_ids_rejected(self):
+        table = build_similarity_table([doc("a", ["x"]), doc("b", ["x", "y"])], "vsm")
+        for a, b in (("a", "a"), ("a", "nope"), ("nope", "b")):
+            with pytest.raises(ValidationError):
+                table.score(a, b)
+        for a, others in (("a", ["b", "a"]), ("a", ["nope"]), ("nope", ["b"])):
+            with pytest.raises(ValidationError):
+                table.row_scores(a, others)
+
+    def test_bad_construction_rejected(self):
+        with pytest.raises(ConfigError):
+            SimilarityTable("bm25", ["a"], np.zeros((1, 1)))
+        with pytest.raises(ValidationError):
+            SimilarityTable("vsm", ["a", "a"], np.zeros((2, 2)))
+        with pytest.raises(ValidationError):
+            SimilarityTable("vsm", ["a", "b"], np.zeros((2, 3)))
+
+    def test_row_scores_match_score(self):
+        rng = random.Random(37)
+        docs = random_documents(rng, 9, 12)
+        ids = [d.artifact_id for d in docs]
+        for model in ("vsm", "lsi", "js"):
+            table = build_similarity_table(docs, model)
+            for a in ids:
+                others = [b for b in reversed(ids) if b != a]
+                assert table.row_scores(a, others) == [table.score(a, b) for b in others]
 
     def test_symmetry_and_range(self):
         rng = random.Random(23)

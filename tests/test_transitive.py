@@ -7,6 +7,7 @@ implementation.
 
 import random
 
+import numpy as np
 import pytest
 
 from tracelink.enrich import EnrichmentConfig
@@ -37,13 +38,20 @@ class IdPools:
         return list(self._t)
 
 
+def table_from_pairs(scores, ids=None):
+    """A vsm table over `ids` (default: every id in `scores`); unlisted pairs score 0."""
+    if ids is None:
+        ids = sorted({doc_id for pair in scores for doc_id in pair})
+    matrix = np.array([
+        [scores.get((a, b), scores.get((b, a), 0.0)) for b in ids] for a in ids
+    ])
+    return SimilarityTable("vsm", ids, matrix)
+
+
 def full_table(pools, scores):
-    table = SimilarityTable("vsm")
-    ids = pools.source_ids() + pools.intermediate_ids() + pools.target_ids()
-    for i, a in enumerate(ids):
-        for b in ids[i + 1:]:
-            table.put(a, b, scores.get((a, b), scores.get((b, a), 0.0)))
-    return table
+    return table_from_pairs(
+        scores, pools.source_ids() + pools.intermediate_ids() + pools.target_ids()
+    )
 
 
 class TestHopState:
@@ -62,25 +70,19 @@ class TestHopState:
 
 class TestCandidateLinks:
     def test_relative_threshold(self):
-        table = SimilarityTable("vsm")
-        table.put("x", "a", 0.8)
-        table.put("x", "b", 0.45)
-        table.put("x", "c", 0.39)
+        table = table_from_pairs({("x", "a"): 0.8, ("x", "b"): 0.45, ("x", "c"): 0.39})
         state = HopState(n=0, m=0.5, t=3)
         links = candidate_links("x", ["a", "b", "c"], table, state, LinkKind.OUTER)
         assert [l.to_id for l in links] == ["a", "b"]
 
     def test_cap_after_hops(self):
-        table = SimilarityTable("vsm")
-        for name, score in (("a", 0.9), ("b", 0.8), ("c", 0.7)):
-            table.put("x", name, score)
+        table = table_from_pairs({("x", "a"): 0.9, ("x", "b"): 0.8, ("x", "c"): 0.7})
         state = HopState(n=2, m=0.5, t=3)  # t_eff = 1
         links = candidate_links("x", ["a", "b", "c"], table, state, LinkKind.OUTER)
         assert [l.to_id for l in links] == ["a"]
 
     def test_zero_pool_empty(self):
-        table = SimilarityTable("vsm")
-        table.put("x", "a", 0.0)
+        table = table_from_pairs({("x", "a"): 0.0})
         state = HopState(n=0, m=0.5, t=3)
         assert candidate_links("x", ["a"], table, state, LinkKind.OUTER) == []
 
