@@ -26,7 +26,7 @@ from .corpus import (
     split_identifier,
     tokenize_natural,
 )
-from .enrich import EnrichmentConfig, enrich_artifact, select_related_intermediates
+from .enrich import enrich_artifact, select_related_intermediates
 from .evaluate import (
     EvalReport,
     StatComparison,
@@ -54,9 +54,9 @@ from .transitive import HopState, TransitiveLink, TransitivePath, adjust_scores,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Artifact", "BitermSet", "Dataset", "Document", "EnrichmentConfig",
-    "EvalReport", "HopState", "Kind", "Level", "PipelineConfig",
-    "PipelineResult", "SimilarityTable", "StatComparison", "TermDocMatrix",
+    "Artifact", "BitermSet", "Dataset", "Document", "EvalReport",
+    "HopState", "Kind", "Level", "PipelineConfig", "PipelineResult",
+    "SimilarityTable", "StatComparison", "TermDocMatrix",
     "TransitiveLink", "TransitivePath", "adjust_scores", "average_precision",
     "build_matrix", "build_similarity_table", "canonical_pair",
     "cliffs_delta", "consensual_filter", "enrich_artifact",

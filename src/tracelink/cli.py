@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .corpus.manifest import load_dataset
@@ -38,15 +39,7 @@ from .irmodels import format_ranked_csv, parse_ranked_csv
 from .pipeline import PipelineConfig, run_pipeline
 from .transitive import paths_to_json_payload
 
-_DEFAULTS = {
-    "model": "vsm",
-    "mode": "b+o+i",
-    "m": 0.5,
-    "t": 3,
-    "lsi_rank": None,
-    "pairs_dir": None,
-    "out": "tracelink-out",
-}
+_DEFAULTS = {f.name: f.default for f in fields(PipelineConfig)} | {"out": "tracelink-out"}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -98,28 +91,23 @@ def _merge_config(args: argparse.Namespace) -> dict:
             raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file {args.config} is not valid JSON: {exc}") from exc
-        unknown = set(file_values) - set(_DEFAULTS) - {"mode", "modes"}
+        if not isinstance(file_values, dict):
+            raise ConfigError(f"config file {args.config} must hold a JSON object")
+        unknown = set(file_values) - set(_DEFAULTS) - {"modes"}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         merged.update(file_values)
-    for key in ("model", "mode", "m", "t", "lsi_rank", "pairs_dir", "out"):
+    for key in _DEFAULTS:
         value = getattr(args, key, None)
         if value is not None:
             merged[key] = value
-    merged.setdefault("mode", _DEFAULTS["mode"])
     return merged
 
 
 def _pipeline_config(merged: dict) -> PipelineConfig:
-    pairs_dir = merged.get("pairs_dir")
-    return PipelineConfig(
-        model=merged["model"],
-        mode=merged["mode"],
-        m=float(merged["m"]),
-        t=int(merged["t"]),
-        lsi_rank=merged["lsi_rank"],
-        pairs_dir=Path(pairs_dir) if pairs_dir else None,
-    )
+    values = {f.name: merged[f.name] for f in fields(PipelineConfig)}
+    values["pairs_dir"] = Path(values["pairs_dir"]) if values["pairs_dir"] else None
+    return PipelineConfig(**values)
 
 
 def _write(path: Path, text: str) -> None:
@@ -201,15 +189,11 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
         "modes", ",".join(ABLATION_MODES)
     )
     modes = [m.strip() for m in str(modes_text).split(",") if m.strip()]
+    config = _pipeline_config(merged)
     dataset = load_dataset(args.manifest)
     if not dataset.oracle_st:
         raise ConfigError("manifest has no oracle_st; ablation needs true links")
-    pairs_dir = merged.get("pairs_dir")
-    reports = run_ablation(
-        dataset, merged["model"], modes,
-        m=float(merged["m"]), t=int(merged["t"]), lsi_rank=merged["lsi_rank"],
-        pairs_dir=Path(pairs_dir) if pairs_dir else None,
-    )
+    reports = run_ablation(dataset, config, modes)
 
     out = Path(merged["out"])
     written = []

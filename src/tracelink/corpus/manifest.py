@@ -13,7 +13,9 @@ A manifest is a single JSON document:
 
 Artifact bodies are plain-text files; paths are resolved relative to the
 manifest location. `kind` is "nl" or "code"; the code language is inferred
-from the file suffix (.c/.h -> C, anything else -> Java).
+from the file suffix (.c/.h -> C, anything else -> Java). Each level is a
+list of objects whose `id`, `path` and `kind` are strings; any other shape
+raises `ValidationError`.
 """
 
 from __future__ import annotations
@@ -43,12 +45,14 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
         spec = json.loads(text)
     except json.JSONDecodeError as exc:
         raise LoadError(f"manifest {manifest_path} is not valid JSON: {exc}") from exc
+    if not isinstance(spec, dict):
+        raise ValidationError(f"manifest {manifest_path} must be a JSON object")
 
     base = manifest_path.parent
-    levels: dict[Level, list[Artifact]] = {lvl: [] for _, lvl in _LEVEL_KEYS}
-    for key, level in _LEVEL_KEYS:
-        for entry in spec.get(key, []):
-            levels[level].append(_load_artifact(entry, level, base))
+    levels = {
+        level: [_load_artifact(entry, level, base) for entry in _list(spec, key)]
+        for key, level in _LEVEL_KEYS
+    }
 
     dataset = Dataset(
         sources=levels[Level.SOURCE],
@@ -62,17 +66,28 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
     return dataset
 
 
+def _list(spec: dict, key: str) -> list:
+    items = spec.get(key, [])
+    if not isinstance(items, list):
+        raise ValidationError(f"manifest {key!r} must be a list, got {items!r}")
+    return items
+
+
 def _load_artifact(entry: dict, level: Level, base: Path) -> Artifact:
+    if not isinstance(entry, dict):
+        raise ValidationError(f"artifact entry must be an object, got {entry!r}")
     for required in ("id", "path", "kind"):
         if required not in entry:
             raise ValidationError(f"artifact entry missing {required!r}: {entry}")
+        if not isinstance(entry[required], str):
+            raise ValidationError(f"artifact {required!r} must be a string: {entry}")
     path = base / entry["path"]
     try:
         raw = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise LoadError(f"cannot read artifact file {path}: {exc}") from exc
 
-    kind_name = str(entry["kind"]).lower()
+    kind_name = entry["kind"].lower()
     if kind_name in ("nl", "natural", "naturallanguage", "text"):
         return Artifact(
             id=entry["id"], level=level, kind=Kind.NATURAL_LANGUAGE,
@@ -89,7 +104,7 @@ def _load_artifact(entry: dict, level: Level, base: Path) -> Artifact:
 
 def _load_oracle(spec: dict, key: str) -> set[tuple[str, str]]:
     pairs = set()
-    for item in spec.get(key, []):
+    for item in _list(spec, key):
         if not isinstance(item, (list, tuple)) or len(item) != 2:
             raise ValidationError(f"{key} entries must be [left, right] pairs, got {item!r}")
         pairs.add((str(item[0]), str(item[1])))

@@ -9,26 +9,9 @@ own weight for the same pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .biterms import BitermSet, Pair
 from .corpus.types import Document
-from .errors import ConfigError
-from .irmodels import SimilarityTable
-
-
-@dataclass(frozen=True)
-class EnrichmentConfig:
-    """Relative similarity threshold m and related-artifact cap t."""
-
-    m: float = 0.5
-    t: int = 3
-
-    def __post_init__(self) -> None:
-        if not 0 < self.m <= 1:
-            raise ConfigError(f"threshold m must be in (0, 1], got {self.m}")
-        if self.t < 1:
-            raise ConfigError(f"cap t must be >= 1, got {self.t}")
+from .irmodels import SimilarityTable, top_related
 
 
 def compound_term(pair: Pair) -> str:
@@ -39,19 +22,11 @@ def select_related_intermediates(
     artifact_id: str,
     intermediate_ids: list[str],
     table: SimilarityTable,
-    cfg: EnrichmentConfig,
+    m: float,
+    t: int,
 ) -> list[str]:
-    """Top intermediates by similarity: at most t, each within m of the maximum.
-
-    Ties break by ascending id; an all-zero similarity row selects nothing.
-    """
-    scored = list(zip(intermediate_ids, table.row_scores(artifact_id, intermediate_ids)))
-    scored.sort(key=lambda item: (-item[1], item[0]))
-    if not scored or scored[0][1] <= 0.0:
-        return []
-    cutoff = cfg.m * scored[0][1]
-    selected = [other for other, score in scored if score >= cutoff]
-    return selected[: cfg.t]
+    """Ids of the `top_related` intermediates: at most t, each within m of the maximum."""
+    return [other for other, _ in top_related(table, artifact_id, intermediate_ids, m, t)]
 
 
 def add_own_biterms(document: Document, own: BitermSet) -> Document:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import ConfigError, EvaluationError
 
@@ -272,18 +272,9 @@ def parse_mode(mode: str) -> frozenset[str]:
     return frozenset() if mode == "ir-only" else frozenset(mode.split("+"))
 
 
-def run_ablation(
-    dataset,
-    model: str,
-    modes: list[str],
-    *,
-    m: float = 0.5,
-    t: int = 3,
-    lsi_rank: int | None = None,
-    pairs_dir=None,
-) -> dict[str, EvalReport]:
-    """Run the pipeline once per mode and evaluate against the S-T oracle."""
-    from .pipeline import PipelineConfig, run_pipeline
+def run_ablation(dataset, config, modes: list[str]) -> dict[str, EvalReport]:
+    """Run `config` once per mode and evaluate each run against the S-T oracle."""
+    from .pipeline import run_pipeline
 
     if not modes:
         raise ConfigError("ablation requires at least one mode")
@@ -291,9 +282,6 @@ def run_ablation(
         parse_mode(mode)
     reports: dict[str, EvalReport] = {}
     for mode in modes:
-        config = PipelineConfig(
-            model=model, mode=mode, m=m, t=t, lsi_rank=lsi_rank, pairs_dir=pairs_dir,
-        )
-        result = run_pipeline(dataset, config)
+        result = run_pipeline(dataset, replace(config, mode=mode))
         reports[mode] = evaluate_ranking(result.candidates, dataset.oracle_st)
     return reports

@@ -16,12 +16,14 @@ stored similarities are clamped into [0, 1] and symmetric.
 
 from __future__ import annotations
 
+import csv
+import io
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .corpus.types import Document
-from .errors import ConfigError, NumericError, ValidationError
+from .errors import ConfigError, NumericError, ParseError, ValidationError
 
 MODELS = ("vsm", "lsi", "js")
 
@@ -275,49 +277,78 @@ def build_similarity_table(
     return SimilarityTable(model, ids, _cosine_matrix(vectors))
 
 
+def ranked(table: SimilarityTable, a: str, pool: list[str]) -> list[tuple[str, float]]:
+    """`pool` with its similarities to `a`, by descending score, ties by ascending id."""
+    return sorted(zip(pool, table.row_scores(a, pool)), key=lambda item: (-item[1], item[0]))
+
+
+def top_related(
+    table: SimilarityTable, a: str, pool: list[str], m: float, t: int
+) -> list[tuple[str, float]]:
+    """The first `t` of `ranked`, each scoring at least m times the best.
+
+    An all-zero row selects nothing.
+    """
+    scored = ranked(table, a, pool)
+    if not scored or scored[0][1] <= 0.0:
+        return []
+    cutoff = m * scored[0][1]
+    return [(other, s) for other, s in scored if s >= cutoff][:t]
+
+
 def rank_candidates(
     table: SimilarityTable,
     source_ids: list[str],
     target_ids: list[str],
 ) -> dict[str, list[tuple[str, float]]]:
     """Per-source target ranking, descending score with ascending-id tie-break."""
-    ranked: dict[str, list[tuple[str, float]]] = {}
-    for source in source_ids:
-        scored = list(zip(target_ids, table.row_scores(source, target_ids)))
-        scored.sort(key=lambda item: (-item[1], item[0]))
-        ranked[source] = scored
-    return ranked
+    return {source: ranked(table, source, target_ids) for source in source_ids}
+
+
+_CSV_HEADER = ["source_id", "target_id", "score"]
 
 
 def format_ranked_csv(ranked: dict[str, list[tuple[str, float]]]) -> str:
-    """CSV export: source_id,target_id,score sorted by (source, -score, target)."""
-    lines = ["source_id,target_id,score"]
+    """CSV export: source_id,target_id,score sorted by (source, -score, target).
+
+    Fields are quoted only where they must be, so plain ids are written bare.
+    """
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    # With a "\n" terminator the writer leaves a bare "\r" unquoted, which the reader splits on.
+    quote_all = csv.writer(buffer, lineterminator="\n", quoting=csv.QUOTE_ALL)
+    writer.writerow(_CSV_HEADER)
     for source in sorted(ranked):
         for target, score in ranked[source]:
-            lines.append(f"{source},{target},{score:.6f}")
-    return "\n".join(lines) + "\n"
+            row = (source, target, f"{score:.6f}")
+            (quote_all if "\r" in source or "\r" in target else writer).writerow(row)
+    return buffer.getvalue()
 
 
 def parse_ranked_csv(text: str) -> dict[str, list[tuple[str, float]]]:
     """Inverse of format_ranked_csv; raises ParseError with the line number."""
-    from .errors import ParseError
-
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != "source_id,target_id,score":
-        raise ParseError("line 1: expected header 'source_id,target_id,score'")
+    # Each line keeps its "\n", so quoted line breaks survive. An io.StringIO
+    # over the text would copy it at four bytes a character.
+    reader = csv.reader(line + "\n" for line in text.split("\n"))
     ranked: dict[str, list[tuple[str, float]]] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        fields = line.split(",")
-        if len(fields) != 3:
-            raise ParseError(f"line {lineno}: expected 3 comma-separated fields, got {len(fields)}")
-        source, target, score_text = fields
-        try:
-            score = float(score_text)
-        except ValueError:
-            raise ParseError(f"line {lineno}: bad score {score_text!r}") from None
-        ranked.setdefault(source, []).append((target, score))
+    try:
+        if [field.strip() for field in next(reader, [])] != _CSV_HEADER:
+            raise ParseError("line 1: expected header 'source_id,target_id,score'")
+        for fields in reader:
+            if len(fields) != 3:
+                if not fields or (len(fields) == 1 and not fields[0].strip()):
+                    continue
+                raise ParseError(
+                    f"line {reader.line_num}: expected 3 comma-separated fields, got {len(fields)}"
+                )
+            source, target, score_text = fields
+            try:
+                score = float(score_text)
+            except ValueError:
+                raise ParseError(f"line {reader.line_num}: bad score {score_text!r}") from None
+            ranked.setdefault(source, []).append((target, score))
+    except csv.Error as exc:
+        raise ParseError(f"line {reader.line_num}: {exc}") from None
     return ranked
 
 

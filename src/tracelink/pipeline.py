@@ -5,23 +5,21 @@ Mode components: "b" turns on intermediate-centric biterm enrichment,
 "i" additionally allows one inner-transitive link per path. Enrichment
 similarities are taken from a pre-enrichment table built over documents
 carrying only their own biterm terms; candidate generation and path
-deduction use a table rebuilt after enrichment.
+deduction use a table rebuilt after enrichment. `PipelineConfig` is the
+one run configuration and the only validator of the thresholds m and t,
+which reach enrichment and path deduction as plain arguments.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Real
 from pathlib import Path
 
 from .biterms import BitermSet, consensual_filter, extract_biterms
 from .corpus.documents import build_document
 from .corpus.types import Dataset, Document
-from .enrich import (
-    EnrichmentConfig,
-    add_own_biterms,
-    enrich_artifact,
-    select_related_intermediates,
-)
+from .enrich import add_own_biterms, enrich_artifact, select_related_intermediates
 from .errors import ConfigError
 from .evaluate import parse_mode
 from .irmodels import MODELS, SimilarityTable, build_similarity_table, rank_candidates
@@ -41,13 +39,16 @@ class PipelineConfig:
         if self.model not in MODELS:
             raise ConfigError(f"unknown IR model {self.model!r}; expected one of {MODELS}")
         parse_mode(self.mode)
-        if self.lsi_rank is not None and (not isinstance(self.lsi_rank, int) or self.lsi_rank < 1):
+        if isinstance(self.m, bool) or not isinstance(self.m, Real) or not 0 < self.m <= 1:
+            raise ConfigError(f"threshold m must be a number in (0, 1], got {self.m!r}")
+        if not _is_int(self.t) or self.t < 1:
+            raise ConfigError(f"cap t must be an integer >= 1, got {self.t!r}")
+        if self.lsi_rank is not None and (not _is_int(self.lsi_rank) or self.lsi_rank < 1):
             raise ConfigError(f"LSI rank must be an integer >= 1, got {self.lsi_rank!r}")
-        # Threshold validation is shared with EnrichmentConfig.
-        EnrichmentConfig(m=self.m, t=self.t)
 
-    def enrichment(self) -> EnrichmentConfig:
-        return EnrichmentConfig(m=self.m, t=self.t)
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass
@@ -64,7 +65,6 @@ def run_pipeline(dataset: Dataset, config: PipelineConfig) -> PipelineResult:
     use_biterms = "b" in components
     use_outer = "o" in components
     use_inner = "i" in components
-    cfg = config.enrichment()
 
     artifacts = dataset.all_artifacts()
     documents = {a.id: build_document(a) for a in artifacts}
@@ -90,7 +90,7 @@ def run_pipeline(dataset: Dataset, config: PipelineConfig) -> PipelineResult:
             enriched: dict[str, Document] = dict(documents)
             for artifact in (*dataset.sources, *dataset.targets):
                 related_ids = select_related_intermediates(
-                    artifact.id, intermediate_ids, pre_table, cfg
+                    artifact.id, intermediate_ids, pre_table, config.m, config.t
                 )
                 related_sets = [filtered_by_id[i] for i in related_ids]
                 enriched[artifact.id] = enrich_artifact(documents[artifact.id], related_sets)
@@ -102,7 +102,9 @@ def run_pipeline(dataset: Dataset, config: PipelineConfig) -> PipelineResult:
     paths: dict[str, list[TransitivePath]] = {}
     if use_outer:
         for source in dataset.source_ids():
-            paths[source] = form_paths(source, dataset, table, cfg, allow_inner=use_inner)
+            paths[source] = form_paths(
+                source, dataset, table, config.m, config.t, allow_inner=use_inner
+            )
         candidates = adjust_scores(candidates, paths)
 
     return PipelineResult(

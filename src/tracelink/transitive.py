@@ -1,11 +1,14 @@
 """Transitive link deduction and IR score adjustment.
 
-Paths run from a source to a target in two hops (outer, outer) or three
-hops containing exactly one inner link: source-to-source first, or
-intermediate-to-intermediate in the middle. Each hop consumed tightens the
-selection: the relative threshold rises by 0.1 per hop and the candidate
-cap drops by one (floored at 1). A path's bonus is the product of its link
-similarities; a candidate's score is multiplied by (1 + bonus) per path.
+A path is a walk from a source down the levels source > intermediate >
+target. Each hop either steps down one level (an outer link) or, at most
+once per path and never among targets, steps sideways to another artifact
+of the same level (an inner link). That gives the shapes S>I>T, and with
+inner links S>S'>I>T and S>I>I'>T. Nodes never repeat within a path. Each
+hop consumed tightens the selection: the relative threshold rises by 0.1
+per hop and the candidate cap drops by one (floored at 1). A path's bonus
+is the product of its link similarities; a candidate's score is
+multiplied by (1 + bonus) per path.
 """
 
 from __future__ import annotations
@@ -13,8 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .enrich import EnrichmentConfig
-from .irmodels import SimilarityTable
+from .irmodels import SimilarityTable, top_related
 
 
 class LinkKind(str, Enum):
@@ -77,72 +79,44 @@ def candidate_links(
     state: HopState,
     kind: LinkKind,
 ) -> list[TransitiveLink]:
-    """Pool members passing the hop thresholds, best first.
-
-    Keeps at most t_eff members whose similarity to `from_id` is at least
-    m_eff times the pool maximum; an all-zero pool yields nothing.
-    """
-    scored = list(zip(pool, table.row_scores(from_id, pool)))
-    scored.sort(key=lambda item: (-item[1], item[0]))
-    if not scored or scored[0][1] <= 0.0:
-        return []
-    cutoff = state.m_eff * scored[0][1]
-    kept = [(other, s) for other, s in scored if s >= cutoff][: state.t_eff]
-    return [TransitiveLink(from_id, other, kind, s) for other, s in kept]
+    """The `top_related` pool members under the hop thresholds, as links, best first."""
+    return [
+        TransitiveLink(from_id, other, kind, s)
+        for other, s in top_related(table, from_id, pool, state.m_eff, state.t_eff)
+    ]
 
 
 def form_paths(
     source: str,
     dataset,
     table: SimilarityTable,
-    cfg: EnrichmentConfig,
+    m: float,
+    t: int,
     allow_inner: bool = True,
 ) -> list[TransitivePath]:
     """Enumerate admissible 2/3-hop paths from `source`, deterministically.
 
-    Shapes: S>I>T always; S>S'>I>T and S>I>I'>T when inner links are
-    allowed. Nodes never repeat within a path; `dataset` only needs the
-    three id-list accessors.
+    A depth-first walk that tries the outer links of a node before its
+    inner ones; `dataset` only needs the three id-list accessors.
     """
-    sources = dataset.source_ids()
-    intermediates = dataset.intermediate_ids()
-    targets = dataset.target_ids()
-    start = HopState(n=0, m=cfg.m, t=cfg.t)
+    levels = [dataset.source_ids(), dataset.intermediate_ids(), dataset.target_ids()]
     paths: list[TransitivePath] = []
 
-    def extend(prefix: list[TransitiveLink], nodes: list[str], link: TransitiveLink):
-        return [*prefix, link], [*nodes, link.to_id]
+    def walk(nodes: list[str], links: list[TransitiveLink], level: int) -> None:
+        if level == len(levels) - 1:
+            paths.append(_make_path(nodes, links))
+            return
+        state = HopState(n=len(links), m=m, t=t)
+        for link in candidate_links(nodes[-1], levels[level + 1], table, state, LinkKind.OUTER):
+            walk([*nodes, link.to_id], [*links, link], level + 1)
+        # Each outer hop descends a level, so a path with more hops than
+        # levels descended has already taken its one inner hop.
+        if allow_inner and len(links) == level:
+            peers = [peer for peer in levels[level] if peer not in nodes]
+            for link in candidate_links(nodes[-1], peers, table, state, LinkKind.INNER):
+                walk([*nodes, link.to_id], [*links, link], level)
 
-    for outer1 in candidate_links(source, intermediates, table, start, LinkKind.OUTER):
-        links1, nodes1 = extend([], [source], outer1)
-        after1 = start.advance()
-        # S > I > T
-        for outer2 in candidate_links(outer1.to_id, targets, table, after1, LinkKind.OUTER):
-            links2, nodes2 = extend(links1, nodes1, outer2)
-            paths.append(_make_path(nodes2, links2))
-        # S > I > I' > T
-        if allow_inner:
-            peer_pool = [i for i in intermediates if i not in nodes1]
-            for inner in candidate_links(outer1.to_id, peer_pool, table, after1, LinkKind.INNER):
-                links2, nodes2 = extend(links1, nodes1, inner)
-                after2 = after1.advance()
-                for outer2 in candidate_links(inner.to_id, targets, table, after2, LinkKind.OUTER):
-                    links3, nodes3 = extend(links2, nodes2, outer2)
-                    paths.append(_make_path(nodes3, links3))
-
-    # S > S' > I > T
-    if allow_inner:
-        peer_pool = [s for s in sources if s != source]
-        for inner in candidate_links(source, peer_pool, table, start, LinkKind.INNER):
-            links1, nodes1 = extend([], [source], inner)
-            after1 = start.advance()
-            for outer1 in candidate_links(inner.to_id, intermediates, table, after1, LinkKind.OUTER):
-                links2, nodes2 = extend(links1, nodes1, outer1)
-                after2 = after1.advance()
-                for outer2 in candidate_links(outer1.to_id, targets, table, after2, LinkKind.OUTER):
-                    links3, nodes3 = extend(links2, nodes2, outer2)
-                    paths.append(_make_path(nodes3, links3))
-
+    walk([source], [], 0)
     return paths
 
 

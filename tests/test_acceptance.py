@@ -16,7 +16,6 @@ from tracelink.cli import main as cli_main
 from tracelink.corpus.codescan import CodeParts
 from tracelink.corpus.manifest import load_dataset
 from tracelink.corpus.types import Artifact, Document, Kind, Level
-from tracelink.enrich import EnrichmentConfig
 from tracelink.evaluate import average_precision, cliffs_delta, mean_average_precision, wilcoxon_rank_sum
 from tracelink.irmodels import build_matrix, similarity_js, similarity_lsi, similarity_vsm
 from tracelink.pipeline import PipelineConfig, run_pipeline
@@ -128,17 +127,17 @@ def test_similarity_oracles():
 def test_transitive_path_oracle():
     started = time.perf_counter()
     rng = random.Random(4242)
-    cfg = EnrichmentConfig(m=0.5, t=3)
+    m, t = 0.5, 3
     checked = 0
     for _ in range(100):
         pools, table = random_scenario(rng)
         for source in pools.source_ids():
-            outer_only = form_paths(source, pools, table, cfg, allow_inner=False)
-            with_inner = form_paths(source, pools, table, cfg, allow_inner=True)
+            outer_only = form_paths(source, pools, table, m, t, allow_inner=False)
+            with_inner = form_paths(source, pools, table, m, t, allow_inner=True)
             got_outer = {p.key() for p in outer_only}
             got_inner = {p.key() for p in with_inner}
-            assert got_outer == oracle_paths(source, pools, table, cfg, False)
-            assert got_inner == oracle_paths(source, pools, table, cfg, True)
+            assert got_outer == oracle_paths(source, pools, table, m, t, False)
+            assert got_inner == oracle_paths(source, pools, table, m, t, True)
             assert got_outer <= got_inner
             checked += 1
 

@@ -84,6 +84,30 @@ class TestTrace:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: LSI rank")
 
+    @pytest.mark.parametrize("values, message", [
+        ({"m": "x"}, "threshold m"), ({"m": True}, "threshold m"), ({"m": 1.5}, "threshold m"),
+        ({"t": 1.5}, "cap t"), ({"t": True}, "cap t"), ({"t": "3"}, "cap t"),
+    ], ids=["m_text", "m_bool", "m_above_one", "t_float", "t_bool", "t_text"])
+    def test_mistyped_threshold_in_config_exits_2(
+        self, tmp_path, motivating_manifest, capsys, values, message
+    ):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(values))
+        code = run_cli(
+            "trace", "--manifest", str(motivating_manifest), "--config", str(config),
+            "--out", str(tmp_path / "out"),
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not (tmp_path / "out").exists()
+
+    def test_config_file_not_an_object_exits_2(self, tmp_path, motivating_manifest, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps([["m", 0.5]]))
+        code = run_cli("trace", "--manifest", str(motivating_manifest), "--config", str(config))
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: config file")
+
     def test_bad_config_key_exits_2(self, tmp_path, motivating_manifest, capsys):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"modell": "js"}))

@@ -6,51 +6,44 @@ import pytest
 
 from tracelink.biterms import BitermSet
 from tracelink.corpus.types import Document
-from tracelink.enrich import (
-    EnrichmentConfig,
-    add_own_biterms,
-    enrich_artifact,
-    select_related_intermediates,
-)
+from tracelink.enrich import add_own_biterms, enrich_artifact, select_related_intermediates
 from tracelink.errors import ConfigError
+from tracelink.pipeline import PipelineConfig
 
 from test_transitive import table_from_pairs
 
 
 class TestConfig:
     def test_defaults(self):
-        cfg = EnrichmentConfig()
+        cfg = PipelineConfig()
         assert cfg.m == 0.5
         assert cfg.t == 3
 
     def test_invalid_rejected(self):
         with pytest.raises(ConfigError):
-            EnrichmentConfig(m=0.0)
+            PipelineConfig(m=0.0)
         with pytest.raises(ConfigError):
-            EnrichmentConfig(t=0)
+            PipelineConfig(t=0)
 
 
 class TestSelectRelated:
     def test_relative_cutoff(self):
         table = table_from_pairs({("a", "i1"): 0.8, ("a", "i2"): 0.45, ("a", "i3"): 0.39})
-        cfg = EnrichmentConfig()
         # max 0.8 -> cutoff 0.4: the artifact at 0.39 falls out
-        assert select_related_intermediates("a", ["i1", "i2", "i3"], table, cfg) == ["i1", "i2"]
+        assert select_related_intermediates("a", ["i1", "i2", "i3"], table, 0.5, 3) == ["i1", "i2"]
 
     def test_cap_with_id_tie_break(self):
         table = table_from_pairs({("a", f"i{k}"): 0.8 for k in range(4)})
-        cfg = EnrichmentConfig()
-        selected = select_related_intermediates("a", ["i3", "i1", "i0", "i2"], table, cfg)
+        selected = select_related_intermediates("a", ["i3", "i1", "i0", "i2"], table, 0.5, 3)
         assert selected == ["i0", "i1", "i2"]
 
     def test_all_zero_selects_nothing(self):
         table = table_from_pairs({("a", "i1"): 0.0, ("a", "i2"): 0.0})
-        assert select_related_intermediates("a", ["i1", "i2"], table, EnrichmentConfig()) == []
+        assert select_related_intermediates("a", ["i1", "i2"], table, 0.5, 3) == []
 
     def test_prefix_of_sorted_list(self):
         table = table_from_pairs({("a", "i1"): 0.9, ("a", "i2"): 0.6, ("a", "i3"): 0.5})
-        cfg = EnrichmentConfig(m=0.5, t=2)
-        assert select_related_intermediates("a", ["i1", "i2", "i3"], table, cfg) == ["i1", "i2"]
+        assert select_related_intermediates("a", ["i1", "i2", "i3"], table, 0.5, 2) == ["i1", "i2"]
 
 
 class TestEnrichArtifact:

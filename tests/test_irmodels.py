@@ -11,6 +11,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from tracelink.corpus.types import Document
 from tracelink.errors import ConfigError, ValidationError
@@ -27,6 +28,10 @@ from tracelink.irmodels import (
     similarity_lsi,
     similarity_vsm,
 )
+
+
+# Ids lean on the characters that CSV quoting and line splitting treat specially.
+_ids = st.text(st.sampled_from(',"\r\n\u2028 x') | st.characters(), min_size=1, max_size=6)
 
 
 def doc(doc_id, terms, added=None):
@@ -441,6 +446,20 @@ class TestRanking:
         assert text.splitlines()[0] == "source_id,target_id,score"
         parsed = parse_ranked_csv(text)
         assert parsed["s"] == [("t2", 0.9), ("t1", 0.5)]
+
+    @given(st.dictionaries(
+        _ids, st.lists(st.tuples(_ids, st.floats(0.0, 1.0)), min_size=1, max_size=4), max_size=4,
+    ))
+    def test_csv_round_trip_any_ids(self, ranked):
+        expected = {
+            source: [(target, float(f"{score:.6f}")) for target, score in targets]
+            for source, targets in ranked.items()
+        }
+        assert parse_ranked_csv(format_ranked_csv(ranked)) == expected
+
+    def test_csv_quotes_only_ids_that_need_it(self):
+        text = format_ranked_csv({"a,b": [("t", 0.5)], "s": [("t", 0.25)]})
+        assert text == 'source_id,target_id,score\n"a,b",t,0.500000\ns,t,0.250000\n'
 
     def test_global_list_ordering(self):
         ranked = {"s2": [("t1", 0.5)], "s1": [("t1", 0.5), ("t2", 0.9)]}

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from tracelink.cli import main as cli_main
 from tracelink.corpus.manifest import load_dataset
 from tracelink.corpus.types import Kind, Level
 from tracelink.errors import LoadError, ValidationError
@@ -96,3 +97,30 @@ def test_unknown_kind_rejected(tmp_path):
     path.write_text(json.dumps(manifest))
     with pytest.raises(ValidationError):
         load_dataset(path)
+
+
+
+def _integer_source_id(manifest):
+    manifest["sources"][0]["id"] = 7
+    del manifest["oracle_st"]
+    return manifest
+
+
+@pytest.mark.parametrize("malform", [
+    pytest.param(lambda manifest: [manifest], id="top_level_array"),
+    pytest.param(lambda manifest: {**manifest, "sources": 5}, id="level_not_a_list"),
+    pytest.param(lambda manifest: {**manifest, "targets": ["A.java"]}, id="entry_not_an_object"),
+    pytest.param(lambda manifest: {**manifest, "oracle_st": 5}, id="oracle_not_a_list"),
+    pytest.param(
+        lambda manifest: {**manifest, "sources": [{"id": "RE-1", "path": 5, "kind": "nl"}]},
+        id="path_not_a_string",
+    ),
+    pytest.param(_integer_source_id, id="integer_id_without_oracle"),
+])
+def test_malformed_shape_rejected(tmp_path, capsys, malform):
+    path = write_dataset(tmp_path)
+    path.write_text(json.dumps(malform(json.loads(path.read_text()))))
+    with pytest.raises(ValidationError):
+        load_dataset(path)
+    assert cli_main(["trace", "--manifest", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")

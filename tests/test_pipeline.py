@@ -129,7 +129,7 @@ class TestNoIntermediates:
         assert outer.candidates == ir_only.candidates
         assert all(not paths for paths in outer.paths.values())
 
-        reports = run_ablation(dataset, "vsm", ["ir-only", "o"])
+        reports = run_ablation(dataset, PipelineConfig(model="vsm"), ["ir-only", "o"])
         assert reports["o"].ap == reports["ir-only"].ap
         assert reports["o"].map == reports["ir-only"].map
 
@@ -150,14 +150,14 @@ class TestImportedPairs:
 
 class TestAblation:
     def test_reports_per_mode(self, dataset):
-        reports = run_ablation(dataset, "vsm", ["ir-only", "b+o+i"])
+        reports = run_ablation(dataset, PipelineConfig(model="vsm"), ["ir-only", "b+o+i"])
         assert set(reports) == {"ir-only", "b+o+i"}
         assert reports["b+o+i"].ap >= reports["ir-only"].ap
 
     def test_empty_modes_rejected(self, dataset):
         with pytest.raises(ConfigError):
-            run_ablation(dataset, "vsm", [])
+            run_ablation(dataset, PipelineConfig(model="vsm"), [])
 
     def test_invalid_mode_rejected(self, dataset):
         with pytest.raises(ConfigError):
-            run_ablation(dataset, "vsm", ["b+i"])
+            run_ablation(dataset, PipelineConfig(model="vsm"), ["b+i"])

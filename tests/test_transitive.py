@@ -10,7 +10,6 @@ import random
 import numpy as np
 import pytest
 
-from tracelink.enrich import EnrichmentConfig
 from tracelink.irmodels import SimilarityTable
 from tracelink.transitive import (
     HopState,
@@ -87,7 +86,7 @@ class TestCandidateLinks:
         assert candidate_links("x", ["a"], table, state, LinkKind.OUTER) == []
 
 
-def oracle_paths(source, pools, table, cfg, allow_inner):
+def oracle_paths(source, pools, table, m, cap, allow_inner):
     """Exhaustive enumeration of legal thresholded 2/3-hop sequences."""
 
     def admissible(from_id, pool, hop_index, chosen):
@@ -97,8 +96,8 @@ def oracle_paths(source, pools, table, cfg, allow_inner):
         )
         if not scored or scored[0][1] <= 0.0:
             return False
-        cutoff = (0.1 * hop_index + cfg.m) * scored[0][1]
-        kept = [o for o, s in scored if s >= cutoff][: max(1, cfg.t - hop_index)]
+        cutoff = (0.1 * hop_index + m) * scored[0][1]
+        kept = [o for o, s in scored if s >= cutoff][: max(1, cap - hop_index)]
         return chosen in kept
 
     sources = pools.source_ids()
@@ -138,6 +137,52 @@ def oracle_paths(source, pools, table, cfg, allow_inner):
     return found
 
 
+def reference_paths(source, pools, table, m, t, allow_inner):
+    """The three path shapes as hand-nested loops, in the order the traces are written.
+
+    Each path is (nodes, link kinds, link scores, bonus), so comparing lists
+    pins the enumeration order and every number written to path_traces.json.
+    """
+
+    def select(from_id, pool, hops):
+        scored = sorted(
+            zip(pool, table.row_scores(from_id, pool)), key=lambda item: (-item[1], item[0])
+        )
+        if not scored or scored[0][1] <= 0.0:
+            return []
+        cutoff = (0.1 * hops + m) * scored[0][1]
+        return [(o, s) for o, s in scored if s >= cutoff][: max(1, t - hops)]
+
+    def path(nodes, kinds, scores):
+        bonus = 1.0
+        for score in scores:
+            bonus *= score
+        return (tuple(nodes), tuple(kinds), tuple(scores), bonus)
+
+    sources = pools.source_ids()
+    inters = pools.intermediate_ids()
+    targets = pools.target_ids()
+    found = []
+    for i, s_i in select(source, inters, 0):
+        for t_, i_t in select(i, targets, 1):
+            found.append(path([source, i, t_], ["outer", "outer"], [s_i, i_t]))
+        if allow_inner:
+            peers = [x for x in inters if x not in (source, i)]
+            for i2, i_i2 in select(i, peers, 1):
+                for t_, i2_t in select(i2, targets, 2):
+                    found.append(path(
+                        [source, i, i2, t_], ["outer", "inner", "outer"], [s_i, i_i2, i2_t]
+                    ))
+    if allow_inner:
+        for s2, s_s2 in select(source, [x for x in sources if x != source], 0):
+            for i, s2_i in select(s2, inters, 1):
+                for t_, i_t in select(i, targets, 2):
+                    found.append(path(
+                        [source, s2, i, t_], ["inner", "outer", "outer"], [s_s2, s2_i, i_t]
+                    ))
+    return found
+
+
 def random_scenario(rng):
     pools = IdPools(
         [f"s{i}" for i in range(rng.randint(1, 8))],
@@ -157,8 +202,8 @@ class TestFormPaths:
     def test_no_intermediates_no_paths(self):
         pools = IdPools(["s1", "s2"], [], ["t1"])
         table = full_table(pools, {("s1", "s2"): 0.9, ("s1", "t1"): 0.9, ("s2", "t1"): 0.9})
-        cfg = EnrichmentConfig()
-        assert form_paths("s1", pools, table, cfg, allow_inner=True) == []
+        m, t = 0.5, 3
+        assert form_paths("s1", pools, table, m, t, allow_inner=True) == []
 
     def test_one_inner_link_max(self):
         pools = IdPools(["s1", "s2"], ["i1", "i2"], ["t1"])
@@ -166,8 +211,8 @@ class TestFormPaths:
             ("s1", "s2"): 0.9, ("s2", "i1"): 0.9, ("i1", "i2"): 0.9,
             ("i2", "t1"): 0.9, ("i1", "t1"): 0.9, ("s1", "i1"): 0.9,
         })
-        cfg = EnrichmentConfig()
-        for path in form_paths("s1", pools, table, cfg, allow_inner=True):
+        m, t = 0.5, 3
+        for path in form_paths("s1", pools, table, m, t, allow_inner=True):
             inner_count = sum(1 for link in path.links if link.kind is LinkKind.INNER)
             assert inner_count <= 1
             assert len(path.links) in (2, 3)
@@ -179,14 +224,14 @@ class TestFormPaths:
         # at most one inner link (never between targets), no node repeats,
         # endpoints at the right levels, bonus in [0, 1].
         rng = random.Random(131)
-        cfg = EnrichmentConfig()
+        m, t = 0.5, 3
         for _ in range(40):
             pools, table = random_scenario(rng)
             sources = set(pools.source_ids())
             inters = set(pools.intermediate_ids())
             targets = set(pools.target_ids())
             for source in pools.source_ids():
-                for path in form_paths(source, pools, table, cfg, allow_inner=True):
+                for path in form_paths(source, pools, table, m, t, allow_inner=True):
                     assert len(path.links) in (2, 3)
                     assert len(set(path.nodes)) == len(path.nodes)
                     assert path.nodes[0] in sources
@@ -209,54 +254,74 @@ class TestFormPaths:
 
     def test_matches_exhaustive_oracle(self):
         rng = random.Random(101)
-        cfg = EnrichmentConfig()
+        m, t = 0.5, 3
         for _ in range(100):
             pools, table = random_scenario(rng)
             for source in pools.source_ids():
                 for allow_inner in (False, True):
                     got = {
-                        p.key() for p in form_paths(source, pools, table, cfg, allow_inner)
+                        p.key() for p in form_paths(source, pools, table, m, t, allow_inner)
                     }
-                    expected = oracle_paths(source, pools, table, cfg, allow_inner)
+                    expected = oracle_paths(source, pools, table, m, t, allow_inner)
                     assert got == expected
+
+    def test_matches_reference_order(self):
+        rng = random.Random(101)
+        m, t = 0.5, 3
+        for _ in range(100):
+            pools, table = random_scenario(rng)
+            for source in pools.source_ids():
+                for allow_inner in (False, True):
+                    got = [
+                        (
+                            tuple(p.nodes),
+                            tuple(link.kind.value for link in p.links),
+                            tuple(link.score for link in p.links),
+                            p.bonus,
+                        )
+                        for p in form_paths(source, pools, table, m, t, allow_inner)
+                    ]
+                    assert got == reference_paths(
+                        source, pools, table, m, t, allow_inner
+                    )
 
     def test_outer_only_subset_of_outer_inner(self):
         rng = random.Random(103)
-        cfg = EnrichmentConfig()
+        m, t = 0.5, 3
         for _ in range(50):
             pools, table = random_scenario(rng)
             for source in pools.source_ids():
-                outer = {p.key() for p in form_paths(source, pools, table, cfg, False)}
-                both = {p.key() for p in form_paths(source, pools, table, cfg, True)}
+                outer = {p.key() for p in form_paths(source, pools, table, m, t, False)}
+                both = {p.key() for p in form_paths(source, pools, table, m, t, True)}
                 assert outer <= both
 
     def test_threshold_monotonicity(self):
         rng = random.Random(107)
         for _ in range(30):
             pools, table = random_scenario(rng)
-            loose = EnrichmentConfig(m=0.4, t=4)
-            tight_m = EnrichmentConfig(m=0.6, t=4)
-            tight_t = EnrichmentConfig(m=0.4, t=2)
+            loose = (0.4, 4)
+            tight_m = (0.6, 4)
+            tight_t = (0.4, 2)
             for source in pools.source_ids():
-                base = {p.key() for p in form_paths(source, pools, table, loose, True)}
-                assert {p.key() for p in form_paths(source, pools, table, tight_m, True)} <= base
-                assert {p.key() for p in form_paths(source, pools, table, tight_t, True)} <= base
+                base = {p.key() for p in form_paths(source, pools, table, *loose, True)}
+                assert {p.key() for p in form_paths(source, pools, table, *tight_m, True)} <= base
+                assert {p.key() for p in form_paths(source, pools, table, *tight_t, True)} <= base
 
     def test_enumeration_deterministic(self):
         rng = random.Random(109)
         pools, table = random_scenario(rng)
-        cfg = EnrichmentConfig()
+        m, t = 0.5, 3
         for source in pools.source_ids():
-            first = [p.key() for p in form_paths(source, pools, table, cfg, True)]
-            second = [p.key() for p in form_paths(source, pools, table, cfg, True)]
+            first = [p.key() for p in form_paths(source, pools, table, m, t, True)]
+            second = [p.key() for p in form_paths(source, pools, table, m, t, True)]
             assert first == second
 
     def test_bonus_is_product_of_link_scores(self):
         rng = random.Random(113)
         pools, table = random_scenario(rng)
-        cfg = EnrichmentConfig()
+        m, t = 0.5, 3
         for source in pools.source_ids():
-            for path in form_paths(source, pools, table, cfg, True):
+            for path in form_paths(source, pools, table, m, t, True):
                 product = 1.0
                 for link in path.links:
                     product *= link.score
@@ -287,7 +352,6 @@ class TestAdjustScores:
 
     def test_monotone_non_decrease_and_resort(self):
         rng = random.Random(127)
-        cfg = EnrichmentConfig()
         for _ in range(30):
             pools, table = random_scenario(rng)
             candidates = {
@@ -298,7 +362,7 @@ class TestAdjustScores:
                 for s in pools.source_ids()
             }
             paths = {
-                s: form_paths(s, pools, table, cfg, True) for s in pools.source_ids()
+                s: form_paths(s, pools, table, 0.5, 3, True) for s in pools.source_ids()
             }
             adjusted = adjust_scores(candidates, paths)
             for s in candidates:
