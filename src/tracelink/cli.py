@@ -101,6 +101,9 @@ def _merge_config(args: argparse.Namespace) -> dict:
         value = getattr(args, key, None)
         if value is not None:
             merged[key] = value
+    for key in ("out", "pairs_dir"):
+        if merged[key] is not None and not isinstance(merged[key], str):
+            raise ConfigError(f"{key} must be a path string, got {merged[key]!r}")
     return merged
 
 

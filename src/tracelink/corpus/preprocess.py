@@ -3,16 +3,19 @@
 from __future__ import annotations
 
 from collections import Counter
+from functools import lru_cache
 
 from .stemmer import porter_stem
 from .stopwords import is_stopword
 
 
+@lru_cache(maxsize=None)
 def normalize_token(token: str) -> str | None:
     """Normalize one raw token to its stem, or None when it is dropped.
 
     A token is dropped when it is a special token (no letters or digits)
-    or a stopword after lowercasing.
+    or a stopword after lowercasing. The result depends only on the token,
+    so it is cached: each distinct token is stemmed once per process.
     """
     lowered = token.lower()
     if not any(c.isalnum() for c in lowered):

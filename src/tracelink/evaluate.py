@@ -86,11 +86,18 @@ def f_at_recall_levels(curve: list[tuple[float, float]]) -> list[float]:
 
     For each level the curve point at the smallest cutoff reaching that
     recall supplies both precision and recall; unreachable levels give 0.
+    Recall never decreases along a curve from `precision_recall`, so that
+    point is found by bisection.
     """
+    recalls = [r for r, _ in curve]
     values: list[float] = []
     for level in range(1, 101):
-        point = next(((r, p) for r, p in curve if r >= level), None)
-        values.append(0.0 if point is None else f_measure(point[1], point[0]))
+        index = bisect.bisect_left(recalls, level)
+        if index == len(curve):
+            values.append(0.0)
+        else:
+            recall, precision = curve[index]
+            values.append(f_measure(precision, recall))
     return values
 
 
@@ -273,15 +280,26 @@ def parse_mode(mode: str) -> frozenset[str]:
 
 
 def run_ablation(dataset, config, modes: list[str]) -> dict[str, EvalReport]:
-    """Run `config` once per mode and evaluate each run against the S-T oracle."""
-    from .pipeline import run_pipeline
+    """Evaluate `config` under each mode against the S-T oracle.
+
+    The modes share their stages: the base documents are built once, the
+    ranking stage runs once per distinct "b" (so six modes build three
+    similarity tables, not nine), and only the path stage runs per mode.
+    Each report equals that of a separate `run_pipeline` for the mode.
+    """
+    from .pipeline import build_documents, path_stage, rank_stage
 
     if not modes:
         raise ConfigError("ablation requires at least one mode")
-    for mode in modes:
-        parse_mode(mode)
+    biterms_on = {mode: "b" in parse_mode(mode) for mode in modes}
+    documents = build_documents(dataset)
+    rankings = {}
     reports: dict[str, EvalReport] = {}
     for mode in modes:
-        result = run_pipeline(dataset, replace(config, mode=mode))
+        mode_config = replace(config, mode=mode)
+        use_biterms = biterms_on[mode]
+        if use_biterms not in rankings:
+            rankings[use_biterms] = rank_stage(dataset, mode_config, documents, use_biterms)
+        result = path_stage(dataset, mode_config, rankings[use_biterms])
         reports[mode] = evaluate_ranking(result.candidates, dataset.oracle_st)
     return reports

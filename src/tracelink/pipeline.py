@@ -8,11 +8,17 @@ carrying only their own biterm terms; candidate generation and path
 deduction use a table rebuilt after enrichment. `PipelineConfig` is the
 one run configuration and the only validator of the thresholds m and t,
 which reach enrichment and path deduction as plain arguments.
+
+A run is two stages over the base documents of `build_documents`:
+`rank_stage` (biterms, enrichment, tables and IR ranking) depends only on
+whether "b" is on, and `path_stage` (path deduction and score adjustment)
+adds what "o" and "i" ask for. Neither stage writes to its inputs, so one
+ranking can serve every mode with the same "b", as `run_ablation` does.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from numbers import Real
 from pathlib import Path
 
@@ -61,13 +67,27 @@ class PipelineResult:
 
 
 def run_pipeline(dataset: Dataset, config: PipelineConfig) -> PipelineResult:
-    components = parse_mode(config.mode)
-    use_biterms = "b" in components
-    use_outer = "o" in components
-    use_inner = "i" in components
+    use_biterms = "b" in parse_mode(config.mode)
+    ranking = rank_stage(dataset, config, build_documents(dataset), use_biterms)
+    return path_stage(dataset, config, ranking)
 
-    artifacts = dataset.all_artifacts()
-    documents = {a.id: build_document(a) for a in artifacts}
+
+def build_documents(dataset: Dataset) -> dict[str, Document]:
+    """The base document of every artifact, before any biterm term is added."""
+    return {a.id: build_document(a) for a in dataset.all_artifacts()}
+
+
+def rank_stage(
+    dataset: Dataset,
+    config: PipelineConfig,
+    documents: dict[str, Document],
+    use_biterms: bool,
+) -> PipelineResult:
+    """IR ranking of every source's targets, with biterm enrichment when `use_biterms`.
+
+    Reads the model, m, t, lsi_rank and pairs_dir of `config`, not its mode.
+    `documents` is left as it is: enrichment writes to copies.
+    """
     filtered_by_id: dict[str, BitermSet] = {}
 
     if use_biterms:
@@ -97,20 +117,29 @@ def run_pipeline(dataset: Dataset, config: PipelineConfig) -> PipelineResult:
             documents = enriched
 
     table = build_similarity_table(list(documents.values()), config.model, config.lsi_rank)
-    candidates = rank_candidates(table, dataset.source_ids(), dataset.target_ids())
-
-    paths: dict[str, list[TransitivePath]] = {}
-    if use_outer:
-        for source in dataset.source_ids():
-            paths[source] = form_paths(
-                source, dataset, table, config.m, config.t, allow_inner=use_inner
-            )
-        candidates = adjust_scores(candidates, paths)
-
     return PipelineResult(
         documents=documents,
         similarity=table,
-        candidates=candidates,
-        paths=paths,
+        candidates=rank_candidates(table, dataset.source_ids(), dataset.target_ids()),
         filtered_biterms=filtered_by_id,
     )
+
+
+def path_stage(
+    dataset: Dataset, config: PipelineConfig, ranking: PipelineResult
+) -> PipelineResult:
+    """`ranking` with the paths and score adjustment that "o" and "i" of the mode ask for.
+
+    Returns a new result and leaves `ranking` as it is.
+    """
+    components = parse_mode(config.mode)
+    if "o" not in components:
+        return replace(ranking, paths={})
+    paths = {
+        source: form_paths(
+            source, dataset, ranking.similarity, config.m, config.t,
+            allow_inner="i" in components,
+        )
+        for source in dataset.source_ids()
+    }
+    return replace(ranking, candidates=adjust_scores(ranking.candidates, paths), paths=paths)

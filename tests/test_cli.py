@@ -101,6 +101,18 @@ class TestTrace:
         assert capsys.readouterr().err.startswith(f"error: {message}")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("key", ["out", "pairs_dir"])
+    def test_non_string_path_in_config_exits_2(
+        self, tmp_path, motivating_manifest, capsys, monkeypatch, key
+    ):
+        monkeypatch.chdir(tmp_path)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: 5}))
+        code = run_cli("trace", "--manifest", str(motivating_manifest), "--config", str(config))
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {key} must be a path string")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
     def test_config_file_not_an_object_exits_2(self, tmp_path, motivating_manifest, capsys):
         config = tmp_path / "config.json"
         config.write_text(json.dumps([["m", 0.5]]))

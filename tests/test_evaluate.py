@@ -4,6 +4,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from tracelink.errors import ConfigError, EvaluationError
 from tracelink.evaluate import (
@@ -73,6 +74,30 @@ class TestFMeasure:
         assert values[49] == pytest.approx(f_measure(100.0, 50.0))    # level 50
         assert values[50] == pytest.approx(f_measure(66.666667, 100.0))  # level 51
         assert values[99] == pytest.approx(f_measure(66.666667, 100.0))  # level 100
+
+
+def scan_f_at_recall_levels(curve):
+    """The linear rescan that `f_at_recall_levels` replaced, kept as its oracle."""
+    values = []
+    for level in range(1, 101):
+        point = next(((r, p) for r, p in curve if r >= level), None)
+        values.append(0.0 if point is None else f_measure(point[1], point[0]))
+    return values
+
+
+class TestFAtRecallLevels:
+    @given(st.lists(st.booleans(), max_size=300), st.integers(min_value=0, max_value=50))
+    def test_bisect_matches_linear_scan(self, hits, unreached):
+        ranked = [("s", f"t{i}") for i in range(len(hits))]
+        oracle = {link for link, hit in zip(ranked, hits) if hit}
+        oracle |= {("s", f"missing{i}") for i in range(unreached)}
+        if not oracle:
+            oracle = {("s", "missing")}
+        curve = precision_recall(ranked, oracle)
+        assert f_at_recall_levels(curve) == scan_f_at_recall_levels(curve)
+
+    def test_empty_curve_gives_zeros(self):
+        assert f_at_recall_levels([]) == [0.0] * 100
 
 
 def oracle_average_precision(ranked, oracle):

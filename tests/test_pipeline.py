@@ -1,13 +1,22 @@
 """End-to-end pipeline behaviour across ablation modes and models."""
 
+import copy
 import json
+from dataclasses import replace
 
 import pytest
 
+import tracelink.pipeline as pipeline
 from tracelink.corpus.manifest import load_dataset
 from tracelink.errors import ConfigError
-from tracelink.evaluate import run_ablation
-from tracelink.pipeline import PipelineConfig, run_pipeline
+from tracelink.evaluate import ABLATION_MODES, evaluate_ranking, run_ablation
+from tracelink.pipeline import (
+    PipelineConfig,
+    build_documents,
+    path_stage,
+    rank_stage,
+    run_pipeline,
+)
 
 
 @pytest.fixture(scope="module")
@@ -153,6 +162,41 @@ class TestAblation:
         reports = run_ablation(dataset, PipelineConfig(model="vsm"), ["ir-only", "b+o+i"])
         assert set(reports) == {"ir-only", "b+o+i"}
         assert reports["b+o+i"].ap >= reports["ir-only"].ap
+
+    @pytest.mark.parametrize("model", ["vsm", "lsi", "js"])
+    def test_shared_stages_match_separate_runs(self, dataset, monkeypatch, model):
+        config = PipelineConfig(model=model)
+        expected = {
+            mode: evaluate_ranking(
+                run_pipeline(dataset, replace(config, mode=mode)).candidates, dataset.oracle_st
+            )
+            for mode in ABLATION_MODES
+        }
+        calls = 0
+        original = pipeline.build_similarity_table
+
+        def counted(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "build_similarity_table", counted)
+        assert dataset.intermediates
+        assert run_ablation(dataset, config, list(ABLATION_MODES)) == expected
+        # One table without "b"; a pre-enrichment and a final table with "b".
+        assert calls == 3
+
+    def test_stages_leave_their_inputs_unchanged(self, dataset):
+        documents = build_documents(dataset)
+        base = copy.deepcopy(documents)
+        ranking = rank_stage(dataset, PipelineConfig(), documents, use_biterms=True)
+        assert documents == base
+        shared = copy.deepcopy(ranking.candidates)
+        for mode in ABLATION_MODES:
+            result = path_stage(dataset, PipelineConfig(mode=mode), ranking)
+            assert result is not ranking
+        assert ranking.candidates == shared
+        assert ranking.paths == {}
 
     def test_empty_modes_rejected(self, dataset):
         with pytest.raises(ConfigError):

@@ -2,6 +2,8 @@
 
 from collections import Counter
 
+from hypothesis import given, strategies as st
+
 from tracelink.corpus.preprocess import normalize_token, preprocess
 
 
@@ -55,3 +57,15 @@ def test_idempotent_on_corpus_stems():
     once = preprocess(words)
     again = preprocess(list(once.elements()))
     assert once == again
+
+
+@given(st.text())
+def test_cached_normalize_matches_uncached(token):
+    assert normalize_token(token) == normalize_token.__wrapped__(token)
+    assert normalize_token(token) == normalize_token.__wrapped__(token)   # now a cache hit
+
+
+@given(st.lists(st.text(max_size=12)))
+def test_preprocess_unchanged_by_cache(tokens):
+    stems = (normalize_token.__wrapped__(token) for token in tokens)
+    assert preprocess(tokens) == Counter(stem for stem in stems if stem is not None)
