@@ -10,13 +10,12 @@ categories, plus comment pairs extracted like prose.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 from .corpus.nltext import ADJ, NOUN, VERB, tag_token
 from .corpus.preprocess import normalize_token
 from .corpus.types import Artifact, Kind
-from .errors import ParseError
+from .errors import LoadError, ParseError, read_text
 
 Pair = tuple[str, str]
 
@@ -77,24 +76,21 @@ class BitermSet:
             and self.biterms == other.biterms
         )
 
-    def to_json(self) -> str:
-        payload = {f"{a} {b}": count for (a, b), count in sorted(self.biterms.items())}
-        return json.dumps(payload, sort_keys=True, indent=2)
 
+def _window_pairs(tokens: list[str], window: int) -> list[Pair]:
+    """Canonical stem pairs of token positions at distance < `window`, in position order.
 
-def _window_pairs(stems: list[str | None]) -> list[Pair]:
-    """All canonical pairs of positions at distance < window size.
-
-    `stems` holds one entry per eligible token position; None marks a token
-    that was dropped during normalization (stopword/special) and breaks the
-    pair but not the window geometry.
+    A token that normalization drops (stopword/special) breaks its pairs but
+    not the window geometry. A window of `len(tokens)` pairs every two kept
+    tokens, as an identifier needs.
     """
+    stems = [normalize_token(tok) for tok in tokens]
     pairs: list[Pair] = []
     n = len(stems)
     for i in range(n):
         if stems[i] is None:
             continue
-        for j in range(i + 1, min(i + _WINDOW, n)):
+        for j in range(i + 1, min(i + window, n)):
             if stems[j] is None:
                 continue
             pair = canonical_pair(stems[i], stems[j])
@@ -104,8 +100,7 @@ def _window_pairs(stems: list[str | None]) -> list[Pair]:
 
 
 def _sentence_pairs(tagged: list[tuple[str, str | None]]) -> list[Pair]:
-    content = [tok for tok, tag in tagged if tag in _CONTENT_TAGS]
-    return _window_pairs([normalize_token(tok) for tok in content])
+    return _window_pairs([tok for tok, tag in tagged if tag in _CONTENT_TAGS], _WINDOW)
 
 
 def extract_nl_biterms(artifact: Artifact) -> BitermSet:
@@ -126,7 +121,8 @@ def import_parsed_pairs(artifact_id: str, pairs_file: str | Path) -> BitermSet:
     """
     result = BitermSet(artifact_id)
     path = Path(pairs_file)
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    text = read_text(path, "dependency-pair file")
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         fields = line.split("\t")
@@ -146,18 +142,6 @@ def import_parsed_pairs(artifact_id: str, pairs_file: str | Path) -> BitermSet:
     return result
 
 
-def _identifier_pairs(identifier_tokens: list[str]) -> list[Pair]:
-    stems = [normalize_token(tok) for tok in identifier_tokens]
-    kept = [s for s in stems if s is not None]
-    pairs: list[Pair] = []
-    for i in range(len(kept)):
-        for j in range(i + 1, len(kept)):
-            pair = canonical_pair(kept[i], kept[j])
-            if pair is not None:
-                pairs.append(pair)
-    return pairs
-
-
 def extract_code_biterms(artifact: Artifact) -> BitermSet:
     """Identifier-token pairs weighted by code-part importance.
 
@@ -173,7 +157,7 @@ def extract_code_biterms(artifact: Artifact) -> BitermSet:
 
     for part_name in _STRONG_PARTS:
         for identifier_tokens in getattr(parts, part_name):
-            for pair in _identifier_pairs(identifier_tokens):
+            for pair in _window_pairs(identifier_tokens, len(identifier_tokens)):
                 strong[pair] = strong.get(pair, 0) + 1
     for tokens in parts.comments:
         tagged = [(tok, tag_token(tok)) for tok in tokens]
@@ -181,7 +165,7 @@ def extract_code_biterms(artifact: Artifact) -> BitermSet:
             comment[pair] = comment.get(pair, 0) + 1
     for part_name in _WEAK_PARTS:
         for identifier_tokens in getattr(parts, part_name):
-            weak.update(_identifier_pairs(identifier_tokens))
+            weak.update(_window_pairs(identifier_tokens, len(identifier_tokens)))
 
     result = BitermSet(artifact.id)
     for pair in sorted(set(strong) | set(comment) | weak):
@@ -196,7 +180,11 @@ def extract_biterms(artifact: Artifact, pairs_dir: str | Path | None = None) -> 
         return extract_code_biterms(artifact)
     if pairs_dir is not None:
         candidate = Path(pairs_dir) / f"{artifact.id}.tsv"
-        if candidate.exists():
+        try:
+            found = candidate.exists()
+        except OSError as exc:  # e.g. an id too long for a file name
+            raise LoadError(f"cannot look for dependency-pair file {candidate}: {exc}") from exc
+        if found:
             return import_parsed_pairs(artifact.id, candidate)
     return extract_nl_biterms(artifact)
 

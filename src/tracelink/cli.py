@@ -27,16 +27,12 @@ from .errors import (
     ParseError,
     TracelinkError,
     ValidationError,
+    read_text,
 )
-from .evaluate import (
-    ABLATION_MODES,
-    EvalReport,
-    compare_runs,
-    evaluate_ranking,
-    run_ablation,
-)
+from .enrich import corpus_dump_payload
+from .evaluate import EvalReport, compare_runs, evaluate_ranking
 from .irmodels import format_ranked_csv, parse_ranked_csv
-from .pipeline import PipelineConfig, run_pipeline
+from .pipeline import ABLATION_MODES, PipelineConfig, run_ablation, run_pipeline
 from .transitive import paths_to_json_payload
 
 _DEFAULTS = {f.name: f.default for f in fields(PipelineConfig)} | {"out": "tracelink-out"}
@@ -86,9 +82,7 @@ def _merge_config(args: argparse.Namespace) -> dict:
     merged = dict(_DEFAULTS)
     if getattr(args, "config", None):
         try:
-            file_values = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
+            file_values = json.loads(read_text(args.config, "config file"))
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file {args.config} is not valid JSON: {exc}") from exc
         if not isinstance(file_values, dict):
@@ -136,9 +130,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     out = Path(merged["out"])
     _write(out / "ranked_links.csv", format_ranked_csv(result.candidates))
     _write(out / "path_traces.json", _json_text(paths_to_json_payload(result.paths)))
-    if getattr(args, "dump_corpus", False):
-        from .enrich import corpus_dump_payload
-
+    if args.dump_corpus:
         _write(out / "enriched_corpus.json", _json_text(corpus_dump_payload(result.documents)))
     print(f"wrote {out / 'ranked_links.csv'} and {out / 'path_traces.json'}")
     return 0
@@ -179,11 +171,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _read_ranked(path: str) -> dict[str, list[tuple[str, float]]]:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise LoadError(f"cannot read ranked-links file {path}: {exc}") from exc
-    return parse_ranked_csv(text)
+    return parse_ranked_csv(read_text(path, "ranked-links file"))
 
 
 def _cmd_ablate(args: argparse.Namespace) -> int:
@@ -191,7 +179,9 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
     modes_text = args.modes if args.modes is not None else merged.get(
         "modes", ",".join(ABLATION_MODES)
     )
-    modes = [m.strip() for m in str(modes_text).split(",") if m.strip()]
+    if not isinstance(modes_text, str):
+        raise ConfigError(f"modes must be a comma-separated string, got {modes_text!r}")
+    modes = [m.strip() for m in modes_text.split(",") if m.strip()]
     config = _pipeline_config(merged)
     dataset = load_dataset(args.manifest)
     if not dataset.oracle_st:

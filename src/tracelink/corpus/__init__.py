@@ -1,17 +1,1 @@
 """Corpus loading, tokenization and normalization."""
-
-from .codescan import CodeParts, scan_code
-from .identifiers import split_identifier
-from .manifest import load_dataset
-from .nltext import tokenize_natural, split_sentences, tag_token
-from .preprocess import normalize_token, preprocess
-from .stemmer import porter_stem
-from .stopwords import STOPWORDS, is_stopword
-from .types import Artifact, Dataset, Document, Kind, Level
-
-__all__ = [
-    "Artifact", "CodeParts", "Dataset", "Document", "Kind", "Level",
-    "STOPWORDS", "is_stopword", "load_dataset", "normalize_token",
-    "porter_stem", "preprocess", "scan_code", "split_identifier",
-    "split_sentences", "tag_token", "tokenize_natural",
-]

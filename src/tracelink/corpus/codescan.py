@@ -2,9 +2,11 @@
 
 Extracts the eight code-part categories needed downstream (class names,
 method names, invoked method names, field/parameter types and names, and
-comments) without building an AST. It is intentionally heuristic: good
-enough for single-file class/struct sources, not a parser for arbitrary
-code (imports, nested types and macro tricks are out of scope).
+comments) without building an AST. Java and C go through the same scan,
+whose patterns cover the class/struct declarations and function signatures
+of both. It is intentionally heuristic: good enough for single-file
+class/struct sources, not a parser for arbitrary code (imports, nested
+types and macro tricks are out of scope).
 """
 
 from __future__ import annotations
@@ -50,20 +52,9 @@ class CodeParts:
     parameter_names: list[list[str]] = field(default_factory=list)
     comments: list[list[str]] = field(default_factory=list)
 
-    def identifier_parts(self) -> dict[str, list[list[str]]]:
-        return {
-            "class_names": self.class_names,
-            "method_names": self.method_names,
-            "invoked_method_names": self.invoked_method_names,
-            "field_type_names": self.field_type_names,
-            "field_names": self.field_names,
-            "parameter_type_names": self.parameter_type_names,
-            "parameter_names": self.parameter_names,
-        }
 
-
-def scan_code(source: str, language: str = "java") -> CodeParts:
-    """Scan a Java or C source text into CodeParts. `language` is advisory."""
+def scan_code(source: str) -> CodeParts:
+    """Scan a Java or C source text into CodeParts."""
     parts = CodeParts()
     code = _extract_comments(source, parts)
     code = _STRING_LITERAL.sub(" ", code)

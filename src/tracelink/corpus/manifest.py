@@ -12,10 +12,10 @@ A manifest is a single JSON document:
     }
 
 Artifact bodies are plain-text files; paths are resolved relative to the
-manifest location. `kind` is "nl" or "code"; the code language is inferred
-from the file suffix (.c/.h -> C, anything else -> Java). Each level is a
-list of objects whose `id`, `path` and `kind` are strings; any other shape
-raises `ValidationError`.
+manifest location. `kind` is "nl" or "code"; Java and C code are scanned
+alike, whatever the file suffix. Each level is a list of objects whose
+`id`, `path` and `kind` are strings; any other shape raises
+`ValidationError`.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from ..errors import LoadError, ValidationError
+from ..errors import LoadError, ValidationError, read_text
 from .codescan import scan_code
 from .nltext import tokenize_natural
 from .types import Artifact, Dataset, Kind, Level
@@ -37,10 +37,7 @@ _LEVEL_KEYS = (
 
 def load_dataset(manifest_path: str | Path) -> Dataset:
     manifest_path = Path(manifest_path)
-    try:
-        text = manifest_path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise LoadError(f"cannot read manifest {manifest_path}: {exc}") from exc
+    text = read_text(manifest_path, "manifest")
     try:
         spec = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -81,11 +78,7 @@ def _load_artifact(entry: dict, level: Level, base: Path) -> Artifact:
             raise ValidationError(f"artifact entry missing {required!r}: {entry}")
         if not isinstance(entry[required], str):
             raise ValidationError(f"artifact {required!r} must be a string: {entry}")
-    path = base / entry["path"]
-    try:
-        raw = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise LoadError(f"cannot read artifact file {path}: {exc}") from exc
+    raw = read_text(base / entry["path"], "artifact file")
 
     kind_name = entry["kind"].lower()
     if kind_name in ("nl", "natural", "naturallanguage", "text"):
@@ -94,10 +87,8 @@ def _load_artifact(entry: dict, level: Level, base: Path) -> Artifact:
             raw=raw, sentences=tokenize_natural(raw),
         )
     if kind_name == "code":
-        language = "c" if path.suffix.lower() in (".c", ".h") else "java"
         return Artifact(
-            id=entry["id"], level=level, kind=Kind.CODE,
-            raw=raw, code_parts=scan_code(raw, language),
+            id=entry["id"], level=level, kind=Kind.CODE, raw=raw, code_parts=scan_code(raw),
         )
     raise ValidationError(f"unknown artifact kind {entry['kind']!r} for {entry['id']!r}")
 

@@ -1,8 +1,10 @@
-"""Exception hierarchy shared across the pipeline.
+"""Exception hierarchy shared across the pipeline, and the one input-file reader.
 
 Configuration and input-validation problems map to CLI exit code 2,
 everything else (runtime/numeric failures) to exit code 1.
 """
+
+from pathlib import Path
 
 
 class TracelinkError(Exception):
@@ -10,7 +12,7 @@ class TracelinkError(Exception):
 
 
 class LoadError(TracelinkError):
-    """A dataset file or manifest could not be read."""
+    """An input file could not be read, or is not UTF-8 text."""
 
 
 class ValidationError(TracelinkError):
@@ -31,3 +33,11 @@ class EvaluationError(TracelinkError):
 
 class NumericError(TracelinkError):
     """A numeric routine failed to converge or produced an unusable result."""
+
+
+def read_text(path: str | Path, what: str) -> str:
+    """The UTF-8 text of the input file `path`; `what` names it in the LoadError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the path
+        raise LoadError(f"cannot read {what} {path}: {exc}") from exc

@@ -1,6 +1,8 @@
-"""Retrieval metrics, statistical comparison, and the ablation matrix.
+"""Retrieval metrics and statistical comparison of ranked link lists.
 
-Precision/recall/F and AP work on the global ranked link list; MAP averages
+A leaf module: it measures rankings and knows nothing of how they were
+made. Precision/recall/F and AP work on the global ranked link list (all
+sources' links sorted together by `global_ranked_links`); MAP averages
 per-query AP over queries that have at least one relevant target. The
 Wilcoxon rank-sum test is exact (full enumeration via a subset-sum count)
 for small samples and falls back to the tie-corrected normal approximation;
@@ -12,11 +14,9 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .errors import ConfigError, EvaluationError
-
-ABLATION_MODES = ("ir-only", "b", "o", "b+o", "o+i", "b+o+i")
+from .errors import EvaluationError
 
 # Exact Wilcoxon enumeration is used while C(n1+n2, n1) stays below this.
 _EXACT_LIMIT = 500_000
@@ -249,13 +249,20 @@ def compare_runs(f_a: list[float], f_b: list[float]) -> StatComparison:
     return comparison
 
 
+def global_ranked_links(
+    ranked: dict[str, list[tuple[str, float]]],
+) -> list[tuple[str, str, float]]:
+    """Flatten per-source lists into one global list sorted by score then ids."""
+    links = [(s, t, score) for s, targets in ranked.items() for t, score in targets]
+    links.sort(key=lambda item: (-item[2], item[0], item[1]))
+    return links
+
+
 def evaluate_ranking(
     candidates: dict[str, list[tuple[str, float]]],
     oracle: set[tuple[str, str]],
 ) -> EvalReport:
     """Full report for one run: global list metrics plus per-query MAP."""
-    from .irmodels import global_ranked_links
-
     if not oracle:
         raise EvaluationError("evaluation requires a nonempty oracle")
     global_links = [(s, t) for s, t, _ in global_ranked_links(candidates)]
@@ -271,35 +278,3 @@ def evaluate_ranking(
         per_query_ap=per_query_ap,
     )
 
-
-def parse_mode(mode: str) -> frozenset[str]:
-    """Map an ablation mode name to its toggled components."""
-    if mode not in ABLATION_MODES:
-        raise ConfigError(f"unknown ablation mode {mode!r}; expected one of {ABLATION_MODES}")
-    return frozenset() if mode == "ir-only" else frozenset(mode.split("+"))
-
-
-def run_ablation(dataset, config, modes: list[str]) -> dict[str, EvalReport]:
-    """Evaluate `config` under each mode against the S-T oracle.
-
-    The modes share their stages: the base documents are built once, the
-    ranking stage runs once per distinct "b" (so six modes build three
-    similarity tables, not nine), and only the path stage runs per mode.
-    Each report equals that of a separate `run_pipeline` for the mode.
-    """
-    from .pipeline import build_documents, path_stage, rank_stage
-
-    if not modes:
-        raise ConfigError("ablation requires at least one mode")
-    biterms_on = {mode: "b" in parse_mode(mode) for mode in modes}
-    documents = build_documents(dataset)
-    rankings = {}
-    reports: dict[str, EvalReport] = {}
-    for mode in modes:
-        mode_config = replace(config, mode=mode)
-        use_biterms = biterms_on[mode]
-        if use_biterms not in rankings:
-            rankings[use_biterms] = rank_stage(dataset, mode_config, documents, use_biterms)
-        result = path_stage(dataset, mode_config, rankings[use_biterms])
-        reports[mode] = evaluate_ranking(result.candidates, dataset.oracle_st)
-    return reports

@@ -351,11 +351,3 @@ def parse_ranked_csv(text: str) -> dict[str, list[tuple[str, float]]]:
         raise ParseError(f"line {reader.line_num}: {exc}") from None
     return ranked
 
-
-def global_ranked_links(
-    ranked: dict[str, list[tuple[str, float]]],
-) -> list[tuple[str, str, float]]:
-    """Flatten per-source lists into one global list sorted by score then ids."""
-    links = [(s, t, score) for s, targets in ranked.items() for t, score in targets]
-    links.sort(key=lambda item: (-item[2], item[0], item[1]))
-    return links

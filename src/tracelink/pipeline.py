@@ -1,19 +1,22 @@
 """End-to-end pipeline: extract, filter, enrich, rank, deduce, adjust.
 
-Mode components: "b" turns on intermediate-centric biterm enrichment,
-"o" turns on outer-transitive path deduction and score adjustment, and
-"i" additionally allows one inner-transitive link per path. Enrichment
-similarities are taken from a pre-enrichment table built over documents
-carrying only their own biterm terms; candidate generation and path
-deduction use a table rebuilt after enrichment. `PipelineConfig` is the
-one run configuration and the only validator of the thresholds m and t,
-which reach enrichment and path deduction as plain arguments.
+This module owns the ablation modes: `ABLATION_MODES` names them and
+`parse_mode` maps one to its components. "b" turns on intermediate-centric
+biterm enrichment, "o" turns on outer-transitive path deduction and score
+adjustment, and "i" additionally allows one inner-transitive link per path.
+Enrichment similarities are taken from a pre-enrichment table built over
+documents carrying only their own biterm terms; candidate generation and
+path deduction use a table rebuilt after enrichment. `PipelineConfig` is
+the one run configuration and the only validator of the mode and of the
+thresholds m and t, which reach enrichment and path deduction as plain
+arguments.
 
 A run is two stages over the base documents of `build_documents`:
 `rank_stage` (biterms, enrichment, tables and IR ranking) depends only on
 whether "b" is on, and `path_stage` (path deduction and score adjustment)
-adds what "o" and "i" ask for. Neither stage writes to its inputs, so one
-ranking can serve every mode with the same "b", as `run_ablation` does.
+adds what "o" and "i" ask for. Both read the mode from the config. Neither
+stage writes to its inputs, so one ranking can serve every mode with the
+same "b", as `run_ablation` does.
 """
 
 from __future__ import annotations
@@ -27,9 +30,18 @@ from .corpus.documents import build_document
 from .corpus.types import Dataset, Document
 from .enrich import add_own_biterms, enrich_artifact, select_related_intermediates
 from .errors import ConfigError
-from .evaluate import parse_mode
+from .evaluate import EvalReport, evaluate_ranking
 from .irmodels import MODELS, SimilarityTable, build_similarity_table, rank_candidates
 from .transitive import TransitivePath, adjust_scores, form_paths
+
+ABLATION_MODES = ("ir-only", "b", "o", "b+o", "o+i", "b+o+i")
+
+
+def parse_mode(mode: str) -> frozenset[str]:
+    """Map an ablation mode name to its toggled components."""
+    if mode not in ABLATION_MODES:
+        raise ConfigError(f"unknown ablation mode {mode!r}; expected one of {ABLATION_MODES}")
+    return frozenset() if mode == "ir-only" else frozenset(mode.split("+"))
 
 
 @dataclass(frozen=True)
@@ -67,9 +79,32 @@ class PipelineResult:
 
 
 def run_pipeline(dataset: Dataset, config: PipelineConfig) -> PipelineResult:
-    use_biterms = "b" in parse_mode(config.mode)
-    ranking = rank_stage(dataset, config, build_documents(dataset), use_biterms)
-    return path_stage(dataset, config, ranking)
+    return path_stage(dataset, config, rank_stage(dataset, config, build_documents(dataset)))
+
+
+def run_ablation(
+    dataset: Dataset, config: PipelineConfig, modes: list[str]
+) -> dict[str, EvalReport]:
+    """Evaluate `config` under each mode against the S-T oracle.
+
+    The modes share their stages: the base documents are built once, the
+    ranking stage runs once per distinct "b" (so six modes build three
+    similarity tables, not nine), and only the path stage runs per mode.
+    Each report equals that of a separate `run_pipeline` for the mode.
+    """
+    if not modes:
+        raise ConfigError("ablation requires at least one mode")
+    configs = {mode: replace(config, mode=mode) for mode in modes}  # checks every mode first
+    documents = build_documents(dataset)
+    rankings: dict[bool, PipelineResult] = {}
+    reports: dict[str, EvalReport] = {}
+    for mode, mode_config in configs.items():
+        has_b = "b" in parse_mode(mode)
+        if has_b not in rankings:
+            rankings[has_b] = rank_stage(dataset, mode_config, documents)
+        result = path_stage(dataset, mode_config, rankings[has_b])
+        reports[mode] = evaluate_ranking(result.candidates, dataset.oracle_st)
+    return reports
 
 
 def build_documents(dataset: Dataset) -> dict[str, Document]:
@@ -78,19 +113,16 @@ def build_documents(dataset: Dataset) -> dict[str, Document]:
 
 
 def rank_stage(
-    dataset: Dataset,
-    config: PipelineConfig,
-    documents: dict[str, Document],
-    use_biterms: bool,
+    dataset: Dataset, config: PipelineConfig, documents: dict[str, Document]
 ) -> PipelineResult:
-    """IR ranking of every source's targets, with biterm enrichment when `use_biterms`.
+    """IR ranking of every source's targets, with biterm enrichment when the mode has "b".
 
-    Reads the model, m, t, lsi_rank and pairs_dir of `config`, not its mode.
+    Reads only "b" of the mode, so modes that agree on it rank alike.
     `documents` is left as it is: enrichment writes to copies.
     """
     filtered_by_id: dict[str, BitermSet] = {}
 
-    if use_biterms:
+    if "b" in parse_mode(config.mode):
         source_sets = [extract_biterms(a, config.pairs_dir) for a in dataset.sources]
         inter_sets = [extract_biterms(a, config.pairs_dir) for a in dataset.intermediates]
         target_sets = [extract_biterms(a, config.pairs_dir) for a in dataset.targets]

@@ -37,14 +37,6 @@ class TestCanonicalPair:
         assert canonical_pair("uav", "uav") is None
 
 
-class TestBitermSetExport:
-    def test_json_shape(self):
-        biterms = BitermSet("X", {("assign", "rout"): 2, ("af", "box"): 1})
-        import json
-        payload = json.loads(biterms.to_json())
-        assert payload == {"af box": 1, "assign rout": 2}
-
-
 class TestExtractNl:
     def test_dd647_sentence(self):
         biterms = extract_nl_biterms(nl_artifact(DD647_SENTENCE)).pairs()

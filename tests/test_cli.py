@@ -1,10 +1,14 @@
 """CLI behaviour: outputs, exit codes, determinism."""
 
 import json
+import shutil
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from tracelink.cli import main
+from tracelink.irmodels import MODELS
+from tracelink.pipeline import ABLATION_MODES
 
 
 def run_cli(*argv) -> int:
@@ -239,6 +243,20 @@ class TestAblate:
         full_row = next(r for r in summary if r.startswith("b+o+i,"))
         assert b_row.split(",")[1:] == full_row.split(",")[1:]
 
+    @pytest.mark.parametrize("modes", [["b", "o"], 5, None])
+    def test_non_string_modes_in_config_exits_2(
+        self, tmp_path, motivating_manifest, capsys, modes
+    ):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"modes": modes}))
+        code = run_cli(
+            "ablate", "--manifest", str(motivating_manifest),
+            "--config", str(config), "--out", str(tmp_path / "out"),
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: modes must be a comma-separated string")
+        assert not (tmp_path / "out").exists()
+
     def test_modes_flag_overrides_config_file(self, tmp_path, motivating_manifest):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"modes": "ir-only,b,o"}))
@@ -261,3 +279,155 @@ class TestAblate:
         for path1 in sorted(out1.iterdir()):
             path2 = out2 / path1.name
             assert path1.read_bytes() == path2.read_bytes()
+
+
+NOT_UTF8 = b"\xffselect the UAV\n"
+
+
+def _copy_motivating(motivating_manifest, tmp_path):
+    data = tmp_path / "data"
+    shutil.copytree(motivating_manifest.parent, data)
+    return data / "manifest.json"
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """Artifact files a generated manifest can point at: text, code, empty and not UTF-8."""
+    base = tmp_path_factory.mktemp("fuzz")
+    (base / "nl.txt").write_text("The user selects the UAV route. The route is assigned.\n")
+    (base / "code.java").write_text(
+        "/** Assigns a route. */\nclass RouteBox { int speed; void assignRoute(Uav uav) {} }\n"
+    )
+    (base / "empty.txt").write_text("")
+    (base / "bad.txt").write_bytes(NOT_UTF8)
+    (base / "pairs").mkdir()
+    (base / "pairs" / "s0.tsv").write_text("obj\tselect\tUAV\n")
+    (base / "pairs" / "s1.tsv").write_text("not a pair line\n")
+    return base
+
+
+_PAIRS = "<pairs dir>"
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _mostly(good, bad=_json):
+    """Values of `good` nine times in ten, of `bad` otherwise.
+
+    Mostly well-formed values let some runs get past validation and run the
+    whole pipeline.
+    """
+    return st.integers(0, 9).flatmap(lambda roll: bad if roll == 9 else good)
+
+
+def _level(ids):
+    entry = st.fixed_dictionaries({
+        "id": _mostly(st.sampled_from(ids)),
+        "path": _mostly(
+            st.sampled_from(["nl.txt", "code.java", "empty.txt"]),
+            st.sampled_from(["bad.txt", "gone.txt"]) | _json,
+        ),
+        "kind": _mostly(st.sampled_from(["nl", "code"])),
+    })
+    return _mostly(st.lists(_mostly(entry), min_size=1, max_size=3, unique_by=_entry_id))
+
+
+def _entry_id(entry):
+    return repr(entry.get("id") if isinstance(entry, dict) else entry)
+
+
+def _oracle(left, right):
+    pair = st.tuples(st.sampled_from(left), st.sampled_from(right))
+    return _mostly(st.lists(pair, min_size=1, max_size=4))
+
+
+_S, _I, _T = ("s0", "s1", "s2"), ("i0", "i1", "i2"), ("t0", "t1", "t2")
+_manifests = _mostly(st.fixed_dictionaries(
+    {"sources": _level(_S), "targets": _level(_T), "oracle_st": _oracle(_S, _T)},
+    optional={
+        "intermediates": _level(_I),
+        "oracle_si": _oracle(_S, _I),
+        "oracle_it": _oracle(_I, _T),
+        "unknown": _json,
+    },
+))
+_configs = st.fixed_dictionaries(
+    {},
+    optional={
+        "model": _mostly(st.sampled_from(MODELS)),
+        "mode": _mostly(st.sampled_from(ABLATION_MODES)),
+        "modes": _mostly(st.sampled_from(["b,o", "ir-only", "b+i", ""])),
+        "m": _mostly(st.floats(0, 1)),
+        "t": _mostly(st.integers(0, 4)),
+        "lsi_rank": _mostly(st.integers(0, 4)),
+        "pairs_dir": _mostly(st.sampled_from([_PAIRS, "no-such-dir"])),
+    },
+)
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize(
+        "target", ["manifest", "artifact", "config", "ranked", "compare", "pairs"]
+    )
+    def test_non_utf8_input_exits_2(self, tmp_path, motivating_manifest, capsys, target):
+        manifest = _copy_motivating(motivating_manifest, tmp_path)
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(NOT_UTF8)
+        ranked = tmp_path / "ranked.csv"
+        ranked.write_text("source_id,target_id,score\nRE-691,AFInfoBox,0.5\n")
+        command = ["trace", "--manifest", str(manifest), "--out", str(tmp_path / "out")]
+        if target == "manifest":
+            command[2] = str(bad)
+        elif target == "artifact":
+            (manifest.parent / "DD-647.txt").write_bytes(NOT_UTF8)
+        elif target == "config":
+            command += ["--config", str(bad)]
+        elif target == "pairs":
+            pairs = tmp_path / "pairs"
+            pairs.mkdir()
+            (pairs / "DD-647.tsv").write_bytes(NOT_UTF8)
+            command += ["--pairs-dir", str(pairs)]
+        else:
+            command[0] = "eval"
+            command += ["--ranked", str(bad if target == "ranked" else ranked)]
+            if target == "compare":
+                command += ["--compare", str(bad)]
+        assert run_cli(*command) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read")
+        assert "Traceback" not in err
+
+    def test_id_too_long_for_a_pairs_file_exits_2(self, tmp_path, capsys):
+        long_id = "s" * 300
+        (tmp_path / "a.txt").write_text("The user selects the route.\n")
+        (tmp_path / "b.txt").write_text("The route is selected by the user.\n")
+        (tmp_path / "manifest.json").write_text(json.dumps({
+            "sources": [{"id": long_id, "path": "a.txt", "kind": "nl"}],
+            "targets": [{"id": "t", "path": "b.txt", "kind": "nl"}],
+            "oracle_st": [[long_id, "t"]],
+        }))
+        (tmp_path / "pairs").mkdir()
+        code = run_cli(
+            "trace", "--manifest", str(tmp_path / "manifest.json"),
+            "--pairs-dir", str(tmp_path / "pairs"), "--out", str(tmp_path / "out"),
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: cannot look for dependency-pair file")
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_any_manifest_and_config_gives_an_exit_code(self, fuzz_dir, data):
+        (fuzz_dir / "manifest.json").write_text(json.dumps(data.draw(_manifests)))
+        config = data.draw(_configs)
+        if config.get("pairs_dir") == _PAIRS:
+            config["pairs_dir"] = str(fuzz_dir / "pairs")
+        (fuzz_dir / "config.json").write_text(json.dumps(config))
+        common = [
+            "--manifest", str(fuzz_dir / "manifest.json"),
+            "--config", str(fuzz_dir / "config.json"), "--out", str(fuzz_dir / "out"),
+        ]
+        for command in ("trace", "eval", "ablate"):
+            assert run_cli(command, *common) in (0, 1, 2)

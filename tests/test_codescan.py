@@ -16,23 +16,23 @@ public class AFInfoBox {
 
 
 def test_class_name():
-    parts = scan_code(JAVA_SAMPLE, "java")
+    parts = scan_code(JAVA_SAMPLE)
     assert parts.class_names == [["af", "info", "box"]]
 
 
 def test_method_names():
-    parts = scan_code(JAVA_SAMPLE, "java")
+    parts = scan_code(JAVA_SAMPLE)
     assert parts.method_names == [["refresh"]]
 
 
 def test_invoked_method_names():
-    parts = scan_code(JAVA_SAMPLE, "java")
+    parts = scan_code(JAVA_SAMPLE)
     assert ["get", "assign", "route", "resource"] in parts.invoked_method_names
     assert ["draw"] in parts.invoked_method_names
 
 
 def test_fields_and_locals():
-    parts = scan_code(JAVA_SAMPLE, "java")
+    parts = scan_code(JAVA_SAMPLE)
     assert ["assign", "route", "icon"] in parts.field_names
     assert ["icon"] in parts.field_type_names
     assert ["res"] in parts.field_names
@@ -40,13 +40,13 @@ def test_fields_and_locals():
 
 
 def test_parameters():
-    parts = scan_code(JAVA_SAMPLE, "java")
+    parts = scan_code(JAVA_SAMPLE)
     assert parts.parameter_type_names == [["route"]]
     assert parts.parameter_names == [["new", "route"]]
 
 
 def test_comments_tokenized():
-    parts = scan_code(JAVA_SAMPLE, "java")
+    parts = scan_code(JAVA_SAMPLE)
     assert ["Route", "details", "are", "shown", "in", "this", "info", "box"] in parts.comments
 
 
@@ -59,7 +59,7 @@ def test_line_comments_and_keywords_skipped():
         while (true) { break; }
     }
     """
-    parts = scan_code(source, "java")
+    parts = scan_code(source)
     assert ["updates", "the", "counter"] in parts.comments
     assert parts.method_names == [["tick"]]
     flat_invoked = parts.invoked_method_names
@@ -69,7 +69,7 @@ def test_line_comments_and_keywords_skipped():
 
 def test_constructor_invocation_not_counted():
     source = "class A { void go() { B b = new B(); run(); } }"
-    parts = scan_code(source, "java")
+    parts = scan_code(source)
     assert ["b"] not in parts.invoked_method_names
     assert ["run"] in parts.invoked_method_names
 
@@ -83,7 +83,7 @@ def test_consecutive_field_declarations_all_found():
         private Timer beaconTimer;
     }
     """
-    parts = scan_code(source, "java")
+    parts = scan_code(source)
     assert parts.field_names == [
         ["halt", "button"], ["fleet", "alarm"], ["warning", "dialog"], ["beacon", "timer"],
     ]
@@ -105,12 +105,17 @@ def test_messy_java_does_not_crash():
         }
     }
     """
-    parts = scan_code(source, "java")
+    parts = scan_code(source)
     assert ["tricky"] in parts.class_names
     assert ["transform"] in parts.method_names
     assert ["helper"] in parts.invoked_method_names
     # string-literal braces and comment text never become identifiers
-    flat = [t for group in parts.identifier_parts().values() for ts in group for t in ts]
+    identifier_fields = (
+        parts.class_names, parts.method_names, parts.invoked_method_names,
+        parts.field_type_names, parts.field_names,
+        parts.parameter_type_names, parts.parameter_names,
+    )
+    flat = [t for group in identifier_fields for ts in group for t in ts]
     assert "not" not in flat
 
 
@@ -123,7 +128,7 @@ def test_c_struct_and_function():
         return 0;
     }
     """
-    parts = scan_code(source, "c")
+    parts = scan_code(source)
     assert ["motor", "state"] in parts.class_names
     assert ["halt", "motor"] in parts.method_names
     assert ["log", "event"] in parts.invoked_method_names

@@ -15,10 +15,10 @@ from tracelink.evaluate import (
     f_at_recall_levels,
     f_measure,
     mean_average_precision,
-    parse_mode,
     precision_recall,
     wilcoxon_rank_sum,
 )
+from tracelink.pipeline import parse_mode
 
 
 class TestPrecisionRecall:

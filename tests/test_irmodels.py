@@ -15,13 +15,13 @@ from hypothesis import given, strategies as st
 
 from tracelink.corpus.types import Document
 from tracelink.errors import ConfigError, ValidationError
+from tracelink.evaluate import global_ranked_links
 from tracelink.irmodels import (
     SimilarityTable,
     build_matrix,
     build_similarity_table,
     default_lsi_rank,
     format_ranked_csv,
-    global_ranked_links,
     parse_ranked_csv,
     rank_candidates,
     similarity_js,

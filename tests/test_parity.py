@@ -22,8 +22,8 @@ from pathlib import Path
 import pytest
 
 from tracelink.cli import main
-from tracelink.evaluate import ABLATION_MODES
 from tracelink.irmodels import MODELS
+from tracelink.pipeline import ABLATION_MODES
 
 DATA_DIR = Path(__file__).parent / "data"
 DIGESTS = DATA_DIR / "parity_digests.json"

@@ -9,12 +9,14 @@ import pytest
 import tracelink.pipeline as pipeline
 from tracelink.corpus.manifest import load_dataset
 from tracelink.errors import ConfigError
-from tracelink.evaluate import ABLATION_MODES, evaluate_ranking, run_ablation
+from tracelink.evaluate import evaluate_ranking
 from tracelink.pipeline import (
+    ABLATION_MODES,
     PipelineConfig,
     build_documents,
     path_stage,
     rank_stage,
+    run_ablation,
     run_pipeline,
 )
 
@@ -189,7 +191,7 @@ class TestAblation:
     def test_stages_leave_their_inputs_unchanged(self, dataset):
         documents = build_documents(dataset)
         base = copy.deepcopy(documents)
-        ranking = rank_stage(dataset, PipelineConfig(), documents, use_biterms=True)
+        ranking = rank_stage(dataset, PipelineConfig(), documents)
         assert documents == base
         shared = copy.deepcopy(ranking.candidates)
         for mode in ABLATION_MODES:
