@@ -62,21 +62,6 @@ def _ends_cvc(word: str) -> bool:
     return word[-1] not in "wxy"
 
 
-def _replace(word: str, suffix: str, replacement: str, min_measure: int) -> str | None:
-    """Apply `suffix -> replacement` when the stem measure condition holds.
-
-    Returns None when the suffix does not match at all, which lets callers
-    distinguish "no match" from "matched but condition failed" (Porter steps
-    stop at the longest matching suffix either way).
-    """
-    if not word.endswith(suffix):
-        return None
-    stem = word[: len(word) - len(suffix)]
-    if _measure(stem) > min_measure:
-        return stem + replacement
-    return word
-
-
 def _step1a(word: str) -> str:
     if word.endswith("sses"):
         return word[:-2]
@@ -123,86 +108,60 @@ def _step1c(word: str) -> str:
     return word
 
 
-# Longest-match tables; within a step only the longest matching suffix is tried.
-_STEP2 = (
-    ("ational", "ate"),
-    ("tional", "tion"),
-    ("enci", "ence"),
-    ("anci", "ance"),
-    ("izer", "ize"),
-    ("bli", "ble"),
-    ("alli", "al"),
-    ("entli", "ent"),
-    ("eli", "e"),
-    ("ousli", "ous"),
-    ("ization", "ize"),
-    ("ation", "ate"),
-    ("ator", "ate"),
-    ("alism", "al"),
-    ("iveness", "ive"),
-    ("fulness", "ful"),
-    ("ousness", "ous"),
-    ("aliti", "al"),
-    ("iviti", "ive"),
-    ("biliti", "ble"),
-    ("logi", "log"),
-)
+# Suffix -> replacement tables of steps 2-4; only the longest matching suffix is tried.
+_STEP2 = {
+    "ational": "ate",
+    "tional": "tion",
+    "enci": "ence",
+    "anci": "ance",
+    "izer": "ize",
+    "bli": "ble",
+    "alli": "al",
+    "entli": "ent",
+    "eli": "e",
+    "ousli": "ous",
+    "ization": "ize",
+    "ation": "ate",
+    "ator": "ate",
+    "alism": "al",
+    "iveness": "ive",
+    "fulness": "ful",
+    "ousness": "ous",
+    "aliti": "al",
+    "iviti": "ive",
+    "biliti": "ble",
+    "logi": "log",
+}
 
-_STEP3 = (
-    ("icate", "ic"),
-    ("ative", ""),
-    ("alize", "al"),
-    ("iciti", "ic"),
-    ("ical", "ic"),
-    ("ful", ""),
-    ("ness", ""),
-)
+_STEP3 = {
+    "icate": "ic",
+    "ative": "",
+    "alize": "al",
+    "iciti": "ic",
+    "ical": "ic",
+    "ful": "",
+    "ness": "",
+}
 
-_STEP4 = (
+_STEP4 = dict.fromkeys((
     "al", "ance", "ence", "er", "ic", "able", "ible", "ant", "ement",
     "ment", "ent", "ion", "ou", "ism", "ate", "iti", "ous", "ive", "ize",
-)
+), "")
 
 
-def _longest_rule(word: str, table) -> tuple[str, str] | None:
-    best = None
-    for suffix, repl in table:
-        if word.endswith(suffix):
-            if best is None or len(suffix) > len(best[0]):
-                best = (suffix, repl)
-    return best
+def _replace_longest(word: str, rules: dict[str, str], min_measure: int) -> str:
+    """Apply the rule of the longest suffix in `rules` that ends `word`.
 
-
-def _step2(word: str) -> str:
-    rule = _longest_rule(word, _STEP2)
-    if rule is None:
+    The stem left must have a measure above `min_measure` (and, for step 4's
+    -ion, end in s or t); otherwise `word` comes back unchanged.
+    """
+    suffix = max(filter(word.endswith, rules), key=len, default=None)
+    if suffix is None:
         return word
-    result = _replace(word, rule[0], rule[1], 0)
-    return result if result is not None else word
-
-
-def _step3(word: str) -> str:
-    rule = _longest_rule(word, _STEP3)
-    if rule is None:
+    stem = word[: len(word) - len(suffix)]
+    if _measure(stem) <= min_measure or (suffix == "ion" and not stem.endswith(("s", "t"))):
         return word
-    result = _replace(word, rule[0], rule[1], 0)
-    return result if result is not None else word
-
-
-def _step4(word: str) -> str:
-    best = None
-    for suffix in _STEP4:
-        if word.endswith(suffix):
-            if best is None or len(suffix) > len(best):
-                best = suffix
-    if best is None:
-        return word
-    stem = word[: len(word) - len(best)]
-    if best == "ion" and not stem.endswith(("s", "t")):
-        return word
-    if _measure(stem) > 1:
-        return stem
-    return word
+    return stem + rules[suffix]
 
 
 def _step5a(word: str) -> str:
@@ -230,9 +189,9 @@ def porter_stem(word: str) -> str:
     word = _step1a(word)
     word = _step1b(word)
     word = _step1c(word)
-    word = _step2(word)
-    word = _step3(word)
-    word = _step4(word)
+    word = _replace_longest(word, _STEP2, 0)
+    word = _replace_longest(word, _STEP3, 0)
+    word = _replace_longest(word, _STEP4, 1)
     word = _step5a(word)
     word = _step5b(word)
     return word

@@ -1,4 +1,4 @@
-"""tf-idf indexing and pairwise similarity under VSM, LSI and JS.
+"""tf-idf indexing and the pairwise similarity table under VSM, LSI and JS.
 
 The term-document matrix uses raw term counts (including enrichment weights)
 times ln(N/df). LSI takes a deterministic dense SVD of that matrix and
@@ -8,17 +8,18 @@ distributions with base-2 Jensen-Shannon divergence.
 `build_similarity_table` computes one n x n score matrix per table, and
 consumers read its rows through the table's id -> row index. VSM and LSI
 divide one Gram matrix of the tf-idf rows (or of the LSI topic coordinates,
-from one SVD per table) by the outer product of the row norms. JS keeps the
-exact per-pair arithmetic of `similarity_js` (sorted union vocabulary,
-epsilon smoothing, base-2 KL) with the per-document work done once. All
-stored similarities are clamped into [0, 1] and symmetric.
+from one SVD per table) by the outer product of the row norms. JS scores
+each pair over that pair's own sorted union vocabulary (epsilon smoothing,
+base-2 KL), with the per-document work done once. All stored similarities
+are clamped into [0, 1] and symmetric.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,13 +38,20 @@ class TermDocMatrix:
     vocabulary: list[str]
     doc_ids: list[str]
     weights: np.ndarray  # shape (n_docs, n_terms)
-    _index: dict[str, int] = field(default_factory=dict, repr=False)
 
-    def row(self, doc_id: str) -> np.ndarray:
-        try:
-            return self.weights[self._index[doc_id]]
-        except KeyError:
-            raise ValidationError(f"unknown document id {doc_id!r}") from None
+
+def _count_matrix(documents: list[Document]) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """The sorted vocabulary, the dense term counts, and which terms each document uses."""
+    counts = [d.weighted_terms() for d in documents]
+    vocabulary = sorted(set().union(*counts))
+    column = {term: k for k, term in enumerate(vocabulary)}
+    dense = np.zeros((len(documents), len(vocabulary)))
+    used = np.zeros(dense.shape, dtype=bool)
+    for i, doc_counts in enumerate(counts):
+        for term, count in doc_counts.items():
+            dense[i, column[term]] = count
+            used[i, column[term]] = True
+    return vocabulary, dense, used
 
 
 def build_matrix(documents: list[Document]) -> TermDocMatrix:
@@ -53,36 +61,12 @@ def build_matrix(documents: list[Document]) -> TermDocMatrix:
     ids = [d.artifact_id for d in documents]
     if len(set(ids)) != len(ids):
         raise ValidationError("duplicate document ids in matrix input")
-
-    vocabulary = sorted({t for d in documents for t in d.weighted_terms()})
+    vocabulary, tf, _ = _count_matrix(documents)
     if not vocabulary:
         raise ValidationError("empty vocabulary: all documents are empty")
-    term_index = {t: i for i, t in enumerate(vocabulary)}
-
-    n_docs = len(documents)
-    tf = np.zeros((n_docs, len(vocabulary)))
-    for row, doc in enumerate(documents):
-        for term, count in doc.weighted_terms().items():
-            tf[row, term_index[term]] = count
     df = np.count_nonzero(tf > 0, axis=0)
-    idf = np.log(n_docs / np.maximum(df, 1))
-    weights = tf * idf
-
-    matrix = TermDocMatrix(vocabulary=vocabulary, doc_ids=ids, weights=weights)
-    matrix._index = {doc_id: i for i, doc_id in enumerate(ids)}
-    return matrix
-
-
-def _cosine(u: np.ndarray, v: np.ndarray) -> float:
-    nu, nv = float(np.linalg.norm(u)), float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
-        return 0.0
-    return float(np.dot(u, v) / (nu * nv))
-
-
-def similarity_vsm(matrix: TermDocMatrix, a: str, b: str) -> float:
-    """Cosine of the two tf-idf vectors; 0 when either vector is all-zero."""
-    return _cosine(matrix.row(a), matrix.row(b))
+    idf = np.log(len(documents) / np.maximum(df, 1))
+    return TermDocMatrix(vocabulary=vocabulary, doc_ids=ids, weights=tf * idf)
 
 
 def default_lsi_rank(n_docs: int) -> int:
@@ -103,30 +87,8 @@ def lsi_document_space(matrix: TermDocMatrix, k: int) -> np.ndarray:
     return vt.T[:, :k] * singular[:k]
 
 
-def similarity_lsi(matrix: TermDocMatrix, k: int, a: str, b: str) -> float:
-    """Cosine between two documents' rank-k topic coordinates."""
-    space = lsi_document_space(matrix, k)
-    index = {doc_id: i for i, doc_id in enumerate(matrix.doc_ids)}
-    for doc_id in (a, b):
-        if doc_id not in index:
-            raise ValidationError(f"unknown document id {doc_id!r}")
-    return _cosine(space[index[a]], space[index[b]])
-
-
-def similarity_js(doc_a: Document, doc_b: Document) -> float:
-    """1 minus the base-2 Jensen-Shannon divergence of the term distributions."""
-    a, b = doc_a.weighted_terms(), doc_b.weighted_terms()
-    vocabulary = sorted(set(a) | set(b))
-    if not vocabulary:
-        return 0.0
-    return _js(
-        np.array([a.get(t, 0.0) for t in vocabulary], dtype=float),
-        np.array([b.get(t, 0.0) for t in vocabulary], dtype=float),
-    )
-
-
 def _js(counts_a: np.ndarray, counts_b: np.ndarray) -> float:
-    """JS similarity of two count vectors over the pair's sorted union vocabulary."""
+    """JS similarity of two count vectors over one pair's sorted union vocabulary."""
     p = counts_a + _JS_EPSILON
     p = p / p.sum()
     q = counts_b + _JS_EPSILON
@@ -212,7 +174,7 @@ def _gram(vectors: np.ndarray) -> np.ndarray:
 
 
 def _cosine_matrix(vectors: np.ndarray) -> np.ndarray:
-    """Row-by-row cosines, with the norms and the division of `_cosine`."""
+    """Row-by-row cosines; a row with a zero norm scores 0 against every row."""
     norms = np.array([float(np.linalg.norm(row)) for row in vectors])
     with np.errstate(divide="ignore", invalid="ignore"):
         cosines = _gram(vectors) / np.outer(norms, norms)
@@ -223,21 +185,13 @@ def _cosine_matrix(vectors: np.ndarray) -> np.ndarray:
 
 
 def _js_matrix(documents: list[Document]) -> np.ndarray:
-    """`similarity_js` for every pair, with the per-document work done once.
+    """`_js` for every pair of nonempty documents, with the per-document work done once.
 
     Each pair still smooths and normalizes over its own union vocabulary:
     the columns of the shared sorted vocabulary that either document uses.
     """
-    counts = [d.weighted_terms() for d in documents]
-    vocabulary = sorted(set().union(*counts))
-    column = {term: k for k, term in enumerate(vocabulary)}
+    _, dense, used = _count_matrix(documents)
     n = len(documents)
-    dense = np.zeros((n, len(vocabulary)))
-    used = np.zeros((n, len(vocabulary)), dtype=bool)
-    for i, doc_counts in enumerate(counts):
-        for term, count in doc_counts.items():
-            dense[i, column[term]] = count
-            used[i, column[term]] = True
     nonempty = [i for i, d in enumerate(documents) if d.total_mass() != 0]
     scores = np.zeros((n, n))
     for x, i in enumerate(nonempty):
@@ -326,7 +280,10 @@ def format_ranked_csv(ranked: dict[str, list[tuple[str, float]]]) -> str:
 
 
 def parse_ranked_csv(text: str) -> dict[str, list[tuple[str, float]]]:
-    """Inverse of format_ranked_csv; raises ParseError with the line number."""
+    """Inverse of format_ranked_csv; raises ParseError with the line number.
+
+    A score must be finite, and a (source, target) pair may appear only once.
+    """
     # Each line keeps its "\n", so quoted line breaks survive. An io.StringIO
     # over the text would copy it at four bytes a character.
     reader = csv.reader(line + "\n" for line in text.split("\n"))
@@ -346,8 +303,17 @@ def parse_ranked_csv(text: str) -> dict[str, list[tuple[str, float]]]:
                 score = float(score_text)
             except ValueError:
                 raise ParseError(f"line {reader.line_num}: bad score {score_text!r}") from None
+            if not math.isfinite(score):
+                raise ParseError(f"line {reader.line_num}: score {score_text!r} is not finite")
             ranked.setdefault(source, []).append((target, score))
     except csv.Error as exc:
         raise ParseError(f"line {reader.line_num}: {exc}") from None
+    # One set at a time: a set over every pair would cost megabytes on a full ranking.
+    for source, targets in ranked.items():
+        seen: set[str] = set()
+        for target, _ in targets:
+            if target in seen:
+                raise ParseError(f"pair ({source!r}, {target!r}) appears more than once")
+            seen.add(target)
     return ranked
 

@@ -5,14 +5,16 @@ target. Each hop either steps down one level (an outer link) or, at most
 once per path and never among targets, steps sideways to another artifact
 of the same level (an inner link). That gives the shapes S>I>T, and with
 inner links S>S'>I>T and S>I>I'>T. Nodes never repeat within a path. Each
-hop consumed tightens the selection: the relative threshold rises by 0.1
-per hop and the candidate cap drops by one (floored at 1). A path's bonus
-is the product of its link similarities; a candidate's score is
-multiplied by (1 + bonus) per path.
+hop is picked by `irmodels.top_related`, the selection rule of enrichment,
+tightened by the hops already taken: after h hops the next one keeps at
+most max(1, t - h) artifacts scoring at least (0.1 * h + m) times the best.
+A path's bonus is the product of its link similarities; a candidate's score
+is multiplied by (1 + bonus) per path.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -32,26 +34,6 @@ class TransitiveLink:
     score: float
 
 
-@dataclass(frozen=True)
-class HopState:
-    """Effective thresholds after `n` hops under base thresholds (m, t)."""
-
-    n: int
-    m: float
-    t: int
-
-    @property
-    def m_eff(self) -> float:
-        return 0.1 * self.n + self.m
-
-    @property
-    def t_eff(self) -> int:
-        return max(1, self.t - self.n)
-
-    def advance(self) -> "HopState":
-        return HopState(n=self.n + 1, m=self.m, t=self.t)
-
-
 @dataclass
 class TransitivePath:
     """Ordered artifact chain from a source to a target with its bonus."""
@@ -61,29 +43,11 @@ class TransitivePath:
     bonus: float
 
     @property
-    def source(self) -> str:
-        return self.nodes[0]
-
-    @property
     def target(self) -> str:
         return self.nodes[-1]
 
     def key(self) -> tuple[str, ...]:
         return tuple(self.nodes)
-
-
-def candidate_links(
-    from_id: str,
-    pool: list[str],
-    table: SimilarityTable,
-    state: HopState,
-    kind: LinkKind,
-) -> list[TransitiveLink]:
-    """The `top_related` pool members under the hop thresholds, as links, best first."""
-    return [
-        TransitiveLink(from_id, other, kind, s)
-        for other, s in top_related(table, from_id, pool, state.m_eff, state.t_eff)
-    ]
 
 
 def form_paths(
@@ -104,27 +68,25 @@ def form_paths(
 
     def walk(nodes: list[str], links: list[TransitiveLink], level: int) -> None:
         if level == len(levels) - 1:
-            paths.append(_make_path(nodes, links))
+            bonus = math.prod((link.score for link in links), start=1.0)
+            paths.append(TransitivePath(nodes=nodes, links=links, bonus=bonus))
             return
-        state = HopState(n=len(links), m=m, t=t)
-        for link in candidate_links(nodes[-1], levels[level + 1], table, state, LinkKind.OUTER):
-            walk([*nodes, link.to_id], [*links, link], level + 1)
+        hops = len(links)
+        moves = [(LinkKind.OUTER, levels[level + 1], level + 1)]
         # Each outer hop descends a level, so a path with more hops than
         # levels descended has already taken its one inner hop.
-        if allow_inner and len(links) == level:
+        if allow_inner and hops == level:
             peers = [peer for peer in levels[level] if peer not in nodes]
-            for link in candidate_links(nodes[-1], peers, table, state, LinkKind.INNER):
-                walk([*nodes, link.to_id], [*links, link], level)
+            moves.append((LinkKind.INNER, peers, level))
+        for kind, pool, next_level in moves:
+            for other, score in top_related(
+                table, nodes[-1], pool, 0.1 * hops + m, max(1, t - hops)
+            ):
+                link = TransitiveLink(nodes[-1], other, kind, score)
+                walk([*nodes, other], [*links, link], next_level)
 
     walk([source], [], 0)
     return paths
-
-
-def _make_path(nodes: list[str], links: list[TransitiveLink]) -> TransitivePath:
-    bonus = 1.0
-    for link in links:
-        bonus *= link.score
-    return TransitivePath(nodes=nodes, links=links, bonus=bonus)
 
 
 def adjust_scores(

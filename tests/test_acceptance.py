@@ -17,12 +17,12 @@ from tracelink.corpus.codescan import CodeParts
 from tracelink.corpus.manifest import load_dataset
 from tracelink.corpus.types import Artifact, Document, Kind, Level
 from tracelink.evaluate import average_precision, cliffs_delta, mean_average_precision, wilcoxon_rank_sum
-from tracelink.irmodels import build_matrix, similarity_js, similarity_lsi, similarity_vsm
+from tracelink.irmodels import build_matrix, build_similarity_table
 from tracelink.pipeline import PipelineConfig, run_pipeline
-from tracelink.transitive import HopState, adjust_scores, form_paths
+from tracelink.transitive import adjust_scores, form_paths
 
 from test_irmodels import brute_cosine, oracle_jsd_similarity, random_documents
-from test_transitive import oracle_paths, random_scenario
+from test_transitive import IdPools, full_table, oracle_paths, random_scenario
 from test_evaluate import oracle_average_precision, oracle_cliffs_delta, oracle_rank_sum_p
 
 
@@ -88,10 +88,11 @@ def test_similarity_oracles():
     for _ in range(50):
         docs = random_documents(rng, rng.randint(2, 20), rng.randint(2, 50))
         matrix = build_matrix(docs)
+        table = build_similarity_table(docs, "vsm")
         ids = matrix.doc_ids
         sample_pairs = [(a, b) for a, b in zip(ids, ids[1:])] + [(ids[0], ids[-1])]
         for a, b in sample_pairs:
-            err = abs(similarity_vsm(matrix, a, b) - brute_cosine(matrix, a, b))
+            err = abs(table.score(a, b) - brute_cosine(matrix, a, b))
             max_vsm_err = max(max_vsm_err, err)
     assert max_vsm_err <= 1e-10
 
@@ -100,20 +101,18 @@ def test_similarity_oracles():
         docs = random_documents(rng, rng.randint(2, 10), rng.randint(2, 15))
         matrix = build_matrix(docs)
         k = min(len(matrix.vocabulary), len(matrix.doc_ids))
-        for a in matrix.doc_ids:
-            for b in matrix.doc_ids:
-                err = abs(similarity_lsi(matrix, k, a, b) - similarity_vsm(matrix, a, b))
-                max_lsi_err = max(max_lsi_err, err)
+        lsi = build_similarity_table(docs, "lsi", lsi_rank=k)
+        vsm = build_similarity_table(docs, "vsm")
+        for (a, b), score in lsi.pairs().items():
+            max_lsi_err = max(max_lsi_err, abs(score - vsm.score(a, b)))
     assert max_lsi_err <= 1e-8
 
     max_js_err = 0.0
     for _ in range(50):
         a = Counter(rng.choices("abcdefgh", k=rng.randint(1, 15)))
         b = Counter(rng.choices("efghijkl", k=rng.randint(1, 15)))
-        value = similarity_js(
-            Document("a", terms=a), Document("b", terms=b)
-        )
-        max_js_err = max(max_js_err, abs(value - oracle_jsd_similarity(a, b)))
+        table = build_similarity_table([Document("a", terms=a), Document("b", terms=b)], "js")
+        max_js_err = max(max_js_err, abs(table.score("a", "b") - oracle_jsd_similarity(a, b)))
     assert max_js_err <= 1e-9
 
     elapsed = time.perf_counter() - started
@@ -157,12 +156,22 @@ def test_transitive_path_oracle():
 
 
 def test_hop_state_arithmetic():
-    base = HopState(n=0, m=0.5, t=3)
-    after_one = base.advance()
-    after_two = after_one.advance()
-    assert (after_one.m_eff, after_one.t_eff) == (0.6, 2)
-    assert (after_two.m_eff, after_two.t_eff) == (0.7, 1)
-    _report("hop-state arithmetic ((0.6, 2) and (0.7, 1))")
+    # Under m = 0.5, t = 3 a hop from i (one hop in) keeps targets scoring at
+    # least 0.6 x the best, at most 2; from i after s > s2 > i (two hops in),
+    # at least 0.7 x the best, at most 1.
+    pools = IdPools(["s", "s2"], ["i"], ["t1", "t2"])
+
+    def paths_with(second_best):
+        table = full_table(pools, {
+            ("s", "i"): 1.0, ("s", "s2"): 1.0, ("s2", "i"): 1.0,
+            ("i", "t1"): 1.0, ("i", "t2"): second_best,
+        })
+        return {p.key() for p in form_paths("s", pools, table, 0.5, 3)}
+
+    assert ("s", "i", "t2") in paths_with(0.6)          # exactly 0.6 x best: kept
+    assert ("s", "i", "t2") not in paths_with(0.59)
+    assert paths_with(0.95) == {("s", "i", "t1"), ("s", "i", "t2"), ("s", "s2", "i", "t1")}
+    _report("hop thresholds through form_paths ((0.6, 2) after one hop, (0.7, 1) after two)")
 
 
 def test_metric_oracles():

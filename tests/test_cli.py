@@ -188,6 +188,38 @@ class TestEval:
         assert code == 2
         assert "line 2" in capsys.readouterr().err
 
+    def test_repeated_pair_exits_2(self, tmp_path, motivating_manifest, capsys):
+        # Scored twice, one true link would count twice and push AP past 100.
+        # The repeat need not follow its first row, and another source may share the target.
+        ranked = tmp_path / "ranked.csv"
+        ranked.write_text(
+            "source_id,target_id,score\nRE-691,AFInfoBox,0.9\n"
+            "RE-695,AFInfoBox,0.5\nRE-691,AFInfoBox,0.8\n"
+        )
+        code = run_cli(
+            "eval", "--manifest", str(motivating_manifest), "--ranked", str(ranked),
+            "--out", str(tmp_path / "out"),
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "('RE-691', 'AFInfoBox')" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("score", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_score_exits_2(self, tmp_path, motivating_manifest, capsys, score):
+        ranked = tmp_path / "ranked.csv"
+        ranked.write_text(
+            "source_id,target_id,score\nRE-691,AFInfoBox,0.9\n"
+            f"RE-691,AFEmergencyComponent,{score}\n"
+        )
+        code = run_cli(
+            "eval", "--manifest", str(motivating_manifest), "--ranked", str(ranked),
+            "--out", str(tmp_path / "out"),
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "line 3" in err
+
     def test_in_process_run(self, tmp_path, motivating_manifest):
         out = tmp_path / "out"
         code = run_cli(

@@ -1,10 +1,12 @@
-"""tf-idf matrix, VSM/LSI/JS similarities, and ranking.
+"""tf-idf matrix, the VSM/LSI/JS similarity table, and ranking.
 
 Oracles are deliberately independent of the implementation: plain-Python
 dot/norm loops for cosine, an eigendecomposition of the Gram matrix for the
 LSI document space, and a direct two-term summation for Jensen-Shannon.
+`similarity_js` is the exact per-pair JS reference the table must equal.
 """
 
+import dataclasses
 import math
 import random
 from collections import Counter
@@ -18,15 +20,14 @@ from tracelink.errors import ConfigError, ValidationError
 from tracelink.evaluate import global_ranked_links
 from tracelink.irmodels import (
     SimilarityTable,
+    _js,
     build_matrix,
     build_similarity_table,
     default_lsi_rank,
     format_ranked_csv,
+    lsi_document_space,
     parse_ranked_csv,
     rank_candidates,
-    similarity_js,
-    similarity_lsi,
-    similarity_vsm,
 )
 
 
@@ -81,6 +82,27 @@ def spearman_rank_correlation(a, b):
     return cov / (var_a * var_b)
 
 
+def similarity_js(doc_a, doc_b):
+    """1 minus the base-2 JSD of two documents, over the pair's own sorted union vocabulary.
+
+    The exact per-pair reference: the table must equal it bit for bit, so a
+    vectorized JS that splits a score tie fails against it.
+    """
+    a, b = doc_a.weighted_terms(), doc_b.weighted_terms()
+    vocabulary = sorted(set(a) | set(b))
+    if not vocabulary:
+        return 0.0
+    return _js(
+        np.array([a.get(t, 0.0) for t in vocabulary], dtype=float),
+        np.array([b.get(t, 0.0) for t in vocabulary], dtype=float),
+    )
+
+
+def lsi_matrix(matrix, k):
+    """`matrix` with its rows replaced by the rank-k LSI document coordinates."""
+    return dataclasses.replace(matrix, weights=lsi_document_space(matrix, k))
+
+
 def brute_cosine(matrix, a, b):
     """Independent cosine: explicit loops over the stored weights."""
     ia = matrix.doc_ids.index(a)
@@ -100,14 +122,16 @@ class TestBuildMatrix:
         matrix = build_matrix([doc("d1", ["a", "b"]), doc("d2", ["a"])])
         col_a = matrix.vocabulary.index("a")
         col_b = matrix.vocabulary.index("b")
-        assert matrix.row("d1")[col_a] == 0.0          # idf(a) = ln(2/2) = 0
-        assert matrix.row("d1")[col_b] == pytest.approx(math.log(2.0))
-        assert matrix.row("d2")[col_b] == 0.0          # tf = 0
+        assert matrix.weights[0, col_a] == 0.0          # idf(a) = ln(2/2) = 0
+        assert matrix.weights[0, col_b] == pytest.approx(math.log(2.0))
+        assert matrix.weights[1, col_b] == 0.0          # tf = 0
 
     def test_single_document_degenerate(self):
         matrix = build_matrix([doc("d1", ["a", "b", "b"])])
         assert np.all(matrix.weights == 0.0)
-        assert similarity_vsm(matrix, "d1", "d1") == 0.0
+        # Terms that every document uses weigh 0, and an all-zero row scores 0.
+        table = build_similarity_table([doc("d1", ["a", "b", "b"]), doc("d2", ["a", "b"])], "vsm")
+        assert table.score("d1", "d2") == 0.0
 
     def test_all_empty_rejected(self):
         with pytest.raises(ValidationError):
@@ -119,40 +143,34 @@ class TestBuildMatrix:
             doc("d2", ["a"]),
         ])
         col = matrix.vocabulary.index("x_y")
-        assert matrix.row("d1")[col] == pytest.approx(3 * math.log(2.0))
+        assert matrix.weights[0, col] == pytest.approx(3 * math.log(2.0))
 
 
 class TestVsm:
     def test_identical_documents(self):
-        matrix = build_matrix([doc("d1", ["a", "b"]), doc("d2", ["a", "b"]), doc("d3", ["c"])])
-        assert similarity_vsm(matrix, "d1", "d2") == pytest.approx(1.0)
+        docs = [doc("d1", ["a", "b"]), doc("d2", ["a", "b"]), doc("d3", ["c"])]
+        assert build_similarity_table(docs, "vsm").score("d1", "d2") == pytest.approx(1.0)
 
     def test_disjoint_documents(self):
-        matrix = build_matrix([doc("d1", ["a"]), doc("d2", ["b"]), doc("d3", ["a", "b"])])
-        assert similarity_vsm(matrix, "d1", "d2") == 0.0
-
-    def test_unknown_id(self):
-        matrix = build_matrix([doc("d1", ["a"]), doc("d2", ["b"])])
-        with pytest.raises(ValidationError):
-            similarity_vsm(matrix, "d1", "nope")
+        docs = [doc("d1", ["a"]), doc("d2", ["b"]), doc("d3", ["a", "b"])]
+        assert build_similarity_table(docs, "vsm").score("d1", "d2") == 0.0
 
     def test_three_doc_fixture_matches_brute_force(self):
         docs = [doc("d0", ["a", "b", "c"]), doc("d1", ["a", "a", "d"]), doc("d2", ["b", "d"])]
         matrix = build_matrix(docs)
-        for a in ("d0", "d1", "d2"):
-            for b in ("d0", "d1", "d2"):
-                assert similarity_vsm(matrix, a, b) == pytest.approx(
-                    brute_cosine(matrix, a, b), abs=1e-12
-                )
+        table = build_similarity_table(docs, "vsm")
+        for a, b in id_pairs(matrix.doc_ids):
+            assert table.score(a, b) == pytest.approx(brute_cosine(matrix, a, b), abs=1e-12)
 
     def test_random_matrices_against_oracle(self):
         rng = random.Random(7)
         for _ in range(50):
             docs = random_documents(rng, rng.randint(2, 20), rng.randint(2, 50))
             matrix = build_matrix(docs)
+            table = build_similarity_table(docs, "vsm")
             ids = [d.artifact_id for d in docs]
             for a, b in zip(ids, ids[1:]):
-                assert abs(similarity_vsm(matrix, a, b) - brute_cosine(matrix, a, b)) <= 1e-10
+                assert abs(table.score(a, b) - brute_cosine(matrix, a, b)) <= 1e-10
 
 
 def oracle_lsi_space(matrix, k):
@@ -187,28 +205,25 @@ class TestLsi:
         docs = random_documents(rng, 6, 12)
         matrix = build_matrix(docs)
         k = min(len(matrix.vocabulary), len(matrix.doc_ids))
-        for a in matrix.doc_ids:
-            for b in matrix.doc_ids:
-                assert similarity_lsi(matrix, k, a, b) == pytest.approx(
-                    similarity_vsm(matrix, a, b), abs=1e-8
-                )
+        lsi = build_similarity_table(docs, "lsi", lsi_rank=k)
+        vsm = build_similarity_table(docs, "vsm")
+        for a, b in id_pairs(matrix.doc_ids):
+            assert lsi.score(a, b) == pytest.approx(vsm.score(a, b), abs=1e-8)
 
     def test_identical_documents_at_low_rank(self):
         docs = [doc("d1", ["a", "b"]), doc("d2", ["a", "b"]), doc("d3", ["c", "d"]),
                 doc("d4", ["a", "c"])]
-        matrix = build_matrix(docs)
         for k in (1, 2, 3):
-            assert similarity_lsi(matrix, k, "d1", "d2") == pytest.approx(1.0)
+            table = build_similarity_table(docs, "lsi", lsi_rank=k)
+            assert table.score("d1", "d2") == pytest.approx(1.0)
 
     def test_four_doc_fixture_matches_eigen_oracle(self):
         docs = [doc("d0", ["a", "b", "c"]), doc("d1", ["a", "d"]),
                 doc("d2", ["b", "d", "e"]), doc("d3", ["c", "e", "e"])]
         matrix = build_matrix(docs)
-        for a in matrix.doc_ids:
-            for b in matrix.doc_ids:
-                assert abs(
-                    similarity_lsi(matrix, 2, a, b) - oracle_lsi_cosine(matrix, 2, a, b)
-                ) <= 1e-8
+        table = build_similarity_table(docs, "lsi", lsi_rank=2)
+        for a, b in id_pairs(matrix.doc_ids):
+            assert abs(table.score(a, b) - clamp(oracle_lsi_cosine(matrix, 2, a, b))) <= 1e-8
 
     def test_full_rank_preserves_vsm_ordering(self):
         rng = random.Random(13)
@@ -217,10 +232,12 @@ class TestLsi:
             matrix = build_matrix(docs)
             ids = matrix.doc_ids
             k = min(len(matrix.vocabulary), len(ids))
-            pairs = [(a, b) for i, a in enumerate(ids) for b in ids[i + 1:]]
+            lsi = build_similarity_table(docs, "lsi", lsi_rank=k)
+            vsm = build_similarity_table(docs, "vsm")
+            pairs = id_pairs(ids)
             # Scores equal within the full-rank tolerance are genuine ties.
-            vsm_scores = [round(similarity_vsm(matrix, a, b), 8) for a, b in pairs]
-            lsi_scores = [round(similarity_lsi(matrix, k, a, b), 8) for a, b in pairs]
+            vsm_scores = [round(vsm.score(a, b), 8) for a, b in pairs]
+            lsi_scores = [round(lsi.score(a, b), 8) for a, b in pairs]
             assert spearman_rank_correlation(vsm_scores, lsi_scores) == pytest.approx(1.0)
 
 
@@ -289,9 +306,9 @@ class TestLsiRankBounds:
     def test_out_of_range_rank_rejected(self):
         matrix = build_matrix([doc("d1", ["a", "b"]), doc("d2", ["b", "c"])])
         with pytest.raises(ConfigError):
-            similarity_lsi(matrix, 0, "d1", "d2")
+            lsi_document_space(matrix, 0)
         with pytest.raises(ConfigError):
-            similarity_lsi(matrix, 99, "d1", "d2")
+            lsi_document_space(matrix, 99)
 
     def test_table_lowers_only_a_high_rank(self):
         docs = [doc("d1", ["a", "b"]), doc("d2", ["b", "c"]), doc("d3", ["c"])]
@@ -317,7 +334,7 @@ def documents_with_duplicates(rng):
 
 
 class TestTableOracles:
-    """Every entry of the score matrix against the per-pair functions."""
+    """Every entry of the score matrix against its per-pair oracle."""
 
     def test_js_matrix_equals_similarity_js_exactly(self):
         rng = random.Random(41)
@@ -335,13 +352,11 @@ class TestTableOracles:
             docs = documents_with_duplicates(rng)
             matrix = build_matrix(docs)
             k = min(default_lsi_rank(len(docs)), len(matrix.vocabulary))
-            for model, oracle in (
-                ("vsm", lambda a, b: similarity_vsm(matrix, a, b)),
-                ("lsi", lambda a, b: similarity_lsi(matrix, k, a, b)),
-            ):
+            # The table's LSI cosines run over the same SVD rows as this oracle.
+            for model, space in (("vsm", matrix), ("lsi", lsi_matrix(matrix, k))):
                 table = build_similarity_table(docs, model)
                 for a, b in id_pairs(matrix.doc_ids):
-                    expected = clamp(oracle(a, b))
+                    expected = clamp(brute_cosine(space, a, b))
                     assert abs(table.score(a, b) - expected) <= 1e-12
                     if expected == 0.0:
                         assert table.score(a, b) == 0.0
@@ -448,7 +463,12 @@ class TestRanking:
         assert parsed["s"] == [("t2", 0.9), ("t1", 0.5)]
 
     @given(st.dictionaries(
-        _ids, st.lists(st.tuples(_ids, st.floats(0.0, 1.0)), min_size=1, max_size=4), max_size=4,
+        _ids,
+        st.lists(
+            st.tuples(_ids, st.floats(0.0, 1.0)), min_size=1, max_size=4,
+            unique_by=lambda item: item[0],  # a ranking scores each pair once
+        ),
+        max_size=4,
     ))
     def test_csv_round_trip_any_ids(self, ranked):
         expected = {

@@ -1,11 +1,15 @@
-"""Byte-parity gate: `trace` and `ablate` outputs on the motivating dataset never change.
+"""Byte-parity gate: `trace` and `ablate` outputs on two bundled datasets never change.
 
 `data/parity_digests.json` holds the SHA-256 of `ranked_links.csv` and
 `path_traces.json` for every IR model and ablation mode, recorded with the
 pairwise (dict-of-pairs) similarity table that the matrix layer replaced,
 and of every `ablate` output (six reports, six PR curves and the summary)
 for every IR model, recorded while each mode still ran the whole pipeline.
-A refactor or speed-up that moves one byte, for example by splitting an
+On the motivating dataset the six `ablate` reports are all equal under
+`vsm` and `lsi`, so the `modes:` keys pin the same outputs on `data/modes`:
+twelve artifacts written by `perfbench/gen.py` (`write_corpus` with seed 14
+and `CorpusParams(4, 2, 6, 2, 2, 30, 0.5, 2)`), on which every mode gives
+its own report under every model. A refactor or speed-up that moves one byte, for example by splitting an
 exact score tie differently, fails here. Re-record only for an intended
 change of output, never to absorb a numeric drift:
 
@@ -27,6 +31,7 @@ from tracelink.pipeline import ABLATION_MODES
 
 DATA_DIR = Path(__file__).parent / "data"
 DIGESTS = DATA_DIR / "parity_digests.json"
+MODES_MANIFEST = DATA_DIR / "modes" / "manifest.json"
 OUTPUTS = ("ranked_links.csv", "path_traces.json")
 
 
@@ -45,6 +50,21 @@ def ablate_digests(manifest: Path, model: str, out: Path) -> dict[str, str]:
 
 @pytest.mark.parametrize("model", MODELS)
 @pytest.mark.parametrize("mode", ABLATION_MODES)
+def test_modes_trace_outputs_byte_identical(tmp_path, model, mode, capsys):
+    expected = json.loads(DIGESTS.read_text(encoding="utf-8"))[f"modes:{model}/{mode}"]
+    assert trace_digests(MODES_MANIFEST, model, mode, tmp_path) == expected
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_modes_ablate_outputs_byte_identical(tmp_path, model, capsys):
+    expected = json.loads(DIGESTS.read_text(encoding="utf-8"))[f"modes:ablate/{model}"]
+    reports = {digest for name, digest in expected.items() if name.startswith("report_")}
+    assert len(reports) == len(ABLATION_MODES)
+    assert ablate_digests(MODES_MANIFEST, model, tmp_path) == expected
+
+
+@pytest.mark.parametrize("model", MODELS)
+@pytest.mark.parametrize("mode", ABLATION_MODES)
 def test_trace_outputs_byte_identical(tmp_path, motivating_manifest, model, mode, capsys):
     expected = json.loads(DIGESTS.read_text(encoding="utf-8"))[f"{model}/{mode}"]
     assert trace_digests(motivating_manifest, model, mode, tmp_path) == expected
@@ -58,15 +78,21 @@ def test_ablate_outputs_byte_identical(tmp_path, motivating_manifest, model, cap
 
 
 if __name__ == "__main__":
-    manifest = DATA_DIR / "motivating" / "manifest.json"
+    datasets = {"": DATA_DIR / "motivating" / "manifest.json", "modes:": MODES_MANIFEST}
+    digests = {}
     # `trace` reports each run on stdout; send that to stderr so stdout holds only the JSON.
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(sys.stderr):
-        digests = {
-            f"{model}/{mode}": trace_digests(manifest, model, mode, Path(tmp) / f"{model}_{mode}")
-            for model in MODELS for mode in ABLATION_MODES
-        }
-        digests |= {
-            f"ablate/{model}": ablate_digests(manifest, model, Path(tmp) / f"ablate_{model}")
-            for model in MODELS
-        }
+        for n, (prefix, manifest) in enumerate(datasets.items()):
+            digests |= {
+                f"{prefix}{model}/{mode}": trace_digests(
+                    manifest, model, mode, Path(tmp) / f"{n}_{model}_{mode}"
+                )
+                for model in MODELS for mode in ABLATION_MODES
+            }
+            digests |= {
+                f"{prefix}ablate/{model}": ablate_digests(
+                    manifest, model, Path(tmp) / f"{n}_ablate_{model}"
+                )
+                for model in MODELS
+            }
     print(json.dumps(digests, sort_keys=True, indent=2))

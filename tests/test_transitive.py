@@ -1,24 +1,18 @@
-"""Transitive path formation, hop-state arithmetic, and score adjustment.
+"""Transitive path formation, per-hop thresholds, and score adjustment.
 
 The path oracle re-enumerates every level-legal 2/3-hop node sequence and
 filters each hop independently, so it shares no traversal code with the
 implementation.
 """
 
+import itertools
 import random
 
 import numpy as np
 import pytest
 
 from tracelink.irmodels import SimilarityTable
-from tracelink.transitive import (
-    HopState,
-    LinkKind,
-    TransitivePath,
-    adjust_scores,
-    candidate_links,
-    form_paths,
-)
+from tracelink.transitive import LinkKind, TransitivePath, adjust_scores, form_paths
 
 
 class IdPools:
@@ -51,39 +45,6 @@ def full_table(pools, scores):
     return table_from_pairs(
         scores, pools.source_ids() + pools.intermediate_ids() + pools.target_ids()
     )
-
-
-class TestHopState:
-    def test_narrated_values(self):
-        base = HopState(n=0, m=0.5, t=3)
-        assert (base.m_eff, base.t_eff) == (0.5, 3)
-        one = base.advance()
-        assert (one.m_eff, one.t_eff) == (pytest.approx(0.6), 2)
-        two = one.advance()
-        assert (two.m_eff, two.t_eff) == (pytest.approx(0.7), 1)
-
-    def test_t_floor(self):
-        deep = HopState(n=5, m=0.5, t=3)
-        assert deep.t_eff == 1
-
-
-class TestCandidateLinks:
-    def test_relative_threshold(self):
-        table = table_from_pairs({("x", "a"): 0.8, ("x", "b"): 0.45, ("x", "c"): 0.39})
-        state = HopState(n=0, m=0.5, t=3)
-        links = candidate_links("x", ["a", "b", "c"], table, state, LinkKind.OUTER)
-        assert [l.to_id for l in links] == ["a", "b"]
-
-    def test_cap_after_hops(self):
-        table = table_from_pairs({("x", "a"): 0.9, ("x", "b"): 0.8, ("x", "c"): 0.7})
-        state = HopState(n=2, m=0.5, t=3)  # t_eff = 1
-        links = candidate_links("x", ["a", "b", "c"], table, state, LinkKind.OUTER)
-        assert [l.to_id for l in links] == ["a"]
-
-    def test_zero_pool_empty(self):
-        table = table_from_pairs({("x", "a"): 0.0})
-        state = HopState(n=0, m=0.5, t=3)
-        assert candidate_links("x", ["a"], table, state, LinkKind.OUTER) == []
 
 
 def oracle_paths(source, pools, table, m, cap, allow_inner):
@@ -254,10 +215,11 @@ class TestFormPaths:
 
     def test_matches_exhaustive_oracle(self):
         rng = random.Random(101)
-        m, t = 0.5, 3
+        m = 0.5
         for _ in range(100):
             pools, table = random_scenario(rng)
-            for source in pools.source_ids():
+            # The cap floor of max(1, t - hops) binds only when t <= 2.
+            for source, t in itertools.product(pools.source_ids(), (3, 1, 2)):
                 for allow_inner in (False, True):
                     got = {
                         p.key() for p in form_paths(source, pools, table, m, t, allow_inner)
@@ -267,10 +229,10 @@ class TestFormPaths:
 
     def test_matches_reference_order(self):
         rng = random.Random(101)
-        m, t = 0.5, 3
+        m = 0.5
         for _ in range(100):
             pools, table = random_scenario(rng)
-            for source in pools.source_ids():
+            for source, t in itertools.product(pools.source_ids(), (3, 1, 2)):
                 for allow_inner in (False, True):
                     got = [
                         (
