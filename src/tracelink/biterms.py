@@ -6,6 +6,11 @@ a sliding window over noun/verb/adjective tokens, or an imported dependency
 parse). Code artifacts yield all pairs of split identifier tokens, with
 importance counts that weight class/method names over the weaker identifier
 categories, plus comment pairs extracted like prose.
+
+An artifact's biterms are a plain dict, `Biterms`, from each canonical pair
+to its importance count. Every extractor returns one; the consensual filter
+takes and returns lists of them, and the caller keeps track of which
+artifact each belongs to.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from .corpus.types import Artifact, Kind
 from .errors import LoadError, ParseError, read_text
 
 Pair = tuple[str, str]
+Biterms = dict[Pair, int]
 
 _CONTENT_TAGS = frozenset({NOUN, VERB, ADJ})
 _WINDOW = 3
@@ -48,35 +54,6 @@ def canonical_pair(a: str, b: str) -> Pair | None:
     return (a, b) if a < b else (b, a)
 
 
-class BitermSet:
-    """Canonical biterm pairs of one artifact with importance counts."""
-
-    def __init__(self, artifact_id: str, biterms: dict[Pair, int] | None = None):
-        self.artifact_id = artifact_id
-        self.biterms: dict[Pair, int] = dict(biterms or {})
-
-    def add(self, a: str, b: str, count: int = 1) -> None:
-        pair = canonical_pair(a, b)
-        if pair is not None and count > 0:
-            self.biterms[pair] = self.biterms.get(pair, 0) + count
-
-    def pairs(self) -> set[Pair]:
-        return set(self.biterms)
-
-    def __contains__(self, pair: Pair) -> bool:
-        return pair in self.biterms
-
-    def __len__(self) -> int:
-        return len(self.biterms)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, BitermSet)
-            and self.artifact_id == other.artifact_id
-            and self.biterms == other.biterms
-        )
-
-
 def _window_pairs(tokens: list[str], window: int) -> list[Pair]:
     """Canonical stem pairs of token positions at distance < `window`, in position order.
 
@@ -103,23 +80,23 @@ def _sentence_pairs(tagged: list[tuple[str, str | None]]) -> list[Pair]:
     return _window_pairs([tok for tok, tag in tagged if tag in _CONTENT_TAGS], _WINDOW)
 
 
-def extract_nl_biterms(artifact: Artifact) -> BitermSet:
+def extract_nl_biterms(artifact: Artifact) -> Biterms:
     """Windowed content-word pairs per sentence, counted over the whole artifact."""
-    result = BitermSet(artifact.id)
+    result: Biterms = {}
     for sentence in artifact.sentences:
         for pair in _sentence_pairs(sentence):
-            result.add(*pair)
+            result[pair] = result.get(pair, 0) + 1
     return result
 
 
-def import_parsed_pairs(artifact_id: str, pairs_file: str | Path) -> BitermSet:
+def import_parsed_pairs(pairs_file: str | Path) -> Biterms:
     """Read externally parsed dependency pairs, replacing heuristic extraction.
 
     Each line is tab-separated `label<TAB>term1<TAB>term2`. Pairs are kept
     when the label is in the accept list and both terms are content words,
     then normalized and counted like heuristic biterms.
     """
-    result = BitermSet(artifact_id)
+    result: Biterms = {}
     path = Path(pairs_file)
     text = read_text(path, "dependency-pair file")
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -138,11 +115,13 @@ def import_parsed_pairs(artifact_id: str, pairs_file: str | Path) -> BitermSet:
         a, b = normalize_token(term1), normalize_token(term2)
         if a is None or b is None:
             continue
-        result.add(a, b)
+        pair = canonical_pair(a, b)
+        if pair is not None:
+            result[pair] = result.get(pair, 0) + 1
     return result
 
 
-def extract_code_biterms(artifact: Artifact) -> BitermSet:
+def extract_code_biterms(artifact: Artifact) -> Biterms:
     """Identifier-token pairs weighted by code-part importance.
 
     Class/method name occurrences add two points each, comment occurrences
@@ -167,14 +146,13 @@ def extract_code_biterms(artifact: Artifact) -> BitermSet:
         for identifier_tokens in getattr(parts, part_name):
             weak.update(_window_pairs(identifier_tokens, len(identifier_tokens)))
 
-    result = BitermSet(artifact.id)
-    for pair in sorted(set(strong) | set(comment) | weak):
-        count = 2 * strong.get(pair, 0) + comment.get(pair, 0) + (1 if pair in weak else 0)
-        result.add(*pair, count=count)
-    return result
+    return {
+        pair: 2 * strong.get(pair, 0) + comment.get(pair, 0) + (1 if pair in weak else 0)
+        for pair in sorted(set(strong) | set(comment) | weak)
+    }
 
 
-def extract_biterms(artifact: Artifact, pairs_dir: str | Path | None = None) -> BitermSet:
+def extract_biterms(artifact: Artifact, pairs_dir: str | Path | None = None) -> Biterms:
     """Dispatch to the code extractor, an imported parse, or the NL heuristic."""
     if artifact.kind is Kind.CODE:
         return extract_code_biterms(artifact)
@@ -185,31 +163,25 @@ def extract_biterms(artifact: Artifact, pairs_dir: str | Path | None = None) -> 
         except OSError as exc:  # e.g. an id too long for a file name
             raise LoadError(f"cannot look for dependency-pair file {candidate}: {exc}") from exc
         if found:
-            return import_parsed_pairs(artifact.id, candidate)
+            return import_parsed_pairs(candidate)
     return extract_nl_biterms(artifact)
 
 
 def consensual_filter(
-    source_sets: list[BitermSet],
-    intermediate_sets: list[BitermSet],
-    target_sets: list[BitermSet],
-) -> tuple[list[BitermSet], list[BitermSet], list[BitermSet]]:
+    source_sets: list[Biterms],
+    intermediate_sets: list[Biterms],
+    target_sets: list[Biterms],
+) -> tuple[list[Biterms], list[Biterms], list[Biterms]]:
     """Keep source/target biterms seen in some intermediate, and vice versa.
 
-    Counts are preserved; filtering only removes pairs.
+    Counts are preserved; filtering only removes pairs. Each returned list
+    is in the order of the list it filters.
     """
-    intermediate_pairs: set[Pair] = set()
-    for s in intermediate_sets:
-        intermediate_pairs |= s.pairs()
-    endpoint_pairs: set[Pair] = set()
-    for s in (*source_sets, *target_sets):
-        endpoint_pairs |= s.pairs()
+    intermediate_pairs: set[Pair] = set().union(*intermediate_sets)
+    endpoint_pairs: set[Pair] = set().union(*source_sets, *target_sets)
 
-    def keep(sets: list[BitermSet], allowed: set[Pair]) -> list[BitermSet]:
-        return [
-            BitermSet(s.artifact_id, {p: c for p, c in s.biterms.items() if p in allowed})
-            for s in sets
-        ]
+    def keep(sets: list[Biterms], allowed: set[Pair]) -> list[Biterms]:
+        return [{p: c for p, c in s.items() if p in allowed} for s in sets]
 
     return (
         keep(source_sets, intermediate_pairs),

@@ -31,7 +31,7 @@ from .errors import (
 )
 from .enrich import corpus_dump_payload
 from .evaluate import EvalReport, compare_runs, evaluate_ranking
-from .irmodels import format_ranked_csv, parse_ranked_csv
+from .irmodels import MODELS, format_ranked_csv, parse_ranked_csv
 from .pipeline import ABLATION_MODES, PipelineConfig, run_ablation, run_pipeline
 from .transitive import paths_to_json_payload
 
@@ -48,7 +48,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--manifest", required=True, help="dataset manifest JSON")
         p.add_argument("--config", default=None, help="JSON config file (flags override it)")
-        p.add_argument("--model", choices=["vsm", "lsi", "js"], default=None)
+        p.add_argument("--model", choices=MODELS, default=None)
         p.add_argument("--m", type=float, default=None, help="relative similarity threshold")
         p.add_argument("--t", type=int, default=None, help="max related artifacts / link cap")
         p.add_argument("--lsi-rank", type=int, default=None, dest="lsi_rank")
@@ -108,8 +108,11 @@ def _pipeline_config(merged: dict) -> PipelineConfig:
 
 
 def _write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8", newline="")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8", newline="")
+    except OSError as exc:  # e.g. --out names a file, or a path under one
+        raise ConfigError(f"cannot write output file {path}: {exc}") from exc
 
 
 def _json_text(payload) -> str:

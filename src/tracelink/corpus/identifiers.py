@@ -1,11 +1,12 @@
-"""Identifier splitting for camelCase / snake_case / digit-boundary names."""
+"""Identifier splitting for camelCase / snake_case / digit-boundary names, by one pattern."""
 
 from __future__ import annotations
 
 import re
 
-_ALNUM_RUN = re.compile(r"[A-Za-z0-9]+")
-_ACRONYM_TAIL = re.compile(r"^([A-Z]+)([A-Z][a-z].*)$")
+# An acronym before a capitalized word, a word with at most one leading capital,
+# a run of capitals, or a run of digits. Anything but ASCII letters and digits separates.
+_WORD = re.compile(r"[A-Z]+(?=[A-Z][a-z])|[A-Z]?[a-z]+|[A-Z]+|[0-9]+")
 
 
 def split_identifier(identifier: str) -> list[str]:
@@ -16,31 +17,4 @@ def split_identifier(identifier: str) -> list[str]:
     together until a lowercase letter follows, in which case the last
     capital starts the next token ("AFInfoBox" -> af, info, box).
     """
-    tokens: list[str] = []
-    for run in _ALNUM_RUN.findall(identifier):
-        tokens.extend(_split_run(run))
-    return tokens
-
-
-def _split_run(run: str) -> list[str]:
-    parts: list[str] = []
-    current = run[0]
-    for prev, ch in zip(run, run[1:]):
-        if (prev.islower() and ch.isupper()) or (prev.isdigit() != ch.isdigit()):
-            parts.append(current)
-            current = ch
-        else:
-            current += ch
-    parts.append(current)
-    out: list[str] = []
-    for part in parts:
-        out.extend(_split_acronym(part))
-    return [p.lower() for p in out if p]
-
-
-def _split_acronym(part: str) -> list[str]:
-    """Split 'AFInfo' into 'AF' + 'Info': the last capital of a run starts a word."""
-    m = _ACRONYM_TAIL.match(part)
-    if m:
-        return [m.group(1), *_split_acronym(m.group(2))]
-    return [part]
+    return [word.lower() for word in _WORD.findall(identifier)]

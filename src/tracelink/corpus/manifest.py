@@ -15,7 +15,9 @@ Artifact bodies are plain-text files; paths are resolved relative to the
 manifest location. `kind` is "nl" or "code"; Java and C code are scanned
 alike, whatever the file suffix. Each level is a list of objects whose
 `id`, `path` and `kind` are strings; any other shape raises
-`ValidationError`.
+`ValidationError`. Each level loads into the `Dataset` list of the same
+name, which is all that records an artifact's level. A body is parsed as
+it is read (sentences or code parts), and its text is not kept.
 """
 
 from __future__ import annotations
@@ -26,13 +28,7 @@ from pathlib import Path
 from ..errors import LoadError, ValidationError, read_text
 from .codescan import scan_code
 from .nltext import tokenize_natural
-from .types import Artifact, Dataset, Kind, Level
-
-_LEVEL_KEYS = (
-    ("sources", Level.SOURCE),
-    ("intermediates", Level.INTERMEDIATE),
-    ("targets", Level.TARGET),
-)
+from .types import Artifact, Dataset, Kind
 
 
 def load_dataset(manifest_path: str | Path) -> Dataset:
@@ -46,15 +42,10 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
         raise ValidationError(f"manifest {manifest_path} must be a JSON object")
 
     base = manifest_path.parent
-    levels = {
-        level: [_load_artifact(entry, level, base) for entry in _list(spec, key)]
-        for key, level in _LEVEL_KEYS
-    }
-
     dataset = Dataset(
-        sources=levels[Level.SOURCE],
-        intermediates=levels[Level.INTERMEDIATE],
-        targets=levels[Level.TARGET],
+        sources=[_load_artifact(entry, base) for entry in _list(spec, "sources")],
+        intermediates=[_load_artifact(entry, base) for entry in _list(spec, "intermediates")],
+        targets=[_load_artifact(entry, base) for entry in _list(spec, "targets")],
         oracle_st=_load_oracle(spec, "oracle_st"),
         oracle_si=_load_oracle(spec, "oracle_si"),
         oracle_it=_load_oracle(spec, "oracle_it"),
@@ -70,7 +61,7 @@ def _list(spec: dict, key: str) -> list:
     return items
 
 
-def _load_artifact(entry: dict, level: Level, base: Path) -> Artifact:
+def _load_artifact(entry: dict, base: Path) -> Artifact:
     if not isinstance(entry, dict):
         raise ValidationError(f"artifact entry must be an object, got {entry!r}")
     for required in ("id", "path", "kind"):
@@ -78,18 +69,13 @@ def _load_artifact(entry: dict, level: Level, base: Path) -> Artifact:
             raise ValidationError(f"artifact entry missing {required!r}: {entry}")
         if not isinstance(entry[required], str):
             raise ValidationError(f"artifact {required!r} must be a string: {entry}")
-    raw = read_text(base / entry["path"], "artifact file")
+    text = read_text(base / entry["path"], "artifact file")
 
     kind_name = entry["kind"].lower()
     if kind_name in ("nl", "natural", "naturallanguage", "text"):
-        return Artifact(
-            id=entry["id"], level=level, kind=Kind.NATURAL_LANGUAGE,
-            raw=raw, sentences=tokenize_natural(raw),
-        )
+        return Artifact(entry["id"], Kind.NATURAL_LANGUAGE, sentences=tokenize_natural(text))
     if kind_name == "code":
-        return Artifact(
-            id=entry["id"], level=level, kind=Kind.CODE, raw=raw, code_parts=scan_code(raw),
-        )
+        return Artifact(entry["id"], Kind.CODE, code_parts=scan_code(text))
     raise ValidationError(f"unknown artifact kind {entry['kind']!r} for {entry['id']!r}")
 
 

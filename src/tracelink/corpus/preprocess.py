@@ -9,15 +9,19 @@ from .stemmer import porter_stem
 from .stopwords import is_stopword
 
 
-@lru_cache(maxsize=None)
 def normalize_token(token: str) -> str | None:
     """Normalize one raw token to its stem, or None when it is dropped.
 
     A token is dropped when it is a special token (no letters or digits)
-    or a stopword after lowercasing. The result depends only on the token,
-    so it is cached: each distinct token is stemmed once per process.
+    or a stopword after lowercasing. The result depends only on the
+    lowercased token, so it is cached on that: case variants of one word
+    ("Route", "ROUTE") are stemmed once per process.
     """
-    lowered = token.lower()
+    return _normalize_lowered(token.lower())
+
+
+@lru_cache(maxsize=None)
+def _normalize_lowered(lowered: str) -> str | None:
     if not any(c.isalnum() for c in lowered):
         return None
     if is_stopword(lowered):

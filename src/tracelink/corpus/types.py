@@ -1,4 +1,8 @@
-"""Core corpus types: artifacts, normalized documents, datasets."""
+"""Core corpus types: artifacts, normalized documents, datasets.
+
+An artifact holds only what the pipeline reads of it: its id, its kind and
+its parsed text. Its level is the `Dataset` list that holds it.
+"""
 
 from __future__ import annotations
 
@@ -11,12 +15,6 @@ from .codescan import CodeParts
 from .nltext import TaggedToken
 
 
-class Level(str, Enum):
-    SOURCE = "source"
-    INTERMEDIATE = "intermediate"
-    TARGET = "target"
-
-
 class Kind(str, Enum):
     NATURAL_LANGUAGE = "nl"
     CODE = "code"
@@ -24,12 +22,10 @@ class Kind(str, Enum):
 
 @dataclass
 class Artifact:
-    """One document at a given abstraction level."""
+    """One parsed document: sentences for natural language, code parts for code."""
 
     id: str
-    level: Level
     kind: Kind
-    raw: str
     sentences: list[list[TaggedToken]] = field(default_factory=list)
     code_parts: CodeParts | None = None
 

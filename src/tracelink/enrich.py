@@ -9,7 +9,7 @@ own weight for the same pair.
 
 from __future__ import annotations
 
-from .biterms import BitermSet, Pair
+from .biterms import Biterms, Pair
 from .corpus.types import Document
 from .irmodels import SimilarityTable, top_related
 
@@ -29,21 +29,18 @@ def select_related_intermediates(
     return [other for other, _ in top_related(table, artifact_id, intermediate_ids, m, t)]
 
 
-def add_own_biterms(document: Document, own: BitermSet) -> Document:
+def add_own_biterms(document: Document, own: Biterms) -> Document:
     """Add the artifact's own consensual biterms, weighted by importance count."""
     enriched = document.copy()
-    for pair, count in own.biterms.items():
+    for pair, count in own.items():
         enriched.added_biterm_terms[compound_term(pair)] += count
     return enriched
 
 
-def enrich_artifact(document: Document, related: list[BitermSet]) -> Document:
+def enrich_artifact(document: Document, related: list[Biterms]) -> Document:
     """Add each distinct biterm across the related sets once, with weight 1."""
     enriched = document.copy()
-    distinct: set[Pair] = set()
-    for biterm_set in related:
-        distinct |= biterm_set.pairs()
-    for pair in sorted(distinct):
+    for pair in sorted(set().union(*related)):
         enriched.added_biterm_terms[compound_term(pair)] += 1
     return enriched
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 from numbers import Real
 from pathlib import Path
 
-from .biterms import BitermSet, consensual_filter, extract_biterms
+from .biterms import Biterms, consensual_filter, extract_biterms
 from .corpus.documents import build_document
 from .corpus.types import Dataset, Document
 from .enrich import add_own_biterms, enrich_artifact, select_related_intermediates
@@ -75,7 +75,7 @@ class PipelineResult:
     similarity: SimilarityTable
     candidates: dict[str, list[tuple[str, float]]]
     paths: dict[str, list[TransitivePath]] = field(default_factory=dict)
-    filtered_biterms: dict[str, BitermSet] = field(default_factory=dict)
+    filtered_biterms: dict[str, Biterms] = field(default_factory=dict)
 
 
 def run_pipeline(dataset: Dataset, config: PipelineConfig) -> PipelineResult:
@@ -120,14 +120,16 @@ def rank_stage(
     Reads only "b" of the mode, so modes that agree on it rank alike.
     `documents` is left as it is: enrichment writes to copies.
     """
-    filtered_by_id: dict[str, BitermSet] = {}
+    filtered_by_id: dict[str, Biterms] = {}
 
     if "b" in parse_mode(config.mode):
         source_sets = [extract_biterms(a, config.pairs_dir) for a in dataset.sources]
         inter_sets = [extract_biterms(a, config.pairs_dir) for a in dataset.intermediates]
         target_sets = [extract_biterms(a, config.pairs_dir) for a in dataset.targets]
         f_sources, f_inters, f_targets = consensual_filter(source_sets, inter_sets, target_sets)
-        filtered_by_id = {s.artifact_id: s for s in (*f_sources, *f_inters, *f_targets)}
+        filtered_by_id = dict(zip(
+            [a.id for a in dataset.all_artifacts()], [*f_sources, *f_inters, *f_targets]
+        ))
 
         documents = {
             a_id: add_own_biterms(doc, filtered_by_id[a_id])

@@ -15,7 +15,7 @@ from tracelink.biterms import extract_code_biterms
 from tracelink.cli import main as cli_main
 from tracelink.corpus.codescan import CodeParts
 from tracelink.corpus.manifest import load_dataset
-from tracelink.corpus.types import Artifact, Document, Kind, Level
+from tracelink.corpus.types import Artifact, Document, Kind
 from tracelink.evaluate import average_precision, cliffs_delta, mean_average_precision, wilcoxon_rank_sum
 from tracelink.irmodels import build_matrix, build_similarity_table
 from tracelink.pipeline import PipelineConfig, run_pipeline
@@ -38,7 +38,7 @@ def test_motivating_example_golden(motivating_manifest):
     ir_only = run_pipeline(dataset, PipelineConfig(model="vsm", mode="ir-only"))
 
     # (a) consensual filtering leaves exactly (assign, rout) for AFInfoBox
-    assert full.filtered_biterms["AFInfoBox"].pairs() == {("assign", "rout")}
+    assert set(full.filtered_biterms["AFInfoBox"]) == {("assign", "rout")}
 
     # (b) the two narrated paths are emitted
     keys = {p.key() for p in full.paths["RE-691"]}
@@ -60,23 +60,23 @@ def test_motivating_example_golden(motivating_manifest):
 
 def test_biterm_extraction_conformance():
     class_only = Artifact(
-        id="AFInfoBox", level=Level.TARGET, kind=Kind.CODE, raw="",
+        id="AFInfoBox", kind=Kind.CODE,
         code_parts=CodeParts(class_names=[["af", "info", "box"]]),
     )
     biterms = extract_code_biterms(class_only)
-    assert biterms.biterms == {
+    assert biterms == {
         ("af", "info"): 2, ("af", "box"): 2, ("box", "info"): 2,
     }
 
     composite = Artifact(
-        id="composite", level=Level.TARGET, kind=Kind.CODE, raw="",
+        id="composite", kind=Kind.CODE,
         code_parts=CodeParts(
             class_names=[["assign", "route"]],
             comments=[["assign", "route"], ["assign", "route"]],
             parameter_type_names=[["assign", "route"]] * 3,
         ),
     )
-    assert extract_code_biterms(composite).biterms[("assign", "rout")] == 5
+    assert extract_code_biterms(composite)[("assign", "rout")] == 5
     _report("biterm extraction conformance (class-name pairs x2, composite count 5)")
 
 

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tracelink.biterms import (
-    BitermSet,
     canonical_pair,
     consensual_filter,
     extract_code_biterms,
@@ -13,19 +12,19 @@ from tracelink.biterms import (
 )
 from tracelink.corpus.codescan import CodeParts
 from tracelink.corpus.nltext import tokenize_natural
-from tracelink.corpus.types import Artifact, Kind, Level
+from tracelink.corpus.preprocess import normalize_token
+from tracelink.corpus.types import Artifact, Kind
 from tracelink.errors import ParseError
 
 DD647_SENTENCE = "The user can select a UAV and assign routes from the available list."
 
 
 def nl_artifact(text, id="X"):
-    return Artifact(id=id, level=Level.INTERMEDIATE, kind=Kind.NATURAL_LANGUAGE,
-                    raw=text, sentences=tokenize_natural(text))
+    return Artifact(id=id, kind=Kind.NATURAL_LANGUAGE, sentences=tokenize_natural(text))
 
 
 def code_artifact(parts, id="C"):
-    return Artifact(id=id, level=Level.TARGET, kind=Kind.CODE, raw="", code_parts=parts)
+    return Artifact(id=id, kind=Kind.CODE, code_parts=parts)
 
 
 class TestCanonicalPair:
@@ -39,7 +38,7 @@ class TestCanonicalPair:
 
 class TestExtractNl:
     def test_dd647_sentence(self):
-        biterms = extract_nl_biterms(nl_artifact(DD647_SENTENCE)).pairs()
+        biterms = set(extract_nl_biterms(nl_artifact(DD647_SENTENCE)))
         assert ("select", "uav") in biterms
         assert ("assign", "rout") in biterms
         assert ("avail", "list") in biterms
@@ -48,20 +47,18 @@ class TestExtractNl:
         assert all("and" not in pair for pair in biterms)
 
     def test_stopword_only_sentence(self):
-        assert extract_nl_biterms(nl_artifact("The of and.")).pairs() == set()
+        assert extract_nl_biterms(nl_artifact("The of and.")) == {}
 
     def test_occurrences_counted_per_artifact(self):
         biterms = extract_nl_biterms(nl_artifact("select UAV. select UAV."))
-        assert biterms.biterms[("select", "uav")] == 2
+        assert biterms[("select", "uav")] == 2
 
     def test_empty_artifact(self):
         assert len(extract_nl_biterms(nl_artifact(""))) == 0
 
     def test_window_limits_distance(self):
         # five content words apart never pair under a window of three
-        biterms = extract_nl_biterms(
-            nl_artifact("Routes pass sensor panel widget icon.")
-        ).pairs()
+        biterms = extract_nl_biterms(nl_artifact("Routes pass sensor panel widget icon."))
         assert ("icon", "rout") not in biterms
 
 
@@ -75,21 +72,21 @@ class TestImportParsedPairs:
             "obj\tassign\troutes\n"
             "amod\tavailable\tlist\n"
         )
-        result = import_parsed_pairs("DD-647", pairs)
-        assert result.pairs() == {
+        result = import_parsed_pairs(pairs)
+        assert set(result) == {
             ("select", "user"), ("select", "uav"), ("assign", "rout"), ("avail", "list"),
         }
 
     def test_empty_file(self, tmp_path):
         pairs = tmp_path / "x.tsv"
         pairs.write_text("")
-        assert import_parsed_pairs("x", pairs).pairs() == set()
+        assert import_parsed_pairs(pairs) == {}
 
     def test_malformed_line_reports_number(self, tmp_path):
         pairs = tmp_path / "x.tsv"
         pairs.write_text("nsubj\tselect\tuser\nobj\tselect\n")
         with pytest.raises(ParseError) as excinfo:
-            import_parsed_pairs("x", pairs)
+            import_parsed_pairs(pairs)
         assert ":2:" in str(excinfo.value)
 
 
@@ -97,7 +94,7 @@ class TestExtractCode:
     def test_class_name_pairs_count_two(self):
         parts = CodeParts(class_names=[["af", "info", "box"]])
         biterms = extract_code_biterms(code_artifact(parts))
-        assert biterms.biterms == {
+        assert biterms == {
             ("af", "info"): 2, ("af", "box"): 2, ("box", "info"): 2,
         }
 
@@ -110,7 +107,7 @@ class TestExtractCode:
             parameter_type_names=[["assign", "route"]] * 3,
         )
         biterms = extract_code_biterms(code_artifact(parts))
-        assert biterms.biterms[("assign", "rout")] == 5
+        assert biterms[("assign", "rout")] == 5
 
     def test_weak_only_occurrences_count_one(self):
         parts = CodeParts(
@@ -118,62 +115,54 @@ class TestExtractCode:
             invoked_method_names=[["get", "assign", "route", "resource"]],
         )
         biterms = extract_code_biterms(code_artifact(parts))
-        assert biterms.biterms[("assign", "rout")] == 1
+        assert biterms[("assign", "rout")] == 1
 
     def test_stopword_tokens_drop_out(self):
         parts = CodeParts(method_names=[["get", "route"]])
         biterms = extract_code_biterms(code_artifact(parts))
-        assert biterms.pairs() == set()
+        assert biterms == {}
 
 
 class TestConsensualFilter:
     def test_motivating_example(self):
-        afinfobox = BitermSet("AFInfoBox", {
+        afinfobox = {
             ("af", "info"): 2, ("af", "box"): 2, ("box", "info"): 2,
             ("assign", "rout"): 1, ("assign", "icon"): 1, ("icon", "rout"): 1,
-        })
-        dd647 = BitermSet("DD-647", {
-            ("select", "uav"): 1, ("assign", "rout"): 1, ("avail", "list"): 1,
-        })
-        dd694 = BitermSet("DD-694", {("appli", "oper"): 1, ("select", "uav"): 1})
-        source = BitermSet("RE-691", {("select", "uav"): 1, ("appli", "oper"): 1})
+        }
+        dd647 = {("select", "uav"): 1, ("assign", "rout"): 1, ("avail", "list"): 1}
+        dd694 = {("appli", "oper"): 1, ("select", "uav"): 1}
+        source = {("select", "uav"): 1, ("appli", "oper"): 1}
         filtered_sources, filtered_inters, filtered_targets = consensual_filter(
             [source], [dd647, dd694], [afinfobox]
         )
-        assert filtered_targets[0].pairs() == {("assign", "rout")}
-        assert filtered_targets[0].biterms[("assign", "rout")] == 1
-        assert filtered_sources[0].pairs() == {("select", "uav"), ("appli", "oper")}
+        assert filtered_targets[0] == {("assign", "rout"): 1}
+        assert set(filtered_sources[0]) == {("select", "uav"), ("appli", "oper")}
         # (avail, list) appears in no source or target: dropped from DD-647.
-        assert filtered_inters[0].pairs() == {("select", "uav"), ("assign", "rout")}
+        assert set(filtered_inters[0]) == {("select", "uav"), ("assign", "rout")}
 
     def test_empty_intermediates_empty_endpoints(self):
-        source = BitermSet("S", {("a", "b"): 3})
-        target = BitermSet("T", {("c", "d"): 1})
-        fs, fi, ft = consensual_filter([source], [], [target])
-        assert fs[0].pairs() == set()
-        assert ft[0].pairs() == set()
+        fs, fi, ft = consensual_filter([{("a", "b"): 3}], [], [{("c", "d"): 1}])
+        assert fs == [{}]
+        assert ft == [{}]
         assert fi == []
 
     def test_intermediate_only_pair_dropped(self):
-        inter = BitermSet("I", {("x", "y"): 5})
-        fs, fi, ft = consensual_filter([], [inter], [])
-        assert fi[0].pairs() == set()
+        fs, fi, ft = consensual_filter([], [{("x", "y"): 5}], [])
+        assert fi == [{}]
 
 
-_stem = st.text(alphabet="abcd", min_size=1, max_size=2)
+_WORDS = ("select", "uav", "UAV", "route", "routes", "Route")
 
 
-@given(_stem, _stem)
-def test_add_merges_both_orders(a, b):
-    forward = BitermSet("X")
-    forward.add(a, b)
-    forward.add(b, a)
-    if a == b:
-        assert len(forward) == 0
-    else:
-        pair = tuple(sorted((a, b)))
-        assert forward.biterms == {pair: 2}
-        assert pair[0] <= pair[1]
+def test_import_merges_both_orders_and_drops_self_pairs(tmp_path):
+    """`a b` and `b a` count under one canonical key; words of one stem make no pair."""
+    for a in _WORDS:
+        for b in _WORDS:
+            pairs = tmp_path / "x.tsv"
+            pairs.write_text(f"obj\t{a}\t{b}\nobj\t{b}\t{a}\n")
+            stems = sorted({normalize_token(a), normalize_token(b)})
+            expected = {tuple(stems): 2} if len(stems) == 2 else {}
+            assert import_parsed_pairs(pairs) == expected, (a, b)
 
 
 _pair = st.tuples(
@@ -181,38 +170,31 @@ _pair = st.tuples(
     st.text(alphabet="abcd", min_size=1, max_size=2),
 ).filter(lambda p: p[0] != p[1]).map(lambda p: tuple(sorted(p)))
 
-_biterm_set = st.dictionaries(_pair, st.integers(min_value=1, max_value=5), max_size=6)
+_biterms = st.dictionaries(_pair, st.integers(min_value=1, max_value=5), max_size=6)
 
 
-@given(st.lists(_biterm_set, max_size=3), st.lists(_biterm_set, max_size=3),
-       st.lists(_biterm_set, max_size=3))
+@given(st.lists(_biterms, max_size=3), st.lists(_biterms, max_size=3),
+       st.lists(_biterms, max_size=3))
 def test_filter_soundness_and_count_preservation(sources, inters, targets):
-    source_sets = [BitermSet(f"s{i}", d) for i, d in enumerate(sources)]
-    inter_sets = [BitermSet(f"i{i}", d) for i, d in enumerate(inters)]
-    target_sets = [BitermSet(f"t{i}", d) for i, d in enumerate(targets)]
-    fs, fi, ft = consensual_filter(source_sets, inter_sets, target_sets)
+    fs, fi, ft = consensual_filter(sources, inters, targets)
 
-    inter_pairs = set().union(*(s.pairs() for s in inter_sets)) if inter_sets else set()
-    endpoint_pairs = set().union(
-        *(s.pairs() for s in (*source_sets, *target_sets))
-    ) if (source_sets or target_sets) else set()
+    inter_pairs = set().union(*inters)
+    endpoint_pairs = set().union(*sources, *targets)
 
-    for original, filtered in zip((*source_sets, *target_sets), (*fs, *ft)):
-        for pair, count in filtered.biterms.items():
+    for original, filtered in zip((*sources, *targets), (*fs, *ft)):
+        for pair, count in filtered.items():
             assert pair in inter_pairs
-            assert original.biterms[pair] == count
-    for original, filtered in zip(inter_sets, fi):
-        for pair, count in filtered.biterms.items():
+            assert original[pair] == count
+    for original, filtered in zip(inters, fi):
+        for pair, count in filtered.items():
             assert pair in endpoint_pairs
-            assert original.biterms[pair] == count
+            assert original[pair] == count
 
 
-@given(st.lists(_biterm_set, min_size=1, max_size=3),
-       st.lists(_biterm_set, min_size=2, max_size=3))
+@given(st.lists(_biterms, min_size=1, max_size=3),
+       st.lists(_biterms, min_size=2, max_size=3))
 def test_filter_monotone_in_intermediates(sources, inters):
-    source_sets = [BitermSet(f"s{i}", d) for i, d in enumerate(sources)]
-    inter_sets = [BitermSet(f"i{i}", d) for i, d in enumerate(inters)]
-    full, _, _ = consensual_filter(source_sets, inter_sets, [])
-    shrunk, _, _ = consensual_filter(source_sets, inter_sets[:-1], [])
+    full, _, _ = consensual_filter(sources, inters, [])
+    shrunk, _, _ = consensual_filter(sources, inters[:-1], [])
     for wide, narrow in zip(full, shrunk):
-        assert narrow.pairs() <= wide.pairs()
+        assert set(narrow) <= set(wide)

@@ -449,6 +449,19 @@ class TestExitCodes:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: cannot look for dependency-pair file")
 
+    @pytest.mark.parametrize("command", ["trace", "eval", "ablate"])
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "path_under_a_file"])
+    def test_out_naming_a_file_exits_2(
+        self, tmp_path, motivating_manifest, capsys, command, under
+    ):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        out = taken / "out" if under else taken
+        assert run_cli(command, "--manifest", str(motivating_manifest), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write output file {out}")
+        assert "Traceback" not in err
+
     @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(data=st.data())
     def test_any_manifest_and_config_gives_an_exit_code(self, fuzz_dir, data):

@@ -4,7 +4,6 @@ from collections import Counter
 
 import pytest
 
-from tracelink.biterms import BitermSet
 from tracelink.corpus.types import Document
 from tracelink.enrich import add_own_biterms, enrich_artifact, select_related_intermediates
 from tracelink.errors import ConfigError
@@ -49,7 +48,7 @@ class TestSelectRelated:
 class TestEnrichArtifact:
     def test_foreign_biterms_added_once(self):
         document = Document("RE-691", terms=Counter({"appli": 1}))
-        dd694 = BitermSet("DD-694", {("appl", "oper"): 4, ("select", "uav"): 2})
+        dd694 = {("appl", "oper"): 4, ("select", "uav"): 2}
         enriched = enrich_artifact(document, [dd694])
         assert enriched.added_biterm_terms["appl_oper"] == 1
         assert enriched.added_biterm_terms["select_uav"] == 1
@@ -57,8 +56,8 @@ class TestEnrichArtifact:
     def test_duplicate_across_related_sets_still_once(self):
         document = Document("AFInfoBox", terms=Counter({"assign": 1}))
         related = [
-            BitermSet("DD-647", {("select", "uav"): 1, ("assign", "rout"): 1}),
-            BitermSet("DD-694", {("select", "uav"): 3}),
+            {("select", "uav"): 1, ("assign", "rout"): 1},
+            {("select", "uav"): 3},
         ]
         enriched = enrich_artifact(document, related)
         assert enriched.added_biterm_terms["select_uav"] == 1
@@ -72,19 +71,19 @@ class TestEnrichArtifact:
 
     def test_never_removes_terms(self):
         document = Document("X", terms=Counter({"a": 2, "b": 1}))
-        enriched = enrich_artifact(document, [BitermSet("I", {("x", "y"): 1})])
+        enriched = enrich_artifact(document, [{("x", "y"): 1}])
         for term, count in document.terms.items():
             assert enriched.terms[term] >= count
 
     def test_own_biterms_weighted_by_count(self):
         document = Document("X", terms=Counter({"a": 1}))
-        own = BitermSet("X", {("assign", "rout"): 3})
+        own = {("assign", "rout"): 3}
         with_own = add_own_biterms(document, own)
         assert with_own.added_biterm_terms["assign_rout"] == 3
 
     def test_own_plus_foreign_accumulate(self):
         document = Document("X", terms=Counter({"a": 1}))
-        own = BitermSet("X", {("assign", "rout"): 3})
-        foreign = BitermSet("I", {("assign", "rout"): 9})
+        own = {("assign", "rout"): 3}
+        foreign = {("assign", "rout"): 9}
         enriched = enrich_artifact(add_own_biterms(document, own), [foreign])
         assert enriched.added_biterm_terms["assign_rout"] == 4

@@ -6,7 +6,7 @@ import pytest
 
 from tracelink.cli import main as cli_main
 from tracelink.corpus.manifest import load_dataset
-from tracelink.corpus.types import Kind, Level
+from tracelink.corpus.types import Kind
 from tracelink.errors import LoadError, ValidationError
 
 
@@ -43,7 +43,8 @@ def test_six_artifact_dataset(tmp_path):
     dataset = load_dataset(write_dataset(tmp_path))
     assert len(dataset.all_artifacts()) == 6
     assert dataset.source_ids() == ["RE-1", "RE-2"]
-    assert [a.level for a in dataset.intermediates] == [Level.INTERMEDIATE] * 2
+    assert dataset.intermediate_ids() == ["DD-1", "DD-2"]
+    assert dataset.target_ids() == ["A.java", "B.java"]
     assert all(a.kind is Kind.CODE for a in dataset.targets)
     assert dataset.oracle_st == {("RE-1", "A.java")}
 

@@ -156,7 +156,7 @@ class TestImportedPairs:
             dataset, PipelineConfig(mode="b", pairs_dir=pairs_dir)
         )
         dd647 = result.filtered_biterms["DD-647"]
-        assert dd647.pairs() <= {("select", "uav")}
+        assert set(dd647) <= {("select", "uav")}
 
 
 class TestAblation:

@@ -4,7 +4,8 @@ from collections import Counter
 
 from hypothesis import given, strategies as st
 
-from tracelink.corpus.preprocess import normalize_token, preprocess
+from tracelink.corpus import preprocess as preprocess_module
+from tracelink.corpus.preprocess import _normalize_lowered, normalize_token, preprocess
 
 
 def test_assigned_routes():
@@ -61,11 +62,20 @@ def test_idempotent_on_corpus_stems():
 
 @given(st.text())
 def test_cached_normalize_matches_uncached(token):
-    assert normalize_token(token) == normalize_token.__wrapped__(token)
-    assert normalize_token(token) == normalize_token.__wrapped__(token)   # now a cache hit
+    assert normalize_token(token) == _normalize_lowered.__wrapped__(token.lower())
+    assert normalize_token(token) == _normalize_lowered.__wrapped__(token.lower())  # a cache hit
+
+
+def test_case_variants_stemmed_once(monkeypatch):
+    stemmed = []
+    stem = preprocess_module.porter_stem
+    monkeypatch.setattr(preprocess_module, "porter_stem", lambda w: stemmed.append(w) or stem(w))
+    _normalize_lowered.cache_clear()
+    assert {normalize_token(t) for t in ("Route", "route", "ROUTE")} == {"rout"}
+    assert stemmed == ["route"]
 
 
 @given(st.lists(st.text(max_size=12)))
 def test_preprocess_unchanged_by_cache(tokens):
-    stems = (normalize_token.__wrapped__(token) for token in tokens)
+    stems = (_normalize_lowered.__wrapped__(token.lower()) for token in tokens)
     assert preprocess(tokens) == Counter(stem for stem in stems if stem is not None)
