@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -107,6 +108,18 @@ def _pipeline_config(merged: dict) -> PipelineConfig:
     return PipelineConfig(**values)
 
 
+def _output_dir(text: str) -> Path:
+    """The `out` directory, once no existing file stands at it or at any of its ancestors.
+
+    Checked before any input is read, so a bad `--out` costs no pipeline run.
+    """
+    out = Path(text)
+    for path in (out, *out.parents):
+        if os.path.exists(path) and not os.path.isdir(path):
+            raise ConfigError(f"cannot write output file {out}: {path} is not a directory")
+    return out
+
+
 def _write(path: Path, text: str) -> None:
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -128,9 +141,9 @@ def _pr_curve_csv(report: EvalReport) -> str:
 def _cmd_trace(args: argparse.Namespace) -> int:
     merged = _merge_config(args)
     config = _pipeline_config(merged)
+    out = _output_dir(merged["out"])
     dataset = load_dataset(args.manifest)
     result = run_pipeline(dataset, config)
-    out = Path(merged["out"])
     _write(out / "ranked_links.csv", format_ranked_csv(result.candidates))
     _write(out / "path_traces.json", _json_text(paths_to_json_payload(result.paths)))
     if args.dump_corpus:
@@ -141,6 +154,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     merged = _merge_config(args)
+    out = _output_dir(merged["out"])
     dataset = load_dataset(args.manifest)
     if not dataset.oracle_st:
         raise ConfigError("manifest has no oracle_st; evaluation needs true links")
@@ -152,7 +166,6 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         candidates = result.candidates
     report = evaluate_ranking(candidates, dataset.oracle_st)
 
-    out = Path(merged["out"])
     _write(out / "eval_report.json", _json_text(report.to_payload()))
     _write(out / "pr_curve.csv", _pr_curve_csv(report))
     written = [out / "eval_report.json", out / "pr_curve.csv"]
@@ -186,12 +199,12 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
         raise ConfigError(f"modes must be a comma-separated string, got {modes_text!r}")
     modes = [m.strip() for m in modes_text.split(",") if m.strip()]
     config = _pipeline_config(merged)
+    out = _output_dir(merged["out"])
     dataset = load_dataset(args.manifest)
     if not dataset.oracle_st:
         raise ConfigError("manifest has no oracle_st; ablation needs true links")
     reports = run_ablation(dataset, config, modes)
 
-    out = Path(merged["out"])
     written = []
     for mode, report in reports.items():
         safe = mode.replace("+", "_")

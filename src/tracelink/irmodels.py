@@ -10,8 +10,10 @@ consumers read its rows through the table's id -> row index. VSM and LSI
 divide one Gram matrix of the tf-idf rows (or of the LSI topic coordinates,
 from one SVD per table) by the outer product of the row norms. JS scores
 each pair over that pair's own sorted union vocabulary (epsilon smoothing,
-base-2 KL), with the per-document work done once. All stored similarities
-are clamped into [0, 1] and symmetric.
+base-2 KL), with the per-document work done once. It batches the pairs by
+union size, one row per pair, and reduces along rows only, so each score is
+the one that pair would get alone and exact ties stay exact. All stored
+similarities are clamped into [0, 1] and symmetric.
 """
 
 from __future__ import annotations
@@ -29,6 +31,9 @@ from .errors import ConfigError, NumericError, ParseError, ValidationError
 MODELS = ("vsm", "lsi", "js")
 
 _JS_EPSILON = 1e-9
+# Elements per gathered (pairs x union size) JS block; larger blocks raise peak
+# memory and save no time.
+_JS_BLOCK = 1 << 12
 
 
 @dataclass
@@ -85,22 +90,6 @@ def lsi_document_space(matrix: TermDocMatrix, k: int) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"SVD failed to converge: {exc}") from exc
     return vt.T[:, :k] * singular[:k]
-
-
-def _js(counts_a: np.ndarray, counts_b: np.ndarray) -> float:
-    """JS similarity of two count vectors over one pair's sorted union vocabulary."""
-    p = counts_a + _JS_EPSILON
-    p = p / p.sum()
-    q = counts_b + _JS_EPSILON
-    q = q / q.sum()
-    m = (p + q) / 2.0
-    jsd = 0.5 * _kl_base2(p, m) + 0.5 * _kl_base2(q, m)
-    return 1.0 - float(jsd)
-
-
-def _kl_base2(p: np.ndarray, q: np.ndarray) -> float:
-    mask = p > 0
-    return float(np.sum(p[mask] * np.log2(p[mask] / q[mask])))
 
 
 class SimilarityTable:
@@ -185,19 +174,51 @@ def _cosine_matrix(vectors: np.ndarray) -> np.ndarray:
 
 
 def _js_matrix(documents: list[Document]) -> np.ndarray:
-    """`_js` for every pair of nonempty documents, with the per-document work done once.
+    """1 - base-2 JSD for every pair of nonempty documents, in blocks of pairs.
 
-    Each pair still smooths and normalizes over its own union vocabulary:
-    the columns of the shared sorted vocabulary that either document uses.
+    Each pair smooths and normalizes over its own union vocabulary: the
+    columns of the shared sorted vocabulary that either document uses. Pairs
+    are grouped by the size L of that union, and each block of a group is
+    gathered into two (pairs x L) arrays whose rows hold the pair's union
+    columns in vocabulary order. Every reduction runs along a row, so each
+    score is summed over exactly its own pair's values in the same order as
+    a per-pair computation, and exact ties (say, between duplicate
+    documents) stay exact.
+
+    Counts are never negative (token counts and positive biterm weights) and
+    epsilon is positive, so every smoothed probability is positive and the KL
+    sums need no `p > 0` mask.
     """
     _, dense, used = _count_matrix(documents)
     n = len(documents)
-    nonempty = [i for i, d in enumerate(documents) if d.total_mass() != 0]
     scores = np.zeros((n, n))
-    for x, i in enumerate(nonempty):
-        for j in nonempty[x + 1:]:
-            union = np.flatnonzero(used[i] | used[j])
-            scores[i, j] = _js(dense[i, union], dense[j, union])
+    nonempty = np.flatnonzero([d.total_mass() != 0 for d in documents])
+    if len(nonempty) < 2:
+        return scores
+    # Union sizes one row at a time: a matmul of the masks starts BLAS and raises peak memory.
+    sizes = np.concatenate([
+        np.count_nonzero(used[i] | used[nonempty[x + 1:]], axis=1)
+        for x, i in enumerate(nonempty[:-1])
+    ])
+    order = np.argsort(sizes, kind="stable")
+    x, y = np.triu_indices(len(nonempty), 1)
+    first, second, sizes = nonempty[x][order], nonempty[y][order], sizes[order]
+    starts = np.flatnonzero(np.diff(sizes)) + 1
+    for a_group, b_group, size in zip(
+        np.split(first, starts), np.split(second, starts), sizes[np.r_[0, starts]].tolist()
+    ):
+        step = max(1, _JS_BLOCK // size)
+        for k in range(0, len(a_group), step):
+            a, b = a_group[k:k + step], b_group[k:k + step]
+            cols = np.nonzero(used[a] | used[b])[1].reshape(len(a), size)
+            p = dense[a[:, None], cols] + _JS_EPSILON
+            p = p / p.sum(axis=1, keepdims=True)
+            q = dense[b[:, None], cols] + _JS_EPSILON
+            q = q / q.sum(axis=1, keepdims=True)
+            m = (p + q) / 2.0
+            jsd = (0.5 * np.sum(p * np.log2(p / m), axis=1)
+                   + 0.5 * np.sum(q * np.log2(q / m), axis=1))
+            scores[a, b] = 1.0 - jsd
     return scores
 
 

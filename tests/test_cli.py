@@ -462,6 +462,23 @@ class TestExitCodes:
         assert err.startswith(f"error: cannot write output file {out}")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["trace", "eval", "ablate"])
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "path_under_a_file"])
+    def test_out_naming_a_file_fails_before_loading(
+        self, tmp_path, motivating_manifest, capsys, monkeypatch, command, under
+    ):
+        def no_load(*_):
+            pytest.fail("the dataset was loaded before --out was checked")
+
+        monkeypatch.setattr("tracelink.cli.load_dataset", no_load)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        out = taken / "a" / "b" if under else taken
+        assert run_cli(command, "--manifest", str(motivating_manifest), "--out", str(out)) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot write output file {out}: {taken} is not a directory\n"
+        )
+
     @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(data=st.data())
     def test_any_manifest_and_config_gives_an_exit_code(self, fuzz_dir, data):

@@ -15,12 +15,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from tracelink import irmodels
 from tracelink.corpus.types import Document
 from tracelink.errors import ConfigError, ValidationError
 from tracelink.evaluate import global_ranked_links
 from tracelink.irmodels import (
     SimilarityTable,
-    _js,
+    _JS_EPSILON,
     build_matrix,
     build_similarity_table,
     default_lsi_rank,
@@ -80,6 +81,22 @@ def spearman_rank_correlation(a, b):
     if var_a == 0 or var_b == 0:
         return 1.0 if ra == rb else 0.0
     return cov / (var_a * var_b)
+
+
+def _js(counts_a: np.ndarray, counts_b: np.ndarray) -> float:
+    """JS similarity of two count vectors over one pair's sorted union vocabulary."""
+    p = counts_a + _JS_EPSILON
+    p = p / p.sum()
+    q = counts_b + _JS_EPSILON
+    q = q / q.sum()
+    m = (p + q) / 2.0
+    jsd = 0.5 * _kl_base2(p, m) + 0.5 * _kl_base2(q, m)
+    return 1.0 - float(jsd)
+
+
+def _kl_base2(p: np.ndarray, q: np.ndarray) -> float:
+    mask = p > 0
+    return float(np.sum(p[mask] * np.log2(p[mask] / q[mask])))
 
 
 def similarity_js(doc_a, doc_b):
@@ -371,6 +388,48 @@ class TestTableOracles:
             for model in ("vsm", "js"):
                 table = build_similarity_table(docs, model)
                 assert table.row_scores("d0", others) == table.row_scores("copy", others)
+
+
+def assert_js_table_exact(docs):
+    """The JS table equals `similarity_js` on every pair, 0 where a document is empty."""
+    by_id = {d.artifact_id: d for d in docs}
+    table = build_similarity_table(docs, "js")
+    for a, b in id_pairs(list(by_id)):
+        if by_id[a].total_mass() == 0 or by_id[b].total_mass() == 0:
+            expected = 0.0
+        else:
+            expected = clamp(similarity_js(by_id[a], by_id[b]))
+        assert table.score(a, b) == expected
+    return table
+
+
+class TestJsTable:
+    """The batched JS table, pair for pair, at any block size and corpus shape."""
+
+    @pytest.mark.parametrize("nonempty", [0, 1, 2])
+    @pytest.mark.parametrize("empty", [0, 2])
+    def test_few_nonempty_documents(self, nonempty, empty):
+        docs = [doc(f"n{i}", ["x", "y"][: i + 1] + ["z"] * i) for i in range(nonempty)]
+        docs += [doc(f"e{i}", []) for i in range(empty)]
+        table = assert_js_table_exact(docs)
+        assert table.scores.shape == (len(docs), len(docs))
+        if nonempty < 2:
+            assert not table.scores.any()
+
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_block_size_changes_no_score(self, monkeypatch, block):
+        rng = random.Random(53)
+        corpora = [documents_with_duplicates(rng) for _ in range(10)]
+        # Document sizes from 1 to 40 terms over 60 give many distinct union sizes.
+        corpora += [
+            [doc(f"d{i}", [f"w{k}" for k in rng.sample(range(60), rng.randint(1, 40))])
+             for i in range(25)]
+            for _ in range(3)
+        ]
+        default = [build_similarity_table(docs, "js").scores for docs in corpora]
+        monkeypatch.setattr(irmodels, "_JS_BLOCK", block)
+        for docs, scores in zip(corpora, default):
+            assert np.array_equal(assert_js_table_exact(docs).scores, scores)
 
 
 class TestSimilarityTable:
