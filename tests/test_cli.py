@@ -452,19 +452,6 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", ["trace", "eval", "ablate"])
     @pytest.mark.parametrize("under", [False, True], ids=["file", "path_under_a_file"])
     def test_out_naming_a_file_exits_2(
-        self, tmp_path, motivating_manifest, capsys, command, under
-    ):
-        taken = tmp_path / "taken"
-        taken.write_text("")
-        out = taken / "out" if under else taken
-        assert run_cli(command, "--manifest", str(motivating_manifest), "--out", str(out)) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: cannot write output file {out}")
-        assert "Traceback" not in err
-
-    @pytest.mark.parametrize("command", ["trace", "eval", "ablate"])
-    @pytest.mark.parametrize("under", [False, True], ids=["file", "path_under_a_file"])
-    def test_out_naming_a_file_fails_before_loading(
         self, tmp_path, motivating_manifest, capsys, monkeypatch, command, under
     ):
         def no_load(*_):
