@@ -128,8 +128,29 @@ def _write(path: Path, text: str) -> None:
         raise ConfigError(f"cannot write output file {path}: {exc}") from exc
 
 
-def _json_text(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+def _json_text(payload, pr_curve: list[tuple[float, float]] | None = None) -> str:
+    """`payload` as sorted, indented JSON; with `pr_curve`, its pairs go under "pr_curve".
+
+    `json.dumps` with `indent` runs its pure-Python encoder, and a curve has
+    a point per link, so the curve is spliced in as text: each finite value
+    written as `json` writes `round(value, 6)`. Recall takes at most
+    |oracle| + 1 values, so its strings are cached.
+    """
+    if pr_curve is None:
+        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    text = json.dumps({**payload, "pr_curve": []}, sort_keys=True, indent=2) + "\n"
+    if not pr_curve:
+        return text
+    recall_text: dict[float, str] = {}
+    points = []
+    for r, p in pr_curve:
+        recall = recall_text.get(r)
+        if recall is None or not r:  # 0.0 == -0.0, so a zero is never taken from the cache
+            recall = recall_text[r] = float.__repr__(round(r, 6))
+        points.append(f"[\n      {recall},\n      {float.__repr__(round(p, 6))}\n    ]")
+    curve = "[\n    " + ",\n    ".join(points) + "\n  ]"
+    # Only a top-level key starts a line with a two-space indent.
+    return text.replace('\n  "pr_curve": []', '\n  "pr_curve": ' + curve, 1)
 
 
 def _pr_curve_csv(report: EvalReport) -> str:
@@ -166,7 +187,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         candidates = result.candidates
     report = evaluate_ranking(candidates, dataset.oracle_st)
 
-    _write(out / "eval_report.json", _json_text(report.to_payload()))
+    _write(out / "eval_report.json", _json_text(report.to_payload(), report.pr_curve))
     _write(out / "pr_curve.csv", _pr_curve_csv(report))
     written = [out / "eval_report.json", out / "pr_curve.csv"]
 
@@ -208,7 +229,7 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
     written = []
     for mode, report in reports.items():
         safe = mode.replace("+", "_")
-        _write(out / f"report_{safe}.json", _json_text(report.to_payload()))
+        _write(out / f"report_{safe}.json", _json_text(report.to_payload(), report.pr_curve))
         _write(out / f"pr_curve_{safe}.csv", _pr_curve_csv(report))
         written.append(out / f"report_{safe}.json")
     summary = ["mode,ap,map"]

@@ -101,8 +101,14 @@ def _extract_comments(source: str, parts: CodeParts) -> str:
 
 
 def _preceding_word(code: str, pos: int) -> str | None:
-    m = re.search(r"(\w+)\s*$", code[:pos])
-    return m.group(1) if m else None
+    """The word (`\\w+`) that ends `code[:pos]`, whitespace aside, scanning back from `pos`."""
+    end = pos
+    while end and code[end - 1].isspace():
+        end -= 1
+    start = end
+    while start and (code[start - 1].isalnum() or code[start - 1] == "_"):
+        start -= 1
+    return code[start:end] or None
 
 
 def _scan_parameters(params: str, parts: CodeParts) -> None:

@@ -2,8 +2,9 @@
 
 A leaf module: it measures rankings and knows nothing of how they were
 made. Precision/recall/F and AP work on the global ranked link list (all
-sources' links sorted together by `global_ranked_links`); MAP averages
-per-query AP over queries that have at least one relevant target. The
+sources' links sorted together by descending score, then source and target
+id); MAP averages per-query AP, each over its source's list in the order
+given, over queries that have at least one relevant target. The
 Wilcoxon rank-sum test is exact (full enumeration via a subset-sum count)
 for small samples and falls back to the tie-corrected normal approximation;
 Cliff's delta uses the absolute-value form with the 0.15/0.33/0.47
@@ -15,6 +16,9 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
+from itertools import compress
+
+import numpy as np
 
 from .errors import EvaluationError
 
@@ -33,11 +37,11 @@ class EvalReport:
     per_query_ap: dict[str, float]
 
     def to_payload(self) -> dict:
+        """Every field but `pr_curve`, rounded; the report writer adds the curve."""
         return {
             "ap": round(self.ap, 6),
             "map": round(self.map, 6),
             "per_query_ap": {q: round(v, 6) for q, v in sorted(self.per_query_ap.items())},
-            "pr_curve": [[round(r, 6), round(p, 6)] for r, p in self.pr_curve],
             "f_at_recall": [round(f, 6) for f in self.f_at_recall],
         }
 
@@ -56,24 +60,6 @@ class StatComparison:
         }
 
 
-def precision_recall(
-    ranked: list[tuple[str, str]],
-    oracle: set[tuple[str, str]],
-) -> list[tuple[float, float]]:
-    """(recall%, precision%) at every cutoff k = 1..N of the ranked link list."""
-    if not oracle:
-        raise EvaluationError("precision/recall undefined for an empty oracle")
-    curve: list[tuple[float, float]] = []
-    hits = 0
-    for k, link in enumerate(ranked, start=1):
-        if link in oracle:
-            hits += 1
-        precision = 100.0 * hits / k
-        recall = 100.0 * hits / len(oracle)
-        curve.append((recall, precision))
-    return curve
-
-
 def f_measure(precision: float, recall: float) -> float:
     """Harmonic mean of precision and recall; defined as 0 at P = R = 0."""
     if precision + recall == 0.0:
@@ -86,8 +72,8 @@ def f_at_recall_levels(curve: list[tuple[float, float]]) -> list[float]:
 
     For each level the curve point at the smallest cutoff reaching that
     recall supplies both precision and recall; unreachable levels give 0.
-    Recall never decreases along a curve from `precision_recall`, so that
-    point is found by bisection.
+    Recall never decreases along a ranking's curve, so that point is found
+    by bisection.
     """
     recalls = [r for r, _ in curve]
     values: list[float] = []
@@ -101,36 +87,12 @@ def f_at_recall_levels(curve: list[tuple[float, float]]) -> list[float]:
     return values
 
 
-def average_precision(
-    ranked: list[tuple[str, str]],
-    oracle: set[tuple[str, str]],
-) -> float:
-    """Mean of precision at relevant ranks over |oracle|, as a percentage."""
-    if not oracle:
-        raise EvaluationError("average precision undefined for an empty oracle")
-    hits = 0
+def _average_precision(relevant_ranks: list[int], n_relevant: int) -> float:
+    """Mean of precision at the 1-based `relevant_ranks`, in rank order, over `n_relevant`, in %."""
     total = 0.0
-    for k, link in enumerate(ranked, start=1):
-        if link in oracle:
-            hits += 1
-            total += hits / k
-    return 100.0 * total / len(oracle)
-
-
-def mean_average_precision(
-    per_query: dict[str, list[tuple[str, str]]],
-    oracle: set[tuple[str, str]],
-) -> tuple[float, dict[str, float]]:
-    """Mean per-query AP, skipping queries without relevant targets."""
-    per_query_ap: dict[str, float] = {}
-    for query, ranked in per_query.items():
-        relevant = {pair for pair in oracle if pair[0] == query}
-        if not relevant:
-            continue
-        per_query_ap[query] = average_precision(ranked, relevant)
-    if not per_query_ap:
-        raise EvaluationError("no query has any relevant target")
-    return sum(per_query_ap.values()) / len(per_query_ap), per_query_ap
+    for hits, k in enumerate(relevant_ranks, start=1):
+        total += hits / k
+    return 100.0 * total / n_relevant
 
 
 def _midranks(pooled: list[float]) -> list[float]:
@@ -249,32 +211,58 @@ def compare_runs(f_a: list[float], f_b: list[float]) -> StatComparison:
     return comparison
 
 
-def global_ranked_links(
-    ranked: dict[str, list[tuple[str, float]]],
-) -> list[tuple[str, str, float]]:
-    """Flatten per-source lists into one global list sorted by score then ids."""
-    links = [(s, t, score) for s, targets in ranked.items() for t, score in targets]
-    links.sort(key=lambda item: (-item[2], item[0], item[1]))
-    return links
-
-
 def evaluate_ranking(
     candidates: dict[str, list[tuple[str, float]]],
     oracle: set[tuple[str, str]],
 ) -> EvalReport:
-    """Full report for one run: global list metrics plus per-query MAP."""
+    """Full report for one run: global list metrics plus per-query MAP.
+
+    The global list orders every link by (-score, source id, target id).
+    One stable lexsort over id ranks gives that order, and the curve is the
+    running hit count with the same float64 operations per cutoff as a
+    Python loop. AP sums in rank order in Python, as `np.sum` would sum
+    pairwise and change the last bits.
+    """
     if not oracle:
         raise EvaluationError("evaluation requires a nonempty oracle")
-    global_links = [(s, t) for s, t, _ in global_ranked_links(candidates)]
-    curve = precision_recall(global_links, oracle)
-    ap = average_precision(global_links, oracle)
-    per_query = {s: [(s, t) for t, _ in targets] for s, targets in candidates.items()}
-    map_value, per_query_ap = mean_average_precision(per_query, oracle)
+    wanted: dict[str, set[str]] = {}
+    for source, target in oracle:
+        wanted.setdefault(source, set()).add(target)
+
+    source_rank = {source: i for i, source in enumerate(sorted(candidates))}
+    source_col: list[int] = []
+    target_ids: list[str] = []
+    scores: list[float] = []
+    relevant: list[bool] = []
+    per_query_ap: dict[str, float] = {}
+    for source, ranked in candidates.items():
+        names = [target for target, _ in ranked]
+        if source in wanted:
+            found = list(map(wanted[source].__contains__, names))
+            ranks = list(compress(range(1, len(names) + 1), found))
+            per_query_ap[source] = _average_precision(ranks, len(wanted[source]))
+        else:
+            found = [False] * len(names)
+        source_col += [source_rank[source]] * len(names)
+        target_ids += names
+        scores += [score for _, score in ranked]
+        relevant += found
+    if not per_query_ap:
+        raise EvaluationError("no query has any relevant target")
+
+    target_rank = {target: i for i, target in enumerate(sorted(set(target_ids)))}
+    target_col = np.fromiter(map(target_rank.__getitem__, target_ids), np.int64, len(target_ids))
+    order = np.lexsort((target_col, np.array(source_col, np.int64), -np.array(scores, np.float64)))
+    ranked_relevant = np.array(relevant, bool)[order]
+    hits = np.cumsum(ranked_relevant)
+    precision = 100.0 * hits / np.arange(1, len(hits) + 1)
+    recall = 100.0 * hits / len(oracle)
+    curve = list(zip(recall.tolist(), precision.tolist()))
+    ap = _average_precision((np.flatnonzero(ranked_relevant) + 1).tolist(), len(oracle))
     return EvalReport(
         pr_curve=curve,
         f_at_recall=f_at_recall_levels(curve),
         ap=ap,
-        map=map_value,
+        map=sum(per_query_ap.values()) / len(per_query_ap),
         per_query_ap=per_query_ap,
     )
-

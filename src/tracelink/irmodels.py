@@ -22,6 +22,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -305,30 +306,23 @@ def parse_ranked_csv(text: str) -> dict[str, list[tuple[str, float]]]:
 
     A score must be finite, and a (source, target) pair may appear only once.
     """
-    # Each line keeps its "\n", so quoted line breaks survive. An io.StringIO
-    # over the text would copy it at four bytes a character.
-    reader = csv.reader(line + "\n" for line in text.split("\n"))
+    rows = _split_rows(text)
     ranked: dict[str, list[tuple[str, float]]] = {}
-    try:
-        if [field.strip() for field in next(reader, [])] != _CSV_HEADER:
-            raise ParseError("line 1: expected header 'source_id,target_id,score'")
-        for fields in reader:
-            if len(fields) != 3:
-                if not fields or (len(fields) == 1 and not fields[0].strip()):
-                    continue
-                raise ParseError(
-                    f"line {reader.line_num}: expected 3 comma-separated fields, got {len(fields)}"
-                )
-            source, target, score_text = fields
-            try:
-                score = float(score_text)
-            except ValueError:
-                raise ParseError(f"line {reader.line_num}: bad score {score_text!r}") from None
-            if not math.isfinite(score):
-                raise ParseError(f"line {reader.line_num}: score {score_text!r} is not finite")
-            ranked.setdefault(source, []).append((target, score))
-    except csv.Error as exc:
-        raise ParseError(f"line {reader.line_num}: {exc}") from None
+    if [field.strip() for field in next(rows, (1, []))[1]] != _CSV_HEADER:
+        raise ParseError("line 1: expected header 'source_id,target_id,score'")
+    for number, fields in rows:
+        if len(fields) != 3:
+            if not fields or (len(fields) == 1 and not fields[0].strip()):
+                continue
+            raise ParseError(f"line {number}: expected 3 comma-separated fields, got {len(fields)}")
+        source, target, score_text = fields
+        try:
+            score = float(score_text)
+        except ValueError:
+            raise ParseError(f"line {number}: bad score {score_text!r}") from None
+        if not math.isfinite(score):
+            raise ParseError(f"line {number}: score {score_text!r} is not finite")
+        ranked.setdefault(source, []).append((target, score))
     # One set at a time: a set over every pair would cost megabytes on a full ranking.
     for source, targets in ranked.items():
         seen: set[str] = set()
@@ -338,3 +332,25 @@ def parse_ranked_csv(text: str) -> dict[str, list[tuple[str, float]]]:
             seen.add(target)
     return ranked
 
+
+def _split_rows(text: str):
+    """(line number, fields) of each record of `text`, as csv.reader reads them."""
+    lines = text.split("\n")
+    # csv.reader splits a line without quotes, "\r" or NUL on its commas alone,
+    # unless a field exceeds its size limit, and no field is longer than its line.
+    if ('"' in text or "\r" in text or "\0" in text
+            or max(map(len, lines)) > csv.field_size_limit()):
+        return _csv_rows(lines)
+    return enumerate(map(str.split, lines, repeat(",")), start=1)
+
+
+def _csv_rows(lines: list[str]):
+    """(line number, fields) of each record, through csv.reader."""
+    # Each line keeps its "\n", so quoted line breaks survive. An io.StringIO
+    # over the text would copy it at four bytes a character.
+    reader = csv.reader(line + "\n" for line in lines)
+    try:
+        for fields in reader:
+            yield reader.line_num, fields
+    except csv.Error as exc:
+        raise ParseError(f"line {reader.line_num}: {exc}") from None

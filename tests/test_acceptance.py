@@ -16,7 +16,7 @@ from tracelink.cli import main as cli_main
 from tracelink.corpus.codescan import CodeParts
 from tracelink.corpus.manifest import load_dataset
 from tracelink.corpus.types import Artifact, Document, Kind
-from tracelink.evaluate import average_precision, cliffs_delta, mean_average_precision, wilcoxon_rank_sum
+from tracelink.evaluate import cliffs_delta, evaluate_ranking, wilcoxon_rank_sum
 from tracelink.irmodels import build_matrix, build_similarity_table
 from tracelink.pipeline import PipelineConfig, run_pipeline
 from tracelink.transitive import adjust_scores, form_paths
@@ -184,7 +184,9 @@ def test_metric_oracles():
         ranked = [("s", f"t{i}") for i in range(n)]
         rng.shuffle(ranked)
         oracle = set(rng.sample(ranked, rng.randint(1, n)))
-        err = abs(average_precision(ranked, oracle) - oracle_average_precision(ranked, oracle))
+        candidates = {"s": [(t, float(n - k)) for k, (_, t) in enumerate(ranked)]}
+        ap = evaluate_ranking(candidates, oracle).ap
+        err = abs(ap - oracle_average_precision(ranked, oracle))
         max_ap_err = max(max_ap_err, err)
     assert max_ap_err <= 1e-12
 
@@ -199,7 +201,8 @@ def test_metric_oracles():
             oracle |= set(rng.sample(targets, rng.randint(0, len(targets))))
         if not any(link in oracle for links in per_query.values() for link in links):
             continue
-        value, _ = mean_average_precision(per_query, oracle)
+        candidates = {q: [(t, 1.0) for _, t in links] for q, links in per_query.items()}
+        value = evaluate_ranking(candidates, oracle).map
         expected = []
         for q, links in per_query.items():
             relevant = {l for l in oracle if l[0] == q}

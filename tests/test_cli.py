@@ -1,12 +1,14 @@
 """CLI behaviour: outputs, exit codes, determinism."""
 
+import csv
 import json
 import shutil
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from tracelink.cli import main
+from tracelink.cli import _json_text, _pr_curve_csv, main
+from tracelink.evaluate import EvalReport
 from tracelink.irmodels import MODELS
 from tracelink.pipeline import ABLATION_MODES
 
@@ -220,6 +222,17 @@ class TestEval:
         err = capsys.readouterr().err
         assert "error:" in err and "line 3" in err
 
+    def test_over_long_field_exits_2(self, tmp_path, motivating_manifest, capsys):
+        long_id = "x" * (csv.field_size_limit() + 1)
+        ranked = tmp_path / "ranked.csv"
+        ranked.write_text(f"source_id,target_id,score\nRE-691,{long_id},0.5\n")
+        code = run_cli(
+            "eval", "--manifest", str(motivating_manifest), "--ranked", str(ranked),
+            "--out", str(tmp_path / "out"),
+        )
+        assert code == 2
+        assert "line 2: field larger than field limit" in capsys.readouterr().err
+
     def test_in_process_run(self, tmp_path, motivating_manifest):
         out = tmp_path / "out"
         code = run_cli(
@@ -229,6 +242,38 @@ class TestEval:
         assert code == 0
         report = json.loads((out / "eval_report.json").read_text())
         assert 0.0 <= report["ap"] <= 100.0
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | _finite | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(["pr_curve", "ap", "x"]) | st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+class TestReportWriter:
+    @given(
+        st.dictionaries(st.sampled_from(["ap", "map", "f_at_recall", "z"]) | st.text(max_size=3),
+                        _json_values, max_size=4),
+        st.lists(st.tuples(st.sampled_from([0.0, -0.0, 5e-05, 9.9999995e-05, 1e-06, 4e-07]) | _finite,
+                           _finite | st.sampled_from([1e-05, 100.0, 33.3333335])), max_size=6),
+    )
+    @example({}, [])
+    @example({"ap": 1.5}, [(0.0, 0.0)])
+    @example({"per_query_ap": {"pr_curve": 1}}, [(5e-05, 1e-06), (9.99e-05, 100.0), (2e-05, 0.0)])
+    def test_spliced_curve_matches_json_dumps(self, payload, curve):
+        full = {**payload, "pr_curve": [[round(r, 6), round(p, 6)] for r, p in curve]}
+        assert _json_text(payload, curve) == json.dumps(full, sort_keys=True, indent=2) + "\n"
+        assert _json_text(payload) == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+    @given(st.lists(st.tuples(st.sampled_from([0.0, -0.0, 50.0, 1e-07]) | _finite, _finite),
+                    max_size=6))
+    def test_curve_csv_formats_every_point(self, curve):
+        report = EvalReport(pr_curve=curve, f_at_recall=[], ap=0.0, map=0.0, per_query_ap={})
+        expected = "".join(f"{r:.6f},{p:.6f}\n" for r, p in curve)
+        assert _pr_curve_csv(report) == "recall,precision\n" + expected
 
 
 class TestAblate:

@@ -1,6 +1,10 @@
 """Lexical code scanning into the eight part categories."""
 
-from tracelink.corpus.codescan import scan_code
+import re
+
+from hypothesis import given, strategies as st
+
+from tracelink.corpus.codescan import _preceding_word, scan_code
 
 JAVA_SAMPLE = """
 /** Route details are shown in this info box. */
@@ -134,3 +138,14 @@ def test_c_struct_and_function():
     assert ["log", "event"] in parts.invoked_method_names
     assert ["speed"] in parts.field_names
     assert ["force"] in parts.parameter_names
+
+
+# Unicode whitespace and digits that `\s`, `\w`, `str.isspace` and `str.isalnum` all see.
+_SCAN_CHARS = st.sampled_from(" \t\n\x0b\x1c\x85\u00a0\u2003\u3000_aZ\u00e9\u0663\u00b2\u00bd(;")
+
+
+@given(st.text(_SCAN_CHARS | st.characters(), max_size=30))
+def test_preceding_word_matches_regex(code):
+    for pos in range(len(code) + 1):
+        m = re.search(r"(\w+)\s*$", code[:pos])
+        assert _preceding_word(code, pos) == (m.group(1) if m else None)

@@ -1,4 +1,10 @@
-"""Retrieval metrics and statistical tests against brute-force oracles."""
+"""Retrieval metrics and statistical tests against brute-force oracles.
+
+`global_ranked_links`, `precision_recall`, `average_precision` and
+`mean_average_precision` are the list-of-pairs metrics that
+`evaluate_ranking` replaced with one array pass over the ranking; they stay
+here as its oracle, and `evaluate_ranking` must match them bit for bit.
+"""
 
 import itertools
 import random
@@ -8,17 +14,129 @@ from hypothesis import given, strategies as st
 
 from tracelink.errors import ConfigError, EvaluationError
 from tracelink.evaluate import (
-    average_precision,
+    EvalReport,
     cliffs_delta,
     compare_runs,
     delta_category,
+    evaluate_ranking,
     f_at_recall_levels,
     f_measure,
-    mean_average_precision,
-    precision_recall,
     wilcoxon_rank_sum,
 )
 from tracelink.pipeline import parse_mode
+
+
+def global_ranked_links(ranked):
+    """Flatten per-source lists into one global list sorted by score then ids."""
+    links = [(s, t, score) for s, targets in ranked.items() for t, score in targets]
+    links.sort(key=lambda item: (-item[2], item[0], item[1]))
+    return links
+
+
+def precision_recall(ranked, oracle):
+    """(recall%, precision%) at every cutoff k = 1..N of the ranked link list."""
+    if not oracle:
+        raise EvaluationError("precision/recall undefined for an empty oracle")
+    curve = []
+    hits = 0
+    for k, link in enumerate(ranked, start=1):
+        if link in oracle:
+            hits += 1
+        precision = 100.0 * hits / k
+        recall = 100.0 * hits / len(oracle)
+        curve.append((recall, precision))
+    return curve
+
+
+def average_precision(ranked, oracle):
+    """Mean of precision at relevant ranks over |oracle|, as a percentage."""
+    if not oracle:
+        raise EvaluationError("average precision undefined for an empty oracle")
+    hits = 0
+    total = 0.0
+    for k, link in enumerate(ranked, start=1):
+        if link in oracle:
+            hits += 1
+            total += hits / k
+    return 100.0 * total / len(oracle)
+
+
+def mean_average_precision(per_query, oracle):
+    """Mean per-query AP, skipping queries without relevant targets."""
+    per_query_ap = {}
+    for query, ranked in per_query.items():
+        relevant = {pair for pair in oracle if pair[0] == query}
+        if not relevant:
+            continue
+        per_query_ap[query] = average_precision(ranked, relevant)
+    if not per_query_ap:
+        raise EvaluationError("no query has any relevant target")
+    return sum(per_query_ap.values()) / len(per_query_ap), per_query_ap
+
+
+def oracle_evaluate_ranking(candidates, oracle):
+    """`evaluate_ranking` as the list-of-pairs metrics compute it."""
+    if not oracle:
+        raise EvaluationError("evaluation requires a nonempty oracle")
+    global_links = [(s, t) for s, t, _ in global_ranked_links(candidates)]
+    curve = precision_recall(global_links, oracle)
+    ap = average_precision(global_links, oracle)
+    per_query = {s: [(s, t) for t, _ in targets] for s, targets in candidates.items()}
+    map_value, per_query_ap = mean_average_precision(per_query, oracle)
+    return EvalReport(
+        pr_curve=curve,
+        f_at_recall=f_at_recall_levels(curve),
+        ap=ap,
+        map=map_value,
+        per_query_ap=per_query_ap,
+    )
+
+
+# Few ids and few distinct scores, so exact ties across sources are common.
+_SOURCES = st.sampled_from(["s0", "s1", "s2", "S", "s10"])
+_TARGETS = st.sampled_from(["t0", "t1", "t2", "t3", "T", "t10", "é", *"abcdefgh"])
+_SCORES = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, 0.25, 1.0, 1e-300]),
+    st.floats(-2.0, 2.0, allow_nan=False),
+)
+
+
+def _outcome(function, *args):
+    """repr of the result, or the error's type and message: equal only bit for bit."""
+    try:
+        return repr(function(*args))
+    except EvaluationError as exc:
+        return ("EvaluationError", str(exc))
+
+
+class TestEvaluateRanking:
+    @given(
+        st.dictionaries(
+            _SOURCES,
+            st.lists(st.tuples(_TARGETS, _SCORES), max_size=15, unique_by=lambda item: item[0]),
+            max_size=5,
+        ),
+        st.sets(st.tuples(_SOURCES, _TARGETS), max_size=40),
+    )
+    def test_matches_list_oracle_bit_for_bit(self, candidates, oracle):
+        assert _outcome(evaluate_ranking, candidates, oracle) == _outcome(
+            oracle_evaluate_ranking, candidates, oracle
+        )
+
+    def test_long_rankings_match_list_oracle_bit_for_bit(self):
+        # Hundreds of relevant links, where a pairwise sum would add AP in another order.
+        rng = random.Random(17)
+        for _ in range(20):
+            targets = [f"t{i}" for i in range(rng.randint(1, 60))]
+            candidates = {
+                f"s{i}": [(t, rng.choice([0.0, 0.5, rng.random()])) for t in targets]
+                for i in range(rng.randint(1, 12))
+            }
+            oracle = {(s, t) for s in candidates for t in targets if rng.random() < 0.3}
+            oracle.add(("s0", "unranked"))
+            assert _outcome(evaluate_ranking, candidates, oracle) == _outcome(
+                oracle_evaluate_ranking, candidates, oracle
+            )
 
 
 class TestPrecisionRecall:

@@ -10,6 +10,7 @@ import dataclasses
 import math
 import random
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,8 +18,8 @@ from hypothesis import given, strategies as st
 
 from tracelink import irmodels
 from tracelink.corpus.types import Document
-from tracelink.errors import ConfigError, ValidationError
-from tracelink.evaluate import global_ranked_links
+from tracelink.errors import ConfigError, ParseError, ValidationError
+from tracelink.evaluate import evaluate_ranking
 from tracelink.irmodels import (
     SimilarityTable,
     _JS_EPSILON,
@@ -34,6 +35,20 @@ from tracelink.irmodels import (
 
 # Ids lean on the characters that CSV quoting and line splitting treat specially.
 _ids = st.text(st.sampled_from(',"\r\n\u2028 x') | st.characters(), min_size=1, max_size=6)
+
+
+# Text without '"', "\r" or NUL, which `parse_ranked_csv` splits without csv.reader.
+_plain_id = st.text(st.sampled_from("ab \u2028\x0b\x1c\u00e9") | st.characters(
+    exclude_characters='",\r\n\0'), max_size=4)
+_score_text = st.sampled_from(["0.5", " 1 ", "-0.0", "1e999", "inf", "nan", "-inf", "1_0", "x", ""])
+_plain_field = st.one_of(_plain_id, _score_text)
+
+
+def _parse_outcome(text):
+    try:
+        return parse_ranked_csv(text)
+    except ParseError as exc:
+        return ("ParseError", str(exc))
 
 
 def doc(doc_id, terms, added=None):
@@ -536,11 +551,30 @@ class TestRanking:
         }
         assert parse_ranked_csv(format_ranked_csv(ranked)) == expected
 
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from(["", " ", "\t \u2028", "x", "a,b,c,d"]),
+                st.lists(_plain_field, min_size=2, max_size=4).map(",".join),
+                st.tuples(_plain_id, _plain_id, _score_text).map(",".join),
+            ),
+            max_size=8,
+        ),
+        st.sampled_from(["source_id,target_id,score", " source_id , target_id,score", "a,b"]),
+    )
+    def test_split_fast_path_matches_csv_reader(self, body, header):
+        text = "\n".join([header, *body])
+        with mock.patch.object(irmodels, "_split_rows",
+                               lambda text: irmodels._csv_rows(text.split("\n"))):
+            through_csv = _parse_outcome(text)
+        assert _parse_outcome(text) == through_csv
+
     def test_csv_quotes_only_ids_that_need_it(self):
         text = format_ranked_csv({"a,b": [("t", 0.5)], "s": [("t", 0.25)]})
         assert text == 'source_id,target_id,score\n"a,b",t,0.500000\ns,t,0.250000\n'
 
     def test_global_list_ordering(self):
         ranked = {"s2": [("t1", 0.5)], "s1": [("t1", 0.5), ("t2", 0.9)]}
-        links = global_ranked_links(ranked)
-        assert links == [("s1", "t2", 0.9), ("s1", "t1", 0.5), ("s2", "t1", 0.5)]
+        # Global order (s1, t2), (s1, t1), (s2, t1): the one relevant link comes third.
+        report = evaluate_ranking(ranked, {("s2", "t1")})
+        assert [precision for _, precision in report.pr_curve] == [0.0, 0.0, 100.0 / 3]

@@ -9,7 +9,11 @@ On the motivating dataset the six `ablate` reports are all equal under
 `vsm` and `lsi`, so the `modes:` keys pin the same outputs on `data/modes`:
 twelve artifacts written by `perfbench/gen.py` (`write_corpus` with seed 14
 and `CorpusParams(4, 2, 6, 2, 2, 30, 0.5, 2)`), on which every mode gives
-its own report under every model. A refactor or speed-up that moves one byte, for example by splitting an
+its own report under every model. The `eval/` keys pin the read side on the
+motivating dataset: `eval --ranked X --compare Y` with X and Y written by
+`trace` under `vsm` and `js`, and `eval --ranked` on the `vsm` ranking with
+one extra row whose source id holds a comma, so it is quoted and read through
+`csv.reader`. A refactor or speed-up that moves one byte, for example by splitting an
 exact score tie differently, fails here. Re-record only for an intended
 change of output, never to absorb a numeric drift:
 
@@ -48,6 +52,28 @@ def ablate_digests(manifest: Path, model: str, out: Path) -> dict[str, str]:
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
 
 
+def eval_digests(manifest: Path, out: Path) -> dict[str, dict[str, str]]:
+    """Digests of `eval --ranked` outputs on rankings that `trace` writes for `manifest`."""
+    rankings = {}
+    for model in ("vsm", "js"):
+        trace_digests(manifest, model, "b+o+i", out / f"trace_{model}")
+        rankings[model] = out / f"trace_{model}" / "ranked_links.csv"
+    quoted = out / "quoted.csv"
+    quoted.write_bytes(rankings["vsm"].read_bytes() + b'"RE-691, copy",AFInfoBox,0.500000\n')
+    runs = {
+        "eval/vsm-vs-js": ["--ranked", str(rankings["vsm"]), "--compare", str(rankings["js"])],
+        "eval/quoted-id": ["--ranked", str(quoted)],
+    }
+    digests = {}
+    for key, ranked_args in runs.items():
+        target = out / key.replace("/", "_")
+        assert main(["eval", "--manifest", str(manifest), *ranked_args,
+                     "--out", str(target)]) == 0
+        digests[key] = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                        for p in sorted(target.iterdir())}
+    return digests
+
+
 @pytest.mark.parametrize("model", MODELS)
 @pytest.mark.parametrize("mode", ABLATION_MODES)
 def test_modes_trace_outputs_byte_identical(tmp_path, model, mode, capsys):
@@ -77,6 +103,13 @@ def test_ablate_outputs_byte_identical(tmp_path, motivating_manifest, model, cap
     assert ablate_digests(motivating_manifest, model, tmp_path) == expected
 
 
+def test_eval_outputs_byte_identical(tmp_path, motivating_manifest, capsys):
+    expected = json.loads(DIGESTS.read_text(encoding="utf-8"))
+    got = eval_digests(motivating_manifest, tmp_path)
+    assert len(got["eval/vsm-vs-js"]) == 3
+    assert got == {key: expected[key] for key in got}
+
+
 if __name__ == "__main__":
     datasets = {"": DATA_DIR / "motivating" / "manifest.json", "modes:": MODES_MANIFEST}
     digests = {}
@@ -95,4 +128,5 @@ if __name__ == "__main__":
                 )
                 for model in MODELS
             }
+        digests |= eval_digests(datasets[""], Path(tmp) / "eval")
     print(json.dumps(digests, sort_keys=True, indent=2))

@@ -10,6 +10,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from tracelink.irmodels import SimilarityTable
 from tracelink.transitive import LinkKind, TransitivePath, adjust_scores, form_paths
@@ -311,6 +312,27 @@ class TestAdjustScores:
         ]
         adjusted = adjust_scores(candidates, {"s": paths})
         assert adjusted["s"][0][1] == pytest.approx(0.5 * 1.1 * 1.2)
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([0.3, 0.5, 0.8]),
+        st.integers(1, 4),
+        st.booleans(),
+    )
+    def test_paths_never_repeat_a_node_and_never_lower_a_score(self, seed, m, t, allow_inner):
+        pools, table = random_scenario(random.Random(seed))
+        targets = pools.target_ids()
+        candidates = {
+            s: list(zip(targets, table.row_scores(s, targets))) for s in pools.source_ids()
+        }
+        paths = {s: form_paths(s, pools, table, m, t, allow_inner) for s in candidates}
+        for found in paths.values():
+            for path in found:
+                assert len(set(path.nodes)) == len(path.nodes)
+        for s, rescored in adjust_scores(candidates, paths).items():
+            before = dict(candidates[s])
+            for target, score in rescored:
+                assert score >= before[target]
 
     def test_monotone_non_decrease_and_resort(self):
         rng = random.Random(127)
