@@ -13,7 +13,10 @@ its own report under every model. The `eval/` keys pin the read side on the
 motivating dataset: `eval --ranked X --compare Y` with X and Y written by
 `trace` under `vsm` and `js`, and `eval --ranked` on the `vsm` ranking with
 one extra row whose source id holds a comma, so it is quoted and read through
-`csv.reader`. A refactor or speed-up that moves one byte, for example by splitting an
+`csv.reader`. The `corpus/` keys (and `modes:corpus/` on `data/modes`) pin the
+`enriched_corpus.json` that `trace --dump-corpus` writes for every model and
+mode: the base terms and added biterm weights of every document, recorded
+while an NL artifact still carried its own tagged sentences. A refactor or speed-up that moves one byte, for example by splitting an
 exact score tie differently, fails here. Re-record only for an intended
 change of output, never to absorb a numeric drift:
 
@@ -36,14 +39,22 @@ from tracelink.pipeline import ABLATION_MODES
 DATA_DIR = Path(__file__).parent / "data"
 DIGESTS = DATA_DIR / "parity_digests.json"
 MODES_MANIFEST = DATA_DIR / "modes" / "manifest.json"
+DATASETS = {"": DATA_DIR / "motivating" / "manifest.json", "modes:": MODES_MANIFEST}
 OUTPUTS = ("ranked_links.csv", "path_traces.json")
+CORPUS_OUTPUTS = ("enriched_corpus.json",)
 
 
-def trace_digests(manifest: Path, model: str, mode: str, out: Path) -> dict[str, str]:
+def trace_digests(
+    manifest: Path, model: str, mode: str, out: Path, *extra_args: str, outputs=OUTPUTS
+) -> dict[str, str]:
     code = main(["trace", "--manifest", str(manifest), "--model", model,
-                 "--mode", mode, "--out", str(out)])
+                 "--mode", mode, "--out", str(out), *extra_args])
     assert code == 0
-    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in OUTPUTS}
+    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in outputs}
+
+
+def corpus_digests(manifest: Path, model: str, mode: str, out: Path) -> dict[str, str]:
+    return trace_digests(manifest, model, mode, out, "--dump-corpus", outputs=CORPUS_OUTPUTS)
 
 
 def ablate_digests(manifest: Path, model: str, out: Path) -> dict[str, str]:
@@ -103,6 +114,14 @@ def test_ablate_outputs_byte_identical(tmp_path, motivating_manifest, model, cap
     assert ablate_digests(motivating_manifest, model, tmp_path) == expected
 
 
+@pytest.mark.parametrize("prefix", DATASETS)
+@pytest.mark.parametrize("model", MODELS)
+@pytest.mark.parametrize("mode", ABLATION_MODES)
+def test_dumped_corpus_byte_identical(tmp_path, prefix, model, mode, capsys):
+    expected = json.loads(DIGESTS.read_text(encoding="utf-8"))[f"{prefix}corpus/{model}/{mode}"]
+    assert corpus_digests(DATASETS[prefix], model, mode, tmp_path) == expected
+
+
 def test_eval_outputs_byte_identical(tmp_path, motivating_manifest, capsys):
     expected = json.loads(DIGESTS.read_text(encoding="utf-8"))
     got = eval_digests(motivating_manifest, tmp_path)
@@ -111,11 +130,10 @@ def test_eval_outputs_byte_identical(tmp_path, motivating_manifest, capsys):
 
 
 if __name__ == "__main__":
-    datasets = {"": DATA_DIR / "motivating" / "manifest.json", "modes:": MODES_MANIFEST}
     digests = {}
     # `trace` reports each run on stdout; send that to stderr so stdout holds only the JSON.
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(sys.stderr):
-        for n, (prefix, manifest) in enumerate(datasets.items()):
+        for n, (prefix, manifest) in enumerate(DATASETS.items()):
             digests |= {
                 f"{prefix}{model}/{mode}": trace_digests(
                     manifest, model, mode, Path(tmp) / f"{n}_{model}_{mode}"
@@ -128,5 +146,11 @@ if __name__ == "__main__":
                 )
                 for model in MODELS
             }
-        digests |= eval_digests(datasets[""], Path(tmp) / "eval")
+            digests |= {
+                f"{prefix}corpus/{model}/{mode}": corpus_digests(
+                    manifest, model, mode, Path(tmp) / f"{n}_corpus_{model}_{mode}"
+                )
+                for model in MODELS for mode in ABLATION_MODES
+            }
+        digests |= eval_digests(DATASETS[""], Path(tmp) / "eval")
     print(json.dumps(digests, sort_keys=True, indent=2))
