@@ -1,11 +1,12 @@
 """Biterm extraction, importance counting and intermediate-centric filtering.
 
 A biterm is a canonical unordered pair of stems extracted from one artifact.
-NL artifacts yield pairs of grammatically related content words (heuristic:
-a sliding window over noun/verb/adjective tokens, or an imported dependency
-parse). Code artifacts yield all pairs of split identifier tokens, with
-importance counts that weight class/method names over the weaker identifier
-categories, plus comment pairs extracted like prose.
+One extractor reads every artifact's `CodeParts`. Prose (code comments, and
+all the text of an NL artifact) yields pairs of grammatically related content
+words: a sliding window over each sentence's noun/verb/adjective tokens. Split
+identifiers yield all pairs of their tokens, with importance counts that weight
+class/method names over the weaker identifier categories. Only an NL artifact
+may take an imported dependency parse instead.
 
 An artifact's biterms are a plain dict, `Biterms`, from each canonical pair
 to its importance count. Every extractor returns one; the consensual filter
@@ -76,19 +77,6 @@ def _window_pairs(tokens: list[str], window: int) -> list[Pair]:
     return pairs
 
 
-def _sentence_pairs(tagged: list[tuple[str, str | None]]) -> list[Pair]:
-    return _window_pairs([tok for tok, tag in tagged if tag in _CONTENT_TAGS], _WINDOW)
-
-
-def extract_nl_biterms(artifact: Artifact) -> Biterms:
-    """Windowed content-word pairs per sentence, counted over the whole artifact."""
-    result: Biterms = {}
-    for sentence in artifact.sentences:
-        for pair in _sentence_pairs(sentence):
-            result[pair] = result.get(pair, 0) + 1
-    return result
-
-
 def import_parsed_pairs(pairs_file: str | Path) -> Biterms:
     """Read externally parsed dependency pairs, replacing heuristic extraction.
 
@@ -121,15 +109,25 @@ def import_parsed_pairs(pairs_file: str | Path) -> Biterms:
     return result
 
 
-def extract_code_biterms(artifact: Artifact) -> Biterms:
-    """Identifier-token pairs weighted by code-part importance.
+def extract_biterms(artifact: Artifact, pairs_dir: str | Path | None = None) -> Biterms:
+    """Biterms weighted by the part they occur in, or an NL artifact's imported parse.
 
-    Class/method name occurrences add two points each, comment occurrences
-    one point each; pairs seen in the remaining categories (invoked methods,
-    fields, parameters) add a single flat point no matter how often.
+    An NL artifact whose id has a `<id>.tsv` in `pairs_dir` takes the pairs
+    of that file. Otherwise class/method name occurrences add two points
+    each, comment (prose) occurrences one point each, and pairs seen in the
+    remaining categories (invoked methods, fields, parameters) add a single
+    flat point no matter how often.
     """
-    parts = artifact.code_parts
-    assert parts is not None and artifact.kind is Kind.CODE
+    if artifact.kind is Kind.NATURAL_LANGUAGE and pairs_dir is not None:
+        candidate = Path(pairs_dir) / f"{artifact.id}.tsv"
+        try:
+            found = candidate.exists()
+        except OSError as exc:  # e.g. an id too long for a file name
+            raise LoadError(f"cannot look for dependency-pair file {candidate}: {exc}") from exc
+        if found:
+            return import_parsed_pairs(candidate)
+
+    parts = artifact.parts
     strong: dict[Pair, int] = {}
     comment: dict[Pair, int] = {}
     weak: set[Pair] = set()
@@ -139,8 +137,8 @@ def extract_code_biterms(artifact: Artifact) -> Biterms:
             for pair in _window_pairs(identifier_tokens, len(identifier_tokens)):
                 strong[pair] = strong.get(pair, 0) + 1
     for tokens in parts.comments:
-        tagged = [(tok, tag_token(tok)) for tok in tokens]
-        for pair in _sentence_pairs(tagged):
+        content_words = [tok for tok in tokens if tag_token(tok) in _CONTENT_TAGS]
+        for pair in _window_pairs(content_words, _WINDOW):
             comment[pair] = comment.get(pair, 0) + 1
     for part_name in _WEAK_PARTS:
         for identifier_tokens in getattr(parts, part_name):
@@ -150,21 +148,6 @@ def extract_code_biterms(artifact: Artifact) -> Biterms:
         pair: 2 * strong.get(pair, 0) + comment.get(pair, 0) + (1 if pair in weak else 0)
         for pair in sorted(set(strong) | set(comment) | weak)
     }
-
-
-def extract_biterms(artifact: Artifact, pairs_dir: str | Path | None = None) -> Biterms:
-    """Dispatch to the code extractor, an imported parse, or the NL heuristic."""
-    if artifact.kind is Kind.CODE:
-        return extract_code_biterms(artifact)
-    if pairs_dir is not None:
-        candidate = Path(pairs_dir) / f"{artifact.id}.tsv"
-        try:
-            found = candidate.exists()
-        except OSError as exc:  # e.g. an id too long for a file name
-            raise LoadError(f"cannot look for dependency-pair file {candidate}: {exc}") from exc
-        if found:
-            return import_parsed_pairs(candidate)
-    return extract_nl_biterms(artifact)
 
 
 def consensual_filter(

@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass, field
 
 from .identifiers import split_identifier
-from .nltext import split_sentences
+from .nltext import tokenize_natural
 
 _LINE_COMMENT = re.compile(r"//([^\n]*)")
 _BLOCK_COMMENT = re.compile(r"/\*(.*?)\*/", re.DOTALL)
@@ -41,7 +41,7 @@ _NON_TYPES = frozenset({"return", "throw", "new", "else", "case", "do", "void"})
 
 @dataclass
 class CodeParts:
-    """Structured identifier and comment extraction from one code artifact."""
+    """Split identifiers and comment sentences of one artifact; NL prose fills `comments` only."""
 
     class_names: list[list[str]] = field(default_factory=list)
     method_names: list[list[str]] = field(default_factory=list)
@@ -93,10 +93,7 @@ def _extract_comments(source: str, parts: CodeParts) -> str:
     for m in _LINE_COMMENT.finditer(without_blocks):
         texts.append((m.start(), m.group(1)))
     for _, body in sorted(texts):
-        for sentence in split_sentences(body):
-            tokens = re.findall(r"[A-Za-z0-9]+", sentence)
-            if tokens:
-                parts.comments.append(tokens)
+        parts.comments.extend(tokenize_natural(body))
     return _LINE_COMMENT.sub(" ", without_blocks)
 
 

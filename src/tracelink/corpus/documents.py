@@ -1,37 +1,23 @@
 """Build normalized documents from artifacts.
 
-An NL artifact contributes every token of every sentence. A code artifact
-contributes its comments plus the split tokens of class names, method names,
-field types/names and parameter types/names; invoked method names are left
-out of the document (they still matter for biterm importance counts).
+A document holds every token of an artifact's comments (all of an NL
+artifact's prose) plus the split tokens of class names, method names, field
+types/names and parameter types/names; invoked method names are left out of
+the document (they still matter for biterm importance counts).
 """
 
 from __future__ import annotations
 
-from .preprocess import preprocess
-from .types import Artifact, Document, Kind
+from dataclasses import fields
 
-_DOCUMENT_PARTS = (
-    "class_names",
-    "method_names",
-    "field_type_names",
-    "field_names",
-    "parameter_type_names",
-    "parameter_names",
-)
+from .codescan import CodeParts
+from .preprocess import preprocess
+from .types import Artifact, Document
+
+_DOCUMENT_PARTS = [f.name for f in fields(CodeParts) if f.name != "invoked_method_names"]
 
 
 def build_document(artifact: Artifact) -> Document:
-    tokens: list[str] = []
-    if artifact.kind is Kind.NATURAL_LANGUAGE:
-        for sentence in artifact.sentences:
-            tokens.extend(tok for tok, _ in sentence)
-    else:
-        parts = artifact.code_parts
-        assert parts is not None
-        for name in _DOCUMENT_PARTS:
-            for identifier_tokens in getattr(parts, name):
-                tokens.extend(identifier_tokens)
-        for comment_tokens in parts.comments:
-            tokens.extend(comment_tokens)
+    parts = artifact.parts
+    tokens = [tok for name in _DOCUMENT_PARTS for group in getattr(parts, name) for tok in group]
     return Document(artifact_id=artifact.id, terms=preprocess(tokens))

@@ -17,7 +17,9 @@ alike, whatever the file suffix. Each level is a list of objects whose
 `id`, `path` and `kind` are strings; any other shape raises
 `ValidationError`. Each level loads into the `Dataset` list of the same
 name, which is all that records an artifact's level. A body is parsed as
-it is read (sentences or code parts), and its text is not kept.
+it is read, and its text is not kept. Both kinds parse into `CodeParts`: a
+code body through the code scanner, an NL body as prose, into the
+`comments` part that holds the comment sentences of code.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import json
 from pathlib import Path
 
 from ..errors import LoadError, ValidationError, read_text
-from .codescan import scan_code
+from .codescan import CodeParts, scan_code
 from .nltext import tokenize_natural
 from .types import Artifact, Dataset, Kind
 
@@ -73,9 +75,10 @@ def _load_artifact(entry: dict, base: Path) -> Artifact:
 
     kind_name = entry["kind"].lower()
     if kind_name in ("nl", "natural", "naturallanguage", "text"):
-        return Artifact(entry["id"], Kind.NATURAL_LANGUAGE, sentences=tokenize_natural(text))
+        prose = CodeParts(comments=tokenize_natural(text))
+        return Artifact(entry["id"], Kind.NATURAL_LANGUAGE, prose)
     if kind_name == "code":
-        return Artifact(entry["id"], Kind.CODE, code_parts=scan_code(text))
+        return Artifact(entry["id"], Kind.CODE, scan_code(text))
     raise ValidationError(f"unknown artifact kind {entry['kind']!r} for {entry['id']!r}")
 
 

@@ -1,22 +1,23 @@
 """Sentence segmentation and coarse part-of-speech tagging.
 
-The tagger assigns one of four coarse tags (noun, verb, adj, other) from a
-bundled lexicon of common English words plus suffix heuristics, defaulting
-open-class unknowns to noun. Purely numeric tokens get no tag at all. This
-is deliberately lightweight: downstream only needs to separate content words
+Prose, the text of an NL artifact as much as a code comment, becomes
+sentences of plain tokens; the tagger runs when biterms are extracted. It
+assigns one of four coarse tags (noun, verb, adj, other) from a bundled
+lexicon of common English words plus suffix heuristics, defaulting open-class
+unknowns to noun. Purely numeric tokens get no tag at all. This is
+deliberately lightweight: downstream only needs to separate content words
 (noun/verb/adjective) from everything else.
 """
 
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 
 NOUN = "noun"
 VERB = "verb"
 ADJ = "adj"
 OTHER = "other"
-
-TaggedToken = tuple[str, str | None]
 
 _TOKEN = re.compile(r"[A-Za-z0-9]+")
 _SENTENCE_END = re.compile(r"[.?!]+(?=\s|$)")
@@ -98,8 +99,9 @@ _ADJ_SUFFIXES = ("able", "ible", "ous", "ful", "less", "ive", "ish",
 _VERB_SUFFIXES = ("ize", "ise", "ify", "ate", "ing", "ed")
 
 
+@lru_cache(maxsize=None)
 def tag_token(token: str) -> str | None:
-    """Tag one token: noun, verb, adj, other, or None when untaggable."""
+    """Tag one token: noun, verb, adj, other, or None when untaggable (cached per word)."""
     if token.isdigit():
         return None
     lowered = token.lower()
@@ -163,15 +165,10 @@ def split_sentences(text: str) -> list[str]:
     return sentences
 
 
-def tokenize_natural(text: str) -> list[list[TaggedToken]]:
-    """Segment text into sentences of (token, tag) pairs.
+def tokenize_natural(text: str) -> list[list[str]]:
+    """Segment text into sentences of tokens.
 
-    Tokens are maximal alphanumeric runs; punctuation is dropped. Empty
-    input yields no sentences.
+    Tokens are maximal alphanumeric runs; punctuation is dropped, and so is
+    a sentence left with no token. Empty input yields no sentences.
     """
-    result: list[list[TaggedToken]] = []
-    for sentence in split_sentences(text):
-        tokens = _TOKEN.findall(sentence)
-        if tokens:
-            result.append([(tok, tag_token(tok)) for tok in tokens])
-    return result
+    return [tokens for sentence in split_sentences(text) if (tokens := _TOKEN.findall(sentence))]

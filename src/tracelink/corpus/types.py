@@ -1,7 +1,9 @@
 """Core corpus types: artifacts, normalized documents, datasets.
 
 An artifact holds only what the pipeline reads of it: its id, its kind and
-its parsed text. Its level is the `Dataset` list that holds it.
+its parsed text. Every artifact has the same shape, `CodeParts`: an NL
+artifact is read as the prose part (the `comments`) of the structure a code
+artifact has. Its level is the `Dataset` list that holds it.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from enum import Enum
 
 from ..errors import ValidationError
 from .codescan import CodeParts
-from .nltext import TaggedToken
 
 
 class Kind(str, Enum):
@@ -22,21 +23,11 @@ class Kind(str, Enum):
 
 @dataclass
 class Artifact:
-    """One parsed document: sentences for natural language, code parts for code."""
+    """One parsed document; only an imported dependency parse reads its kind."""
 
     id: str
     kind: Kind
-    sentences: list[list[TaggedToken]] = field(default_factory=list)
-    code_parts: CodeParts | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind is Kind.CODE:
-            if self.code_parts is None:
-                raise ValidationError(f"code artifact {self.id!r} has no code parts")
-            if self.sentences:
-                raise ValidationError(f"code artifact {self.id!r} must not carry sentences")
-        elif self.code_parts is not None:
-            raise ValidationError(f"NL artifact {self.id!r} must not carry code parts")
+    parts: CodeParts
 
 
 @dataclass

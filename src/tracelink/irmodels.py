@@ -94,23 +94,20 @@ def lsi_document_space(matrix: TermDocMatrix, k: int) -> np.ndarray:
 
 
 class SimilarityTable:
-    """Symmetric pairwise similarities in [0, 1] under one model.
+    """Symmetric pairwise similarities in [0, 1].
 
     `scores[i, j]` is the similarity of `ids[i]` and `ids[j]`; only the
     strict upper triangle of the given matrix is read, so the stored matrix
     is exactly symmetric. A document has no similarity with itself.
     """
 
-    def __init__(self, model: str, ids: list[str], scores: np.ndarray):
-        if model not in MODELS:
-            raise ConfigError(f"unknown IR model {model!r}; expected one of {MODELS}")
+    def __init__(self, ids: list[str], scores: np.ndarray):
         n = len(ids)
         if len(set(ids)) != n:
             raise ValidationError("duplicate document ids in similarity table")
         if scores.shape != (n, n):
             raise ValidationError(f"score matrix shape {scores.shape} does not match {n} ids")
         upper = np.triu(np.clip(scores, 0.0, 1.0), 1)
-        self.model = model
         self.ids = list(ids)
         # The zeros of `upper.T` also turn a clipped -0.0 into 0.0 ("0.000000").
         self.scores = upper + upper.T
@@ -238,9 +235,9 @@ def build_similarity_table(
         raise ConfigError(f"unknown IR model {model!r}; expected one of {MODELS}")
     ids = [d.artifact_id for d in documents]
     if model == "js":
-        return SimilarityTable(model, ids, _js_matrix(documents))
+        return SimilarityTable(ids, _js_matrix(documents))
     if all(d.total_mass() == 0 for d in documents):
-        return SimilarityTable(model, ids, np.zeros((len(ids), len(ids))))
+        return SimilarityTable(ids, np.zeros((len(ids), len(ids))))
 
     matrix = build_matrix(documents)
     if model == "vsm":
@@ -250,7 +247,7 @@ def build_similarity_table(
         vectors = lsi_document_space(
             matrix, min(k, len(matrix.vocabulary), len(matrix.doc_ids))
         )
-    return SimilarityTable(model, ids, _cosine_matrix(vectors))
+    return SimilarityTable(ids, _cosine_matrix(vectors))
 
 
 def ranked(table: SimilarityTable, a: str, pool: list[str]) -> list[tuple[str, float]]:

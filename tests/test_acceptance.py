@@ -11,7 +11,7 @@ from collections import Counter
 
 import pytest
 
-from tracelink.biterms import extract_code_biterms
+from tracelink.biterms import extract_biterms
 from tracelink.cli import main as cli_main
 from tracelink.corpus.codescan import CodeParts
 from tracelink.corpus.manifest import load_dataset
@@ -61,22 +61,22 @@ def test_motivating_example_golden(motivating_manifest):
 def test_biterm_extraction_conformance():
     class_only = Artifact(
         id="AFInfoBox", kind=Kind.CODE,
-        code_parts=CodeParts(class_names=[["af", "info", "box"]]),
+        parts=CodeParts(class_names=[["af", "info", "box"]]),
     )
-    biterms = extract_code_biterms(class_only)
+    biterms = extract_biterms(class_only)
     assert biterms == {
         ("af", "info"): 2, ("af", "box"): 2, ("box", "info"): 2,
     }
 
     composite = Artifact(
         id="composite", kind=Kind.CODE,
-        code_parts=CodeParts(
+        parts=CodeParts(
             class_names=[["assign", "route"]],
             comments=[["assign", "route"], ["assign", "route"]],
             parameter_type_names=[["assign", "route"]] * 3,
         ),
     )
-    assert extract_code_biterms(composite)[("assign", "rout")] == 5
+    assert extract_biterms(composite)[("assign", "rout")] == 5
     _report("biterm extraction conformance (class-name pairs x2, composite count 5)")
 
 

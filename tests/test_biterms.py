@@ -1,16 +1,21 @@
 """Biterm extraction, importance counts, and the consensual filter."""
 
+import json
+import tempfile
+from pathlib import Path
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from tracelink.biterms import (
     canonical_pair,
     consensual_filter,
-    extract_code_biterms,
-    extract_nl_biterms,
+    extract_biterms,
     import_parsed_pairs,
 )
 from tracelink.corpus.codescan import CodeParts
+from tracelink.corpus.documents import build_document
+from tracelink.corpus.manifest import load_dataset
 from tracelink.corpus.nltext import tokenize_natural
 from tracelink.corpus.preprocess import normalize_token
 from tracelink.corpus.types import Artifact, Kind
@@ -20,11 +25,11 @@ DD647_SENTENCE = "The user can select a UAV and assign routes from the available
 
 
 def nl_artifact(text, id="X"):
-    return Artifact(id=id, kind=Kind.NATURAL_LANGUAGE, sentences=tokenize_natural(text))
+    return Artifact(id, Kind.NATURAL_LANGUAGE, CodeParts(comments=tokenize_natural(text)))
 
 
 def code_artifact(parts, id="C"):
-    return Artifact(id=id, kind=Kind.CODE, code_parts=parts)
+    return Artifact(id, Kind.CODE, parts)
 
 
 class TestCanonicalPair:
@@ -38,7 +43,7 @@ class TestCanonicalPair:
 
 class TestExtractNl:
     def test_dd647_sentence(self):
-        biterms = set(extract_nl_biterms(nl_artifact(DD647_SENTENCE)))
+        biterms = set(extract_biterms(nl_artifact(DD647_SENTENCE)))
         assert ("select", "uav") in biterms
         assert ("assign", "rout") in biterms
         assert ("avail", "list") in biterms
@@ -47,18 +52,18 @@ class TestExtractNl:
         assert all("and" not in pair for pair in biterms)
 
     def test_stopword_only_sentence(self):
-        assert extract_nl_biterms(nl_artifact("The of and.")) == {}
+        assert extract_biterms(nl_artifact("The of and.")) == {}
 
     def test_occurrences_counted_per_artifact(self):
-        biterms = extract_nl_biterms(nl_artifact("select UAV. select UAV."))
+        biterms = extract_biterms(nl_artifact("select UAV. select UAV."))
         assert biterms[("select", "uav")] == 2
 
     def test_empty_artifact(self):
-        assert len(extract_nl_biterms(nl_artifact(""))) == 0
+        assert len(extract_biterms(nl_artifact(""))) == 0
 
     def test_window_limits_distance(self):
         # five content words apart never pair under a window of three
-        biterms = extract_nl_biterms(nl_artifact("Routes pass sensor panel widget icon."))
+        biterms = extract_biterms(nl_artifact("Routes pass sensor panel widget icon."))
         assert ("icon", "rout") not in biterms
 
 
@@ -93,7 +98,7 @@ class TestImportParsedPairs:
 class TestExtractCode:
     def test_class_name_pairs_count_two(self):
         parts = CodeParts(class_names=[["af", "info", "box"]])
-        biterms = extract_code_biterms(code_artifact(parts))
+        biterms = extract_biterms(code_artifact(parts))
         assert biterms == {
             ("af", "info"): 2, ("af", "box"): 2, ("box", "info"): 2,
         }
@@ -106,7 +111,7 @@ class TestExtractCode:
             comments=[["assign", "route"], ["assign", "route"]],
             parameter_type_names=[["assign", "route"]] * 3,
         )
-        biterms = extract_code_biterms(code_artifact(parts))
+        biterms = extract_biterms(code_artifact(parts))
         assert biterms[("assign", "rout")] == 5
 
     def test_weak_only_occurrences_count_one(self):
@@ -114,13 +119,21 @@ class TestExtractCode:
             field_names=[["assign", "route", "icon"], ["assign", "new", "route"]],
             invoked_method_names=[["get", "assign", "route", "resource"]],
         )
-        biterms = extract_code_biterms(code_artifact(parts))
+        biterms = extract_biterms(code_artifact(parts))
         assert biterms[("assign", "rout")] == 1
 
     def test_stopword_tokens_drop_out(self):
         parts = CodeParts(method_names=[["get", "route"]])
-        biterms = extract_code_biterms(code_artifact(parts))
+        biterms = extract_biterms(code_artifact(parts))
         assert biterms == {}
+
+    def test_imported_parse_is_for_nl_artifacts_only(self, tmp_path):
+        (tmp_path / "C.tsv").write_text("obj\tselect\tUAV\n")
+        parts = CodeParts(class_names=[["af", "info", "box"]], comments=[["assign", "routes"]])
+        code = code_artifact(parts, id="C")
+        assert extract_biterms(code, tmp_path) == extract_biterms(code)
+        nl = Artifact("C", Kind.NATURAL_LANGUAGE, parts)
+        assert extract_biterms(nl, tmp_path) == {("select", "uav"): 1}
 
 
 class TestConsensualFilter:
@@ -163,6 +176,36 @@ def test_import_merges_both_orders_and_drops_self_pairs(tmp_path):
             stems = sorted({normalize_token(a), normalize_token(b)})
             expected = {tuple(stems): 2} if len(stems) == 2 else {}
             assert import_parsed_pairs(pairs) == expected, (a, b)
+
+
+# Prose with no `*` or `/`, so it cannot end a block comment or open another one.
+_PROSE = st.lists(
+    st.one_of(
+        st.sampled_from(("The", "user", "can", "select", "a", "UAV", "and", "assign",
+                         "routes.", "e.g.", "Available", "list!", "647", "?")),
+        st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="*/"),
+                max_size=8),
+    ),
+    max_size=30,
+).map(" ".join)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_PROSE)
+def test_nl_text_reads_like_a_block_comment(text):
+    """An NL artifact and a code artifact holding the same prose as its only comment agree."""
+    with tempfile.TemporaryDirectory() as tmp:
+        base = Path(tmp)
+        (base / "n.txt").write_text(text, encoding="utf-8")
+        (base / "c.java").write_text(f"/*{text}*/", encoding="utf-8")
+        (base / "manifest.json").write_text(json.dumps({
+            "sources": [{"id": "n", "path": "n.txt", "kind": "nl"}],
+            "targets": [{"id": "c", "path": "c.java", "kind": "code"}],
+        }))
+        dataset = load_dataset(base / "manifest.json")
+    nl, code = dataset.sources[0], dataset.targets[0]
+    assert build_document(nl).terms == build_document(code).terms
+    assert extract_biterms(nl) == extract_biterms(code)
 
 
 _pair = st.tuples(

@@ -449,7 +449,7 @@ class TestJsTable:
 
 class TestSimilarityTable:
     def test_clamps_to_unit_interval(self):
-        table = SimilarityTable("vsm", ["a", "b", "c"], np.array([
+        table = SimilarityTable(["a", "b", "c"], np.array([
             [0.0, -0.25, 1.0000001],
             [-0.25, 0.0, -0.0],
             [1.0000001, -0.0, 0.0],
@@ -459,7 +459,7 @@ class TestSimilarityTable:
         assert f"{table.score('b', 'c'):.6f}" == "0.000000"
 
     def test_reads_only_the_upper_triangle(self):
-        table = SimilarityTable("vsm", ["a", "b"], np.array([[0.0, 0.25], [0.75, 1.0]]))
+        table = SimilarityTable(["a", "b"], np.array([[0.0, 0.25], [0.75, 1.0]]))
         assert table.score("a", "b") == table.score("b", "a") == 0.25
         assert table.pairs() == {("a", "b"): 0.25}
 
@@ -472,13 +472,15 @@ class TestSimilarityTable:
             with pytest.raises(ValidationError):
                 table.row_scores(a, others)
 
-    def test_bad_construction_rejected(self):
+    def test_unknown_model_rejected(self):
         with pytest.raises(ConfigError):
-            SimilarityTable("bm25", ["a"], np.zeros((1, 1)))
+            build_similarity_table([doc("a", ["x"]), doc("b", ["x", "y"])], "bm25")
+
+    def test_bad_construction_rejected(self):
         with pytest.raises(ValidationError):
-            SimilarityTable("vsm", ["a", "a"], np.zeros((2, 2)))
+            SimilarityTable(["a", "a"], np.zeros((2, 2)))
         with pytest.raises(ValidationError):
-            SimilarityTable("vsm", ["a", "b"], np.zeros((2, 3)))
+            SimilarityTable(["a", "b"], np.zeros((2, 3)))
 
     def test_row_scores_match_score(self):
         rng = random.Random(37)

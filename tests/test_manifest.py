@@ -5,6 +5,7 @@ import json
 import pytest
 
 from tracelink.cli import main as cli_main
+from tracelink.corpus.codescan import CodeParts
 from tracelink.corpus.manifest import load_dataset
 from tracelink.corpus.types import Kind
 from tracelink.errors import LoadError, ValidationError
@@ -49,14 +50,13 @@ def test_six_artifact_dataset(tmp_path):
     assert dataset.oracle_st == {("RE-1", "A.java")}
 
 
-def test_nl_artifacts_have_sentences_not_code_parts(tmp_path):
+def test_nl_artifacts_hold_only_comments(tmp_path):
     dataset = load_dataset(write_dataset(tmp_path))
     for artifact in dataset.sources:
-        assert artifact.sentences
-        assert artifact.code_parts is None
+        assert artifact.parts == CodeParts(comments=artifact.parts.comments)
+        assert artifact.parts.comments
     for artifact in dataset.targets:
-        assert artifact.code_parts is not None
-        assert artifact.sentences == []
+        assert artifact.parts.class_names
 
 
 def test_zero_intermediates_allowed(tmp_path):

@@ -16,8 +16,9 @@ one extra row whose source id holds a comma, so it is quoted and read through
 `csv.reader`. The `corpus/` keys (and `modes:corpus/` on `data/modes`) pin the
 `enriched_corpus.json` that `trace --dump-corpus` writes for every model and
 mode: the base terms and added biterm weights of every document, recorded
-while an NL artifact still carried its own tagged sentences. A refactor or speed-up that moves one byte, for example by splitting an
-exact score tie differently, fails here. Re-record only for an intended
+while an NL artifact still carried its own tagged sentences beside the code
+parts of code. A refactor or speed-up that moves one byte, for example by
+splitting an exact score tie differently, fails here. Re-record only for an intended
 change of output, never to absorb a numeric drift:
 
     PYTHONPATH=src python tests/test_parity.py > tests/data/parity_digests.json

@@ -39,7 +39,7 @@ def table_from_pairs(scores, ids=None):
     matrix = np.array([
         [scores.get((a, b), scores.get((b, a), 0.0)) for b in ids] for a in ids
     ])
-    return SimilarityTable("vsm", ids, matrix)
+    return SimilarityTable(ids, matrix)
 
 
 def full_table(pools, scores):
