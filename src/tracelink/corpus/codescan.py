@@ -12,6 +12,7 @@ types and macro tricks are out of scope).
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .identifiers import split_identifier
@@ -131,8 +132,12 @@ _FIELD_DECL = re.compile(
 
 
 def _scan_fields(code: str, skip_spans: list[tuple[int, int]], parts: CodeParts) -> None:
+    # The spans are sorted and disjoint, so their ends rise with their starts: a
+    # declaration overlaps some span exactly when it overlaps the last one starting before it ends.
+    starts = [start for start, _ in skip_spans]
     for m in _FIELD_DECL.finditer(code):
-        if any(start < m.end(2) and m.start(1) < end for start, end in skip_spans):
+        last = bisect_left(starts, m.end(2)) - 1
+        if last >= 0 and m.start(1) < skip_spans[last][1]:
             continue
         type_text, name = m.group(1), m.group(2)
         type_tokens = [t for t in re.findall(r"\w+", type_text) if t not in _MODIFIERS]

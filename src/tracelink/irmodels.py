@@ -14,6 +14,10 @@ base-2 KL), with the per-document work done once. It batches the pairs by
 union size, one row per pair, and reduces along rows only, so each score is
 the one that pair would get alone and exact ties stay exact. All stored
 similarities are clamped into [0, 1] and symmetric.
+
+Ranking and selection run on row indexes: `select_rows` orders a row with
+one lexsort, by descending score and then by each id's rank in sorted id
+order, so exact ties break by ascending id.
 """
 
 from __future__ import annotations
@@ -99,6 +103,7 @@ class SimilarityTable:
     `scores[i, j]` is the similarity of `ids[i]` and `ids[j]`; only the
     strict upper triangle of the given matrix is read, so the stored matrix
     is exactly symmetric. A document has no similarity with itself.
+    `id_rank[i]` is the position of `ids[i]` in sorted id order.
     """
 
     def __init__(self, ids: list[str], scores: np.ndarray):
@@ -112,12 +117,18 @@ class SimilarityTable:
         # The zeros of `upper.T` also turn a clipped -0.0 into 0.0 ("0.000000").
         self.scores = upper + upper.T
         self._index = {doc_id: i for i, doc_id in enumerate(self.ids)}
+        self.id_rank = np.empty(n, dtype=np.intp)
+        self.id_rank[sorted(range(n), key=self.ids.__getitem__)] = np.arange(n)
 
     def _rows(self, ids: list[str]) -> list[int]:
         try:
             return [self._index[doc_id] for doc_id in ids]
         except KeyError as exc:
             raise ValidationError(f"unknown document id {exc.args[0]!r}") from None
+
+    def rows(self, ids: list[str]) -> np.ndarray:
+        """The row index of each of `ids`, in the order given."""
+        return np.array(self._rows(ids), dtype=np.intp)
 
     def score(self, a: str, b: str) -> float:
         if a == b:
@@ -127,10 +138,13 @@ class SimilarityTable:
 
     def row_scores(self, a: str, others: list[str]) -> list[float]:
         """Similarities of `a` to each of `others`, in the order given."""
+        return self.scores[self._row_apart(a, others), self._rows(others)].tolist()
+
+    def _row_apart(self, a: str, others: list[str]) -> int:
+        """The row of `a`, which must not be among `others`."""
         if a in others:
             raise ValidationError(f"no similarity stored for pair ({a!r}, {a!r})")
-        (i,) = self._rows([a])
-        return self.scores[i, self._rows(others)].tolist()
+        return self._rows([a])[0]
 
     def pairs(self) -> dict[tuple[str, str], float]:
         """Every stored pair, keyed by its two ids in ascending order."""
@@ -250,23 +264,37 @@ def build_similarity_table(
     return SimilarityTable(ids, _cosine_matrix(vectors))
 
 
+def select_rows(
+    table: SimilarityTable, row: int, cols: np.ndarray, m: float | None, t: int | None
+) -> tuple[np.ndarray, list[float]]:
+    """`cols` by descending score against `row`, ties by ascending id, with those scores.
+
+    With `m`, only the rows scoring at least m times the best are kept, and
+    an all-zero row keeps none; with `t`, only the first t of them.
+    """
+    scores = table.scores[row, cols]
+    if m is not None:
+        best = scores.max(initial=0.0)
+        keep = (scores >= m * best) & (best > 0.0)
+        cols, scores = cols[keep], scores[keep]
+    order = np.lexsort((table.id_rank[cols], -scores))[:t]
+    return cols[order], scores[order].tolist()
+
+
 def ranked(table: SimilarityTable, a: str, pool: list[str]) -> list[tuple[str, float]]:
     """`pool` with its similarities to `a`, by descending score, ties by ascending id."""
-    return sorted(zip(pool, table.row_scores(a, pool)), key=lambda item: (-item[1], item[0]))
+    return top_related(table, a, pool, None, None)
 
 
 def top_related(
-    table: SimilarityTable, a: str, pool: list[str], m: float, t: int
+    table: SimilarityTable, a: str, pool: list[str], m: float | None, t: int | None
 ) -> list[tuple[str, float]]:
     """The first `t` of `ranked`, each scoring at least m times the best.
 
-    An all-zero row selects nothing.
+    An all-zero row selects nothing; `None` drops the cutoff or the cap.
     """
-    scored = ranked(table, a, pool)
-    if not scored or scored[0][1] <= 0.0:
-        return []
-    cutoff = m * scored[0][1]
-    return [(other, s) for other, s in scored if s >= cutoff][:t]
+    rows, scores = select_rows(table, table._row_apart(a, pool), table.rows(pool), m, t)
+    return list(zip([table.ids[row] for row in rows.tolist()], scores))
 
 
 def rank_candidates(

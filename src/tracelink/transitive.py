@@ -5,11 +5,13 @@ target. Each hop either steps down one level (an outer link) or, at most
 once per path and never among targets, steps sideways to another artifact
 of the same level (an inner link). That gives the shapes S>I>T, and with
 inner links S>S'>I>T and S>I>I'>T. Nodes never repeat within a path. Each
-hop is picked by `irmodels.top_related`, the selection rule of enrichment,
+hop is picked by `irmodels.select_rows`, the selection rule of enrichment,
 tightened by the hops already taken: after h hops the next one keeps at
-most max(1, t - h) artifacts scoring at least (0.1 * h + m) times the best.
-A path's bonus is the product of its link similarities; a candidate's score
-is multiplied by (1 + bonus) per path.
+most max(1, t - h) artifacts scoring at least (0.1 * h + m) times the best,
+ties broken by ascending id. The walk resolves each level to its table rows
+once per source and carries row indexes; it turns them into ids only to
+build a `TransitivePath`. A path's bonus is the product of its link
+similarities; a candidate's score is multiplied by (1 + bonus) per path.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .irmodels import SimilarityTable, top_related
+from .irmodels import SimilarityTable, select_rows
 
 
 class LinkKind(str, Enum):
@@ -63,29 +65,30 @@ def form_paths(
     A depth-first walk that tries the outer links of a node before its
     inner ones; `dataset` only needs the three id-list accessors.
     """
-    levels = [dataset.source_ids(), dataset.intermediate_ids(), dataset.target_ids()]
+    accessors = (dataset.source_ids, dataset.intermediate_ids, dataset.target_ids)
+    levels = [table.rows(get_ids()) for get_ids in accessors]
     paths: list[TransitivePath] = []
 
-    def walk(nodes: list[str], links: list[TransitiveLink], level: int) -> None:
+    def walk(nodes: list[int], kinds: list[LinkKind], scores: list[float], level: int) -> None:
         if level == len(levels) - 1:
-            bonus = math.prod((link.score for link in links), start=1.0)
-            paths.append(TransitivePath(nodes=nodes, links=links, bonus=bonus))
+            ids = [table.ids[node] for node in nodes]
+            links = [TransitiveLink(*link) for link in zip(ids, ids[1:], kinds, scores)]
+            bonus = math.prod(scores, start=1.0)
+            paths.append(TransitivePath(nodes=ids, links=links, bonus=bonus))
             return
-        hops = len(links)
+        here, hops = nodes[-1], len(scores)
         moves = [(LinkKind.OUTER, levels[level + 1], level + 1)]
         # Each outer hop descends a level, so a path with more hops than
-        # levels descended has already taken its one inner hop.
+        # levels descended has already taken its one inner hop, and until
+        # then `here` is the only node of the path on its level.
         if allow_inner and hops == level:
-            peers = [peer for peer in levels[level] if peer not in nodes]
-            moves.append((LinkKind.INNER, peers, level))
+            moves.append((LinkKind.INNER, levels[level][levels[level] != here], level))
         for kind, pool, next_level in moves:
-            for other, score in top_related(
-                table, nodes[-1], pool, 0.1 * hops + m, max(1, t - hops)
-            ):
-                link = TransitiveLink(nodes[-1], other, kind, score)
-                walk([*nodes, other], [*links, link], next_level)
+            rows, found = select_rows(table, here, pool, 0.1 * hops + m, max(1, t - hops))
+            for row, score in zip(rows.tolist(), found):
+                walk([*nodes, row], [*kinds, kind], [*scores, score], next_level)
 
-    walk([source], [], 0)
+    walk(table.rows([source]).tolist(), [], [], 0)
     return paths
 
 

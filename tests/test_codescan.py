@@ -1,10 +1,12 @@
 """Lexical code scanning into the eight part categories."""
 
 import re
+from unittest import mock
 
 from hypothesis import given, strategies as st
 
-from tracelink.corpus.codescan import _preceding_word, scan_code
+from tracelink.corpus import codescan
+from tracelink.corpus.codescan import CodeParts, _preceding_word, _scan_fields, scan_code
 
 JAVA_SAMPLE = """
 /** Route details are shown in this info box. */
@@ -149,3 +151,58 @@ def test_preceding_word_matches_regex(code):
     for pos in range(len(code) + 1):
         m = re.search(r"(\w+)\s*$", code[:pos])
         assert _preceding_word(code, pos) == (m.group(1) if m else None)
+
+
+
+def _scan_fields_any(code, skip_spans, parts):
+    """The field scan that checks every declaration against every span: the oracle."""
+    for m in codescan._FIELD_DECL.finditer(code):
+        if any(start < m.end(2) and m.start(1) < end for start, end in skip_spans):
+            continue
+        type_text, name = m.group(1), m.group(2)
+        type_tokens = [t for t in re.findall(r"\w+", type_text) if t not in codescan._MODIFIERS]
+        type_tokens = [t for t in type_tokens if t not in codescan._NON_TYPES]
+        if not type_tokens:
+            continue
+        type_ident = [t for ts in type_tokens for t in codescan.split_identifier(ts)]
+        parts.field_type_names.append(type_ident)
+        parts.field_names.append(codescan.split_identifier(name))
+
+
+# Statements that hold field declarations, calls and bodies; joined without
+# a space they also put a declaration right at the end of a call's span.
+_STATEMENTS = st.sampled_from([
+    "int x;", "Foo barBaz = f(y);", "static List<T> xs[];", "void m(int a){", "}",
+    "return x;", "new Foo();", "if (x) {", "g(x) ;", "int", "x", "=", "\n",
+])
+_CODE = st.lists(_STATEMENTS, max_size=20).map("".join) | st.lists(
+    _STATEMENTS, max_size=20).map(" ".join)
+
+
+@given(_CODE, st.data())
+def test_scan_fields_matches_any_overlap_scan(code, data):
+    # Sorted, disjoint, nonempty spans, as scan_code collects them; neighbours may
+    # touch. Ends often fall on the ends of a declaration's type and name.
+    ends = [end for m in codescan._FIELD_DECL.finditer(code) for end in (m.start(1), m.end(2))]
+    position = st.integers(0, len(code)) | st.sampled_from(ends or [0])
+    cuts = sorted(data.draw(st.lists(position, max_size=16)))
+    spans = [(start, end) for start, end in zip(cuts[::2], cuts[1::2]) if start < end]
+    got, expected = CodeParts(), CodeParts()
+    _scan_fields(code, spans, got)
+    _scan_fields_any(code, spans, expected)
+    assert got == expected
+
+
+def test_a_span_that_only_touches_a_declaration_does_not_hide_it():
+    code = "f(y){int x;"  # the declaration's type starts at 5 and its name ends at 10
+    for spans, found in (([(0, 5), (10, 11)], [["x"]]), ([(0, 6)], []), ([(9, 10)], [])):
+        parts = CodeParts()
+        _scan_fields(code, spans, parts)
+        assert parts.field_names == found
+
+
+@given(_CODE)
+def test_scan_code_matches_any_overlap_scan(code):
+    got = scan_code(code)
+    with mock.patch.object(codescan, "_scan_fields", _scan_fields_any):
+        assert got == scan_code(code)

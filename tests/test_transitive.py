@@ -2,7 +2,9 @@
 
 The path oracle re-enumerates every level-legal 2/3-hop node sequence and
 filters each hop independently, so it shares no traversal code with the
-implementation.
+implementation. `oracle_ranked` and `oracle_top_related` are the selection
+rule as a Python sort over ids, the reference for the row-index selection
+of `irmodels` and for every hop of `form_paths`.
 """
 
 import itertools
@@ -12,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from tracelink.irmodels import SimilarityTable
+from tracelink.irmodels import SimilarityTable, rank_candidates, ranked, top_related
 from tracelink.transitive import LinkKind, TransitivePath, adjust_scores, form_paths
 
 
@@ -99,6 +101,23 @@ def oracle_paths(source, pools, table, m, cap, allow_inner):
     return found
 
 
+def oracle_ranked(table, a, pool):
+    """`pool` with its scores against `a`, sorted by descending score, then by id."""
+    return sorted(zip(pool, table.row_scores(a, pool)), key=lambda item: (-item[1], item[0]))
+
+
+def oracle_top_related(table, a, pool, m, t):
+    """The first t of `oracle_ranked` scoring at least m times the best.
+
+    An all-zero row selects nothing.
+    """
+    scored = oracle_ranked(table, a, pool)
+    if not scored or scored[0][1] <= 0.0:
+        return []
+    cutoff = m * scored[0][1]
+    return [(other, s) for other, s in scored if s >= cutoff][:t]
+
+
 def reference_paths(source, pools, table, m, t, allow_inner):
     """The three path shapes as hand-nested loops, in the order the traces are written.
 
@@ -107,13 +126,7 @@ def reference_paths(source, pools, table, m, t, allow_inner):
     """
 
     def select(from_id, pool, hops):
-        scored = sorted(
-            zip(pool, table.row_scores(from_id, pool)), key=lambda item: (-item[1], item[0])
-        )
-        if not scored or scored[0][1] <= 0.0:
-            return []
-        cutoff = (0.1 * hops + m) * scored[0][1]
-        return [(o, s) for o, s in scored if s >= cutoff][: max(1, t - hops)]
+        return oracle_top_related(table, from_id, pool, 0.1 * hops + m, max(1, t - hops))
 
     def path(nodes, kinds, scores):
         bonus = 1.0
@@ -145,19 +158,77 @@ def reference_paths(source, pools, table, m, t, allow_inner):
     return found
 
 
+def level_ids(rng, letter, n):
+    """n ids of one level, in an order unlike sorted order: "s10" < "s9" < "sé", and "S9" first."""
+    names = [f"{letter}{k}" for k in range(11)]
+    names += [f"{letter.upper()}9", f"{letter}é", f"é{letter}"]
+    return rng.sample(names, n)
+
+
 def random_scenario(rng):
     pools = IdPools(
-        [f"s{i}" for i in range(rng.randint(1, 8))],
-        [f"i{i}" for i in range(rng.randint(0, 8))],
-        [f"t{i}" for i in range(rng.randint(1, 8))],
+        level_ids(rng, "s", rng.randint(1, 8)),
+        level_ids(rng, "i", rng.randint(0, 8)),
+        level_ids(rng, "t", rng.randint(1, 8)),
     )
     ids = pools.source_ids() + pools.intermediate_ids() + pools.target_ids()
     scores = {}
     for i, a in enumerate(ids):
         for b in ids[i + 1:]:
-            # sprinkle exact zeros to exercise the degenerate-max rule
-            scores[(a, b)] = 0.0 if rng.random() < 0.3 else round(rng.random(), 3)
+            # Exact zeros exercise the degenerate-max rule; repeated values make exact ties.
+            draw = rng.random()
+            scores[(a, b)] = (0.0 if draw < 0.3 else rng.choice((0.25, 0.5)) if draw < 0.5
+                              else round(rng.random(), 3))
     return pools, full_table(pools, scores)
+
+
+def path_tuples(paths):
+    """(nodes, link kinds, link scores, bonus) of each path, as `reference_paths` gives them."""
+    return [
+        (
+            tuple(p.nodes),
+            tuple(link.kind.value for link in p.links),
+            tuple(link.score for link in p.links),
+            p.bonus,
+        )
+        for p in paths
+    ]
+
+
+# Ids whose sorted order is unlike their drawn order: digits, case and non-ASCII.
+_TIE_IDS = st.text(st.sampled_from("sS019_\u00e9\u03a9"), min_size=1, max_size=3)
+# Few distinct values, so most rows hold exact ties.
+_TIE_SCORES = st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def tie_scenarios(draw):
+    """Three id pools over a table full of exact ties, some of its rows all zero."""
+    ids = draw(st.lists(_TIE_IDS, min_size=2, max_size=14, unique=True))
+    n = len(ids)
+    first_inter = draw(st.integers(1, n - 1))
+    first_target = draw(st.integers(first_inter, n - 1))
+    pools = IdPools(ids[:first_inter], ids[first_inter:first_target], ids[first_target:])
+    matrix = np.array(draw(st.lists(_TIE_SCORES, min_size=n * n, max_size=n * n))).reshape(n, n)
+    zero = draw(st.lists(st.integers(0, n - 1), max_size=3))
+    matrix[zero, :] = matrix[:, zero] = 0.0
+    return pools, SimilarityTable(ids, matrix)
+
+
+@given(tie_scenarios(), st.sampled_from([0.1, 0.5, 0.75, 1.0]), st.integers(1, 4), st.booleans())
+def test_selection_matches_sorted_oracle_under_ties(scenario, m, t, allow_inner):
+    pools, table = scenario
+    sources, targets = pools.source_ids(), pools.target_ids()
+    assert rank_candidates(table, sources, targets) == {
+        s: oracle_ranked(table, s, targets) for s in sources
+    }
+    for a in table.ids:
+        pool = [b for b in table.ids if b != a]
+        assert ranked(table, a, pool) == oracle_ranked(table, a, pool)
+        assert top_related(table, a, pool, m, t) == oracle_top_related(table, a, pool, m, t)
+    for source in sources:
+        got = path_tuples(form_paths(source, pools, table, m, t, allow_inner))
+        assert got == reference_paths(source, pools, table, m, t, allow_inner)
 
 
 class TestFormPaths:
@@ -235,18 +306,8 @@ class TestFormPaths:
             pools, table = random_scenario(rng)
             for source, t in itertools.product(pools.source_ids(), (3, 1, 2)):
                 for allow_inner in (False, True):
-                    got = [
-                        (
-                            tuple(p.nodes),
-                            tuple(link.kind.value for link in p.links),
-                            tuple(link.score for link in p.links),
-                            p.bonus,
-                        )
-                        for p in form_paths(source, pools, table, m, t, allow_inner)
-                    ]
-                    assert got == reference_paths(
-                        source, pools, table, m, t, allow_inner
-                    )
+                    got = path_tuples(form_paths(source, pools, table, m, t, allow_inner))
+                    assert got == reference_paths(source, pools, table, m, t, allow_inner)
 
     def test_outer_only_subset_of_outer_inner(self):
         rng = random.Random(103)
