@@ -227,13 +227,13 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
     reports = run_ablation(dataset, config, modes)
 
     written = []
+    summary = ["mode,ap,map"]
     for mode, report in reports.items():
         safe = mode.replace("+", "_")
         _write(out / f"report_{safe}.json", _json_text(report.to_payload(), report.pr_curve))
         _write(out / f"pr_curve_{safe}.csv", _pr_curve_csv(report))
         written.append(out / f"report_{safe}.json")
-    summary = ["mode,ap,map"]
-    summary.extend(f"{mode},{reports[mode].ap:.6f},{reports[mode].map:.6f}" for mode in modes)
+        summary.append(f"{mode},{report.ap:.6f},{report.map:.6f}")
     _write(out / "ablation_summary.csv", "\n".join(summary) + "\n")
     written.append(out / "ablation_summary.csv")
     print("wrote " + ", ".join(str(p) for p in written))

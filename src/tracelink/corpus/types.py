@@ -47,9 +47,6 @@ class Document:
         merged.update(self.added_biterm_terms)
         return merged
 
-    def total_mass(self) -> int:
-        return sum(self.terms.values()) + sum(self.added_biterm_terms.values())
-
     def copy(self) -> "Document":
         return Document(
             artifact_id=self.artifact_id,

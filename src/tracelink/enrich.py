@@ -4,14 +4,17 @@ Biterms become single compound vocabulary terms ("a_b", canonical order,
 underscore-joined). An artifact's own consensual biterms are added with
 their importance count as weight; biterms pulled in from highly related
 intermediate artifacts are added once each with weight 1, on top of any
-own weight for the same pair.
+own weight for the same pair. `irmodels.select_rows` picks the related
+intermediates on rows of the pre-enrichment table.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from .biterms import Biterms, Pair
 from .corpus.types import Document
-from .irmodels import SimilarityTable, top_related
+from .irmodels import SimilarityTable, select_rows
 
 
 def compound_term(pair: Pair) -> str:
@@ -19,14 +22,11 @@ def compound_term(pair: Pair) -> str:
 
 
 def select_related_intermediates(
-    artifact_id: str,
-    intermediate_ids: list[str],
-    table: SimilarityTable,
-    m: float,
-    t: int,
+    table: SimilarityTable, row: int, intermediates: np.ndarray, m: float, t: int
 ) -> list[str]:
-    """Ids of the `top_related` intermediates: at most t, each within m of the maximum."""
-    return [other for other, _ in top_related(table, artifact_id, intermediate_ids, m, t)]
+    """Ids of the first t `intermediates` scoring at least m times the best against `row`."""
+    selected, _ = select_rows(table, row, intermediates, m, t)
+    return [table.ids[other] for other in selected.tolist()]
 
 
 def add_own_biterms(document: Document, own: Biterms) -> Document:

@@ -6,18 +6,19 @@ compares documents in the scaled topic space; JS compares smoothed term
 distributions with base-2 Jensen-Shannon divergence.
 
 `build_similarity_table` computes one n x n score matrix per table, and
-consumers read its rows through the table's id -> row index. VSM and LSI
-divide one Gram matrix of the tf-idf rows (or of the LSI topic coordinates,
-from one SVD per table) by the outer product of the row norms. JS scores
-each pair over that pair's own sorted union vocabulary (epsilon smoothing,
-base-2 KL), with the per-document work done once. It batches the pairs by
-union size, one row per pair, and reduces along rows only, so each score is
-the one that pair would get alone and exact ties stay exact. All stored
-similarities are clamped into [0, 1] and symmetric.
+consumers resolve ids to its rows once, through `SimilarityTable.rows`. VSM
+and LSI divide one Gram matrix of the tf-idf rows (or of the LSI topic
+coordinates, from one SVD per table) by the outer product of the row norms.
+JS scores each pair over that pair's own sorted union vocabulary (epsilon
+smoothing, base-2 KL), with the per-document work done once. It batches the
+pairs by union size, one row per pair, and reduces along rows only, so each
+score is the one that pair would get alone and exact ties stay exact. All
+stored similarities are clamped into [0, 1] and symmetric.
 
-Ranking and selection run on row indexes: `select_rows` orders a row with
+Ranking and selection take row indexes only: `select_rows` orders a row with
 one lexsort, by descending score and then by each id's rank in sorted id
-order, so exact ties break by ascending id.
+order, so exact ties break by ascending id. `rank_candidates` applies it to
+each source row and turns rows into ids only for its result.
 """
 
 from __future__ import annotations
@@ -50,18 +51,16 @@ class TermDocMatrix:
     weights: np.ndarray  # shape (n_docs, n_terms)
 
 
-def _count_matrix(documents: list[Document]) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """The sorted vocabulary, the dense term counts, and which terms each document uses."""
+def _count_matrix(documents: list[Document]) -> tuple[list[str], np.ndarray]:
+    """The sorted vocabulary and the dense term counts."""
     counts = [d.weighted_terms() for d in documents]
     vocabulary = sorted(set().union(*counts))
     column = {term: k for k, term in enumerate(vocabulary)}
     dense = np.zeros((len(documents), len(vocabulary)))
-    used = np.zeros(dense.shape, dtype=bool)
     for i, doc_counts in enumerate(counts):
         for term, count in doc_counts.items():
             dense[i, column[term]] = count
-            used[i, column[term]] = True
-    return vocabulary, dense, used
+    return vocabulary, dense
 
 
 def build_matrix(documents: list[Document]) -> TermDocMatrix:
@@ -71,7 +70,7 @@ def build_matrix(documents: list[Document]) -> TermDocMatrix:
     ids = [d.artifact_id for d in documents]
     if len(set(ids)) != len(ids):
         raise ValidationError("duplicate document ids in matrix input")
-    vocabulary, tf, _ = _count_matrix(documents)
+    vocabulary, tf = _count_matrix(documents)
     if not vocabulary:
         raise ValidationError("empty vocabulary: all documents are empty")
     df = np.count_nonzero(tf > 0, axis=0)
@@ -120,31 +119,18 @@ class SimilarityTable:
         self.id_rank = np.empty(n, dtype=np.intp)
         self.id_rank[sorted(range(n), key=self.ids.__getitem__)] = np.arange(n)
 
-    def _rows(self, ids: list[str]) -> list[int]:
-        try:
-            return [self._index[doc_id] for doc_id in ids]
-        except KeyError as exc:
-            raise ValidationError(f"unknown document id {exc.args[0]!r}") from None
-
     def rows(self, ids: list[str]) -> np.ndarray:
         """The row index of each of `ids`, in the order given."""
-        return np.array(self._rows(ids), dtype=np.intp)
+        try:
+            return np.array([self._index[doc_id] for doc_id in ids], dtype=np.intp)
+        except KeyError as exc:
+            raise ValidationError(f"unknown document id {exc.args[0]!r}") from None
 
     def score(self, a: str, b: str) -> float:
         if a == b:
             raise ValidationError(f"no similarity stored for pair ({a!r}, {b!r})")
-        i, j = self._rows([a, b])
+        i, j = self.rows([a, b])
         return float(self.scores[i, j])
-
-    def row_scores(self, a: str, others: list[str]) -> list[float]:
-        """Similarities of `a` to each of `others`, in the order given."""
-        return self.scores[self._row_apart(a, others), self._rows(others)].tolist()
-
-    def _row_apart(self, a: str, others: list[str]) -> int:
-        """The row of `a`, which must not be among `others`."""
-        if a in others:
-            raise ValidationError(f"no similarity stored for pair ({a!r}, {a!r})")
-        return self._rows([a])[0]
 
     def pairs(self) -> dict[tuple[str, str], float]:
         """Every stored pair, keyed by its two ids in ascending order."""
@@ -197,14 +183,16 @@ def _js_matrix(documents: list[Document]) -> np.ndarray:
     a per-pair computation, and exact ties (say, between duplicate
     documents) stay exact.
 
-    Counts are never negative (token counts and positive biterm weights) and
-    epsilon is positive, so every smoothed probability is positive and the KL
-    sums need no `p > 0` mask.
+    Every stored count is positive (token counts and positive biterm
+    weights), so a document uses exactly its columns with a count above 0.
+    Epsilon is positive too, so every smoothed probability is positive and
+    the KL sums need no `p > 0` mask.
     """
-    _, dense, used = _count_matrix(documents)
+    _, dense = _count_matrix(documents)
+    used = dense > 0
     n = len(documents)
     scores = np.zeros((n, n))
-    nonempty = np.flatnonzero([d.total_mass() != 0 for d in documents])
+    nonempty = np.flatnonzero(used.any(axis=1))
     if len(nonempty) < 2:
         return scores
     # Union sizes one row at a time: a matmul of the masks starts BLAS and raises peak memory.
@@ -250,7 +238,7 @@ def build_similarity_table(
     ids = [d.artifact_id for d in documents]
     if model == "js":
         return SimilarityTable(ids, _js_matrix(documents))
-    if all(d.total_mass() == 0 for d in documents):
+    if not any(d.terms or d.added_biterm_terms for d in documents):
         return SimilarityTable(ids, np.zeros((len(ids), len(ids))))
 
     matrix = build_matrix(documents)
@@ -281,29 +269,15 @@ def select_rows(
     return cols[order], scores[order].tolist()
 
 
-def ranked(table: SimilarityTable, a: str, pool: list[str]) -> list[tuple[str, float]]:
-    """`pool` with its similarities to `a`, by descending score, ties by ascending id."""
-    return top_related(table, a, pool, None, None)
-
-
-def top_related(
-    table: SimilarityTable, a: str, pool: list[str], m: float | None, t: int | None
-) -> list[tuple[str, float]]:
-    """The first `t` of `ranked`, each scoring at least m times the best.
-
-    An all-zero row selects nothing; `None` drops the cutoff or the cap.
-    """
-    rows, scores = select_rows(table, table._row_apart(a, pool), table.rows(pool), m, t)
-    return list(zip([table.ids[row] for row in rows.tolist()], scores))
-
-
 def rank_candidates(
-    table: SimilarityTable,
-    source_ids: list[str],
-    target_ids: list[str],
+    table: SimilarityTable, sources: np.ndarray, targets: np.ndarray
 ) -> dict[str, list[tuple[str, float]]]:
     """Per-source target ranking, descending score with ascending-id tie-break."""
-    return {source: ranked(table, source, target_ids) for source in source_ids}
+    ranking = {}
+    for row in sources.tolist():
+        cols, scores = select_rows(table, row, targets, None, None)
+        ranking[table.ids[row]] = list(zip([table.ids[col] for col in cols.tolist()], scores))
+    return ranking
 
 
 _CSV_HEADER = ["source_id", "target_id", "score"]

@@ -16,7 +16,8 @@ A run is two stages over the base documents of `build_documents`:
 whether "b" is on, and `path_stage` (path deduction and score adjustment)
 adds what "o" and "i" ask for. Both read the mode from the config. Neither
 stage writes to its inputs, so one ranking can serve every mode with the
-same "b", as `run_ablation` does.
+same "b", as `run_ablation` does. Each stage resolves the three levels to
+rows of a table once, with `level_rows`, and every selection takes rows.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from numbers import Real
 from pathlib import Path
+
+import numpy as np
 
 from .biterms import Biterms, consensual_filter, extract_biterms
 from .corpus.documents import build_document
@@ -112,6 +115,12 @@ def build_documents(dataset: Dataset) -> dict[str, Document]:
     return {a.id: build_document(a) for a in dataset.all_artifacts()}
 
 
+def level_rows(table: SimilarityTable, dataset: Dataset) -> tuple[np.ndarray, ...]:
+    """The source, intermediate and target rows of `table`, each in manifest order."""
+    levels = (dataset.source_ids(), dataset.intermediate_ids(), dataset.target_ids())
+    return tuple(table.rows(ids) for ids in levels)
+
+
 def rank_stage(
     dataset: Dataset, config: PipelineConfig, documents: dict[str, Document]
 ) -> PipelineResult:
@@ -140,21 +149,23 @@ def rank_stage(
             pre_table = build_similarity_table(
                 list(documents.values()), config.model, config.lsi_rank
             )
-            intermediate_ids = dataset.intermediate_ids()
+            sources, intermediates, targets = level_rows(pre_table, dataset)
             enriched: dict[str, Document] = dict(documents)
-            for artifact in (*dataset.sources, *dataset.targets):
+            for row in np.concatenate((sources, targets)).tolist():
                 related_ids = select_related_intermediates(
-                    artifact.id, intermediate_ids, pre_table, config.m, config.t
+                    pre_table, row, intermediates, config.m, config.t
                 )
                 related_sets = [filtered_by_id[i] for i in related_ids]
-                enriched[artifact.id] = enrich_artifact(documents[artifact.id], related_sets)
+                artifact_id = pre_table.ids[row]
+                enriched[artifact_id] = enrich_artifact(documents[artifact_id], related_sets)
             documents = enriched
 
     table = build_similarity_table(list(documents.values()), config.model, config.lsi_rank)
+    sources, _, targets = level_rows(table, dataset)
     return PipelineResult(
         documents=documents,
         similarity=table,
-        candidates=rank_candidates(table, dataset.source_ids(), dataset.target_ids()),
+        candidates=rank_candidates(table, sources, targets),
         filtered_biterms=filtered_by_id,
     )
 
@@ -169,11 +180,12 @@ def path_stage(
     components = parse_mode(config.mode)
     if "o" not in components:
         return replace(ranking, paths={})
+    table = ranking.similarity
+    levels = level_rows(table, dataset)
     paths = {
-        source: form_paths(
-            source, dataset, ranking.similarity, config.m, config.t,
-            allow_inner="i" in components,
+        table.ids[row]: form_paths(
+            row, levels, table, config.m, config.t, allow_inner="i" in components
         )
-        for source in dataset.source_ids()
+        for row in levels[0].tolist()
     }
     return replace(ranking, candidates=adjust_scores(ranking.candidates, paths), paths=paths)

@@ -8,10 +8,11 @@ inner links S>S'>I>T and S>I>I'>T. Nodes never repeat within a path. Each
 hop is picked by `irmodels.select_rows`, the selection rule of enrichment,
 tightened by the hops already taken: after h hops the next one keeps at
 most max(1, t - h) artifacts scoring at least (0.1 * h + m) times the best,
-ties broken by ascending id. The walk resolves each level to its table rows
-once per source and carries row indexes; it turns them into ids only to
-build a `TransitivePath`. A path's bonus is the product of its link
-similarities; a candidate's score is multiplied by (1 + bonus) per path.
+ties broken by ascending id. The walk takes each level as its table rows,
+which the caller resolves once per stage, and carries row indexes; it turns
+them into ids only to build a `TransitivePath`. A path's bonus is the
+product of its link similarities; a candidate's score is multiplied by
+(1 + bonus) per path.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 from .irmodels import SimilarityTable, select_rows
 
@@ -53,20 +56,18 @@ class TransitivePath:
 
 
 def form_paths(
-    source: str,
-    dataset,
+    source_row: int,
+    levels: tuple[np.ndarray, ...],
     table: SimilarityTable,
     m: float,
     t: int,
     allow_inner: bool = True,
 ) -> list[TransitivePath]:
-    """Enumerate admissible 2/3-hop paths from `source`, deterministically.
+    """Enumerate admissible 2/3-hop paths from `source_row`, deterministically.
 
-    A depth-first walk that tries the outer links of a node before its
-    inner ones; `dataset` only needs the three id-list accessors.
+    A depth-first walk over the source, intermediate and target rows of
+    `levels` that tries the outer links of a node before its inner ones.
     """
-    accessors = (dataset.source_ids, dataset.intermediate_ids, dataset.target_ids)
-    levels = [table.rows(get_ids()) for get_ids in accessors]
     paths: list[TransitivePath] = []
 
     def walk(nodes: list[int], kinds: list[LinkKind], scores: list[float], level: int) -> None:
@@ -88,7 +89,7 @@ def form_paths(
             for row, score in zip(rows.tolist(), found):
                 walk([*nodes, row], [*kinds, kind], [*scores, score], next_level)
 
-    walk(table.rows([source]).tolist(), [], [], 0)
+    walk([source_row], [], [], 0)
     return paths
 
 

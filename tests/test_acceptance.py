@@ -18,7 +18,7 @@ from tracelink.corpus.manifest import load_dataset
 from tracelink.corpus.types import Artifact, Document, Kind
 from tracelink.evaluate import cliffs_delta, evaluate_ranking, wilcoxon_rank_sum
 from tracelink.irmodels import build_matrix, build_similarity_table
-from tracelink.pipeline import PipelineConfig, run_pipeline
+from tracelink.pipeline import PipelineConfig, level_rows, run_pipeline
 from tracelink.transitive import adjust_scores, form_paths
 
 from test_irmodels import brute_cosine, oracle_jsd_similarity, random_documents
@@ -130,9 +130,10 @@ def test_transitive_path_oracle():
     checked = 0
     for _ in range(100):
         pools, table = random_scenario(rng)
-        for source in pools.source_ids():
-            outer_only = form_paths(source, pools, table, m, t, allow_inner=False)
-            with_inner = form_paths(source, pools, table, m, t, allow_inner=True)
+        levels = level_rows(table, pools)
+        for source, row in zip(pools.source_ids(), levels[0].tolist()):
+            outer_only = form_paths(row, levels, table, m, t, allow_inner=False)
+            with_inner = form_paths(row, levels, table, m, t, allow_inner=True)
             got_outer = {p.key() for p in outer_only}
             got_inner = {p.key() for p in with_inner}
             assert got_outer == oracle_paths(source, pools, table, m, t, False)
@@ -166,7 +167,8 @@ def test_hop_state_arithmetic():
             ("s", "i"): 1.0, ("s", "s2"): 1.0, ("s2", "i"): 1.0,
             ("i", "t1"): 1.0, ("i", "t2"): second_best,
         })
-        return {p.key() for p in form_paths("s", pools, table, 0.5, 3)}
+        levels = level_rows(table, pools)
+        return {p.key() for p in form_paths(int(levels[0][0]), levels, table, 0.5, 3)}
 
     assert ("s", "i", "t2") in paths_with(0.6)          # exactly 0.6 x best: kept
     assert ("s", "i", "t2") not in paths_with(0.59)

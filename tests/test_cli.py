@@ -299,6 +299,19 @@ class TestAblate:
         summary = (out / "ablation_summary.csv").read_text().splitlines()
         assert len(summary) == 3
 
+    def test_repeated_mode_summarized_once(self, tmp_path, motivating_manifest):
+        out = tmp_path / "out"
+        code = run_cli(
+            "ablate", "--manifest", str(motivating_manifest),
+            "--modes", "b,b,ir-only", "--out", str(out),
+        )
+        assert code == 0
+        summary = (out / "ablation_summary.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in summary] == ["mode", "b", "ir-only"]
+        assert sorted(p.name for p in out.glob("report_*.json")) == [
+            "report_b.json", "report_ir-only.json",
+        ]
+
     def test_unknown_mode_exits_2(self, tmp_path, motivating_manifest):
         code = run_cli(
             "ablate", "--manifest", str(motivating_manifest),

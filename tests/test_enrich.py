@@ -25,24 +25,30 @@ class TestConfig:
             PipelineConfig(t=0)
 
 
+def select(table, artifact_id, intermediate_ids, m, t):
+    """`select_related_intermediates` with the artifact and its pool resolved to rows."""
+    row = int(table.rows([artifact_id])[0])
+    return select_related_intermediates(table, row, table.rows(intermediate_ids), m, t)
+
+
 class TestSelectRelated:
     def test_relative_cutoff(self):
         table = table_from_pairs({("a", "i1"): 0.8, ("a", "i2"): 0.45, ("a", "i3"): 0.39})
         # max 0.8 -> cutoff 0.4: the artifact at 0.39 falls out
-        assert select_related_intermediates("a", ["i1", "i2", "i3"], table, 0.5, 3) == ["i1", "i2"]
+        assert select(table, "a", ["i1", "i2", "i3"], 0.5, 3) == ["i1", "i2"]
 
     def test_cap_with_id_tie_break(self):
         table = table_from_pairs({("a", f"i{k}"): 0.8 for k in range(4)})
-        selected = select_related_intermediates("a", ["i3", "i1", "i0", "i2"], table, 0.5, 3)
+        selected = select(table, "a", ["i3", "i1", "i0", "i2"], 0.5, 3)
         assert selected == ["i0", "i1", "i2"]
 
     def test_all_zero_selects_nothing(self):
         table = table_from_pairs({("a", "i1"): 0.0, ("a", "i2"): 0.0})
-        assert select_related_intermediates("a", ["i1", "i2"], table, 0.5, 3) == []
+        assert select(table, "a", ["i1", "i2"], 0.5, 3) == []
 
     def test_prefix_of_sorted_list(self):
         table = table_from_pairs({("a", "i1"): 0.9, ("a", "i2"): 0.6, ("a", "i3"): 0.5})
-        assert select_related_intermediates("a", ["i1", "i2", "i3"], table, 0.5, 2) == ["i1", "i2"]
+        assert select(table, "a", ["i1", "i2", "i3"], 0.5, 2) == ["i1", "i2"]
 
 
 class TestEnrichArtifact:

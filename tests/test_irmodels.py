@@ -402,15 +402,18 @@ class TestTableOracles:
             others = [d.artifact_id for d in docs if d.artifact_id not in ("d0", "copy")]
             for model in ("vsm", "js"):
                 table = build_similarity_table(docs, model)
-                assert table.row_scores("d0", others) == table.row_scores("copy", others)
+                original, copy = table.rows(["d0", "copy"])
+                cols = table.rows(others)
+                assert table.scores[original, cols].tolist() == table.scores[copy, cols].tolist()
 
 
 def assert_js_table_exact(docs):
     """The JS table equals `similarity_js` on every pair, 0 where a document is empty."""
     by_id = {d.artifact_id: d for d in docs}
+    mass = {d.artifact_id: sum(d.weighted_terms().values()) for d in docs}
     table = build_similarity_table(docs, "js")
     for a, b in id_pairs(list(by_id)):
-        if by_id[a].total_mass() == 0 or by_id[b].total_mass() == 0:
+        if mass[a] == 0 or mass[b] == 0:
             expected = 0.0
         else:
             expected = clamp(similarity_js(by_id[a], by_id[b]))
@@ -468,9 +471,8 @@ class TestSimilarityTable:
         for a, b in (("a", "a"), ("a", "nope"), ("nope", "b")):
             with pytest.raises(ValidationError):
                 table.score(a, b)
-        for a, others in (("a", ["b", "a"]), ("a", ["nope"]), ("nope", ["b"])):
-            with pytest.raises(ValidationError):
-                table.row_scores(a, others)
+        with pytest.raises(ValidationError):
+            table.rows(["a", "nope"])
 
     def test_unknown_model_rejected(self):
         with pytest.raises(ConfigError):
@@ -482,7 +484,7 @@ class TestSimilarityTable:
         with pytest.raises(ValidationError):
             SimilarityTable(["a", "b"], np.zeros((2, 3)))
 
-    def test_row_scores_match_score(self):
+    def test_rows_read_the_scores_of_score(self):
         rng = random.Random(37)
         docs = random_documents(rng, 9, 12)
         ids = [d.artifact_id for d in docs]
@@ -490,7 +492,8 @@ class TestSimilarityTable:
             table = build_similarity_table(docs, model)
             for a in ids:
                 others = [b for b in reversed(ids) if b != a]
-                assert table.row_scores(a, others) == [table.score(a, b) for b in others]
+                row = table.scores[table.rows([a])[0], table.rows(others)].tolist()
+                assert row == [table.score(a, b) for b in others]
 
     def test_symmetry_and_range(self):
         rng = random.Random(23)
@@ -515,6 +518,14 @@ class TestSimilarityTable:
             table = build_similarity_table(docs, model)
             assert table.score("a", "b") == 0.0
 
+    def test_documents_of_compound_terms_only_are_not_empty(self):
+        plain = [doc("a", ["x_y"]), doc("b", ["x_y", "z_w"]), doc("c", ["z_w"])]
+        compound = [doc(d.artifact_id, [], d.terms) for d in plain]
+        for model in ("vsm", "lsi", "js"):
+            table = build_similarity_table(compound, model)
+            assert table.score("a", "b") > 0.0
+            assert table.pairs() == build_similarity_table(plain, model).pairs()
+
 
 class TestRanking:
     def test_sorted_by_score(self):
@@ -523,12 +534,12 @@ class TestRanking:
              doc("pad", ["d"])],
             "vsm",
         )
-        ranked = rank_candidates(table, ["s"], ["t1", "t2"])
+        ranked = rank_candidates(table, table.rows(["s"]), table.rows(["t1", "t2"]))
         assert [t for t, _ in ranked["s"]] == ["t2", "t1"]
 
     def test_tie_breaks_by_id(self):
         table = build_similarity_table([doc("s", ["a"]), doc("tb", ["b"]), doc("ta", ["c"])], "vsm")
-        ranked = rank_candidates(table, ["s"], ["tb", "ta"])
+        ranked = rank_candidates(table, table.rows(["s"]), table.rows(["tb", "ta"]))
         assert [t for t, _ in ranked["s"]] == ["ta", "tb"]
 
     def test_csv_round_trip(self):

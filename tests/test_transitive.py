@@ -4,7 +4,9 @@ The path oracle re-enumerates every level-legal 2/3-hop node sequence and
 filters each hop independently, so it shares no traversal code with the
 implementation. `oracle_ranked` and `oracle_top_related` are the selection
 rule as a Python sort over ids, the reference for the row-index selection
-of `irmodels` and for every hop of `form_paths`.
+of `irmodels` and `enrich` and for every hop of `form_paths`. `paths_from`
+walks from a source id over the level rows that `pipeline.level_rows`
+resolves, as the path stage does.
 """
 
 import itertools
@@ -14,7 +16,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from tracelink.irmodels import SimilarityTable, rank_candidates, ranked, top_related
+from tracelink.enrich import select_related_intermediates
+from tracelink.irmodels import SimilarityTable, rank_candidates, select_rows
+from tracelink.pipeline import level_rows
 from tracelink.transitive import LinkKind, TransitivePath, adjust_scores, form_paths
 
 
@@ -42,6 +46,12 @@ def table_from_pairs(scores, ids=None):
         [scores.get((a, b), scores.get((b, a), 0.0)) for b in ids] for a in ids
     ])
     return SimilarityTable(ids, matrix)
+
+
+def paths_from(source, pools, table, m, t, allow_inner=True):
+    """`form_paths` from the id `source`, over the level rows of `pools` in `table`."""
+    return form_paths(int(table.rows([source])[0]), level_rows(table, pools), table, m, t,
+                      allow_inner)
 
 
 def full_table(pools, scores):
@@ -103,7 +113,8 @@ def oracle_paths(source, pools, table, m, cap, allow_inner):
 
 def oracle_ranked(table, a, pool):
     """`pool` with its scores against `a`, sorted by descending score, then by id."""
-    return sorted(zip(pool, table.row_scores(a, pool)), key=lambda item: (-item[1], item[0]))
+    scored = [(other, table.score(a, other)) for other in pool]
+    return sorted(scored, key=lambda item: (-item[1], item[0]))
 
 
 def oracle_top_related(table, a, pool, m, t):
@@ -215,19 +226,29 @@ def tie_scenarios(draw):
     return pools, SimilarityTable(ids, matrix)
 
 
+def selected_ids(table, row, cols, m, t):
+    """`select_rows` as (id, score) pairs."""
+    rows, scores = select_rows(table, row, cols, m, t)
+    return list(zip([table.ids[r] for r in rows.tolist()], scores))
+
+
 @given(tie_scenarios(), st.sampled_from([0.1, 0.5, 0.75, 1.0]), st.integers(1, 4), st.booleans())
 def test_selection_matches_sorted_oracle_under_ties(scenario, m, t, allow_inner):
     pools, table = scenario
-    sources, targets = pools.source_ids(), pools.target_ids()
+    sources, _, targets = level_rows(table, pools)
+    target_ids = pools.target_ids()
     assert rank_candidates(table, sources, targets) == {
-        s: oracle_ranked(table, s, targets) for s in sources
+        s: oracle_ranked(table, s, target_ids) for s in pools.source_ids()
     }
-    for a in table.ids:
+    for row, a in enumerate(table.ids):
         pool = [b for b in table.ids if b != a]
-        assert ranked(table, a, pool) == oracle_ranked(table, a, pool)
-        assert top_related(table, a, pool, m, t) == oracle_top_related(table, a, pool, m, t)
-    for source in sources:
-        got = path_tuples(form_paths(source, pools, table, m, t, allow_inner))
+        cols = table.rows(pool)
+        assert selected_ids(table, row, cols, None, None) == oracle_ranked(table, a, pool)
+        expected = oracle_top_related(table, a, pool, m, t)
+        assert selected_ids(table, row, cols, m, t) == expected
+        assert select_related_intermediates(table, row, cols, m, t) == [b for b, _ in expected]
+    for source in pools.source_ids():
+        got = path_tuples(paths_from(source, pools, table, m, t, allow_inner))
         assert got == reference_paths(source, pools, table, m, t, allow_inner)
 
 
@@ -236,7 +257,7 @@ class TestFormPaths:
         pools = IdPools(["s1", "s2"], [], ["t1"])
         table = full_table(pools, {("s1", "s2"): 0.9, ("s1", "t1"): 0.9, ("s2", "t1"): 0.9})
         m, t = 0.5, 3
-        assert form_paths("s1", pools, table, m, t, allow_inner=True) == []
+        assert paths_from("s1", pools, table, m, t, allow_inner=True) == []
 
     def test_one_inner_link_max(self):
         pools = IdPools(["s1", "s2"], ["i1", "i2"], ["t1"])
@@ -245,7 +266,7 @@ class TestFormPaths:
             ("i2", "t1"): 0.9, ("i1", "t1"): 0.9, ("s1", "i1"): 0.9,
         })
         m, t = 0.5, 3
-        for path in form_paths("s1", pools, table, m, t, allow_inner=True):
+        for path in paths_from("s1", pools, table, m, t, allow_inner=True):
             inner_count = sum(1 for link in path.links if link.kind is LinkKind.INNER)
             assert inner_count <= 1
             assert len(path.links) in (2, 3)
@@ -264,7 +285,7 @@ class TestFormPaths:
             inters = set(pools.intermediate_ids())
             targets = set(pools.target_ids())
             for source in pools.source_ids():
-                for path in form_paths(source, pools, table, m, t, allow_inner=True):
+                for path in paths_from(source, pools, table, m, t, allow_inner=True):
                     assert len(path.links) in (2, 3)
                     assert len(set(path.nodes)) == len(path.nodes)
                     assert path.nodes[0] in sources
@@ -294,7 +315,7 @@ class TestFormPaths:
             for source, t in itertools.product(pools.source_ids(), (3, 1, 2)):
                 for allow_inner in (False, True):
                     got = {
-                        p.key() for p in form_paths(source, pools, table, m, t, allow_inner)
+                        p.key() for p in paths_from(source, pools, table, m, t, allow_inner)
                     }
                     expected = oracle_paths(source, pools, table, m, t, allow_inner)
                     assert got == expected
@@ -306,7 +327,7 @@ class TestFormPaths:
             pools, table = random_scenario(rng)
             for source, t in itertools.product(pools.source_ids(), (3, 1, 2)):
                 for allow_inner in (False, True):
-                    got = path_tuples(form_paths(source, pools, table, m, t, allow_inner))
+                    got = path_tuples(paths_from(source, pools, table, m, t, allow_inner))
                     assert got == reference_paths(source, pools, table, m, t, allow_inner)
 
     def test_outer_only_subset_of_outer_inner(self):
@@ -315,8 +336,8 @@ class TestFormPaths:
         for _ in range(50):
             pools, table = random_scenario(rng)
             for source in pools.source_ids():
-                outer = {p.key() for p in form_paths(source, pools, table, m, t, False)}
-                both = {p.key() for p in form_paths(source, pools, table, m, t, True)}
+                outer = {p.key() for p in paths_from(source, pools, table, m, t, False)}
+                both = {p.key() for p in paths_from(source, pools, table, m, t, True)}
                 assert outer <= both
 
     def test_threshold_monotonicity(self):
@@ -327,17 +348,17 @@ class TestFormPaths:
             tight_m = (0.6, 4)
             tight_t = (0.4, 2)
             for source in pools.source_ids():
-                base = {p.key() for p in form_paths(source, pools, table, *loose, True)}
-                assert {p.key() for p in form_paths(source, pools, table, *tight_m, True)} <= base
-                assert {p.key() for p in form_paths(source, pools, table, *tight_t, True)} <= base
+                base = {p.key() for p in paths_from(source, pools, table, *loose, True)}
+                assert {p.key() for p in paths_from(source, pools, table, *tight_m, True)} <= base
+                assert {p.key() for p in paths_from(source, pools, table, *tight_t, True)} <= base
 
     def test_enumeration_deterministic(self):
         rng = random.Random(109)
         pools, table = random_scenario(rng)
         m, t = 0.5, 3
         for source in pools.source_ids():
-            first = [p.key() for p in form_paths(source, pools, table, m, t, True)]
-            second = [p.key() for p in form_paths(source, pools, table, m, t, True)]
+            first = [p.key() for p in paths_from(source, pools, table, m, t, True)]
+            second = [p.key() for p in paths_from(source, pools, table, m, t, True)]
             assert first == second
 
     def test_bonus_is_product_of_link_scores(self):
@@ -345,7 +366,7 @@ class TestFormPaths:
         pools, table = random_scenario(rng)
         m, t = 0.5, 3
         for source in pools.source_ids():
-            for path in form_paths(source, pools, table, m, t, True):
+            for path in paths_from(source, pools, table, m, t, True):
                 product = 1.0
                 for link in path.links:
                     product *= link.score
@@ -384,9 +405,9 @@ class TestAdjustScores:
         pools, table = random_scenario(random.Random(seed))
         targets = pools.target_ids()
         candidates = {
-            s: list(zip(targets, table.row_scores(s, targets))) for s in pools.source_ids()
+            s: [(target, table.score(s, target)) for target in targets] for s in pools.source_ids()
         }
-        paths = {s: form_paths(s, pools, table, m, t, allow_inner) for s in candidates}
+        paths = {s: paths_from(s, pools, table, m, t, allow_inner) for s in candidates}
         for found in paths.values():
             for path in found:
                 assert len(set(path.nodes)) == len(path.nodes)
@@ -407,7 +428,7 @@ class TestAdjustScores:
                 for s in pools.source_ids()
             }
             paths = {
-                s: form_paths(s, pools, table, 0.5, 3, True) for s in pools.source_ids()
+                s: paths_from(s, pools, table, 0.5, 3, True) for s in pools.source_ids()
             }
             adjusted = adjust_scores(candidates, paths)
             for s in candidates:
