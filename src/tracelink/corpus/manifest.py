@@ -87,5 +87,7 @@ def _load_oracle(spec: dict, key: str) -> set[tuple[str, str]]:
     for item in _list(spec, key):
         if not isinstance(item, (list, tuple)) or len(item) != 2:
             raise ValidationError(f"{key} entries must be [left, right] pairs, got {item!r}")
-        pairs.add((str(item[0]), str(item[1])))
+        if not all(isinstance(doc_id, str) for doc_id in item):
+            raise ValidationError(f"{key} ids must be strings, got {item!r}")
+        pairs.add(tuple(item))
     return pairs

@@ -10,7 +10,9 @@ consumers resolve ids to its rows once, through `SimilarityTable.rows`. VSM
 and LSI divide one Gram matrix of the tf-idf rows (or of the LSI topic
 coordinates, from one SVD per table) by the outer product of the row norms.
 JS scores each pair over that pair's own sorted union vocabulary (epsilon
-smoothing, base-2 KL), with the per-document work done once. It batches the
+smoothing, base-2 KL), with the per-document work done once: each document's
+used columns form one sorted list, and a pair's union columns are a merge of
+its two lists, so no step scans the whole vocabulary per pair. It batches the
 pairs by union size, one row per pair, and reduces along rows only, so each
 score is the one that pair would get alone and exact ties stay exact. All
 stored similarities are clamped into [0, 1] and symmetric.
@@ -37,8 +39,8 @@ from .errors import ConfigError, NumericError, ParseError, ValidationError
 MODELS = ("vsm", "lsi", "js")
 
 _JS_EPSILON = 1e-9
-# Elements per gathered (pairs x union size) JS block; larger blocks raise peak
-# memory and save no time.
+# Elements per gathered (pairs x union size) JS block. Larger blocks raise peak
+# memory and save no time, and smaller ones pay more per-block overhead.
 _JS_BLOCK = 1 << 12
 
 
@@ -175,13 +177,17 @@ def _js_matrix(documents: list[Document]) -> np.ndarray:
     """1 - base-2 JSD for every pair of nonempty documents, in blocks of pairs.
 
     Each pair smooths and normalizes over its own union vocabulary: the
-    columns of the shared sorted vocabulary that either document uses. Pairs
-    are grouped by the size L of that union, and each block of a group is
-    gathered into two (pairs x L) arrays whose rows hold the pair's union
-    columns in vocabulary order. Every reduction runs along a row, so each
-    score is summed over exactly its own pair's values in the same order as
-    a per-pair computation, and exact ties (say, between duplicate
-    documents) stay exact.
+    columns of the shared sorted vocabulary that either document uses. Its
+    size L is |A| + |B| - |A n B|, with the shared counts from `_gram` of
+    the used mask. Pairs are grouped by L. For each block of a group, the
+    two ascending column lists of every pair, padded with the sentinel V
+    (the vocabulary size), are sorted together along the row; the values
+    that differ from their left neighbour and are not V are the pair's
+    union columns in vocabulary order. So a block costs O(pairs x L), not
+    O(pairs x V). Each block is gathered into two (pairs x L) arrays. Every
+    reduction runs along a row, so each score is summed over exactly its
+    own pair's values in the same order as a per-pair computation, and
+    exact ties (say, between duplicate documents) stay exact.
 
     Every stored count is positive (token counts and positive biterm
     weights), so a document uses exactly its columns with a count above 0.
@@ -190,19 +196,20 @@ def _js_matrix(documents: list[Document]) -> np.ndarray:
     """
     _, dense = _count_matrix(documents)
     used = dense > 0
-    n = len(documents)
+    n, vocabulary_size = used.shape
     scores = np.zeros((n, n))
-    nonempty = np.flatnonzero(used.any(axis=1))
+    lengths = np.count_nonzero(used, axis=1)
+    nonempty = np.flatnonzero(lengths)
     if len(nonempty) < 2:
         return scores
-    # Union sizes one row at a time: a matmul of the masks starts BLAS and raises peak memory.
-    sizes = np.concatenate([
-        np.count_nonzero(used[i] | used[nonempty[x + 1:]], axis=1)
-        for x, i in enumerate(nonempty[:-1])
-    ])
+    # Row d holds document d's used columns in ascending order, then the sentinel V.
+    padded = np.full((n, lengths.max()), vocabulary_size)
+    padded[np.arange(lengths.max()) < lengths[:, None]] = np.nonzero(used)[1]
+    # The triu indexes are freed here, before `_gram`'s n x n array is built.
+    first, second = (nonempty[i] for i in np.triu_indices(len(nonempty), 1))
+    sizes = lengths[first] + lengths[second] - _gram(used)[first, second].astype(np.intp)
     order = np.argsort(sizes, kind="stable")
-    x, y = np.triu_indices(len(nonempty), 1)
-    first, second, sizes = nonempty[x][order], nonempty[y][order], sizes[order]
+    first, second, sizes = first[order], second[order], sizes[order]
     starts = np.flatnonzero(np.diff(sizes)) + 1
     for a_group, b_group, size in zip(
         np.split(first, starts), np.split(second, starts), sizes[np.r_[0, starts]].tolist()
@@ -210,7 +217,13 @@ def _js_matrix(documents: list[Document]) -> np.ndarray:
         step = max(1, _JS_BLOCK // size)
         for k in range(0, len(a_group), step):
             a, b = a_group[k:k + step], b_group[k:k + step]
-            cols = np.nonzero(used[a] | used[b])[1].reshape(len(a), size)
+            merged = np.concatenate(
+                (padded[a, :lengths[a].max()], padded[b, :lengths[b].max()]), axis=1
+            )
+            merged.sort(axis=1)
+            keep = merged != vocabulary_size
+            keep[:, 1:] &= merged[:, 1:] != merged[:, :-1]
+            cols = merged[keep].reshape(len(a), size)
             p = dense[a[:, None], cols] + _JS_EPSILON
             p = p / p.sum(axis=1, keepdims=True)
             q = dense[b[:, None], cols] + _JS_EPSILON

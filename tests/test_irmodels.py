@@ -15,6 +15,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from tracelink import irmodels
 from tracelink.corpus.types import Document
@@ -421,8 +422,42 @@ def assert_js_table_exact(docs):
     return table
 
 
+@st.composite
+def js_corpora(draw):
+    """Documents that stress the per-pair union columns, in a drawn order.
+
+    One long document among short ones, one whose terms are a subset of the
+    long one's, two disjoint from everything, exact copies and empty ones.
+    """
+    words = [f"w{i}" for i in range(40)]
+    short = draw(st.lists(st.lists(st.sampled_from(words[:8]), min_size=1, max_size=4),
+                          min_size=1, max_size=5))
+    long = draw(st.lists(st.sampled_from(words), min_size=20, max_size=40, unique=True))
+    subset = draw(st.lists(st.sampled_from(long), min_size=1, max_size=5))
+    disjoint = [draw(st.lists(st.sampled_from([f"{prefix}{i}" for i in range(4)]),
+                              min_size=1, max_size=4)) for prefix in "xy"]
+    copies = draw(st.lists(st.sampled_from(short), max_size=2))
+    terms = [*short, long, subset, *disjoint, *copies, *[[]] * draw(st.integers(0, 2))]
+    order = draw(st.permutations(range(len(terms))))
+    return [doc(f"d{k}", terms[i]) for k, i in enumerate(order)]
+
+
 class TestJsTable:
     """The batched JS table, pair for pair, at any block size and corpus shape."""
+
+    @given(js_corpora())
+    def test_equals_similarity_js_on_generated_documents(self, docs):
+        scores = assert_js_table_exact(docs).scores
+        with mock.patch.object(irmodels, "_JS_BLOCK", 1):
+            assert np.array_equal(assert_js_table_exact(docs).scores, scores)
+
+    @given(hnp.arrays(bool, hnp.array_shapes(min_dims=2, max_dims=2, max_side=12)))
+    def test_gram_of_a_mask_counts_shared_columns(self, used):
+        gram = irmodels._gram(used)
+        rows = used.tolist()
+        for i, j in id_pairs(range(len(rows))):
+            shared = sum(a and b for a, b in zip(rows[i], rows[j]))
+            assert gram[i, j] == gram[j, i] == shared
 
     @pytest.mark.parametrize("nonempty", [0, 1, 2])
     @pytest.mark.parametrize("empty", [0, 2])

@@ -107,6 +107,13 @@ def _integer_source_id(manifest):
     return manifest
 
 
+def _integer_oracle_id(manifest):
+    # The source id "7" exists, so only the type of the oracle's 7 is wrong.
+    manifest["sources"][0]["id"] = "7"
+    manifest["oracle_st"] = [[7, "A.java"]]
+    return manifest
+
+
 @pytest.mark.parametrize("malform", [
     pytest.param(lambda manifest: [manifest], id="top_level_array"),
     pytest.param(lambda manifest: {**manifest, "sources": 5}, id="level_not_a_list"),
@@ -117,6 +124,7 @@ def _integer_source_id(manifest):
         id="path_not_a_string",
     ),
     pytest.param(_integer_source_id, id="integer_id_without_oracle"),
+    pytest.param(_integer_oracle_id, id="oracle_id_not_a_string"),
 ])
 def test_malformed_shape_rejected(tmp_path, capsys, malform):
     path = write_dataset(tmp_path)
