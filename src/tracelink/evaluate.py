@@ -95,21 +95,6 @@ def _average_precision(relevant_ranks: list[int], n_relevant: int) -> float:
     return 100.0 * total / n_relevant
 
 
-def _midranks(pooled: list[float]) -> list[float]:
-    order = sorted(range(len(pooled)), key=lambda i: pooled[i])
-    ranks = [0.0] * len(pooled)
-    i = 0
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and pooled[order[j + 1]] == pooled[order[i]]:
-            j += 1
-        avg = (i + j) / 2.0 + 1.0
-        for k in range(i, j + 1):
-            ranks[order[k]] = avg
-        i = j + 1
-    return ranks
-
-
 def _exact_rank_sum_p(rank2: list[int], n1: int, w2_obs: int) -> float:
     """Two-sided exact p over all n1-subsets of the doubled midranks.
 
@@ -151,22 +136,21 @@ def wilcoxon_rank_sum(a: list[float], b: list[float]) -> float:
         raise EvaluationError("both samples must be nonempty")
     n1, n2 = len(a), len(b)
     n = n1 + n2
-    pooled = [*a, *b]
-    ranks = _midranks(pooled)
-    w = sum(ranks[:n1])
-
-    if len(set(pooled)) == 1:
+    # One grouping of the tied values gives the midranks and the tie counts.
+    _, group, counts = np.unique([*a, *b], return_inverse=True, return_counts=True)
+    if len(counts) == 1:
         return 1.0
+    ends = np.cumsum(counts)
+    # Group g holds the 1-based ranks ends[g] - counts[g] + 1 .. ends[g].
+    ranks = ((2 * ends - counts + 1) / 2.0)[group.reshape(-1)].tolist()
+    w = sum(ranks[:n1])
 
     if math.comb(n, n1) <= _EXACT_LIMIT:
         rank2 = [int(round(2 * r)) for r in ranks]
         return _exact_rank_sum_p(rank2, n1, int(round(2 * w)))
 
     mean = n1 * (n + 1) / 2.0
-    tie_counts: dict[float, int] = {}
-    for value in pooled:
-        tie_counts[value] = tie_counts.get(value, 0) + 1
-    tie_term = sum(t**3 - t for t in tie_counts.values())
+    tie_term = sum(t**3 - t for t in counts.tolist())
     variance = (n1 * n2 / 12.0) * ((n + 1) - tie_term / (n * (n - 1)))
     if variance <= 0.0:
         return 1.0

@@ -1,9 +1,10 @@
 """tf-idf indexing and the pairwise similarity table under VSM, LSI and JS.
 
-The term-document matrix uses raw term counts (including enrichment weights)
-times ln(N/df). LSI takes a deterministic dense SVD of that matrix and
-compares documents in the scaled topic space; JS compares smoothed term
-distributions with base-2 Jensen-Shannon divergence.
+Each table starts from one dense count matrix: raw term counts, including
+enrichment weights, with columns in sorted term order. VSM and LSI scale it
+in place to tf-idf, times ln(N/df). LSI takes a deterministic dense SVD of
+that matrix and compares documents in the scaled topic space; JS compares
+smoothed term distributions with base-2 Jensen-Shannon divergence.
 
 `build_similarity_table` computes one n x n score matrix per table, and
 consumers resolve ids to its rows once, through `SimilarityTable.rows`. VSM
@@ -17,10 +18,12 @@ pairs by union size, one row per pair, and reduces along rows only, so each
 score is the one that pair would get alone and exact ties stay exact. All
 stored similarities are clamped into [0, 1] and symmetric.
 
-Ranking and selection take row indexes only: `select_rows` orders a row with
-one lexsort, by descending score and then by each id's rank in sorted id
-order, so exact ties break by ascending id. `rank_candidates` applies it to
-each source row and turns rows into ids only for its result.
+Ranking and selection take row indexes only, and `_order` owns their one
+order: a lexsort by descending score and then by each id's rank in sorted id
+order, so exact ties break by ascending id. `select_rows` applies it to one
+row; `rank_candidates` applies it to every row of the source x target block,
+times the path stage's multipliers, and turns rows into ids only for its
+result.
 """
 
 from __future__ import annotations
@@ -44,55 +47,40 @@ _JS_EPSILON = 1e-9
 _JS_BLOCK = 1 << 12
 
 
-@dataclass
-class TermDocMatrix:
-    """tf-idf weighted document vectors over a shared vocabulary."""
-
-    vocabulary: list[str]
-    doc_ids: list[str]
-    weights: np.ndarray  # shape (n_docs, n_terms)
-
-
-def _count_matrix(documents: list[Document]) -> tuple[list[str], np.ndarray]:
-    """The sorted vocabulary and the dense term counts."""
+def _count_matrix(documents: list[Document]) -> np.ndarray:
+    """The dense term counts, one row per document, columns in sorted term order."""
     counts = [d.weighted_terms() for d in documents]
-    vocabulary = sorted(set().union(*counts))
-    column = {term: k for k, term in enumerate(vocabulary)}
-    dense = np.zeros((len(documents), len(vocabulary)))
+    column = {term: k for k, term in enumerate(sorted(set().union(*counts)))}
+    dense = np.zeros((len(documents), len(column)))
     for i, doc_counts in enumerate(counts):
         for term, count in doc_counts.items():
             dense[i, column[term]] = count
-    return vocabulary, dense
+    return dense
 
 
-def build_matrix(documents: list[Document]) -> TermDocMatrix:
-    """Index documents into a tf-idf matrix; idf = ln(N/df), tf = raw count."""
-    if not documents:
-        raise ValidationError("cannot build a matrix from zero documents")
-    ids = [d.artifact_id for d in documents]
-    if len(set(ids)) != len(ids):
-        raise ValidationError("duplicate document ids in matrix input")
-    vocabulary, tf = _count_matrix(documents)
-    if not vocabulary:
-        raise ValidationError("empty vocabulary: all documents are empty")
-    df = np.count_nonzero(tf > 0, axis=0)
-    idf = np.log(len(documents) / np.maximum(df, 1))
-    return TermDocMatrix(vocabulary=vocabulary, doc_ids=ids, weights=tf * idf)
+def _tf_idf(counts: np.ndarray) -> np.ndarray:
+    """`counts` scaled in place to tf-idf weights: tf = raw count, idf = ln(N/df)."""
+    df = np.count_nonzero(counts > 0, axis=0)
+    counts *= np.log(len(counts) / np.maximum(df, 1))
+    return counts
 
 
 def default_lsi_rank(n_docs: int) -> int:
     return max(2, int(0.3 * n_docs))
 
 
-def lsi_document_space(matrix: TermDocMatrix, k: int) -> np.ndarray:
-    """Rows of V_k scaled by the top-k singular values (documents in topic space)."""
-    max_rank = min(len(matrix.vocabulary), len(matrix.doc_ids))
-    if not 1 <= k <= max_rank:
-        raise ConfigError(f"LSI rank {k} outside [1, {max_rank}]")
+def lsi_document_space(weights: np.ndarray, k: int) -> np.ndarray:
+    """Rows of V_k scaled by the top-k singular values (documents in topic space).
+
+    A rank k above min(documents, terms) is lowered to that bound.
+    """
+    if k < 1:
+        raise ConfigError(f"LSI rank must be at least 1, got {k}")
+    k = min(k, *weights.shape)
     try:
         # weights is docs x terms; SVD of the term-document matrix A = weights.T
         # gives A = U S Vt with document coordinates in Vt.T.
-        _, singular, vt = np.linalg.svd(matrix.weights.T, full_matrices=False)
+        _, singular, vt = np.linalg.svd(weights.T, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"SVD failed to converge: {exc}") from exc
     return vt.T[:, :k] * singular[:k]
@@ -173,8 +161,8 @@ def _cosine_matrix(vectors: np.ndarray) -> np.ndarray:
     return cosines
 
 
-def _js_matrix(documents: list[Document]) -> np.ndarray:
-    """1 - base-2 JSD for every pair of nonempty documents, in blocks of pairs.
+def _js_matrix(dense: np.ndarray) -> np.ndarray:
+    """1 - base-2 JSD for every pair of nonempty rows of the counts `dense`, in blocks of pairs.
 
     Each pair smooths and normalizes over its own union vocabulary: the
     columns of the shared sorted vocabulary that either document uses. Its
@@ -194,7 +182,6 @@ def _js_matrix(documents: list[Document]) -> np.ndarray:
     Epsilon is positive too, so every smoothed probability is positive and
     the KL sums need no `p > 0` mask.
     """
-    _, dense = _count_matrix(documents)
     used = dense > 0
     n, vocabulary_size = used.shape
     scores = np.zeros((n, n))
@@ -242,27 +229,28 @@ def build_similarity_table(
 ) -> SimilarityTable:
     """Compute all pairwise similarities among `documents` under `model`.
 
-    Documents that are entirely empty compare as 0 to everything. When every
-    document is empty the table is all zeros (degenerate but well-defined).
-    An LSI rank above min(vocabulary, documents) is lowered to that bound.
+    One count matrix is built and handed to the model. Documents that are
+    entirely empty compare as 0 to everything, and when every document is
+    empty the table is all zeros (degenerate but well-defined).
     """
     if model not in MODELS:
         raise ConfigError(f"unknown IR model {model!r}; expected one of {MODELS}")
     ids = [d.artifact_id for d in documents]
-    if model == "js":
-        return SimilarityTable(ids, _js_matrix(documents))
-    if not any(d.terms or d.added_biterm_terms for d in documents):
+    counts = _count_matrix(documents)
+    if not counts.size:
         return SimilarityTable(ids, np.zeros((len(ids), len(ids))))
-
-    matrix = build_matrix(documents)
-    if model == "vsm":
-        vectors = matrix.weights
-    else:
-        k = lsi_rank if lsi_rank is not None else default_lsi_rank(len(documents))
-        vectors = lsi_document_space(
-            matrix, min(k, len(matrix.vocabulary), len(matrix.doc_ids))
-        )
+    if model == "js":
+        return SimilarityTable(ids, _js_matrix(counts))
+    vectors = _tf_idf(counts)
+    if model == "lsi":
+        k = lsi_rank if lsi_rank is not None else default_lsi_rank(len(ids))
+        vectors = lsi_document_space(vectors, k)
     return SimilarityTable(ids, _cosine_matrix(vectors))
+
+
+def _order(table: SimilarityTable, cols: np.ndarray, scores: np.ndarray) -> np.ndarray:
+    """The order of `cols` along the last axis of `scores`: descending score, then ascending id."""
+    return np.lexsort((np.broadcast_to(table.id_rank[cols], scores.shape), -scores), axis=-1)
 
 
 def select_rows(
@@ -278,19 +266,26 @@ def select_rows(
         best = scores.max(initial=0.0)
         keep = (scores >= m * best) & (best > 0.0)
         cols, scores = cols[keep], scores[keep]
-    order = np.lexsort((table.id_rank[cols], -scores))[:t]
+    order = _order(table, cols, scores)[:t]
     return cols[order], scores[order].tolist()
 
 
 def rank_candidates(
-    table: SimilarityTable, sources: np.ndarray, targets: np.ndarray
+    table: SimilarityTable, sources: np.ndarray, targets: np.ndarray, scale: np.ndarray | float
 ) -> dict[str, list[tuple[str, float]]]:
-    """Per-source target ranking, descending score with ascending-id tie-break."""
-    ranking = {}
-    for row in sources.tolist():
-        cols, scores = select_rows(table, row, targets, None, None)
-        ranking[table.ids[row]] = list(zip([table.ids[col] for col in cols.tolist()], scores))
-    return ranking
+    """Each source's targets by descending score, ties by ascending id, with those scores.
+
+    The scores are the `sources` x `targets` block of the table times
+    `scale`: a number, or one multiplier per pair.
+    """
+    scores = table.scores[np.ix_(sources, targets)] * scale
+    order = _order(table, targets, scores)
+    ids = np.array([table.ids[col] for col in targets.tolist()], dtype=object)[order]
+    scores = np.take_along_axis(scores, order, axis=1)
+    return {
+        table.ids[row]: list(zip(row_ids, row_scores))
+        for row, row_ids, row_scores in zip(sources.tolist(), ids.tolist(), scores.tolist())
+    }
 
 
 _CSV_HEADER = ["source_id", "target_id", "score"]

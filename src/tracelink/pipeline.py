@@ -1,4 +1,4 @@
-"""End-to-end pipeline: extract, filter, enrich, rank, deduce, adjust.
+"""End-to-end pipeline: extract, filter, enrich, deduce, adjust, rank.
 
 This module owns the ablation modes: `ABLATION_MODES` names them and
 `parse_mode` maps one to its components. "b" turns on intermediate-centric
@@ -12,12 +12,13 @@ thresholds m and t, which reach enrichment and path deduction as plain
 arguments.
 
 A run is two stages over the base documents of `build_documents`:
-`rank_stage` (biterms, enrichment, tables and IR ranking) depends only on
-whether "b" is on, and `path_stage` (path deduction and score adjustment)
-adds what "o" and "i" ask for. Both read the mode from the config. Neither
-stage writes to its inputs, so one ranking can serve every mode with the
-same "b", as `run_ablation` does. Each stage resolves the three levels to
-rows of a table once, with `level_rows`, and every selection takes rows.
+`table_stage` (biterms, enrichment and similarity tables) depends only on
+whether "b" is on, and `path_stage` deduces the paths and adjusts the
+scores that "o" and "i" ask for, then ranks the mode's candidates once.
+Both read the mode from the config. Neither stage writes to its inputs, so
+one table stage can serve every mode with the same "b", as `run_ablation`
+does. Each stage resolves the three levels to rows of a table once, with
+`level_rows`, and every selection takes rows.
 """
 
 from __future__ import annotations
@@ -76,13 +77,13 @@ def _is_int(value) -> bool:
 class PipelineResult:
     documents: dict[str, Document]
     similarity: SimilarityTable
-    candidates: dict[str, list[tuple[str, float]]]
+    candidates: dict[str, list[tuple[str, float]]] = field(default_factory=dict)
     paths: dict[str, list[TransitivePath]] = field(default_factory=dict)
     filtered_biterms: dict[str, Biterms] = field(default_factory=dict)
 
 
 def run_pipeline(dataset: Dataset, config: PipelineConfig) -> PipelineResult:
-    return path_stage(dataset, config, rank_stage(dataset, config, build_documents(dataset)))
+    return path_stage(dataset, config, table_stage(dataset, config, build_documents(dataset)))
 
 
 def run_ablation(
@@ -91,7 +92,7 @@ def run_ablation(
     """Evaluate `config` under each mode against the S-T oracle.
 
     The modes share their stages: the base documents are built once, the
-    ranking stage runs once per distinct "b" (so six modes build three
+    table stage runs once per distinct "b" (so six modes build three
     similarity tables, not nine), and only the path stage runs per mode.
     Each report equals that of a separate `run_pipeline` for the mode.
     """
@@ -99,13 +100,13 @@ def run_ablation(
         raise ConfigError("ablation requires at least one mode")
     configs = {mode: replace(config, mode=mode) for mode in modes}  # checks every mode first
     documents = build_documents(dataset)
-    rankings: dict[bool, PipelineResult] = {}
+    tables: dict[bool, PipelineResult] = {}
     reports: dict[str, EvalReport] = {}
     for mode, mode_config in configs.items():
         has_b = "b" in parse_mode(mode)
-        if has_b not in rankings:
-            rankings[has_b] = rank_stage(dataset, mode_config, documents)
-        result = path_stage(dataset, mode_config, rankings[has_b])
+        if has_b not in tables:
+            tables[has_b] = table_stage(dataset, mode_config, documents)
+        result = path_stage(dataset, mode_config, tables[has_b])
         reports[mode] = evaluate_ranking(result.candidates, dataset.oracle_st)
     return reports
 
@@ -121,13 +122,14 @@ def level_rows(table: SimilarityTable, dataset: Dataset) -> tuple[np.ndarray, ..
     return tuple(table.rows(ids) for ids in levels)
 
 
-def rank_stage(
+def table_stage(
     dataset: Dataset, config: PipelineConfig, documents: dict[str, Document]
 ) -> PipelineResult:
-    """IR ranking of every source's targets, with biterm enrichment when the mode has "b".
+    """The final documents and similarity table, with biterm enrichment when the mode has "b".
 
-    Reads only "b" of the mode, so modes that agree on it rank alike.
-    `documents` is left as it is: enrichment writes to copies.
+    Reads only "b" of the mode, so modes that agree on it share the result,
+    which holds no candidates yet. `documents` is left as it is: enrichment
+    writes to copies.
     """
     filtered_by_id: dict[str, Biterms] = {}
 
@@ -160,32 +162,35 @@ def rank_stage(
                 enriched[artifact_id] = enrich_artifact(documents[artifact_id], related_sets)
             documents = enriched
 
-    table = build_similarity_table(list(documents.values()), config.model, config.lsi_rank)
-    sources, _, targets = level_rows(table, dataset)
     return PipelineResult(
         documents=documents,
-        similarity=table,
-        candidates=rank_candidates(table, sources, targets),
+        similarity=build_similarity_table(list(documents.values()), config.model, config.lsi_rank),
         filtered_biterms=filtered_by_id,
     )
 
 
 def path_stage(
-    dataset: Dataset, config: PipelineConfig, ranking: PipelineResult
+    dataset: Dataset, config: PipelineConfig, tables: PipelineResult
 ) -> PipelineResult:
-    """`ranking` with the paths and score adjustment that "o" and "i" of the mode ask for.
+    """`tables` with the candidates of the mode, ranked once.
 
-    Returns a new result and leaves `ranking` as it is.
+    With "o" (and "i"), each source's paths are deduced first, and the IR
+    scores are multiplied by their `adjust_scores` factors before ranking.
+    Returns a new result and leaves `tables` as it is.
     """
     components = parse_mode(config.mode)
-    if "o" not in components:
-        return replace(ranking, paths={})
-    table = ranking.similarity
+    table = tables.similarity
     levels = level_rows(table, dataset)
-    paths = {
-        table.ids[row]: form_paths(
-            row, levels, table, config.m, config.t, allow_inner="i" in components
-        )
-        for row in levels[0].tolist()
-    }
-    return replace(ranking, candidates=adjust_scores(ranking.candidates, paths), paths=paths)
+    paths: dict[str, list[TransitivePath]] = {}
+    scale = 1.0
+    if "o" in components:
+        paths = {
+            table.ids[row]: form_paths(
+                row, levels, table, config.m, config.t, allow_inner="i" in components
+            )
+            for row in levels[0].tolist()
+        }
+        scale = adjust_scores(paths, dataset.source_ids(), dataset.target_ids())
+    return replace(
+        tables, candidates=rank_candidates(table, levels[0], levels[2], scale), paths=paths
+    )

@@ -11,8 +11,9 @@ most max(1, t - h) artifacts scoring at least (0.1 * h + m) times the best,
 ties broken by ascending id. The walk takes each level as its table rows,
 which the caller resolves once per stage, and carries row indexes; it turns
 them into ids only to build a `TransitivePath`. A path's bonus is the
-product of its link similarities; a candidate's score is multiplied by
-(1 + bonus) per path.
+product of its link similarities. `adjust_scores` turns the paths into one
+source x target block of multipliers, (1 + bonus) per path; the caller
+ranks the IR scores times that block once, with `irmodels.rank_candidates`.
 """
 
 from __future__ import annotations
@@ -46,10 +47,6 @@ class TransitivePath:
     nodes: list[str]
     links: list[TransitiveLink]
     bonus: float
-
-    @property
-    def target(self) -> str:
-        return self.nodes[-1]
 
     def key(self) -> tuple[str, ...]:
         return tuple(self.nodes)
@@ -94,19 +91,19 @@ def form_paths(
 
 
 def adjust_scores(
-    candidates: dict[str, list[tuple[str, float]]],
-    paths: dict[str, list[TransitivePath]],
-) -> dict[str, list[tuple[str, float]]]:
-    """Multiply each (source, target) score by (1 + bonus) per connecting path."""
-    adjusted: dict[str, list[tuple[str, float]]] = {}
-    for source, targets in candidates.items():
-        multipliers: dict[str, float] = {}
-        for path in paths.get(source, []):
-            multipliers[path.target] = multipliers.get(path.target, 1.0) * (1.0 + path.bonus)
-        rescored = [(t, score * multipliers.get(t, 1.0)) for t, score in targets]
-        rescored.sort(key=lambda item: (-item[1], item[0]))
-        adjusted[source] = rescored
-    return adjusted
+    paths: dict[str, list[TransitivePath]], sources: list[str], targets: list[str]
+) -> np.ndarray:
+    """The `sources` x `targets` score multipliers: (1 + bonus) per connecting path.
+
+    Each entry starts at 1 and multiplies in the factor of each path from
+    its source to its target, in path order; a pair with no path keeps 1.
+    """
+    column = {target: j for j, target in enumerate(targets)}
+    multipliers = np.ones((len(sources), len(targets)))
+    for i, source in enumerate(sources):
+        for path in paths.get(source, ()):
+            multipliers[i, column[path.nodes[-1]]] *= 1.0 + path.bonus
+    return multipliers
 
 
 def paths_to_json_payload(paths: dict[str, list[TransitivePath]]) -> list[dict]:

@@ -7,7 +7,9 @@ here as its oracle, and `evaluate_ranking` must match them bit for bit.
 """
 
 import itertools
+import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -301,11 +303,9 @@ class TestMeanAveragePrecision:
             assert value == pytest.approx(sum(expected) / len(expected), abs=1e-12)
 
 
-def oracle_rank_sum_p(a, b):
-    """Exhaustive enumeration over all assignments of pooled midranks."""
-    pooled = [*a, *b]
+def oracle_midranks(pooled):
+    """1-based ranks of `pooled`, each tied run given the mean of its ranks."""
     n = len(pooled)
-    # midranks
     order = sorted(range(n), key=lambda i: pooled[i])
     ranks = [0.0] * n
     i = 0
@@ -316,6 +316,14 @@ def oracle_rank_sum_p(a, b):
         for k in range(i, j + 1):
             ranks[order[k]] = (i + j) / 2 + 1
         i = j + 1
+    return ranks
+
+
+def oracle_rank_sum_p(a, b):
+    """Exhaustive enumeration over all assignments of pooled midranks."""
+    pooled = [*a, *b]
+    n = len(pooled)
+    ranks = oracle_midranks(pooled)
     n1 = len(a)
     observed = sum(ranks[:n1])
     mean = n1 * (n + 1) / 2
@@ -358,6 +366,24 @@ class TestWilcoxon:
     def test_empty_sample_rejected(self):
         with pytest.raises(EvaluationError):
             wilcoxon_rank_sum([], [1.0])
+
+    @given(st.lists(st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.5]) | st.floats(0, 100),
+                    min_size=32, max_size=40), st.integers(12, 20))
+    def test_normal_approximation_is_the_tie_corrected_formula(self, pooled, n1):
+        # Past the exact limit: the p-value from plain-Python midranks and tie counts, bit for bit.
+        a, b = pooled[:n1], pooled[n1:]
+        assert math.comb(len(pooled), n1) > 500_000
+        ranks = oracle_midranks(pooled)
+        n, n2 = len(pooled), len(b)
+        ties = Counter(pooled).values()
+        if len(ties) == 1:
+            expected = 1.0
+        else:
+            tie_term = sum(t**3 - t for t in ties)
+            variance = (n1 * n2 / 12.0) * ((n + 1) - tie_term / (n * (n - 1)))
+            z = (sum(ranks[:n1]) - n1 * (n + 1) / 2.0) / math.sqrt(variance)
+            expected = math.erfc(abs(z) / math.sqrt(2.0))
+        assert wilcoxon_rank_sum(a, b) == expected
 
 
 def oracle_cliffs_delta(a, b):

@@ -24,7 +24,6 @@ from tracelink.evaluate import evaluate_ranking
 from tracelink.irmodels import (
     SimilarityTable,
     _JS_EPSILON,
-    build_matrix,
     build_similarity_table,
     default_lsi_rank,
     format_ranked_csv,
@@ -131,9 +130,25 @@ def similarity_js(doc_a, doc_b):
     )
 
 
+@dataclasses.dataclass
+class TfIdf:
+    """The tf-idf rows that the vsm and lsi tables are built from, with their labels."""
+
+    vocabulary: list[str]
+    doc_ids: list[str]
+    weights: np.ndarray
+
+
+def tf_idf(docs):
+    """The tf-idf matrix of `docs`, from the count matrix every table is built from."""
+    vocabulary = sorted(set().union(*(d.weighted_terms() for d in docs)))
+    weights = irmodels._tf_idf(irmodels._count_matrix(docs))
+    return TfIdf(vocabulary, [d.artifact_id for d in docs], weights)
+
+
 def lsi_matrix(matrix, k):
     """`matrix` with its rows replaced by the rank-k LSI document coordinates."""
-    return dataclasses.replace(matrix, weights=lsi_document_space(matrix, k))
+    return dataclasses.replace(matrix, weights=lsi_document_space(matrix.weights, k))
 
 
 def brute_cosine(matrix, a, b):
@@ -151,8 +166,10 @@ def brute_cosine(matrix, a, b):
 
 
 class TestBuildMatrix:
+    """The count matrix, scaled to tf-idf, and the all-empty corpus."""
+
     def test_two_doc_idf(self):
-        matrix = build_matrix([doc("d1", ["a", "b"]), doc("d2", ["a"])])
+        matrix = tf_idf([doc("d1", ["a", "b"]), doc("d2", ["a"])])
         col_a = matrix.vocabulary.index("a")
         col_b = matrix.vocabulary.index("b")
         assert matrix.weights[0, col_a] == 0.0          # idf(a) = ln(2/2) = 0
@@ -160,18 +177,20 @@ class TestBuildMatrix:
         assert matrix.weights[1, col_b] == 0.0          # tf = 0
 
     def test_single_document_degenerate(self):
-        matrix = build_matrix([doc("d1", ["a", "b", "b"])])
+        matrix = tf_idf([doc("d1", ["a", "b", "b"])])
         assert np.all(matrix.weights == 0.0)
         # Terms that every document uses weigh 0, and an all-zero row scores 0.
         table = build_similarity_table([doc("d1", ["a", "b", "b"]), doc("d2", ["a", "b"])], "vsm")
         assert table.score("d1", "d2") == 0.0
 
-    def test_all_empty_rejected(self):
-        with pytest.raises(ValidationError):
-            build_matrix([doc("d1", []), doc("d2", [])])
+    def test_all_empty_corpus_scores_zero(self):
+        for model in irmodels.MODELS:
+            table = build_similarity_table([doc("d1", []), doc("d2", [])], model, lsi_rank=1)
+            assert table.scores.tolist() == [[0.0, 0.0], [0.0, 0.0]]
+            assert build_similarity_table([], model).scores.shape == (0, 0)
 
     def test_biterm_weights_count_into_tf(self):
-        matrix = build_matrix([
+        matrix = tf_idf([
             doc("d1", ["a"], added={"x_y": 3}),
             doc("d2", ["a"]),
         ])
@@ -190,7 +209,7 @@ class TestVsm:
 
     def test_three_doc_fixture_matches_brute_force(self):
         docs = [doc("d0", ["a", "b", "c"]), doc("d1", ["a", "a", "d"]), doc("d2", ["b", "d"])]
-        matrix = build_matrix(docs)
+        matrix = tf_idf(docs)
         table = build_similarity_table(docs, "vsm")
         for a, b in id_pairs(matrix.doc_ids):
             assert table.score(a, b) == pytest.approx(brute_cosine(matrix, a, b), abs=1e-12)
@@ -199,7 +218,7 @@ class TestVsm:
         rng = random.Random(7)
         for _ in range(50):
             docs = random_documents(rng, rng.randint(2, 20), rng.randint(2, 50))
-            matrix = build_matrix(docs)
+            matrix = tf_idf(docs)
             table = build_similarity_table(docs, "vsm")
             ids = [d.artifact_id for d in docs]
             for a, b in zip(ids, ids[1:]):
@@ -236,7 +255,7 @@ class TestLsi:
     def test_full_rank_equals_vsm(self):
         rng = random.Random(11)
         docs = random_documents(rng, 6, 12)
-        matrix = build_matrix(docs)
+        matrix = tf_idf(docs)
         k = min(len(matrix.vocabulary), len(matrix.doc_ids))
         lsi = build_similarity_table(docs, "lsi", lsi_rank=k)
         vsm = build_similarity_table(docs, "vsm")
@@ -253,7 +272,7 @@ class TestLsi:
     def test_four_doc_fixture_matches_eigen_oracle(self):
         docs = [doc("d0", ["a", "b", "c"]), doc("d1", ["a", "d"]),
                 doc("d2", ["b", "d", "e"]), doc("d3", ["c", "e", "e"])]
-        matrix = build_matrix(docs)
+        matrix = tf_idf(docs)
         table = build_similarity_table(docs, "lsi", lsi_rank=2)
         for a, b in id_pairs(matrix.doc_ids):
             assert abs(table.score(a, b) - clamp(oracle_lsi_cosine(matrix, 2, a, b))) <= 1e-8
@@ -262,7 +281,7 @@ class TestLsi:
         rng = random.Random(13)
         for _ in range(5):
             docs = random_documents(rng, 6, 10)
-            matrix = build_matrix(docs)
+            matrix = tf_idf(docs)
             ids = matrix.doc_ids
             k = min(len(matrix.vocabulary), len(ids))
             lsi = build_similarity_table(docs, "lsi", lsi_rank=k)
@@ -337,11 +356,12 @@ class TestJs:
 
 class TestLsiRankBounds:
     def test_out_of_range_rank_rejected(self):
-        matrix = build_matrix([doc("d1", ["a", "b"]), doc("d2", ["b", "c"])])
-        with pytest.raises(ConfigError):
-            lsi_document_space(matrix, 0)
-        with pytest.raises(ConfigError):
-            lsi_document_space(matrix, 99)
+        # Below 1 is rejected; above min(vocabulary, documents) is lowered to it.
+        weights = tf_idf([doc("d1", ["a", "b"]), doc("d2", ["b", "c"])]).weights
+        for k in (0, -1):
+            with pytest.raises(ConfigError):
+                lsi_document_space(weights, k)
+        assert np.array_equal(lsi_document_space(weights, 99), lsi_document_space(weights, 2))
 
     def test_table_lowers_only_a_high_rank(self):
         docs = [doc("d1", ["a", "b"]), doc("d2", ["b", "c"]), doc("d3", ["c"])]
@@ -383,7 +403,7 @@ class TestTableOracles:
         rng = random.Random(43)
         for _ in range(30):
             docs = documents_with_duplicates(rng)
-            matrix = build_matrix(docs)
+            matrix = tf_idf(docs)
             k = min(default_lsi_rank(len(docs)), len(matrix.vocabulary))
             # The table's LSI cosines run over the same SVD rows as this oracle.
             for model, space in (("vsm", matrix), ("lsi", lsi_matrix(matrix, k))):
@@ -569,12 +589,12 @@ class TestRanking:
              doc("pad", ["d"])],
             "vsm",
         )
-        ranked = rank_candidates(table, table.rows(["s"]), table.rows(["t1", "t2"]))
+        ranked = rank_candidates(table, table.rows(["s"]), table.rows(["t1", "t2"]), 1.0)
         assert [t for t, _ in ranked["s"]] == ["t2", "t1"]
 
     def test_tie_breaks_by_id(self):
         table = build_similarity_table([doc("s", ["a"]), doc("tb", ["b"]), doc("ta", ["c"])], "vsm")
-        ranked = rank_candidates(table, table.rows(["s"]), table.rows(["tb", "ta"]))
+        ranked = rank_candidates(table, table.rows(["s"]), table.rows(["tb", "ta"]), 1.0)
         assert [t for t, _ in ranked["s"]] == ["ta", "tb"]
 
     def test_csv_round_trip(self):

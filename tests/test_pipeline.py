@@ -15,9 +15,9 @@ from tracelink.pipeline import (
     PipelineConfig,
     build_documents,
     path_stage,
-    rank_stage,
     run_ablation,
     run_pipeline,
+    table_stage,
 )
 
 
@@ -191,14 +191,14 @@ class TestAblation:
     def test_stages_leave_their_inputs_unchanged(self, dataset):
         documents = build_documents(dataset)
         base = copy.deepcopy(documents)
-        ranking = rank_stage(dataset, PipelineConfig(), documents)
+        tables = table_stage(dataset, PipelineConfig(), documents)
         assert documents == base
-        shared = copy.deepcopy(ranking.candidates)
+        scores = tables.similarity.scores.tolist()
         for mode in ABLATION_MODES:
-            result = path_stage(dataset, PipelineConfig(mode=mode), ranking)
-            assert result is not ranking
-        assert ranking.candidates == shared
-        assert ranking.paths == {}
+            result = path_stage(dataset, PipelineConfig(mode=mode), tables)
+            assert result is not tables and result.candidates
+        assert tables.candidates == {} and tables.paths == {}
+        assert tables.similarity.scores.tolist() == scores
 
     def test_empty_modes_rejected(self, dataset):
         with pytest.raises(ConfigError):

@@ -6,11 +6,15 @@ implementation. `oracle_ranked` and `oracle_top_related` are the selection
 rule as a Python sort over ids, the reference for the row-index selection
 of `irmodels` and `enrich` and for every hop of `form_paths`. `paths_from`
 walks from a source id over the level rows that `pipeline.level_rows`
-resolves, as the path stage does.
+resolves, as the path stage does. `oracle_candidates` is the ranking as
+dicts of (target, score) lists, adjusted per target and re-sorted with a
+Python key: the reference, bit for bit, for the array ranking of
+`path_stage`.
 """
 
 import itertools
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -18,7 +22,9 @@ from hypothesis import given, strategies as st
 
 from tracelink.enrich import select_related_intermediates
 from tracelink.irmodels import SimilarityTable, rank_candidates, select_rows
-from tracelink.pipeline import level_rows
+from tracelink.pipeline import (
+    ABLATION_MODES, PipelineConfig, PipelineResult, level_rows, path_stage,
+)
 from tracelink.transitive import LinkKind, TransitivePath, adjust_scores, form_paths
 
 
@@ -237,7 +243,7 @@ def test_selection_matches_sorted_oracle_under_ties(scenario, m, t, allow_inner)
     pools, table = scenario
     sources, _, targets = level_rows(table, pools)
     target_ids = pools.target_ids()
-    assert rank_candidates(table, sources, targets) == {
+    assert rank_candidates(table, sources, targets, 1.0) == {
         s: oracle_ranked(table, s, target_ids) for s in pools.source_ids()
     }
     for row, a in enumerate(table.ids):
@@ -374,26 +380,100 @@ class TestFormPaths:
                 assert 0.0 <= path.bonus <= 1.0
 
 
+def oracle_adjust_scores(candidates, paths):
+    """Each score times (1 + bonus) per path to its target, in path order, sorted by (-score, id)."""
+    adjusted = {}
+    for source, targets in candidates.items():
+        multipliers = {}
+        for path in paths.get(source, []):
+            target = path.nodes[-1]
+            multipliers[target] = multipliers.get(target, 1.0) * (1.0 + path.bonus)
+        rescored = [(t, score * multipliers.get(t, 1.0)) for t, score in targets]
+        rescored.sort(key=lambda item: (-item[1], item[0]))
+        adjusted[source] = rescored
+    return adjusted
+
+
+def oracle_candidates(pools, table, paths):
+    """Every source's targets ranked by `oracle_ranked`, then adjusted by `paths`."""
+    ranked = {s: oracle_ranked(table, s, pools.target_ids()) for s in pools.source_ids()}
+    return oracle_adjust_scores(ranked, paths)
+
+
+def run_path_stage(pools, table, mode, m=0.5, t=3):
+    return path_stage(pools, PipelineConfig(mode=mode, m=m, t=t), PipelineResult({}, table))
+
+
+_SCENARIOS = tie_scenarios() | st.integers(0, 2**32 - 1).map(
+    lambda seed: random_scenario(random.Random(seed))
+)
+
+
+@given(_SCENARIOS, st.sampled_from(ABLATION_MODES), st.sampled_from([0.1, 0.5, 0.75, 1.0]),
+       st.integers(1, 4))
+def test_path_stage_candidates_equal_dict_oracle(scenario, mode, m, t):
+    pools, table = scenario
+    result = run_path_stage(pools, table, mode, m, t)
+    assert result.candidates == oracle_candidates(pools, table, result.paths)
+
+
+def test_dict_oracle_cases_occur():
+    """The random scenarios reach each case the oracle property is meant to cover."""
+    rng = random.Random(149)
+    seen = Counter()
+    for _ in range(100):
+        pools, table = random_scenario(rng)
+        result = run_path_stage(pools, table, "o+i")
+        assert result.candidates == oracle_candidates(pools, table, result.paths)
+        targets = pools.target_ids()
+        seen["ids out of sorted order"] += targets != sorted(targets)
+        for source, found in result.paths.items():
+            per_target = Counter(p.nodes[-1] for p in found)
+            seen["no path"] += not found
+            seen["two paths to one target"] += max(per_target.values(), default=0) >= 2
+            seen["three paths to one target"] += max(per_target.values(), default=0) >= 3
+            before = [score for _, score in oracle_ranked(table, source, targets)]
+            seen["tie before adjustment"] += len(set(before)) < len(before)
+    assert len(seen) == 5 and all(seen.values()), seen
+
+
+def test_ties_made_by_adjustment_break_by_id():
+    # "ta" rises from 0.25 to 0.25 * (1 + 1.0) and ties with "tb"; "t9" and
+    # "t10" both rise from 0.125 by (1 + 0.5). Manifest order is unlike id order.
+    pools = IdPools(["s"], ["i", "j"], ["tb", "ta", "t9", "t10"])
+    table = full_table(pools, {
+        ("s", "i"): 1.0, ("s", "j"): 1.0, ("i", "ta"): 1.0, ("j", "t9"): 0.5,
+        ("j", "t10"): 0.5, ("s", "tb"): 0.5, ("s", "ta"): 0.25,
+        ("s", "t9"): 0.125, ("s", "t10"): 0.125,
+    })
+    result = run_path_stage(pools, table, "o")
+    assert result.candidates == oracle_candidates(pools, table, result.paths) == {
+        "s": [("ta", 0.5), ("tb", 0.5), ("t10", 0.1875), ("t9", 0.1875)]
+    }
+
+
 class TestAdjustScores:
     def test_single_path_formula(self):
-        candidates = {"s": [("t", 0.2)]}
         path = TransitivePath(nodes=["s", "i", "t"], links=[], bonus=0.42)
-        adjusted = adjust_scores(candidates, {"s": [path]})
-        assert adjusted["s"][0][1] == pytest.approx(0.284)
+        multipliers = adjust_scores({"s": [path]}, ["s"], ["t"])
+        assert 0.2 * multipliers[0, 0] == pytest.approx(0.284)
 
     def test_no_paths_no_change(self):
-        candidates = {"s": [("t1", 0.5), ("t2", 0.3)]}
-        adjusted = adjust_scores(candidates, {})
-        assert adjusted == candidates
+        table = table_from_pairs({("s", "t1"): 0.5, ("s", "t2"): 0.3})
+        sources, targets = table.rows(["s"]), table.rows(["t1", "t2"])
+        multipliers = adjust_scores({}, ["s"], ["t1", "t2"])
+        assert multipliers.tolist() == [[1.0, 1.0]]
+        assert rank_candidates(table, sources, targets, multipliers) == rank_candidates(
+            table, sources, targets, 1.0
+        )
 
     def test_multiplicative_composition(self):
-        candidates = {"s": [("t", 0.5)]}
         paths = [
             TransitivePath(nodes=["s", "i1", "t"], links=[], bonus=0.1),
             TransitivePath(nodes=["s", "i2", "t"], links=[], bonus=0.2),
         ]
-        adjusted = adjust_scores(candidates, {"s": paths})
-        assert adjusted["s"][0][1] == pytest.approx(0.5 * 1.1 * 1.2)
+        multipliers = adjust_scores({"s": paths}, ["s"], ["t"])
+        assert 0.5 * multipliers[0, 0] == pytest.approx(0.5 * 1.1 * 1.2)
 
     @given(
         st.integers(0, 2**32 - 1),
@@ -403,36 +483,22 @@ class TestAdjustScores:
     )
     def test_paths_never_repeat_a_node_and_never_lower_a_score(self, seed, m, t, allow_inner):
         pools, table = random_scenario(random.Random(seed))
-        targets = pools.target_ids()
-        candidates = {
-            s: [(target, table.score(s, target)) for target in targets] for s in pools.source_ids()
-        }
-        paths = {s: paths_from(s, pools, table, m, t, allow_inner) for s in candidates}
+        sources, _, targets = level_rows(table, pools)
+        paths = {s: paths_from(s, pools, table, m, t, allow_inner) for s in pools.source_ids()}
         for found in paths.values():
             for path in found:
                 assert len(set(path.nodes)) == len(path.nodes)
-        for s, rescored in adjust_scores(candidates, paths).items():
-            before = dict(candidates[s])
-            for target, score in rescored:
-                assert score >= before[target]
+        before = table.scores[np.ix_(sources, targets)]
+        multipliers = adjust_scores(paths, pools.source_ids(), pools.target_ids())
+        assert (before * multipliers >= before).all()
 
     def test_monotone_non_decrease_and_resort(self):
         rng = random.Random(127)
         for _ in range(30):
             pools, table = random_scenario(rng)
-            candidates = {
-                s: sorted(
-                    ((t, table.score(s, t)) for t in pools.target_ids()),
-                    key=lambda item: (-item[1], item[0]),
-                )
-                for s in pools.source_ids()
-            }
-            paths = {
-                s: paths_from(s, pools, table, 0.5, 3, True) for s in pools.source_ids()
-            }
-            adjusted = adjust_scores(candidates, paths)
-            for s in candidates:
-                before = dict(candidates[s])
+            adjusted = run_path_stage(pools, table, "o+i").candidates
+            for s in pools.source_ids():
+                before = dict(oracle_ranked(table, s, pools.target_ids()))
                 for t, score in adjusted[s]:
                     assert score >= before[t] - 1e-15
                 values = [score for _, score in adjusted[s]]
