@@ -5,7 +5,9 @@ underscore-joined). An artifact's own consensual biterms are added with
 their importance count as weight; biterms pulled in from highly related
 intermediate artifacts are added once each with weight 1, on top of any
 own weight for the same pair. `irmodels.select_rows` picks the related
-intermediates on rows of the pre-enrichment table.
+intermediates on rows of the pre-enrichment table, and
+`select_related_intermediates` returns them as rows: manifest positions,
+which index the pipeline's list of consensual biterm sets directly.
 """
 
 from __future__ import annotations
@@ -23,10 +25,9 @@ def compound_term(pair: Pair) -> str:
 
 def select_related_intermediates(
     table: SimilarityTable, row: int, intermediates: np.ndarray, m: float, t: int
-) -> list[str]:
-    """Ids of the first t `intermediates` scoring at least m times the best against `row`."""
-    selected, _ = select_rows(table, row, intermediates, m, t)
-    return [table.ids[other] for other in selected.tolist()]
+) -> np.ndarray:
+    """The first t rows of `intermediates` scoring at least m times the best against `row`."""
+    return select_rows(table, row, intermediates, m, t)[0]
 
 
 def add_own_biterms(document: Document, own: Biterms) -> Document:

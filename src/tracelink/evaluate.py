@@ -158,8 +158,8 @@ def wilcoxon_rank_sum(a: list[float], b: list[float]) -> float:
     return math.erfc(abs(z) / math.sqrt(2.0))
 
 
-def cliffs_delta(a: list[float], b: list[float]) -> StatComparison:
-    """Absolute Cliff's delta with the standard category cutpoints.
+def cliffs_delta(a: list[float], b: list[float]) -> float:
+    """Absolute Cliff's delta; `delta_category` names its size.
 
     Computed by sorting one sample and counting dominances with binary
     search, which matches the quadratic definition exactly.
@@ -173,8 +173,7 @@ def cliffs_delta(a: list[float], b: list[float]) -> StatComparison:
     for x in a:
         greater += bisect.bisect_left(sorted_b, x)          # b values < x
         less += n2 - bisect.bisect_right(sorted_b, x)       # b values > x
-    delta = abs(greater - less) / (n1 * n2)
-    return StatComparison(p_value=float("nan"), delta=delta, category=delta_category(delta))
+    return abs(greater - less) / (n1 * n2)
 
 
 def delta_category(delta: float) -> str:
@@ -190,9 +189,8 @@ def delta_category(delta: float) -> str:
 def compare_runs(f_a: list[float], f_b: list[float]) -> StatComparison:
     """Wilcoxon p and Cliff's delta between two runs' F-at-recall samples."""
     p = wilcoxon_rank_sum(f_a, f_b)
-    comparison = cliffs_delta(f_a, f_b)
-    comparison.p_value = p
-    return comparison
+    delta = cliffs_delta(f_a, f_b)
+    return StatComparison(p, delta, delta_category(delta))
 
 
 def evaluate_ranking(

@@ -6,11 +6,11 @@ in place to tf-idf, times ln(N/df). LSI takes a deterministic dense SVD of
 that matrix and compares documents in the scaled topic space; JS compares
 smoothed term distributions with base-2 Jensen-Shannon divergence.
 
-`build_similarity_table` computes one n x n score matrix per table, and
-consumers resolve ids to its rows once, through `SimilarityTable.rows`. VSM
-and LSI divide one Gram matrix of the tf-idf rows (or of the LSI topic
-coordinates, from one SVD per table) by the outer product of the row norms.
-JS scores each pair over that pair's own sorted union vocabulary (epsilon
+`build_similarity_table` computes one n x n score matrix per table, one row
+per document in the order given; the pipeline gives them in manifest order,
+so a row is a manifest position. VSM and LSI divide one Gram matrix of the
+tf-idf rows (or of the LSI topic coordinates, from one SVD per table) by the
+outer product of the row norms. JS scores each pair over that pair's own sorted union vocabulary (epsilon
 smoothing, base-2 KL), with the per-document work done once: each document's
 used columns form one sorted list, and a pair's union columns are a merge of
 its two lists, so no step scans the whole vocabulary per pair. It batches the
@@ -31,7 +31,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
@@ -109,18 +108,13 @@ class SimilarityTable:
         self.id_rank = np.empty(n, dtype=np.intp)
         self.id_rank[sorted(range(n), key=self.ids.__getitem__)] = np.arange(n)
 
-    def rows(self, ids: list[str]) -> np.ndarray:
-        """The row index of each of `ids`, in the order given."""
-        try:
-            return np.array([self._index[doc_id] for doc_id in ids], dtype=np.intp)
-        except KeyError as exc:
-            raise ValidationError(f"unknown document id {exc.args[0]!r}") from None
-
     def score(self, a: str, b: str) -> float:
         if a == b:
             raise ValidationError(f"no similarity stored for pair ({a!r}, {b!r})")
-        i, j = self.rows([a, b])
-        return float(self.scores[i, j])
+        try:
+            return float(self.scores[self._index[a], self._index[b]])
+        except KeyError as exc:
+            raise ValidationError(f"unknown document id {exc.args[0]!r}") from None
 
     def pairs(self) -> dict[tuple[str, str], float]:
         """Every stored pair, keyed by its two ids in ascending order."""

@@ -17,8 +17,14 @@ whether "b" is on, and `path_stage` deduces the paths and adjusts the
 scores that "o" and "i" ask for, then ranks the mode's candidates once.
 Both read the mode from the config. Neither stage writes to its inputs, so
 one table stage can serve every mode with the same "b", as `run_ablation`
-does. Each stage resolves the three levels to rows of a table once, with
-`level_rows`, and every selection takes rows.
+does.
+
+A row is a manifest position. `build_documents` follows
+`Dataset.all_artifacts()`, so every document list and table row runs
+sources, intermediates, targets, and each level is one contiguous run of
+rows; `level_rows` takes those runs from the level sizes alone, with no id
+lookup. The consensual biterm sets and the documents are lists in that
+order, every selection takes rows, and ids come back only in the result.
 """
 
 from __future__ import annotations
@@ -111,61 +117,52 @@ def run_ablation(
     return reports
 
 
-def build_documents(dataset: Dataset) -> dict[str, Document]:
-    """The base document of every artifact, before any biterm term is added."""
-    return {a.id: build_document(a) for a in dataset.all_artifacts()}
+def build_documents(dataset: Dataset) -> list[Document]:
+    """The base document of every artifact, in manifest order, before any biterm term is added."""
+    return [build_document(a) for a in dataset.all_artifacts()]
 
 
-def level_rows(table: SimilarityTable, dataset: Dataset) -> tuple[np.ndarray, ...]:
-    """The source, intermediate and target rows of `table`, each in manifest order."""
-    levels = (dataset.source_ids(), dataset.intermediate_ids(), dataset.target_ids())
-    return tuple(table.rows(ids) for ids in levels)
+def level_rows(dataset: Dataset) -> tuple[np.ndarray, ...]:
+    """The source, intermediate and target rows: each level's run of manifest positions."""
+    ends = np.cumsum([len(dataset.sources), len(dataset.intermediates), len(dataset.targets)])
+    return tuple(np.split(np.arange(ends[-1]), ends[:2]))
 
 
 def table_stage(
-    dataset: Dataset, config: PipelineConfig, documents: dict[str, Document]
+    dataset: Dataset, config: PipelineConfig, documents: list[Document]
 ) -> PipelineResult:
     """The final documents and similarity table, with biterm enrichment when the mode has "b".
 
     Reads only "b" of the mode, so modes that agree on it share the result,
-    which holds no candidates yet. `documents` is left as it is: enrichment
-    writes to copies.
+    which holds no candidates yet. `documents`, in manifest order, is left as
+    it is: enrichment writes to copies.
     """
-    filtered_by_id: dict[str, Biterms] = {}
+    filtered: list[Biterms] = []
 
     if "b" in parse_mode(config.mode):
         source_sets = [extract_biterms(a, config.pairs_dir) for a in dataset.sources]
         inter_sets = [extract_biterms(a, config.pairs_dir) for a in dataset.intermediates]
         target_sets = [extract_biterms(a, config.pairs_dir) for a in dataset.targets]
         f_sources, f_inters, f_targets = consensual_filter(source_sets, inter_sets, target_sets)
-        filtered_by_id = dict(zip(
-            [a.id for a in dataset.all_artifacts()], [*f_sources, *f_inters, *f_targets]
-        ))
-
-        documents = {
-            a_id: add_own_biterms(doc, filtered_by_id[a_id])
-            for a_id, doc in documents.items()
-        }
+        filtered = [*f_sources, *f_inters, *f_targets]
+        documents = [add_own_biterms(doc, own) for doc, own in zip(documents, filtered)]
 
         if dataset.intermediates:
-            pre_table = build_similarity_table(
-                list(documents.values()), config.model, config.lsi_rank
-            )
-            sources, intermediates, targets = level_rows(pre_table, dataset)
-            enriched: dict[str, Document] = dict(documents)
+            pre_table = build_similarity_table(documents, config.model, config.lsi_rank)
+            sources, intermediates, targets = level_rows(dataset)
             for row in np.concatenate((sources, targets)).tolist():
-                related_ids = select_related_intermediates(
+                related = select_related_intermediates(
                     pre_table, row, intermediates, config.m, config.t
                 )
-                related_sets = [filtered_by_id[i] for i in related_ids]
-                artifact_id = pre_table.ids[row]
-                enriched[artifact_id] = enrich_artifact(documents[artifact_id], related_sets)
-            documents = enriched
+                documents[row] = enrich_artifact(
+                    documents[row], [filtered[i] for i in related.tolist()]
+                )
 
+    table = build_similarity_table(documents, config.model, config.lsi_rank)
     return PipelineResult(
-        documents=documents,
-        similarity=build_similarity_table(list(documents.values()), config.model, config.lsi_rank),
-        filtered_biterms=filtered_by_id,
+        documents=dict(zip(table.ids, documents)),
+        similarity=table,
+        filtered_biterms=dict(zip(table.ids, filtered)),
     )
 
 
@@ -180,7 +177,7 @@ def path_stage(
     """
     components = parse_mode(config.mode)
     table = tables.similarity
-    levels = level_rows(table, dataset)
+    levels = level_rows(dataset)
     paths: dict[str, list[TransitivePath]] = {}
     scale = 1.0
     if "o" in components:

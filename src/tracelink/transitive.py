@@ -8,12 +8,13 @@ inner links S>S'>I>T and S>I>I'>T. Nodes never repeat within a path. Each
 hop is picked by `irmodels.select_rows`, the selection rule of enrichment,
 tightened by the hops already taken: after h hops the next one keeps at
 most max(1, t - h) artifacts scoring at least (0.1 * h + m) times the best,
-ties broken by ascending id. The walk takes each level as its table rows,
-which the caller resolves once per stage, and carries row indexes; it turns
-them into ids only to build a `TransitivePath`. A path's bonus is the
-product of its link similarities. `adjust_scores` turns the paths into one
-source x target block of multipliers, (1 + bonus) per path; the caller
-ranks the IR scores times that block once, with `irmodels.rank_candidates`.
+ties broken by ascending id. The walk takes each level as its table rows
+(in the pipeline, the level's manifest positions from `level_rows`) and
+carries row indexes; it turns them into ids only to build a
+`TransitivePath`. A path's bonus is the product of its link similarities.
+`adjust_scores` turns the paths into one source x target block of
+multipliers, (1 + bonus) per path; the caller ranks the IR scores times
+that block once, with `irmodels.rank_candidates`.
 """
 
 from __future__ import annotations
@@ -47,9 +48,6 @@ class TransitivePath:
     nodes: list[str]
     links: list[TransitiveLink]
     bonus: float
-
-    def key(self) -> tuple[str, ...]:
-        return tuple(self.nodes)
 
 
 def form_paths(

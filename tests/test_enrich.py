@@ -9,7 +9,7 @@ from tracelink.enrich import add_own_biterms, enrich_artifact, select_related_in
 from tracelink.errors import ConfigError
 from tracelink.pipeline import PipelineConfig
 
-from test_transitive import table_from_pairs
+from test_transitive import rows, table_from_pairs
 
 
 class TestConfig:
@@ -26,9 +26,11 @@ class TestConfig:
 
 
 def select(table, artifact_id, intermediate_ids, m, t):
-    """`select_related_intermediates` with the artifact and its pool resolved to rows."""
-    row = int(table.rows([artifact_id])[0])
-    return select_related_intermediates(table, row, table.rows(intermediate_ids), m, t)
+    """`select_related_intermediates` over ids: the artifact and its pool resolved to rows."""
+    related = select_related_intermediates(
+        table, table.ids.index(artifact_id), rows(table, intermediate_ids), m, t
+    )
+    return [table.ids[row] for row in related.tolist()]
 
 
 class TestSelectRelated:

@@ -394,26 +394,26 @@ def oracle_cliffs_delta(a, b):
 
 class TestCliffsDelta:
     def test_fully_separated(self):
-        result = cliffs_delta([10.0, 11.0], [1.0, 2.0])
-        assert result.delta == pytest.approx(1.0)
-        assert result.category == "large"
+        delta = cliffs_delta([10.0, 11.0], [1.0, 2.0])
+        assert delta == pytest.approx(1.0)
+        assert delta_category(delta) == "large"
 
     def test_identical(self):
-        result = cliffs_delta([3.0, 3.0], [3.0, 3.0])
-        assert result.delta == 0.0
-        assert result.category == "negligible"
+        delta = cliffs_delta([3.0, 3.0], [3.0, 3.0])
+        assert delta == 0.0
+        assert delta_category(delta) == "negligible"
 
     def test_mixed_4x4_matches_brute_force(self):
         a = [1.0, 4.0, 2.0, 7.0]
         b = [3.0, 2.0, 5.0, 1.0]
-        assert cliffs_delta(a, b).delta == pytest.approx(oracle_cliffs_delta(a, b))
+        assert cliffs_delta(a, b) == pytest.approx(oracle_cliffs_delta(a, b))
 
     def test_random_matches_brute_force(self):
         rng = random.Random(13)
         for _ in range(50):
             a = [rng.uniform(0, 3) for _ in range(rng.randint(1, 12))]
             b = [rng.uniform(0, 3) for _ in range(rng.randint(1, 12))]
-            assert cliffs_delta(a, b).delta == pytest.approx(oracle_cliffs_delta(a, b))
+            assert cliffs_delta(a, b) == pytest.approx(oracle_cliffs_delta(a, b))
 
     def test_category_cutpoints(self):
         assert delta_category(0.1499999) == "negligible"

@@ -3,22 +3,29 @@
 import copy
 import json
 from dataclasses import replace
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import tracelink.pipeline as pipeline
 from tracelink.corpus.manifest import load_dataset
 from tracelink.errors import ConfigError
 from tracelink.evaluate import evaluate_ranking
+from tracelink.irmodels import MODELS
 from tracelink.pipeline import (
     ABLATION_MODES,
     PipelineConfig,
     build_documents,
+    level_rows,
+    parse_mode,
     path_stage,
     run_ablation,
     run_pipeline,
     table_stage,
 )
+
+DATA_DIR = Path(__file__).parent / "data"
 
 
 @pytest.fixture(scope="module")
@@ -110,8 +117,8 @@ class TestDeterminism:
         first = run_pipeline(dataset, config)
         second = run_pipeline(dataset, config)
         assert first.candidates == second.candidates
-        assert {s: [p.key() for p in ps] for s, ps in first.paths.items()} == \
-               {s: [p.key() for p in ps] for s, ps in second.paths.items()}
+        assert {s: [tuple(p.nodes) for p in ps] for s, ps in first.paths.items()} == \
+               {s: [tuple(p.nodes) for p in ps] for s, ps in second.paths.items()}
         for doc_id, doc in first.documents.items():
             other = second.documents[doc_id]
             assert doc.terms == other.terms
@@ -207,3 +214,43 @@ class TestAblation:
     def test_invalid_mode_rejected(self, dataset):
         with pytest.raises(ConfigError):
             run_ablation(dataset, PipelineConfig(model="vsm"), ["b+i"])
+
+
+def bundled_datasets(name):
+    """The bundled dataset `name`, then the same manifest with no intermediates."""
+    dataset = load_dataset(DATA_DIR / name / "manifest.json")
+    return [dataset, replace(dataset, intermediates=[], oracle_si=set(), oracle_it=set())]
+
+
+class TestRowsAreManifestPositions:
+    """The premise of `level_rows`: every table's rows follow the manifest."""
+
+    @pytest.mark.parametrize("name", ["motivating", "modes"])
+    @pytest.mark.parametrize("model", MODELS)
+    def test_every_table_is_in_manifest_order(self, monkeypatch, name, model):
+        tables = []
+        original = pipeline.build_similarity_table
+
+        def spy(*args, **kwargs):
+            tables.append(original(*args, **kwargs))
+            return tables[-1]
+
+        monkeypatch.setattr(pipeline, "build_similarity_table", spy)
+        for dataset in bundled_datasets(name):
+            manifest = [a.id for a in dataset.all_artifacts()]
+            for mode in ABLATION_MODES:
+                tables.clear()
+                run_pipeline(dataset, PipelineConfig(model=model, mode=mode))
+                # With "b" and intermediates, a pre-enrichment table comes first.
+                pre = "b" in parse_mode(mode) and bool(dataset.intermediates)
+                assert [table.ids for table in tables] == [manifest] * (1 + pre)
+
+    @pytest.mark.parametrize("name", ["motivating", "modes"])
+    def test_level_rows_split_the_manifest_by_level_sizes(self, name):
+        for dataset in bundled_datasets(name):
+            manifest = [a.id for a in dataset.all_artifacts()]
+            levels = level_rows(dataset)
+            assert np.concatenate(levels).tolist() == list(range(len(manifest)))
+            assert [[manifest[row] for row in rows.tolist()] for rows in levels] == [
+                dataset.source_ids(), dataset.intermediate_ids(), dataset.target_ids()
+            ]

@@ -5,9 +5,12 @@ filters each hop independently, so it shares no traversal code with the
 implementation. `oracle_ranked` and `oracle_top_related` are the selection
 rule as a Python sort over ids, the reference for the row-index selection
 of `irmodels` and `enrich` and for every hop of `form_paths`. `paths_from`
-walks from a source id over the level rows that `pipeline.level_rows`
-resolves, as the path stage does. `oracle_candidates` is the ranking as
-dicts of (target, score) lists, adjusted per target and re-sorted with a
+walks from a source id over the level rows of `pipeline.level_rows`, as the
+path stage does: each level's run of manifest positions, taken from the
+level sizes alone, so its table must have its rows in manifest order, as
+`full_table` builds them. `rows` resolves ids for tables in any order, such
+as the sorted ones of `table_from_pairs`. `oracle_candidates` is the ranking
+as dicts of (target, score) lists, adjusted per target and re-sorted with a
 Python key: the reference, bit for bit, for the array ranking of
 `path_stage`.
 """
@@ -29,19 +32,19 @@ from tracelink.transitive import LinkKind, TransitivePath, adjust_scores, form_p
 
 
 class IdPools:
-    """Minimal stand-in for Dataset: just the three id lists."""
+    """Minimal stand-in for Dataset: the three levels as id lists."""
 
     def __init__(self, sources, intermediates, targets):
-        self._s, self._i, self._t = sources, intermediates, targets
+        self.sources, self.intermediates, self.targets = sources, intermediates, targets
 
     def source_ids(self):
-        return list(self._s)
+        return list(self.sources)
 
     def intermediate_ids(self):
-        return list(self._i)
+        return list(self.intermediates)
 
     def target_ids(self):
-        return list(self._t)
+        return list(self.targets)
 
 
 def table_from_pairs(scores, ids=None):
@@ -54,10 +57,14 @@ def table_from_pairs(scores, ids=None):
     return SimilarityTable(ids, matrix)
 
 
+def rows(table, ids):
+    """The row of each of `ids` in `table`, in the order given."""
+    return np.array([table.ids.index(doc_id) for doc_id in ids], dtype=np.intp)
+
+
 def paths_from(source, pools, table, m, t, allow_inner=True):
-    """`form_paths` from the id `source`, over the level rows of `pools` in `table`."""
-    return form_paths(int(table.rows([source])[0]), level_rows(table, pools), table, m, t,
-                      allow_inner)
+    """`form_paths` from the id `source`, over `level_rows(pools)` in a manifest-ordered `table`."""
+    return form_paths(table.ids.index(source), level_rows(pools), table, m, t, allow_inner)
 
 
 def full_table(pools, scores):
@@ -241,18 +248,19 @@ def selected_ids(table, row, cols, m, t):
 @given(tie_scenarios(), st.sampled_from([0.1, 0.5, 0.75, 1.0]), st.integers(1, 4), st.booleans())
 def test_selection_matches_sorted_oracle_under_ties(scenario, m, t, allow_inner):
     pools, table = scenario
-    sources, _, targets = level_rows(table, pools)
+    sources, _, targets = level_rows(pools)
     target_ids = pools.target_ids()
     assert rank_candidates(table, sources, targets, 1.0) == {
         s: oracle_ranked(table, s, target_ids) for s in pools.source_ids()
     }
     for row, a in enumerate(table.ids):
         pool = [b for b in table.ids if b != a]
-        cols = table.rows(pool)
+        cols = rows(table, pool)
         assert selected_ids(table, row, cols, None, None) == oracle_ranked(table, a, pool)
         expected = oracle_top_related(table, a, pool, m, t)
         assert selected_ids(table, row, cols, m, t) == expected
-        assert select_related_intermediates(table, row, cols, m, t) == [b for b, _ in expected]
+        related = select_related_intermediates(table, row, cols, m, t)
+        assert related.tolist() == rows(table, [b for b, _ in expected]).tolist()
     for source in pools.source_ids():
         got = path_tuples(paths_from(source, pools, table, m, t, allow_inner))
         assert got == reference_paths(source, pools, table, m, t, allow_inner)
@@ -321,7 +329,7 @@ class TestFormPaths:
             for source, t in itertools.product(pools.source_ids(), (3, 1, 2)):
                 for allow_inner in (False, True):
                     got = {
-                        p.key() for p in paths_from(source, pools, table, m, t, allow_inner)
+                        tuple(p.nodes) for p in paths_from(source, pools, table, m, t, allow_inner)
                     }
                     expected = oracle_paths(source, pools, table, m, t, allow_inner)
                     assert got == expected
@@ -342,8 +350,8 @@ class TestFormPaths:
         for _ in range(50):
             pools, table = random_scenario(rng)
             for source in pools.source_ids():
-                outer = {p.key() for p in paths_from(source, pools, table, m, t, False)}
-                both = {p.key() for p in paths_from(source, pools, table, m, t, True)}
+                outer = {tuple(p.nodes) for p in paths_from(source, pools, table, m, t, False)}
+                both = {tuple(p.nodes) for p in paths_from(source, pools, table, m, t, True)}
                 assert outer <= both
 
     def test_threshold_monotonicity(self):
@@ -354,17 +362,18 @@ class TestFormPaths:
             tight_m = (0.6, 4)
             tight_t = (0.4, 2)
             for source in pools.source_ids():
-                base = {p.key() for p in paths_from(source, pools, table, *loose, True)}
-                assert {p.key() for p in paths_from(source, pools, table, *tight_m, True)} <= base
-                assert {p.key() for p in paths_from(source, pools, table, *tight_t, True)} <= base
+                base = {tuple(p.nodes) for p in paths_from(source, pools, table, *loose, True)}
+                for tight in (tight_m, tight_t):
+                    got = {tuple(p.nodes) for p in paths_from(source, pools, table, *tight, True)}
+                    assert got <= base
 
     def test_enumeration_deterministic(self):
         rng = random.Random(109)
         pools, table = random_scenario(rng)
         m, t = 0.5, 3
         for source in pools.source_ids():
-            first = [p.key() for p in paths_from(source, pools, table, m, t, True)]
-            second = [p.key() for p in paths_from(source, pools, table, m, t, True)]
+            first = [tuple(p.nodes) for p in paths_from(source, pools, table, m, t, True)]
+            second = [tuple(p.nodes) for p in paths_from(source, pools, table, m, t, True)]
             assert first == second
 
     def test_bonus_is_product_of_link_scores(self):
@@ -460,7 +469,7 @@ class TestAdjustScores:
 
     def test_no_paths_no_change(self):
         table = table_from_pairs({("s", "t1"): 0.5, ("s", "t2"): 0.3})
-        sources, targets = table.rows(["s"]), table.rows(["t1", "t2"])
+        sources, targets = rows(table, ["s"]), rows(table, ["t1", "t2"])
         multipliers = adjust_scores({}, ["s"], ["t1", "t2"])
         assert multipliers.tolist() == [[1.0, 1.0]]
         assert rank_candidates(table, sources, targets, multipliers) == rank_candidates(
@@ -483,7 +492,7 @@ class TestAdjustScores:
     )
     def test_paths_never_repeat_a_node_and_never_lower_a_score(self, seed, m, t, allow_inner):
         pools, table = random_scenario(random.Random(seed))
-        sources, _, targets = level_rows(table, pools)
+        sources, _, targets = level_rows(pools)
         paths = {s: paths_from(s, pools, table, m, t, allow_inner) for s in pools.source_ids()}
         for found in paths.values():
             for path in found:
