@@ -19,6 +19,8 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
+
 from .corpus.manifest import load_dataset
 from .errors import (
     ConfigError,
@@ -32,7 +34,7 @@ from .errors import (
 )
 from .enrich import corpus_dump_payload
 from .evaluate import EvalReport, compare_runs, evaluate_ranking
-from .irmodels import MODELS, format_ranked_csv, parse_ranked_csv
+from .irmodels import MODELS, RankedLinks, format_ranked_csv, parse_ranked_csv
 from .pipeline import ABLATION_MODES, PipelineConfig, run_ablation, run_pipeline
 from .transitive import paths_to_json_payload
 
@@ -128,35 +130,53 @@ def _write(path: Path, text: str) -> None:
         raise ConfigError(f"cannot write output file {path}: {exc}") from exc
 
 
-def _json_text(payload, pr_curve: list[tuple[float, float]] | None = None) -> str:
-    """`payload` as sorted, indented JSON; with `pr_curve`, its pairs go under "pr_curve".
+# One pr_curve point as `json.dumps(..., indent=2)` writes it in a report.
+_JSON_POINT = "[\n      %s,\n      %s\n    ]"
+
+
+def _curve_values(curve: tuple[list[float], list[float]]) -> tuple[float, ...]:
+    """The curve's values point by point: recall, precision, recall, precision, ..."""
+    recall, precision = curve
+    values = [0.0] * (2 * len(recall))
+    values[0::2], values[1::2] = recall, precision
+    return tuple(values)
+
+
+def _json_text(payload, pr_curve: tuple[list[float], list[float]] | None = None) -> str:
+    """`payload` as sorted, indented JSON; with `pr_curve`, its points go under "pr_curve".
 
     `json.dumps` with `indent` runs its pure-Python encoder, and a curve has
-    a point per link, so the curve is spliced in as text: each finite value
-    written as `json` writes `round(value, 6)`. Recall takes at most
-    |oracle| + 1 values, so its strings are cached.
+    a point per link, so the curve is spliced in as text, each value written
+    as `json` writes `round(value, 6)`. For zeros and for 1e-4 <= |value| <
+    1e9 that is the "%.6f" text without its trailing zeros, as it has at most
+    15 significant digits; if any value lies outside, each takes
+    `float.__repr__` in turn.
     """
     if pr_curve is None:
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
     text = json.dumps({**payload, "pr_curve": []}, sort_keys=True, indent=2) + "\n"
-    if not pr_curve:
+    values = _curve_values(pr_curve)
+    if not values:
         return text
-    recall_text: dict[float, str] = {}
-    points = []
-    for r, p in pr_curve:
-        recall = recall_text.get(r)
-        if recall is None or not r:  # 0.0 == -0.0, so a zero is never taken from the cache
-            recall = recall_text[r] = float.__repr__(round(r, 6))
-        points.append(f"[\n      {recall},\n      {float.__repr__(round(p, 6))}\n    ]")
-    curve = "[\n    " + ",\n    ".join(points) + "\n  ]"
+    points = len(values) // 2
+    size = np.abs(np.fromiter(values, np.float64, len(values)))
+    if ((size == 0.0) | ((size >= 1e-4) & (size < 1e9))).all():
+        # A "|" marks each number's end; the passes strip up to five trailing
+        # zeros, and only an all-zero fraction loses its last digit to them.
+        curve = ",\n    ".join([_JSON_POINT % ("%.6f|", "%.6f|")] * points) % values
+        for zeros in ("0000|", "00|", "0|"):
+            curve = curve.replace(zeros, "|")
+        curve = curve.replace(".|", ".0").replace("|", "")
+    else:
+        curve = ",\n    ".join([_JSON_POINT] * points) % tuple(
+            float.__repr__(round(v, 6)) for v in values)
     # Only a top-level key starts a line with a two-space indent.
-    return text.replace('\n  "pr_curve": []', '\n  "pr_curve": ' + curve, 1)
+    return text.replace('\n  "pr_curve": []', '\n  "pr_curve": [\n    ' + curve + "\n  ]", 1)
 
 
 def _pr_curve_csv(report: EvalReport) -> str:
-    lines = ["recall,precision"]
-    lines.extend(f"{r:.6f},{p:.6f}" for r, p in report.pr_curve)
-    return "\n".join(lines) + "\n"
+    values = _curve_values(report.pr_curve)
+    return "recall,precision\n" + ("%.6f,%.6f\n" * (len(values) // 2)) % values
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
@@ -186,13 +206,16 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         result = run_pipeline(dataset, _pipeline_config(merged))
         candidates = result.candidates
     report = evaluate_ranking(candidates, dataset.oracle_st)
+    # Both rankings are read and evaluated before any output is written.
+    other = None
+    if args.compare:
+        other = evaluate_ranking(_read_ranked(args.compare), dataset.oracle_st)
 
     _write(out / "eval_report.json", _json_text(report.to_payload(), report.pr_curve))
     _write(out / "pr_curve.csv", _pr_curve_csv(report))
     written = [out / "eval_report.json", out / "pr_curve.csv"]
 
-    if args.compare:
-        other = evaluate_ranking(_read_ranked(args.compare), dataset.oracle_st)
+    if other is not None:
         comparison = compare_runs(report.f_at_recall, other.f_at_recall)
         payload = {
             "comparison": comparison.to_payload(),
@@ -207,7 +230,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_ranked(path: str) -> dict[str, list[tuple[str, float]]]:
+def _read_ranked(path: str) -> RankedLinks:
     return parse_ranked_csv(read_text(path, "ranked-links file"))
 
 

@@ -1,10 +1,15 @@
 """Retrieval metrics and statistical comparison of ranked link lists.
 
-A leaf module: it measures rankings and knows nothing of how they were
-made. Precision/recall/F and AP work on the global ranked link list (all
-sources' links sorted together by descending score, then source and target
-id); MAP averages per-query AP, each over its source's list in the order
-given, over queries that have at least one relevant target. The
+It measures rankings and knows nothing of how they were made: its only
+import from the package is the ranking's long form, `irmodels.RankedLinks`
+(each link's source code, target code and score, in file order).
+`evaluate_ranking` runs one array core on that form; a plain mapping of
+per-source lists is converted once. Precision/recall/F and AP work on the
+global ranked link list (all sources' links sorted together by descending
+score, then source and target id); MAP averages per-query AP, each over its
+source's links in the order given, over queries that have at least one
+relevant target. The report's curve is two lists, recall and precision,
+one value per cutoff. The
 Wilcoxon rank-sum test is exact (full enumeration via a subset-sum count)
 for small samples and falls back to the tie-corrected normal approximation;
 Cliff's delta uses the absolute-value form with the 0.15/0.33/0.47
@@ -15,12 +20,14 @@ from __future__ import annotations
 
 import bisect
 import math
+from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import compress
 
 import numpy as np
 
 from .errors import EvaluationError
+from .irmodels import RankedLinks, sorted_rank
 
 # Exact Wilcoxon enumeration is used while C(n1+n2, n1) stays below this.
 _EXACT_LIMIT = 500_000
@@ -30,7 +37,7 @@ _EXACT_LIMIT = 500_000
 class EvalReport:
     """Precision-recall curve, sampled F values, AP and MAP for one run."""
 
-    pr_curve: list[tuple[float, float]]          # (recall%, precision%) per cutoff
+    pr_curve: tuple[list[float], list[float]]    # (recall%, precision%) lists, one per cutoff
     f_at_recall: list[float]                     # F sampled at recall levels 1..100
     ap: float
     map: float
@@ -67,23 +74,22 @@ def f_measure(precision: float, recall: float) -> float:
     return 2.0 * precision * recall / (precision + recall)
 
 
-def f_at_recall_levels(curve: list[tuple[float, float]]) -> list[float]:
-    """F at integer recall levels 1..100, stepping on the pr curve.
+def f_at_recall_levels(curve: tuple[list[float], list[float]]) -> list[float]:
+    """F at integer recall levels 1..100, stepping on the (recall, precision) curve.
 
     For each level the curve point at the smallest cutoff reaching that
     recall supplies both precision and recall; unreachable levels give 0.
     Recall never decreases along a ranking's curve, so that point is found
     by bisection.
     """
-    recalls = [r for r, _ in curve]
+    recall, precision = curve
     values: list[float] = []
     for level in range(1, 101):
-        index = bisect.bisect_left(recalls, level)
-        if index == len(curve):
+        index = bisect.bisect_left(recall, level)
+        if index == len(recall):
             values.append(0.0)
         else:
-            recall, precision = curve[index]
-            values.append(f_measure(precision, recall))
+            values.append(f_measure(precision[index], recall[index]))
     return values
 
 
@@ -194,52 +200,45 @@ def compare_runs(f_a: list[float], f_b: list[float]) -> StatComparison:
 
 
 def evaluate_ranking(
-    candidates: dict[str, list[tuple[str, float]]],
+    candidates: Mapping[str, list[tuple[str, float]]],
     oracle: set[tuple[str, str]],
 ) -> EvalReport:
     """Full report for one run: global list metrics plus per-query MAP.
 
-    The global list orders every link by (-score, source id, target id).
-    One stable lexsort over id ranks gives that order, and the curve is the
+    A mapping that is not a `RankedLinks` is put in long form first. The
+    global list orders every link by (-score, source id, target id): one
+    stable lexsort over id ranks gives that order, and the curve is the
     running hit count with the same float64 operations per cutoff as a
-    Python loop. AP sums in rank order in Python, as `np.sum` would sum
-    pairwise and change the last bits.
+    Python loop. Per-query ranks come from the links grouped by source. AP
+    sums in rank order in Python, as `np.sum` would sum pairwise and change
+    the last bits; only relevant links reach Python.
     """
     if not oracle:
         raise EvaluationError("evaluation requires a nonempty oracle")
-    wanted: dict[str, set[str]] = {}
-    for source, target in oracle:
-        wanted.setdefault(source, set()).add(target)
+    links = RankedLinks.of(candidates)
+    relevant = links.in_pairs(oracle)
 
-    source_rank = {source: i for i, source in enumerate(sorted(candidates))}
-    source_col: list[int] = []
-    target_ids: list[str] = []
-    scores: list[float] = []
-    relevant: list[bool] = []
-    per_query_ap: dict[str, float] = {}
-    for source, ranked in candidates.items():
-        names = [target for target, _ in ranked]
-        if source in wanted:
-            found = list(map(wanted[source].__contains__, names))
-            ranks = list(compress(range(1, len(names) + 1), found))
-            per_query_ap[source] = _average_precision(ranks, len(wanted[source]))
-        else:
-            found = [False] * len(names)
-        source_col += [source_rank[source]] * len(names)
-        target_ids += names
-        scores += [score for _, score in ranked]
-        relevant += found
+    order, starts = links.by_source
+    hits = np.flatnonzero(relevant[order])
+    hit_sources = links.source_codes[order[hits]]
+    ranks: dict[int, list[int]] = {}
+    for code, rank in zip(hit_sources.tolist(), (hits - starts[hit_sources] + 1).tolist()):
+        ranks.setdefault(code, []).append(rank)
+    wanted = Counter(source for source, _ in oracle)
+    per_query_ap = {
+        source: _average_precision(ranks.get(code, []), wanted[source])
+        for code, source in enumerate(links.sources) if source in wanted
+    }
     if not per_query_ap:
         raise EvaluationError("no query has any relevant target")
 
-    target_rank = {target: i for i, target in enumerate(sorted(set(target_ids)))}
-    target_col = np.fromiter(map(target_rank.__getitem__, target_ids), np.int64, len(target_ids))
-    order = np.lexsort((target_col, np.array(source_col, np.int64), -np.array(scores, np.float64)))
-    ranked_relevant = np.array(relevant, bool)[order]
-    hits = np.cumsum(ranked_relevant)
-    precision = 100.0 * hits / np.arange(1, len(hits) + 1)
-    recall = 100.0 * hits / len(oracle)
-    curve = list(zip(recall.tolist(), precision.tolist()))
+    order = np.lexsort((sorted_rank(links.targets)[links.target_codes],
+                        sorted_rank(links.sources)[links.source_codes], -links.scores))
+    ranked_relevant = relevant[order]
+    found = np.cumsum(ranked_relevant)
+    precision = 100.0 * found / np.arange(1, len(found) + 1)
+    recall = 100.0 * found / len(oracle)
+    curve = (recall.tolist(), precision.tolist())
     ap = _average_precision((np.flatnonzero(ranked_relevant) + 1).tolist(), len(oracle))
     return EvalReport(
         pr_curve=curve,

@@ -24,6 +24,12 @@ order, so exact ties break by ascending id. `select_rows` applies it to one
 row; `rank_candidates` applies it to every row of the source x target block,
 times the path stage's multipliers, and turns rows into ids only for its
 result.
+
+A ranking read back from CSV is in long form, `RankedLinks`: each link's
+source code, target code and score in file order, with one id list per
+level, which evaluation reads without a Python tuple per link.
+`parse_ranked_csv` builds it from one comma split of plain text, and reads
+any other text, and every malformed line, through csv.reader.
 """
 
 from __future__ import annotations
@@ -31,7 +37,9 @@ from __future__ import annotations
 import csv
 import io
 import math
-from itertools import repeat
+from collections.abc import Iterable, Iterator, Mapping
+from functools import cached_property
+from itertools import chain, count
 
 import numpy as np
 
@@ -85,6 +93,13 @@ def lsi_document_space(weights: np.ndarray, k: int) -> np.ndarray:
     return vt.T[:, :k] * singular[:k]
 
 
+def sorted_rank(ids: list[str]) -> np.ndarray:
+    """Each id's position in sorted id order."""
+    rank = np.empty(len(ids), dtype=np.intp)
+    rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+    return rank
+
+
 class SimilarityTable:
     """Symmetric pairwise similarities in [0, 1].
 
@@ -105,8 +120,7 @@ class SimilarityTable:
         # The zeros of `upper.T` also turn a clipped -0.0 into 0.0 ("0.000000").
         self.scores = upper + upper.T
         self._index = {doc_id: i for i, doc_id in enumerate(self.ids)}
-        self.id_rank = np.empty(n, dtype=np.intp)
-        self.id_rank[sorted(range(n), key=self.ids.__getitem__)] = np.arange(n)
+        self.id_rank = sorted_rank(self.ids)
 
     def score(self, a: str, b: str) -> float:
         if a == b:
@@ -302,15 +316,151 @@ def format_ranked_csv(ranked: dict[str, list[tuple[str, float]]]) -> str:
     return buffer.getvalue()
 
 
-def parse_ranked_csv(text: str) -> dict[str, list[tuple[str, float]]]:
+class RankedLinks(Mapping):
+    """A ranking in long form: one entry per link, in file order.
+
+    `sources` and `targets` list the distinct ids in order of first
+    appearance, and link k runs from `sources[source_codes[k]]` to
+    `targets[target_codes[k]]` with score `scores[k]`. A source may have no
+    links. Read as a mapping it is each source's (target, score) list in file
+    order, the shape `rank_candidates` returns.
+    """
+
+    def __init__(self, sources: list[str], source_codes: np.ndarray,
+                 targets: list[str], target_codes: np.ndarray, scores: np.ndarray):
+        self.sources = sources
+        self.source_codes = source_codes
+        self.targets = targets
+        self.target_codes = target_codes
+        self.scores = scores
+        self._index = {source: code for code, source in enumerate(sources)}
+
+    @classmethod
+    def of(cls, ranked: Mapping[str, list[tuple[str, float]]]) -> RankedLinks:
+        """`ranked` in long form: itself if it is one, else each source's links in order."""
+        if isinstance(ranked, cls):
+            return ranked
+        links = list(chain.from_iterable(ranked.values()))
+        targets, target_codes = _codes([target for target, _ in links])
+        sizes = list(map(len, ranked.values()))
+        source_codes = np.repeat(np.arange(len(ranked), dtype=np.int64), sizes)
+        scores = np.array([score for _, score in links], np.float64)
+        return cls(list(ranked), source_codes, targets, target_codes, scores)
+
+    @cached_property
+    def by_source(self) -> tuple[np.ndarray, np.ndarray]:
+        """The links grouped by source, in file order within each source.
+
+        `order[starts[c]:starts[c + 1]]` are the links of `sources[c]`.
+        """
+        order = np.argsort(self.source_codes, kind="stable")
+        starts = np.searchsorted(self.source_codes[order], np.arange(len(self.sources) + 1))
+        return order, starts
+
+    def pair_codes(self) -> np.ndarray:
+        """One integer per link, equal for two links exactly when their pairs are."""
+        return self.source_codes * len(self.targets) + self.target_codes
+
+    def in_pairs(self, pairs: Iterable[tuple[str, str]]) -> np.ndarray:
+        """Whether each link's (source, target) pair is one of `pairs`."""
+        target_index = {target: code for code, target in enumerate(self.targets)}
+        wanted = [self._index[s] * len(self.targets) + target_index[t]
+                  for s, t in pairs if s in self._index and t in target_index]
+        return np.isin(self.pair_codes(), np.array(wanted, np.int64))
+
+    def __getitem__(self, source: str) -> list[tuple[str, float]]:
+        order, starts = self.by_source
+        code = self._index[source]
+        links = order[starts[code]:starts[code + 1]]
+        names = map(self.targets.__getitem__, self.target_codes[links].tolist())
+        return list(zip(names, self.scores[links].tolist()))
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.sources)
+
+    def __len__(self) -> int:
+        return len(self.sources)
+
+    def __repr__(self) -> str:
+        return f"RankedLinks({dict(self)!r})"
+
+
+def _codes(ids: list[str]) -> tuple[list[str], np.ndarray]:
+    """The distinct `ids` in order of first appearance, and each id's index among them."""
+    index = dict(zip(dict.fromkeys(ids), count()))
+    return list(index), np.fromiter(map(index.__getitem__, ids), np.int64, len(ids))
+
+
+def parse_ranked_csv(text: str) -> RankedLinks:
     """Inverse of format_ranked_csv; raises ParseError with the line number.
 
-    A score must be finite, and a (source, target) pair may appear only once.
+    A score must be finite, and a (source, target) pair may appear only once:
+    a repeat names the first line whose pair an earlier line has. Plain text
+    takes one comma split (`_plain_links`); the rest, and every other error,
+    goes through csv.reader.
     """
-    rows = _split_rows(text)
-    ranked: dict[str, list[tuple[str, float]]] = {}
+    links, lines = _plain_links(text), None
+    if links is None:
+        links, lines = _read_rows(text)
+    # A stable sort keeps each pair's links in file order, so every link after
+    # the first of its pair is a repeat.
+    codes = links.pair_codes()
+    order = np.argsort(codes, kind="stable")
+    repeats = order[1:][np.diff(codes[order]) == 0]
+    if repeats.size:
+        again = int(repeats.min())
+        source = links.sources[links.source_codes[again]]
+        target = links.targets[links.target_codes[again]]
+        number = again + 2 if lines is None else lines[again]
+        raise ParseError(f"line {number}: pair ({source!r}, {target!r}) appears more than once")
+    return links
+
+
+def _plain_links(text: str) -> RankedLinks | None:
+    """The long form of `text` from one comma split, or None where csv.reader must read it.
+
+    csv.reader reads a line without quotes, "\r" or NUL as its comma-split
+    fields, unless a field exceeds its size limit. Any other text, and text
+    with a bad header, a blank line, a line without three fields or a score
+    that is not a finite number, goes to csv.reader, which names the line.
+    """
+    start = text.find("\n")
+    if (start < 0 or '"' in text or "\r" in text or "\0" in text
+            or [field.strip() for field in text[:start].split(",")] != _CSV_HEADER):
+        return None
+    # Each line keeps the "\n" before it, and a comma goes in front of every
+    # "\n", so a field holds at most one "\n", at its start. With as many
+    # lines as sources and a "\n" leading every distinct source, every line
+    # has three fields.
+    body = text[start:len(text) - text.endswith("\n")]
+    fields = body.replace("\n", ",\n").split(",")
+    sources, targets, score_texts = fields[1::3], fields[2::3], fields[3::3]
+    if len(fields) != 3 * len(sources) + 1 or body.count("\n") != len(sources):
+        return None
+    try:
+        scores = np.fromiter(map(float, score_texts), np.float64, len(score_texts))
+    except ValueError:
+        return None
+    source_ids, source_codes = _codes(sources)
+    target_ids, target_codes = _codes(targets)
+    if (not all(source.startswith("\n") for source in source_ids)
+            or not np.isfinite(scores).all()
+            or max(map(len, chain(source_ids, target_ids, score_texts)), default=0)
+            > csv.field_size_limit()):
+        return None
+    source_ids = [source[1:] for source in source_ids]
+    return RankedLinks(source_ids, source_codes, target_ids, target_codes, scores)
+
+
+def _read_rows(text: str) -> tuple[RankedLinks, list[int]]:
+    """The long form of `text` through csv.reader, with each link's line number."""
+    rows = _csv_rows(text.split("\n"))
     if [field.strip() for field in next(rows, (1, []))[1]] != _CSV_HEADER:
         raise ParseError("line 1: expected header 'source_id,target_id,score'")
+    sources: list[str] = []
+    targets: list[str] = []
+    scores: list[float] = []
+    lines: list[int] = []
     for number, fields in rows:
         if len(fields) != 3:
             if not fields or (len(fields) == 1 and not fields[0].strip()):
@@ -323,26 +473,15 @@ def parse_ranked_csv(text: str) -> dict[str, list[tuple[str, float]]]:
             raise ParseError(f"line {number}: bad score {score_text!r}") from None
         if not math.isfinite(score):
             raise ParseError(f"line {number}: score {score_text!r} is not finite")
-        ranked.setdefault(source, []).append((target, score))
-    # One set at a time: a set over every pair would cost megabytes on a full ranking.
-    for source, targets in ranked.items():
-        seen: set[str] = set()
-        for target, _ in targets:
-            if target in seen:
-                raise ParseError(f"pair ({source!r}, {target!r}) appears more than once")
-            seen.add(target)
-    return ranked
-
-
-def _split_rows(text: str):
-    """(line number, fields) of each record of `text`, as csv.reader reads them."""
-    lines = text.split("\n")
-    # csv.reader splits a line without quotes, "\r" or NUL on its commas alone,
-    # unless a field exceeds its size limit, and no field is longer than its line.
-    if ('"' in text or "\r" in text or "\0" in text
-            or max(map(len, lines)) > csv.field_size_limit()):
-        return _csv_rows(lines)
-    return enumerate(map(str.split, lines, repeat(",")), start=1)
+        sources.append(source)
+        targets.append(target)
+        scores.append(score)
+        lines.append(number)
+    source_ids, source_codes = _codes(sources)
+    target_ids, target_codes = _codes(targets)
+    links = RankedLinks(source_ids, source_codes, target_ids, target_codes,
+                        np.array(scores, np.float64))
+    return links, lines
 
 
 def _csv_rows(lines: list[str]):

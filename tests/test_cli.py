@@ -204,7 +204,26 @@ class TestEval:
         )
         assert code == 2
         err = capsys.readouterr().err
-        assert "error:" in err and "('RE-691', 'AFInfoBox')" in err
+        assert "error: line 4:" in err and "('RE-691', 'AFInfoBox')" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("rows, exit_code", [
+        ("RE-691,AFInfoBox,0.9\nRE-695,AFInfoBox,0.5\nRE-691,AFInfoBox,0.8\n", 2),
+        ("RE-999,AFInfoBox,0.9\n", 1),  # no query has a relevant target
+    ], ids=["repeated pair", "unevaluable"])
+    def test_bad_compare_writes_nothing(
+        self, tmp_path, motivating_manifest, capsys, rows, exit_code
+    ):
+        good = tmp_path / "good.csv"
+        good.write_text("source_id,target_id,score\nRE-691,AFInfoBox,0.9\n")
+        bad = tmp_path / "bad.csv"
+        bad.write_text("source_id,target_id,score\n" + rows)
+        code = run_cli(
+            "eval", "--manifest", str(motivating_manifest), "--ranked", str(good),
+            "--compare", str(bad), "--out", str(tmp_path / "out"),
+        )
+        assert code == exit_code
+        assert capsys.readouterr().err.startswith("error:")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("score", ["nan", "inf", "-inf", "1e999"])
@@ -253,6 +272,11 @@ _json_values = st.recursive(
 )
 
 
+def columns(points):
+    """(recall, precision) points as the report's (recall list, precision list)."""
+    return [r for r, _ in points], [p for _, p in points]
+
+
 class TestReportWriter:
     @given(
         st.dictionaries(st.sampled_from(["ap", "map", "f_at_recall", "z"]) | st.text(max_size=3),
@@ -263,16 +287,24 @@ class TestReportWriter:
     @example({}, [])
     @example({"ap": 1.5}, [(0.0, 0.0)])
     @example({"per_query_ap": {"pr_curve": 1}}, [(5e-05, 1e-06), (9.99e-05, 100.0), (2e-05, 0.0)])
-    def test_spliced_curve_matches_json_dumps(self, payload, curve):
-        full = {**payload, "pr_curve": [[round(r, 6), round(p, 6)] for r, p in curve]}
-        assert _json_text(payload, curve) == json.dumps(full, sort_keys=True, indent=2) + "\n"
+    # The edges of the "%.6f" text: inside them, then one value past an edge each.
+    @example({}, [(1e-4, -0.0), (100.0, 0.0), (999999999.9999999, 33.3333335)])
+    @example({}, [(9.99995e-05, 50.0)])
+    @example({}, [(5e-05, 50.0)])
+    @example({}, [(50.0, 1e16)])
+    @example({}, [(50.0, 123456789012.34567)])
+    def test_spliced_curve_matches_json_dumps(self, payload, points):
+        full = {**payload, "pr_curve": [[round(r, 6), round(p, 6)] for r, p in points]}
+        expected = json.dumps(full, sort_keys=True, indent=2) + "\n"
+        assert _json_text(payload, columns(points)) == expected
         assert _json_text(payload) == json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
     @given(st.lists(st.tuples(st.sampled_from([0.0, -0.0, 50.0, 1e-07]) | _finite, _finite),
                     max_size=6))
-    def test_curve_csv_formats_every_point(self, curve):
-        report = EvalReport(pr_curve=curve, f_at_recall=[], ap=0.0, map=0.0, per_query_ap={})
-        expected = "".join(f"{r:.6f},{p:.6f}\n" for r, p in curve)
+    def test_curve_csv_formats_every_point(self, points):
+        report = EvalReport(pr_curve=columns(points), f_at_recall=[], ap=0.0, map=0.0,
+                            per_query_ap={})
+        expected = "".join(f"{r:.6f},{p:.6f}\n" for r, p in points)
         assert _pr_curve_csv(report) == "recall,precision\n" + expected
 
 

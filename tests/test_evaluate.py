@@ -25,6 +25,7 @@ from tracelink.evaluate import (
     f_measure,
     wilcoxon_rank_sum,
 )
+from tracelink.irmodels import parse_ranked_csv
 from tracelink.pipeline import parse_mode
 
 
@@ -76,12 +77,17 @@ def mean_average_precision(per_query, oracle):
     return sum(per_query_ap.values()) / len(per_query_ap), per_query_ap
 
 
+def columns(curve):
+    """A list of (recall, precision) points as the report's (recall list, precision list)."""
+    return [r for r, _ in curve], [p for _, p in curve]
+
+
 def oracle_evaluate_ranking(candidates, oracle):
     """`evaluate_ranking` as the list-of-pairs metrics compute it."""
     if not oracle:
         raise EvaluationError("evaluation requires a nonempty oracle")
     global_links = [(s, t) for s, t, _ in global_ranked_links(candidates)]
-    curve = precision_recall(global_links, oracle)
+    curve = columns(precision_recall(global_links, oracle))
     ap = average_precision(global_links, oracle)
     per_query = {s: [(s, t) for t, _ in targets] for s, targets in candidates.items()}
     map_value, per_query_ap = mean_average_precision(per_query, oracle)
@@ -122,6 +128,30 @@ class TestEvaluateRanking:
     )
     def test_matches_list_oracle_bit_for_bit(self, candidates, oracle):
         assert _outcome(evaluate_ranking, candidates, oracle) == _outcome(
+            oracle_evaluate_ranking, candidates, oracle
+        )
+
+    @given(
+        st.dictionaries(
+            _SOURCES,
+            st.lists(st.tuples(_TARGETS, _SCORES), min_size=1, max_size=15,
+                     unique_by=lambda item: item[0]),
+            max_size=5,
+        ),
+        st.sets(st.tuples(_SOURCES, _TARGETS), max_size=40),
+        st.randoms(use_true_random=False),
+    )
+    def test_interleaved_long_form_matches_list_oracle_bit_for_bit(self, candidates, oracle, rng):
+        # Each source's first row keeps the dict's source order; the other rows
+        # interleave the sources at random, each source's own rows still in order.
+        tails = {s: iter(links[1:]) for s, links in candidates.items()}
+        picks = [s for s, links in candidates.items() for _ in links[1:]]
+        rng.shuffle(picks)
+        rows = [(s, *links[0]) for s, links in candidates.items()]
+        rows += [(s, *next(tails[s])) for s in picks]
+        text = "".join(f"{s},{t},{score!r}\n" for s, t, score in rows)
+        links = parse_ranked_csv("source_id,target_id,score\n" + text)
+        assert _outcome(evaluate_ranking, links, oracle) == _outcome(
             oracle_evaluate_ranking, candidates, oracle
         )
 
@@ -188,7 +218,7 @@ class TestFMeasure:
 
     def test_sampling_levels(self):
         curve = [(50.0, 100.0), (100.0, 66.666667)]
-        values = f_at_recall_levels(curve)
+        values = f_at_recall_levels(columns(curve))
         assert len(values) == 100
         assert values[0] == pytest.approx(f_measure(100.0, 50.0))     # level 1
         assert values[49] == pytest.approx(f_measure(100.0, 50.0))    # level 50
@@ -214,10 +244,10 @@ class TestFAtRecallLevels:
         if not oracle:
             oracle = {("s", "missing")}
         curve = precision_recall(ranked, oracle)
-        assert f_at_recall_levels(curve) == scan_f_at_recall_levels(curve)
+        assert f_at_recall_levels(columns(curve)) == scan_f_at_recall_levels(curve)
 
     def test_empty_curve_gives_zeros(self):
-        assert f_at_recall_levels([]) == [0.0] * 100
+        assert f_at_recall_levels(([], [])) == [0.0] * 100
 
 
 def oracle_average_precision(ranked, oracle):

@@ -6,6 +6,7 @@ LSI document space, and a direct two-term summation for Jensen-Shannon.
 `similarity_js` is the exact per-pair JS reference the table must equal.
 """
 
+import csv
 import dataclasses
 import math
 import random
@@ -14,7 +15,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from tracelink import irmodels
@@ -46,11 +47,75 @@ _score_text = st.sampled_from(["0.5", " 1 ", "-0.0", "1e999", "inf", "nan", "-in
 _plain_field = st.one_of(_plain_id, _score_text)
 
 
-def _parse_outcome(text):
+_ranking_lines = st.lists(
+    st.one_of(
+        st.sampled_from(["", " ", "\t \u2028", "x", "a,b,c,d"]),
+        st.lists(_plain_field, min_size=2, max_size=4).map(",".join),
+        st.tuples(_plain_id, _plain_id, _score_text).map(",".join),
+    ),
+    max_size=8,
+)
+# Few ids, so sources repeat, one source's rows interleave with another's, and pairs repeat.
+_small_id = st.sampled_from(["a", "b", " a", "\u00e9"])
+_small_rows = st.lists(
+    st.tuples(_small_id, _small_id | st.sampled_from(["t", "t2", "u", "\u2028"]),
+              st.sampled_from(["0.5", " 1 ", "-0.0"])).map(",".join),
+    max_size=8,
+)
+_ranking_texts = st.builds(
+    lambda header, body, end: "\n".join([header, *body]) + end,
+    st.sampled_from(["source_id,target_id,score", " source_id , target_id,score", "a,b"]),
+    _ranking_lines,
+    st.sampled_from(["", "\n", "\n\n"]),
+) | st.builds(lambda body: "\n".join(["source_id,target_id,score", *body, ""]), _small_rows)
+
+
+def oracle_parse_ranked_csv(text):
+    """`parse_ranked_csv` as a dict-building loop over csv.reader's rows computes it."""
+    rows = irmodels._csv_rows(text.split("\n"))
+    ranked = {}
+    if [field.strip() for field in next(rows, (1, []))[1]] != ["source_id", "target_id", "score"]:
+        raise ParseError("line 1: expected header 'source_id,target_id,score'")
+    pairs = []
+    for number, fields in rows:
+        if len(fields) != 3:
+            if not fields or (len(fields) == 1 and not fields[0].strip()):
+                continue
+            raise ParseError(f"line {number}: expected 3 comma-separated fields, got {len(fields)}")
+        source, target, score_text = fields
+        try:
+            score = float(score_text)
+        except ValueError:
+            raise ParseError(f"line {number}: bad score {score_text!r}") from None
+        if not math.isfinite(score):
+            raise ParseError(f"line {number}: score {score_text!r} is not finite")
+        ranked.setdefault(source, []).append((target, score))
+        pairs.append((number, source, target))
+    seen = set()
+    for number, source, target in pairs:
+        if (source, target) in seen:
+            raise ParseError(f"line {number}: pair ({source!r}, {target!r}) appears more than once")
+        seen.add((source, target))
+    return ranked
+
+
+def _parse_outcome(parse, text):
+    """The parsed mapping's items in order, or the error's message."""
     try:
-        return parse_ranked_csv(text)
+        return list(parse(text).items())
     except ParseError as exc:
         return ("ParseError", str(exc))
+
+
+def _row_cases(text):
+    """The cases of `text` that only a parse holding every row in file order gets right."""
+    outcome = _parse_outcome(oracle_parse_ranked_csv, text)
+    if isinstance(outcome, tuple):
+        return {"repeated pair"} if outcome[1].endswith("appears more than once") else set()
+    sources = [fields[0] for fields in csv.reader(text.split("\n")[1:]) if len(fields) == 3]
+    runs = [s for i, s in enumerate(sources) if i == 0 or s != sources[i - 1]]
+    return ({"repeated source"} if len(set(sources)) < len(sources) else set()) | (
+        {"interleaved sources"} if len(set(runs)) < len(runs) else set())
 
 
 def doc(doc_id, terms, added=None):
@@ -620,23 +685,25 @@ class TestRanking:
         }
         assert parse_ranked_csv(format_ranked_csv(ranked)) == expected
 
-    @given(
-        st.lists(
-            st.one_of(
-                st.sampled_from(["", " ", "\t \u2028", "x", "a,b,c,d"]),
-                st.lists(_plain_field, min_size=2, max_size=4).map(",".join),
-                st.tuples(_plain_id, _plain_id, _score_text).map(",".join),
-            ),
-            max_size=8,
-        ),
-        st.sampled_from(["source_id,target_id,score", " source_id , target_id,score", "a,b"]),
-    )
-    def test_split_fast_path_matches_csv_reader(self, body, header):
-        text = "\n".join([header, *body])
-        with mock.patch.object(irmodels, "_split_rows",
-                               lambda text: irmodels._csv_rows(text.split("\n"))):
-            through_csv = _parse_outcome(text)
-        assert _parse_outcome(text) == through_csv
+    @given(_ranking_texts)
+    def test_split_fast_path_matches_csv_reader(self, text):
+        with mock.patch.object(irmodels, "_plain_links", lambda text: None):
+            through_csv = _parse_outcome(parse_ranked_csv, text)
+        assert _parse_outcome(parse_ranked_csv, text) == through_csv
+        assert through_csv == _parse_outcome(oracle_parse_ranked_csv, text)
+
+    def test_split_fast_path_cases_occur(self):
+        """100 draws of the parser property reach each case the long form must keep."""
+        seen = Counter()
+
+        @settings(max_examples=100, derandomize=True, database=None)
+        @given(_ranking_texts)
+        def draw(text):
+            seen.update(_row_cases(text))
+            seen["split without csv.reader"] += irmodels._plain_links(text) is not None
+
+        draw()
+        assert len(seen) == 4 and all(seen.values()), seen
 
     def test_csv_quotes_only_ids_that_need_it(self):
         text = format_ranked_csv({"a,b": [("t", 0.5)], "s": [("t", 0.25)]})
@@ -646,4 +713,4 @@ class TestRanking:
         ranked = {"s2": [("t1", 0.5)], "s1": [("t1", 0.5), ("t2", 0.9)]}
         # Global order (s1, t2), (s1, t1), (s2, t1): the one relevant link comes third.
         report = evaluate_ranking(ranked, {("s2", "t1")})
-        assert [precision for _, precision in report.pr_curve] == [0.0, 0.0, 100.0 / 3]
+        assert report.pr_curve[1] == [0.0, 0.0, 100.0 / 3]

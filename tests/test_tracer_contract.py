@@ -47,4 +47,5 @@ def test_tracer_fits_every_wrapped_function(tmp_path, motivating_manifest):
     assert tracer.missing == []
     spans = {span[0] for span in tracer.spans}
     assert {"irmodels.table", "irmodels.rank", "transitive.form_paths", "transitive.adjust",
-            "evaluate.ablation", "evaluate.compare", "cli.parse", "cli.write"} <= spans
+            "evaluate.ablation", "evaluate.eval", "evaluate.compare", "cli.parse",
+            "cli.write"} <= spans
