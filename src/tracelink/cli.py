@@ -33,7 +33,7 @@ from .errors import (
     read_text,
 )
 from .enrich import corpus_dump_payload
-from .evaluate import EvalReport, compare_runs, evaluate_ranking
+from .evaluate import compare_runs, evaluate_ranking
 from .irmodels import MODELS, RankedLinks, format_ranked_csv, parse_ranked_csv
 from .pipeline import ABLATION_MODES, PipelineConfig, run_ablation, run_pipeline
 from .transitive import paths_to_json_payload
@@ -88,6 +88,8 @@ def _merge_config(args: argparse.Namespace) -> dict:
             file_values = json.loads(read_text(args.config, "config file"))
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file {args.config} is not valid JSON: {exc}") from exc
+        except RecursionError:
+            raise ConfigError(f"config file {args.config} is nested too deeply to read") from None
         if not isinstance(file_values, dict):
             raise ConfigError(f"config file {args.config} must hold a JSON object")
         unknown = set(file_values) - set(_DEFAULTS) - {"modes"}
@@ -132,6 +134,7 @@ def _write(path: Path, text: str) -> None:
 
 # One pr_curve point as `json.dumps(..., indent=2)` writes it in a report.
 _JSON_POINT = "[\n      %s,\n      %s\n    ]"
+_CURVE_HEADER = "recall,precision\n"
 
 
 def _curve_values(curve: tuple[list[float], list[float]]) -> tuple[float, ...]:
@@ -142,41 +145,43 @@ def _curve_values(curve: tuple[list[float], list[float]]) -> tuple[float, ...]:
     return tuple(values)
 
 
-def _json_text(payload, pr_curve: tuple[list[float], list[float]] | None = None) -> str:
+def _json_text(payload, pr_curve: tuple[list[float], list[float]] | None = None,
+               curve_csv: str = "") -> str:
     """`payload` as sorted, indented JSON; with `pr_curve`, its points go under "pr_curve".
 
     `json.dumps` with `indent` runs its pure-Python encoder, and a curve has
     a point per link, so the curve is spliced in as text, each value written
     as `json` writes `round(value, 6)`. For zeros and for 1e-4 <= |value| <
     1e9 that is the "%.6f" text without its trailing zeros, as it has at most
-    15 significant digits; if any value lies outside, each takes
-    `float.__repr__` in turn.
+    15 significant digits, so the points are laid out from the rows of
+    `curve_csv`, the curve's `_pr_curve_csv` text (made here if not given);
+    if any value lies outside, each takes `float.__repr__` in turn.
     """
     if pr_curve is None:
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
     text = json.dumps({**payload, "pr_curve": []}, sort_keys=True, indent=2) + "\n"
-    values = _curve_values(pr_curve)
-    if not values:
+    if not pr_curve[0]:
         return text
-    points = len(values) // 2
-    size = np.abs(np.fromiter(values, np.float64, len(values)))
+    size = np.abs(np.array(pr_curve, np.float64))
     if ((size == 0.0) | ((size >= 1e-4) & (size < 1e9))).all():
-        # A "|" marks each number's end; the passes strip up to five trailing
-        # zeros, and only an all-zero fraction loses its last digit to them.
-        curve = ",\n    ".join([_JSON_POINT % ("%.6f|", "%.6f|")] * points) % values
+        # A "|" marks each value's end and a "#" each row's end. The passes strip
+        # up to six trailing zeros, and an all-zero fraction gets its "0" back.
+        rows = (curve_csv or _pr_curve_csv(pr_curve))[len(_CURVE_HEADER):]
+        curve = rows.replace("\n", "|#").replace(",", "|,")
         for zeros in ("0000|", "00|", "0|"):
             curve = curve.replace(zeros, "|")
-        curve = curve.replace(".|", ".0").replace("|", "")
+        curve = curve.replace(".|", ".0|").replace("|,", ",\n      ")
+        curve = "[\n      " + curve[:-2].replace("|#", "\n    ],\n    [\n      ") + "\n    ]"
     else:
-        curve = ",\n    ".join([_JSON_POINT] * points) % tuple(
-            float.__repr__(round(v, 6)) for v in values)
+        curve = ",\n    ".join([_JSON_POINT] * len(pr_curve[0])) % tuple(
+            float.__repr__(round(v, 6)) for v in _curve_values(pr_curve))
     # Only a top-level key starts a line with a two-space indent.
     return text.replace('\n  "pr_curve": []', '\n  "pr_curve": [\n    ' + curve + "\n  ]", 1)
 
 
-def _pr_curve_csv(report: EvalReport) -> str:
-    values = _curve_values(report.pr_curve)
-    return "recall,precision\n" + ("%.6f,%.6f\n" * (len(values) // 2)) % values
+def _pr_curve_csv(pr_curve: tuple[list[float], list[float]]) -> str:
+    """The curve as CSV: a header, then each point's recall and precision as "%.6f"."""
+    return _CURVE_HEADER + ("%.6f,%.6f\n" * len(pr_curve[0])) % _curve_values(pr_curve)
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
@@ -201,18 +206,18 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         raise ConfigError("manifest has no oracle_st; evaluation needs true links")
 
     if args.ranked:
-        candidates = _read_ranked(args.ranked)
+        links = _read_ranked(args.ranked)
     else:
-        result = run_pipeline(dataset, _pipeline_config(merged))
-        candidates = result.candidates
-    report = evaluate_ranking(candidates, dataset.oracle_st)
+        links = run_pipeline(dataset, _pipeline_config(merged)).candidates
+    report = evaluate_ranking(links, dataset.oracle_st)
     # Both rankings are read and evaluated before any output is written.
     other = None
     if args.compare:
         other = evaluate_ranking(_read_ranked(args.compare), dataset.oracle_st)
 
-    _write(out / "eval_report.json", _json_text(report.to_payload(), report.pr_curve))
-    _write(out / "pr_curve.csv", _pr_curve_csv(report))
+    curve = _pr_curve_csv(report.pr_curve)
+    _write(out / "eval_report.json", _json_text(report.to_payload(), report.pr_curve, curve))
+    _write(out / "pr_curve.csv", curve)
     written = [out / "eval_report.json", out / "pr_curve.csv"]
 
     if other is not None:
@@ -253,8 +258,9 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
     summary = ["mode,ap,map"]
     for mode, report in reports.items():
         safe = mode.replace("+", "_")
-        _write(out / f"report_{safe}.json", _json_text(report.to_payload(), report.pr_curve))
-        _write(out / f"pr_curve_{safe}.csv", _pr_curve_csv(report))
+        curve = _pr_curve_csv(report.pr_curve)
+        _write(out / f"report_{safe}.json", _json_text(report.to_payload(), report.pr_curve, curve))
+        _write(out / f"pr_curve_{safe}.csv", curve)
         written.append(out / f"report_{safe}.json")
         summary.append(f"{mode},{report.ap:.6f},{report.map:.6f}")
     _write(out / "ablation_summary.csv", "\n".join(summary) + "\n")

@@ -40,6 +40,8 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
         spec = json.loads(text)
     except json.JSONDecodeError as exc:
         raise LoadError(f"manifest {manifest_path} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise LoadError(f"manifest {manifest_path} is nested too deeply to read") from None
     if not isinstance(spec, dict):
         raise ValidationError(f"manifest {manifest_path} must be a JSON object")
 

@@ -2,18 +2,17 @@
 
 It measures rankings and knows nothing of how they were made: its only
 import from the package is the ranking's long form, `irmodels.RankedLinks`
-(each link's source code, target code and score, in file order).
-`evaluate_ranking` runs one array core on that form; a plain mapping of
-per-source lists is converted once. Precision/recall/F and AP work on the
-global ranked link list (all sources' links sorted together by descending
-score, then source and target id); MAP averages per-query AP, each over its
-source's links in the order given, over queries that have at least one
-relevant target. The report's curve is two lists, recall and precision,
-one value per cutoff. The
-Wilcoxon rank-sum test is exact (full enumeration via a subset-sum count)
-for small samples and falls back to the tie-corrected normal approximation;
-Cliff's delta uses the absolute-value form with the 0.15/0.33/0.47
-category cutpoints.
+(each link's source code, target code and score, in file order), the one
+form the pipeline and the CSV reader give, and `evaluate_ranking` runs one
+array core on it. Precision/recall/F and AP work on the global ranked link
+list (all sources' links sorted together by descending score, then source
+and target id); MAP averages per-query AP, each over its source's links in
+the order given, over queries that have at least one relevant target, in
+the ranking's source order. The report's curve is two lists, recall and
+precision, one value per cutoff. The Wilcoxon rank-sum test is exact (full
+enumeration via a subset-sum count) for small samples and falls back to the
+tie-corrected normal approximation; Cliff's delta uses the absolute-value
+form with the 0.15/0.33/0.47 category cutpoints.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from __future__ import annotations
 import bisect
 import math
 from collections import Counter
-from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -199,14 +197,10 @@ def compare_runs(f_a: list[float], f_b: list[float]) -> StatComparison:
     return StatComparison(p, delta, delta_category(delta))
 
 
-def evaluate_ranking(
-    candidates: Mapping[str, list[tuple[str, float]]],
-    oracle: set[tuple[str, str]],
-) -> EvalReport:
+def evaluate_ranking(links: RankedLinks, oracle: set[tuple[str, str]]) -> EvalReport:
     """Full report for one run: global list metrics plus per-query MAP.
 
-    A mapping that is not a `RankedLinks` is put in long form first. The
-    global list orders every link by (-score, source id, target id): one
+    The global list orders every link by (-score, source id, target id): one
     stable lexsort over id ranks gives that order, and the curve is the
     running hit count with the same float64 operations per cutoff as a
     Python loop. Per-query ranks come from the links grouped by source. AP
@@ -215,7 +209,6 @@ def evaluate_ranking(
     """
     if not oracle:
         raise EvaluationError("evaluation requires a nonempty oracle")
-    links = RankedLinks.of(candidates)
     relevant = links.in_pairs(oracle)
 
     order, starts = links.by_source

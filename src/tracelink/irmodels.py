@@ -22,14 +22,14 @@ Ranking and selection take row indexes only, and `_order` owns their one
 order: a lexsort by descending score and then by each id's rank in sorted id
 order, so exact ties break by ascending id. `select_rows` applies it to one
 row; `rank_candidates` applies it to every row of the source x target block,
-times the path stage's multipliers, and turns rows into ids only for its
-result.
+times the path stage's multipliers.
 
-A ranking read back from CSV is in long form, `RankedLinks`: each link's
-source code, target code and score in file order, with one id list per
-level, which evaluation reads without a Python tuple per link.
-`parse_ranked_csv` builds it from one comma split of plain text, and reads
-any other text, and every malformed line, through csv.reader.
+A ranking has one form, `RankedLinks`, the long form: each link's source
+code, target code and score in file order, with one id list per level.
+`rank_candidates` builds it from the ordered block, `format_ranked_csv`
+writes it and `parse_ranked_csv` reads it back, the latter from one comma
+split of plain text, with any other text, and every malformed line, read
+through csv.reader. Evaluation reads it without a Python tuple per link.
 """
 
 from __future__ import annotations
@@ -280,27 +280,29 @@ def select_rows(
 
 def rank_candidates(
     table: SimilarityTable, sources: np.ndarray, targets: np.ndarray, scale: np.ndarray | float
-) -> dict[str, list[tuple[str, float]]]:
+) -> RankedLinks:
     """Each source's targets by descending score, ties by ascending id, with those scores.
 
     The scores are the `sources` x `targets` block of the table times
-    `scale`: a number, or one multiplier per pair.
+    `scale`: a number, or one multiplier per pair. The long form lists the ids
+    in the order given and each source's links in rank order, source by source.
     """
     scores = table.scores[np.ix_(sources, targets)] * scale
     order = _order(table, targets, scores)
-    ids = np.array([table.ids[col] for col in targets.tolist()], dtype=object)[order]
-    scores = np.take_along_axis(scores, order, axis=1)
-    return {
-        table.ids[row]: list(zip(row_ids, row_scores))
-        for row, row_ids, row_scores in zip(sources.tolist(), ids.tolist(), scores.tolist())
-    }
+    return RankedLinks(
+        [table.ids[row] for row in sources.tolist()],
+        np.repeat(np.arange(len(sources), dtype=np.int64), len(targets)),
+        [table.ids[col] for col in targets.tolist()],
+        order.ravel(),
+        np.take_along_axis(scores, order, axis=1).ravel(),
+    )
 
 
 _CSV_HEADER = ["source_id", "target_id", "score"]
 
 
-def format_ranked_csv(ranked: dict[str, list[tuple[str, float]]]) -> str:
-    """CSV export: source_id,target_id,score sorted by (source, -score, target).
+def format_ranked_csv(links: RankedLinks) -> str:
+    """CSV export: source_id,target_id,score sorted by source id, each source's links in order.
 
     Fields are quoted only where they must be, so plain ids are written bare.
     """
@@ -309,21 +311,24 @@ def format_ranked_csv(ranked: dict[str, list[tuple[str, float]]]) -> str:
     # With a "\n" terminator the writer leaves a bare "\r" unquoted, which the reader splits on.
     quote_all = csv.writer(buffer, lineterminator="\n", quoting=csv.QUOTE_ALL)
     writer.writerow(_CSV_HEADER)
-    for source in sorted(ranked):
-        for target, score in ranked[source]:
-            row = (source, target, f"{score:.6f}")
-            (quote_all if "\r" in source or "\r" in target else writer).writerow(row)
+    order = np.argsort(sorted_rank(links.sources)[links.source_codes], kind="stable")
+    sources = np.array(links.sources, object)[links.source_codes[order]].tolist()
+    targets = np.array(links.targets, object)[links.target_codes[order]].tolist()
+    for source, target, score in zip(sources, targets, links.scores[order].tolist()):
+        row = (source, target, f"{score:.6f}")
+        (quote_all if "\r" in source or "\r" in target else writer).writerow(row)
     return buffer.getvalue()
 
 
 class RankedLinks(Mapping):
     """A ranking in long form: one entry per link, in file order.
 
-    `sources` and `targets` list the distinct ids in order of first
-    appearance, and link k runs from `sources[source_codes[k]]` to
-    `targets[target_codes[k]]` with score `scores[k]`. A source may have no
-    links. Read as a mapping it is each source's (target, score) list in file
-    order, the shape `rank_candidates` returns.
+    `sources` and `targets` list distinct ids, and link k runs from
+    `sources[source_codes[k]]` to `targets[target_codes[k]]` with score
+    `scores[k]`. A source may have no links. `parse_ranked_csv` lists the
+    ids in order of first appearance, and `rank_candidates` in the order it
+    was given them. Read as a mapping it is each source's (target, score)
+    list in file order.
     """
 
     def __init__(self, sources: list[str], source_codes: np.ndarray,
@@ -334,18 +339,6 @@ class RankedLinks(Mapping):
         self.target_codes = target_codes
         self.scores = scores
         self._index = {source: code for code, source in enumerate(sources)}
-
-    @classmethod
-    def of(cls, ranked: Mapping[str, list[tuple[str, float]]]) -> RankedLinks:
-        """`ranked` in long form: itself if it is one, else each source's links in order."""
-        if isinstance(ranked, cls):
-            return ranked
-        links = list(chain.from_iterable(ranked.values()))
-        targets, target_codes = _codes([target for target, _ in links])
-        sizes = list(map(len, ranked.values()))
-        source_codes = np.repeat(np.arange(len(ranked), dtype=np.int64), sizes)
-        scores = np.array([score for _, score in links], np.float64)
-        return cls(list(ranked), source_codes, targets, target_codes, scores)
 
     @cached_property
     def by_source(self) -> tuple[np.ndarray, np.ndarray]:

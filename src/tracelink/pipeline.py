@@ -24,7 +24,8 @@ A row is a manifest position. `build_documents` follows
 sources, intermediates, targets, and each level is one contiguous run of
 rows; `level_rows` takes those runs from the level sizes alone, with no id
 lookup. The consensual biterm sets and the documents are lists in that
-order, every selection takes rows, and ids come back only in the result.
+order, and every selection takes rows. The ranking is the long form,
+`irmodels.RankedLinks`, with its sources in manifest order.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .corpus.types import Dataset, Document
 from .enrich import add_own_biterms, enrich_artifact, select_related_intermediates
 from .errors import ConfigError
 from .evaluate import EvalReport, evaluate_ranking
-from .irmodels import MODELS, SimilarityTable, build_similarity_table, rank_candidates
+from .irmodels import MODELS, RankedLinks, SimilarityTable, build_similarity_table, rank_candidates
 from .transitive import TransitivePath, adjust_scores, form_paths
 
 ABLATION_MODES = ("ir-only", "b", "o", "b+o", "o+i", "b+o+i")
@@ -83,7 +84,7 @@ def _is_int(value) -> bool:
 class PipelineResult:
     documents: dict[str, Document]
     similarity: SimilarityTable
-    candidates: dict[str, list[tuple[str, float]]] = field(default_factory=dict)
+    candidates: RankedLinks | None = None
     paths: dict[str, list[TransitivePath]] = field(default_factory=dict)
     filtered_biterms: dict[str, Biterms] = field(default_factory=dict)
 

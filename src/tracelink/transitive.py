@@ -14,7 +14,7 @@ carries row indexes; it turns them into ids only to build a
 `TransitivePath`. A path's bonus is the product of its link similarities.
 `adjust_scores` turns the paths into one source x target block of
 multipliers, (1 + bonus) per path; the caller ranks the IR scores times
-that block once, with `irmodels.rank_candidates`.
+that block once, with `irmodels.rank_candidates`, into a `RankedLinks`.
 """
 
 from __future__ import annotations

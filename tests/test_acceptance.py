@@ -21,7 +21,9 @@ from tracelink.irmodels import build_similarity_table
 from tracelink.pipeline import PipelineConfig, level_rows, run_pipeline
 from tracelink.transitive import adjust_scores, form_paths
 
-from test_irmodels import brute_cosine, oracle_jsd_similarity, random_documents, tf_idf
+from test_irmodels import (
+    brute_cosine, long_form, oracle_jsd_similarity, random_documents, tf_idf,
+)
 from test_transitive import IdPools, full_table, oracle_paths, random_scenario
 from test_evaluate import oracle_average_precision, oracle_cliffs_delta, oracle_rank_sum_p
 
@@ -180,7 +182,7 @@ def test_metric_oracles():
         rng.shuffle(ranked)
         oracle = set(rng.sample(ranked, rng.randint(1, n)))
         candidates = {"s": [(t, float(n - k)) for k, (_, t) in enumerate(ranked)]}
-        ap = evaluate_ranking(candidates, oracle).ap
+        ap = evaluate_ranking(long_form(candidates), oracle).ap
         err = abs(ap - oracle_average_precision(ranked, oracle))
         max_ap_err = max(max_ap_err, err)
     assert max_ap_err <= 1e-12
@@ -197,7 +199,7 @@ def test_metric_oracles():
         if not any(link in oracle for links in per_query.values() for link in links):
             continue
         candidates = {q: [(t, 1.0) for _, t in links] for q, links in per_query.items()}
-        value = evaluate_ranking(candidates, oracle).map
+        value = evaluate_ranking(long_form(candidates), oracle).map
         expected = []
         for q, links in per_query.items():
             relevant = {l for l in oracle if l[0] == q}

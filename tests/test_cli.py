@@ -8,7 +8,6 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from tracelink.cli import _json_text, _pr_curve_csv, main
-from tracelink.evaluate import EvalReport
 from tracelink.irmodels import MODELS
 from tracelink.pipeline import ABLATION_MODES
 
@@ -297,15 +296,14 @@ class TestReportWriter:
         full = {**payload, "pr_curve": [[round(r, 6), round(p, 6)] for r, p in points]}
         expected = json.dumps(full, sort_keys=True, indent=2) + "\n"
         assert _json_text(payload, columns(points)) == expected
+        assert _json_text(payload, columns(points), _pr_curve_csv(columns(points))) == expected
         assert _json_text(payload) == json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
     @given(st.lists(st.tuples(st.sampled_from([0.0, -0.0, 50.0, 1e-07]) | _finite, _finite),
                     max_size=6))
     def test_curve_csv_formats_every_point(self, points):
-        report = EvalReport(pr_curve=columns(points), f_at_recall=[], ap=0.0, map=0.0,
-                            per_query_ap={})
         expected = "".join(f"{r:.6f},{p:.6f}\n" for r, p in points)
-        assert _pr_curve_csv(report) == "recall,precision\n" + expected
+        assert _pr_curve_csv(columns(points)) == "recall,precision\n" + expected
 
 
 class TestAblate:
@@ -555,6 +553,20 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             f"error: cannot write output file {out}: {taken} is not a directory\n"
         )
+
+    @pytest.mark.parametrize("target", ["manifest", "config file"])
+    def test_deeply_nested_json_exits_2(self, tmp_path, motivating_manifest, capsys, target):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200_000 + "]" * 200_000)
+        out = tmp_path / "out"
+        if target == "manifest":
+            command = ["trace", "--manifest", str(deep)]
+        else:
+            command = ["eval", "--manifest", str(motivating_manifest), "--config", str(deep)]
+        assert run_cli(*command, "--out", str(out)) == 2
+        # The one line of the typed error, so no traceback.
+        assert capsys.readouterr().err == f"error: {target} {deep} is nested too deeply to read\n"
+        assert not out.exists()
 
     @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(data=st.data())

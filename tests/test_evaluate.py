@@ -28,6 +28,8 @@ from tracelink.evaluate import (
 from tracelink.irmodels import parse_ranked_csv
 from tracelink.pipeline import parse_mode
 
+from test_irmodels import long_form
+
 
 def global_ranked_links(ranked):
     """Flatten per-source lists into one global list sorted by score then ids."""
@@ -127,7 +129,7 @@ class TestEvaluateRanking:
         st.sets(st.tuples(_SOURCES, _TARGETS), max_size=40),
     )
     def test_matches_list_oracle_bit_for_bit(self, candidates, oracle):
-        assert _outcome(evaluate_ranking, candidates, oracle) == _outcome(
+        assert _outcome(evaluate_ranking, long_form(candidates), oracle) == _outcome(
             oracle_evaluate_ranking, candidates, oracle
         )
 
@@ -166,7 +168,7 @@ class TestEvaluateRanking:
             }
             oracle = {(s, t) for s in candidates for t in targets if rng.random() < 0.3}
             oracle.add(("s0", "unranked"))
-            assert _outcome(evaluate_ranking, candidates, oracle) == _outcome(
+            assert _outcome(evaluate_ranking, long_form(candidates), oracle) == _outcome(
                 oracle_evaluate_ranking, candidates, oracle
             )
 

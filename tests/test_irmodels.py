@@ -8,6 +8,7 @@ LSI document space, and a direct two-term summation for Jensen-Shannon.
 
 import csv
 import dataclasses
+import io
 import math
 import random
 from collections import Counter
@@ -23,6 +24,7 @@ from tracelink.corpus.types import Document
 from tracelink.errors import ConfigError, ParseError, ValidationError
 from tracelink.evaluate import evaluate_ranking
 from tracelink.irmodels import (
+    RankedLinks,
     SimilarityTable,
     _JS_EPSILON,
     build_similarity_table,
@@ -38,6 +40,9 @@ from test_transitive import rows
 
 # Ids lean on the characters that CSV quoting and line splitting treat specially.
 _ids = st.text(st.sampled_from(',"\r\n\u2028 x') | st.characters(), min_size=1, max_size=6)
+# The writer's ids add NUL and the empty id.
+_writer_ids = st.just("") | st.text(st.sampled_from(',"\r\n\0 x') | st.characters(),
+                                    min_size=1, max_size=6)
 
 
 # Text without '"', "\r" or NUL, which `parse_ranked_csv` splits without csv.reader.
@@ -68,6 +73,32 @@ _ranking_texts = st.builds(
     _ranking_lines,
     st.sampled_from(["", "\n", "\n\n"]),
 ) | st.builds(lambda body: "\n".join(["source_id,target_id,score", *body, ""]), _small_rows)
+
+
+def long_form(ranked):
+    """`ranked`, a dict of each source's (target, score) list in rank order, as `RankedLinks`.
+
+    The targets are listed in order of first appearance.
+    """
+    links = [link for targets in ranked.values() for link in targets]
+    targets, target_codes = irmodels._codes([target for target, _ in links])
+    sizes = list(map(len, ranked.values()))
+    source_codes = np.repeat(np.arange(len(ranked), dtype=np.int64), sizes)
+    scores = np.array([score for _, score in links], np.float64)
+    return RankedLinks(list(ranked), source_codes, targets, target_codes, scores)
+
+
+def oracle_format_ranked_csv(ranked):
+    """`format_ranked_csv` as a loop over a dict of each source's (target, score) list writes it."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    quote_all = csv.writer(buffer, lineterminator="\n", quoting=csv.QUOTE_ALL)
+    writer.writerow(["source_id", "target_id", "score"])
+    for source in sorted(ranked):
+        for target, score in ranked[source]:
+            row = (source, target, f"{score:.6f}")
+            (quote_all if "\r" in source or "\r" in target else writer).writerow(row)
+    return buffer.getvalue()
 
 
 def oracle_parse_ranked_csv(text):
@@ -664,8 +695,7 @@ class TestRanking:
         assert [t for t, _ in ranked["s"]] == ["ta", "tb"]
 
     def test_csv_round_trip(self):
-        ranked = {"s": [("t2", 0.9), ("t1", 0.5)]}
-        text = format_ranked_csv(ranked)
+        text = format_ranked_csv(long_form({"s": [("t2", 0.9), ("t1", 0.5)]}))
         assert text.splitlines()[0] == "source_id,target_id,score"
         parsed = parse_ranked_csv(text)
         assert parsed["s"] == [("t2", 0.9), ("t1", 0.5)]
@@ -683,7 +713,29 @@ class TestRanking:
             source: [(target, float(f"{score:.6f}")) for target, score in targets]
             for source, targets in ranked.items()
         }
-        assert parse_ranked_csv(format_ranked_csv(ranked)) == expected
+        assert parse_ranked_csv(format_ranked_csv(long_form(ranked))) == expected
+
+    @given(
+        st.dictionaries(
+            _writer_ids,
+            st.lists(st.tuples(_writer_ids, st.floats()), max_size=4,
+                     unique_by=lambda item: item[0]),
+            max_size=4,
+        ),
+        st.randoms(use_true_random=False),
+    )
+    def test_writer_matches_dict_writer_byte_for_byte(self, ranked, rng):
+        links = long_form(ranked)
+        assert format_ranked_csv(links) == oracle_format_ranked_csv(ranked)
+        # The same links with the sources interleaved, each source's links still in order:
+        # `long_form` groups them by source code, and link g moves to the g-th place of
+        # a shuffled list of their source codes, in stable source order.
+        picks = rng.sample(links.source_codes.tolist(), len(links.scores))
+        order = np.empty(len(picks), np.intp)
+        order[np.argsort(picks, kind="stable")] = np.arange(len(picks))
+        interleaved = RankedLinks(links.sources, links.source_codes[order], links.targets,
+                                  links.target_codes[order], links.scores[order])
+        assert format_ranked_csv(interleaved) == oracle_format_ranked_csv(ranked)
 
     @given(_ranking_texts)
     def test_split_fast_path_matches_csv_reader(self, text):
@@ -706,11 +758,11 @@ class TestRanking:
         assert len(seen) == 4 and all(seen.values()), seen
 
     def test_csv_quotes_only_ids_that_need_it(self):
-        text = format_ranked_csv({"a,b": [("t", 0.5)], "s": [("t", 0.25)]})
+        text = format_ranked_csv(long_form({"a,b": [("t", 0.5)], "s": [("t", 0.25)]}))
         assert text == 'source_id,target_id,score\n"a,b",t,0.500000\ns,t,0.250000\n'
 
     def test_global_list_ordering(self):
         ranked = {"s2": [("t1", 0.5)], "s1": [("t1", 0.5), ("t2", 0.9)]}
         # Global order (s1, t2), (s1, t1), (s2, t1): the one relevant link comes third.
-        report = evaluate_ranking(ranked, {("s2", "t1")})
+        report = evaluate_ranking(long_form(ranked), {("s2", "t1")})
         assert report.pr_curve[1] == [0.0, 0.0, 100.0 / 3]

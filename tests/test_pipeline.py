@@ -204,7 +204,7 @@ class TestAblation:
         for mode in ABLATION_MODES:
             result = path_stage(dataset, PipelineConfig(mode=mode), tables)
             assert result is not tables and result.candidates
-        assert tables.candidates == {} and tables.paths == {}
+        assert tables.candidates is None and tables.paths == {}
         assert tables.similarity.scores.tolist() == scores
 
     def test_empty_modes_rejected(self, dataset):

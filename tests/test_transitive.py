@@ -424,6 +424,8 @@ def test_path_stage_candidates_equal_dict_oracle(scenario, mode, m, t):
     pools, table = scenario
     result = run_path_stage(pools, table, mode, m, t)
     assert result.candidates == oracle_candidates(pools, table, result.paths)
+    # Mapping equality ignores order, and MAP sums per-query APs in source order.
+    assert list(result.candidates) == pools.source_ids()
 
 
 def test_dict_oracle_cases_occur():
