@@ -100,8 +100,8 @@ def _merge_config(args: argparse.Namespace) -> dict:
         value = getattr(args, key, None)
         if value is not None:
             merged[key] = value
-    for key in ("out", "pairs_dir"):
-        if merged[key] is not None and not isinstance(merged[key], str):
+    for key, optional in (("out", False), ("pairs_dir", True)):
+        if not isinstance(merged[key], str) and not (optional and merged[key] is None):
             raise ConfigError(f"{key} must be a path string, got {merged[key]!r}")
     return merged
 

@@ -8,12 +8,15 @@ smoothed term distributions with base-2 Jensen-Shannon divergence.
 
 `build_similarity_table` computes one n x n score matrix per table, one row
 per document in the order given; the pipeline gives them in manifest order,
-so a row is a manifest position. VSM and LSI divide one Gram matrix of the
-tf-idf rows (or of the LSI topic coordinates, from one SVD per table) by the
-outer product of the row norms. JS scores each pair over that pair's own sorted union vocabulary (epsilon
-smoothing, base-2 KL), with the per-document work done once: each document's
-used columns form one sorted list, and a pair's union columns are a merge of
-its two lists, so no step scans the whole vocabulary per pair. It batches the
+so a row is a manifest position. A table holds the pairs with one document
+in a row set and the other in a column set, and stores 0 for the rest. VSM
+and LSI divide one Gram matrix of all the tf-idf rows (or of the LSI topic
+coordinates, from one SVD per table) by the outer product of the row norms,
+so a held score does not depend on which pairs are held. JS scores only the
+held pairs, each over its own sorted union vocabulary (epsilon smoothing,
+base-2 KL), with the per-document work done once: each document's used
+columns form one sorted list, and a pair's union columns are a merge of its
+two lists, so no step scans the whole vocabulary per pair. It batches the
 pairs by union size, one row per pair, and reduces along rows only, so each
 score is the one that pair would get alone and exact ties stay exact. All
 stored similarities are clamped into [0, 1] and symmetric.
@@ -101,42 +104,52 @@ def sorted_rank(ids: list[str]) -> np.ndarray:
 
 
 class SimilarityTable:
-    """Symmetric pairwise similarities in [0, 1].
+    """Symmetric pairwise similarities in [0, 1] over the pairs the table holds.
 
     `scores[i, j]` is the similarity of `ids[i]` and `ids[j]`; only the
     strict upper triangle of the given matrix is read, so the stored matrix
-    is exactly symmetric. A document has no similarity with itself.
-    `id_rank[i]` is the position of `ids[i]` in sorted id order.
+    is exactly symmetric. The symmetric mask `held` marks the pairs the
+    table holds (default: every pair of two documents); every other entry
+    is 0, and a document has no similarity with itself. `id_rank[i]` is the
+    position of `ids[i]` in sorted id order.
     """
 
-    def __init__(self, ids: list[str], scores: np.ndarray):
+    def __init__(self, ids: list[str], scores: np.ndarray, held: np.ndarray | None = None):
         n = len(ids)
         if len(set(ids)) != n:
             raise ValidationError("duplicate document ids in similarity table")
         if scores.shape != (n, n):
             raise ValidationError(f"score matrix shape {scores.shape} does not match {n} ids")
+        held = ~np.eye(n, dtype=bool) if held is None else held
+        if (held.dtype != bool or held.shape != (n, n)
+                or held.diagonal().any() or (held != held.T).any()):
+            raise ValidationError(f"held must be a symmetric {n} x {n} bool mask, false on the diagonal")
         upper = np.triu(np.clip(scores, 0.0, 1.0), 1)
+        upper[~held] = 0.0
         self.ids = list(ids)
         # The zeros of `upper.T` also turn a clipped -0.0 into 0.0 ("0.000000").
         self.scores = upper + upper.T
+        self.held = held
         self._index = {doc_id: i for i, doc_id in enumerate(self.ids)}
         self.id_rank = sorted_rank(self.ids)
 
     def score(self, a: str, b: str) -> float:
-        if a == b:
-            raise ValidationError(f"no similarity stored for pair ({a!r}, {b!r})")
         try:
-            return float(self.scores[self._index[a], self._index[b]])
+            i, j = self._index[a], self._index[b]
         except KeyError as exc:
             raise ValidationError(f"unknown document id {exc.args[0]!r}") from None
+        if not self.held[i, j]:
+            raise ValidationError(f"no similarity stored for pair ({a!r}, {b!r})")
+        return float(self.scores[i, j])
 
     def pairs(self) -> dict[tuple[str, str], float]:
-        """Every stored pair, keyed by its two ids in ascending order."""
-        ids, scores = self.ids, self.scores.tolist()
+        """Every held pair, keyed by its two ids in ascending order."""
+        first, second = np.nonzero(np.triu(self.held, 1))
+        ids = np.array(self.ids, object)
         return {
-            (a, b) if a <= b else (b, a): scores[i][j]
-            for i, a in enumerate(ids)
-            for j, b in enumerate(ids[i + 1:], start=i + 1)
+            (a, b) if a <= b else (b, a): score
+            for a, b, score in zip(ids[first].tolist(), ids[second].tolist(),
+                                   self.scores[first, second].tolist())
         }
 
 
@@ -169,13 +182,17 @@ def _cosine_matrix(vectors: np.ndarray) -> np.ndarray:
     return cosines
 
 
-def _js_matrix(dense: np.ndarray) -> np.ndarray:
-    """1 - base-2 JSD for every pair of nonempty rows of the counts `dense`, in blocks of pairs.
+def _js_matrix(dense: np.ndarray, held: np.ndarray) -> np.ndarray:
+    """1 - base-2 JSD for each `held` pair of nonempty rows of the counts `dense`, in pair blocks.
 
-    Each pair smooths and normalizes over its own union vocabulary: the
-    columns of the shared sorted vocabulary that either document uses. Its
-    size L is |A| + |B| - |A n B|, with the shared counts from `_gram` of
-    the used mask. Pairs are grouped by L. For each block of a group, the
+    Only the strict upper triangle is written, and only at held pairs; every
+    other entry stays 0. Each pair smooths and normalizes over its own union
+    vocabulary: the columns of the shared sorted vocabulary that either
+    document uses. Its size L is |A| + |B| - |A n B|, with the shared counts
+    from one BLAS product of the float32 0/1 used mask. That product is exact
+    although a blocked BLAS sum is not (see `_gram`): each entry sums 0s and
+    1s, so every partial sum is an integer far below 2^24 and no order of
+    summation rounds. Pairs are grouped by L. For each block of a group, the
     two ascending column lists of every pair, padded with the sentinel V
     (the vocabulary size), are sorted together along the row; the values
     that differ from their left neighbour and are not V are the pair's
@@ -194,15 +211,16 @@ def _js_matrix(dense: np.ndarray) -> np.ndarray:
     n, vocabulary_size = used.shape
     scores = np.zeros((n, n))
     lengths = np.count_nonzero(used, axis=1)
-    nonempty = np.flatnonzero(lengths)
-    if len(nonempty) < 2:
+    nonempty = lengths > 0
+    first, second = np.nonzero(np.triu(held & nonempty & nonempty[:, None], 1))
+    if not len(first):
         return scores
     # Row d holds document d's used columns in ascending order, then the sentinel V.
     padded = np.full((n, lengths.max()), vocabulary_size)
     padded[np.arange(lengths.max()) < lengths[:, None]] = np.nonzero(used)[1]
-    # The triu indexes are freed here, before `_gram`'s n x n array is built.
-    first, second = (nonempty[i] for i in np.triu_indices(len(nonempty), 1))
-    sizes = lengths[first] + lengths[second] - _gram(used)[first, second].astype(np.intp)
+    mask = used.astype(np.float32)
+    shared = (mask @ mask.T)[first, second].astype(np.intp)
+    sizes = lengths[first] + lengths[second] - shared
     order = np.argsort(sizes, kind="stable")
     first, second, sizes = first[order], second[order], sizes[order]
     starts = np.flatnonzero(np.diff(sizes)) + 1
@@ -234,26 +252,35 @@ def build_similarity_table(
     documents: list[Document],
     model: str,
     lsi_rank: int | None = None,
+    rows: np.ndarray | slice = slice(None),
+    cols: np.ndarray | slice = slice(None),
 ) -> SimilarityTable:
-    """Compute all pairwise similarities among `documents` under `model`.
+    """Similarities under `model` of the pairs of `documents` with one in `rows`, one in `cols`.
 
-    One count matrix is built and handed to the model. Documents that are
-    entirely empty compare as 0 to everything, and when every document is
-    empty the table is all zeros (degenerate but well-defined).
+    `rows` and `cols` index `documents`, and both default to every document.
+    The table stores 0 for every other pair. One count matrix is built and
+    handed to the model. Documents that are entirely empty compare as 0 to
+    everything, and when every document is empty the table is all zeros
+    (degenerate but well-defined).
     """
     if model not in MODELS:
         raise ConfigError(f"unknown IR model {model!r}; expected one of {MODELS}")
     ids = [d.artifact_id for d in documents]
+    in_rows, in_cols = np.zeros((2, len(ids)), bool)
+    in_rows[rows] = in_cols[cols] = True
+    held = np.outer(in_rows, in_cols)
+    held |= held.T
+    np.fill_diagonal(held, False)
     counts = _count_matrix(documents)
     if not counts.size:
-        return SimilarityTable(ids, np.zeros((len(ids), len(ids))))
+        return SimilarityTable(ids, np.zeros((len(ids), len(ids))), held)
     if model == "js":
-        return SimilarityTable(ids, _js_matrix(counts))
+        return SimilarityTable(ids, _js_matrix(counts, held), held)
     vectors = _tf_idf(counts)
     if model == "lsi":
         k = lsi_rank if lsi_rank is not None else default_lsi_rank(len(ids))
         vectors = lsi_document_space(vectors, k)
-    return SimilarityTable(ids, _cosine_matrix(vectors))
+    return SimilarityTable(ids, _cosine_matrix(vectors), held)
 
 
 def _order(table: SimilarityTable, cols: np.ndarray, scores: np.ndarray) -> np.ndarray:

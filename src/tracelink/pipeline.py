@@ -6,10 +6,13 @@ biterm enrichment, "o" turns on outer-transitive path deduction and score
 adjustment, and "i" additionally allows one inner-transitive link per path.
 Enrichment similarities are taken from a pre-enrichment table built over
 documents carrying only their own biterm terms; candidate generation and
-path deduction use a table rebuilt after enrichment. `PipelineConfig` is
-the one run configuration and the only validator of the mode and of the
-thresholds m and t, which reach enrichment and path deduction as plain
-arguments.
+path deduction use a table rebuilt after enrichment. Each table holds only
+the pairs its readers take: the pre-enrichment table each source or target
+with each intermediate, and the final table every pair but two targets
+(outer links S-I and I-T, inner links S-S and I-I, candidates S-T), for
+every mode. `PipelineConfig` is the one run configuration and the only
+validator of the mode and of the thresholds m and t, which reach
+enrichment and path deduction as plain arguments.
 
 A run is two stages over the base documents of `build_documents`:
 `table_stage` (biterms, enrichment and similarity tables) depends only on
@@ -135,10 +138,12 @@ def table_stage(
     """The final documents and similarity table, with biterm enrichment when the mode has "b".
 
     Reads only "b" of the mode, so modes that agree on it share the result,
-    which holds no candidates yet. `documents`, in manifest order, is left as
-    it is: enrichment writes to copies.
+    which holds no candidates yet; its table holds every pair a path stage
+    of any mode reads. `documents`, in manifest order, is left as it is:
+    enrichment writes to copies.
     """
     filtered: list[Biterms] = []
+    sources, intermediates, targets = level_rows(dataset)
 
     if "b" in parse_mode(config.mode):
         source_sets = [extract_biterms(a, config.pairs_dir) for a in dataset.sources]
@@ -149,9 +154,11 @@ def table_stage(
         documents = [add_own_biterms(doc, own) for doc, own in zip(documents, filtered)]
 
         if dataset.intermediates:
-            pre_table = build_similarity_table(documents, config.model, config.lsi_rank)
-            sources, intermediates, targets = level_rows(dataset)
-            for row in np.concatenate((sources, targets)).tolist():
+            enriched = np.concatenate((sources, targets))
+            pre_table = build_similarity_table(
+                documents, config.model, config.lsi_rank, rows=enriched, cols=intermediates
+            )
+            for row in enriched.tolist():
                 related = select_related_intermediates(
                     pre_table, row, intermediates, config.m, config.t
                 )
@@ -159,7 +166,9 @@ def table_stage(
                     documents[row], [filtered[i] for i in related.tolist()]
                 )
 
-    table = build_similarity_table(documents, config.model, config.lsi_rank)
+    table = build_similarity_table(
+        documents, config.model, config.lsi_rank, rows=np.concatenate((sources, intermediates))
+    )
     return PipelineResult(
         documents=dict(zip(table.ids, documents)),
         similarity=table,

@@ -554,6 +554,18 @@ class TestExitCodes:
             f"error: cannot write output file {out}: {taken} is not a directory\n"
         )
 
+    @pytest.mark.parametrize("command", ["trace", "eval", "ablate"])
+    def test_null_out_in_config_exits_2(
+        self, tmp_path, motivating_manifest, capsys, monkeypatch, command
+    ):
+        monkeypatch.chdir(tmp_path)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"out": None}))
+        code = run_cli(command, "--manifest", str(motivating_manifest), "--config", str(config))
+        assert code == 2
+        assert capsys.readouterr().err == "error: out must be a path string, got None\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
     @pytest.mark.parametrize("target", ["manifest", "config file"])
     def test_deeply_nested_json_exits_2(self, tmp_path, motivating_manifest, capsys, target):
         deep = tmp_path / "deep.json"

@@ -603,6 +603,34 @@ class TestJsTable:
             assert np.array_equal(assert_js_table_exact(docs).scores, scores)
 
 
+class TestHeldPairs:
+    """A table built for row and column sets is the full table on exactly the pairs between them."""
+
+    @settings(deadline=None)
+    @given(st.randoms(use_true_random=False), st.data())
+    def test_equals_the_full_table_on_held_pairs_only(self, rng, data):
+        docs = documents_with_duplicates(rng)
+        ids = [d.artifact_id for d in docs]
+        subsets = st.lists(st.integers(0, len(docs) - 1), unique=True)
+        rows, cols = (np.array(data.draw(subsets), dtype=np.intp) for _ in range(2))
+        between = {(ids[i], ids[j]) if ids[i] <= ids[j] else (ids[j], ids[i])
+                   for i in rows.tolist() for j in cols.tolist() if i != j}
+        for model in ("vsm", "lsi", "js"):
+            full = build_similarity_table(docs, model)
+            table = build_similarity_table(docs, model, rows=rows, cols=cols)
+            assert set(table.pairs()) == between
+            for i, a in enumerate(ids):
+                for j, b in enumerate(ids):
+                    if (min(a, b), max(a, b)) in between:
+                        assert table.scores[i, j].tobytes() == full.scores[i, j].tobytes()
+                        assert table.score(a, b) == full.score(a, b)
+                    else:
+                        assert table.scores[i, j].tobytes() == np.float64(0.0).tobytes()
+                        with pytest.raises(ValidationError):
+                            table.score(a, b)
+            assert table.pairs() == {pair: full.pairs()[pair] for pair in between}
+
+
 class TestSimilarityTable:
     def test_clamps_to_unit_interval(self):
         table = SimilarityTable(["a", "b", "c"], np.array([
@@ -634,6 +662,10 @@ class TestSimilarityTable:
             SimilarityTable(["a", "a"], np.zeros((2, 2)))
         with pytest.raises(ValidationError):
             SimilarityTable(["a", "b"], np.zeros((2, 3)))
+        for held in (np.array([[False, True], [False, False]]), np.ones((2, 2), bool),
+                     np.zeros((2, 3), bool), np.array([[0, 1], [1, 0]])):
+            with pytest.raises(ValidationError):
+                SimilarityTable(["a", "b"], np.zeros((2, 2)), held)
 
     def test_rows_read_the_scores_of_score(self):
         rng = random.Random(37)

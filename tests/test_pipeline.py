@@ -254,3 +254,51 @@ class TestRowsAreManifestPositions:
             assert [[manifest[row] for row in rows.tolist()] for rows in levels] == [
                 dataset.source_ids(), dataset.intermediate_ids(), dataset.target_ids()
             ]
+
+
+def held_by_level(dataset, pre):
+    """The pairs a table must hold, from the level sizes alone.
+
+    Before enrichment, each pair of a source or target with an intermediate;
+    after it, every pair but two targets.
+    """
+    sizes = [len(dataset.sources), len(dataset.intermediates), len(dataset.targets)]
+    level = np.repeat([0, 1, 2], sizes)
+    a, b = level[:, None], level[None, :]
+    held = ((a != 1) & (b == 1)) | ((a == 1) & (b != 1)) if pre else (a != 2) | (b != 2)
+    np.fill_diagonal(held, False)
+    return held
+
+
+class TestTablesHoldWhatThePipelineReads:
+    """No stage reads a pair its table does not hold."""
+
+    @pytest.mark.parametrize("name", ["motivating", "modes"])
+    @pytest.mark.parametrize("model", MODELS)
+    def test_unheld_pairs_are_never_read(self, monkeypatch, name, model):
+        original = pipeline.build_similarity_table
+        held = []
+
+        def full(documents, model, lsi_rank=None, **_):
+            return original(documents, model, lsi_rank)
+
+        def poisoned(*args, **kwargs):
+            table = original(*args, **kwargs)
+            held.append(table.held)
+            table.scores[~table.held] = np.nan
+            return table
+
+        for dataset in bundled_datasets(name):
+            for mode in ABLATION_MODES:
+                config = PipelineConfig(model=model, mode=mode)
+                monkeypatch.setattr(pipeline, "build_similarity_table", full)
+                expected = run_pipeline(dataset, config)
+                monkeypatch.setattr(pipeline, "build_similarity_table", poisoned)
+                held.clear()
+                result = run_pipeline(dataset, config)
+                assert result.candidates == expected.candidates
+                assert result.paths == expected.paths
+                pre = "b" in parse_mode(mode) and bool(dataset.intermediates)
+                assert [mask.tolist() for mask in held] == [
+                    held_by_level(dataset, True).tolist()
+                ] * pre + [held_by_level(dataset, False).tolist()]

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import tracelink.pipeline as pipeline
 from tracelink.cli import main
+from tracelink.corpus.manifest import load_dataset
 
 TRACER = Path(__file__).parent.parent / "perfbench" / "tracer.py"
 
@@ -49,3 +50,10 @@ def test_tracer_fits_every_wrapped_function(tmp_path, motivating_manifest):
     assert {"irmodels.table", "irmodels.rank", "transitive.form_paths", "transitive.adjust",
             "evaluate.ablation", "evaluate.eval", "evaluate.compare", "cli.parse",
             "cli.write"} <= spans
+    # Each trace builds a pre-enrichment and a final table; the ablation builds
+    # one final table without "b", then a pre-enrichment and a final one with it.
+    dataset = load_dataset(motivating_manifest)
+    s, i, t = len(dataset.sources), len(dataset.intermediates), len(dataset.targets)
+    pre = (s + t) * i
+    final = (s + i + t) * (s + i + t - 1) // 2 - t * (t - 1) // 2
+    assert tracer.counts["pairs_stored"] == 3 * pre + 4 * final
