@@ -38,7 +38,9 @@ from .irmodels import MODELS, RankedLinks, format_ranked_csv, parse_ranked_csv
 from .pipeline import ABLATION_MODES, PipelineConfig, run_ablation, run_pipeline
 from .transitive import paths_to_json_payload
 
-_DEFAULTS = {f.name: f.default for f in fields(PipelineConfig)} | {"out": "tracelink-out"}
+_DEFAULTS = {f.name: f.default for f in fields(PipelineConfig)} | {
+    "out": "tracelink-out", "modes": ",".join(ABLATION_MODES),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -92,7 +94,7 @@ def _merge_config(args: argparse.Namespace) -> dict:
             raise ConfigError(f"config file {args.config} is nested too deeply to read") from None
         if not isinstance(file_values, dict):
             raise ConfigError(f"config file {args.config} must hold a JSON object")
-        unknown = set(file_values) - set(_DEFAULTS) - {"modes"}
+        unknown = set(file_values) - set(_DEFAULTS)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         merged.update(file_values)
@@ -117,6 +119,11 @@ def _output_dir(text: str) -> Path:
 
     Checked before any input is read, so a bad `--out` costs no pipeline run.
     """
+    try:
+        if b"\0" in os.fsencode(text):
+            raise ValueError("embedded null byte")
+    except ValueError:  # also the UnicodeEncodeError of text the file system cannot encode
+        raise ConfigError(f"out is not a usable path: {text!r}") from None
     out = Path(text)
     for path in (out, *out.parents):
         if os.path.exists(path) and not os.path.isdir(path):
@@ -241,9 +248,7 @@ def _read_ranked(path: str) -> RankedLinks:
 
 def _cmd_ablate(args: argparse.Namespace) -> int:
     merged = _merge_config(args)
-    modes_text = args.modes if args.modes is not None else merged.get(
-        "modes", ",".join(ABLATION_MODES)
-    )
+    modes_text = merged["modes"]
     if not isinstance(modes_text, str):
         raise ConfigError(f"modes must be a comma-separated string, got {modes_text!r}")
     modes = [m.strip() for m in modes_text.split(",") if m.strip()]

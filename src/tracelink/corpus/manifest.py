@@ -14,12 +14,13 @@ A manifest is a single JSON document:
 Artifact bodies are plain-text files; paths are resolved relative to the
 manifest location. `kind` is "nl" or "code"; Java and C code are scanned
 alike, whatever the file suffix. Each level is a list of objects whose
-`id`, `path` and `kind` are strings; any other shape raises
-`ValidationError`. Each level loads into the `Dataset` list of the same
-name, which is all that records an artifact's level. A body is parsed as
-it is read, and its text is not kept. Both kinds parse into `CodeParts`: a
-code body through the code scanner, an NL body as prose, into the
-`comments` part that holds the comment sentences of code.
+`id`, `path` and `kind` are strings, with an `id` that UTF-8 can encode;
+any other shape raises `ValidationError`. Each level loads into the
+`Dataset` list of the same name, which is all that records an artifact's
+level. A body is parsed as it is read, and its text is not kept. Both
+kinds parse into `CodeParts`: a code body through the code scanner, an NL
+body as prose, into the `comments` part that holds the comment sentences
+of code.
 """
 
 from __future__ import annotations
@@ -73,6 +74,10 @@ def _load_artifact(entry: dict, base: Path) -> Artifact:
             raise ValidationError(f"artifact entry missing {required!r}: {entry}")
         if not isinstance(entry[required], str):
             raise ValidationError(f"artifact {required!r} must be a string: {entry}")
+    try:
+        entry["id"].encode("utf-8")
+    except UnicodeEncodeError:  # a lone surrogate, which no output file can hold
+        raise ValidationError(f"artifact 'id' must be valid UTF-8 text: {entry!r}") from None
     text = read_text(base / entry["path"], "artifact file")
 
     kind_name = entry["kind"].lower()

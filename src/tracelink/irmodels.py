@@ -289,18 +289,16 @@ def _order(table: SimilarityTable, cols: np.ndarray, scores: np.ndarray) -> np.n
 
 
 def select_rows(
-    table: SimilarityTable, row: int, cols: np.ndarray, m: float | None, t: int | None
+    table: SimilarityTable, row: int, cols: np.ndarray, m: float, t: int
 ) -> tuple[np.ndarray, list[float]]:
-    """`cols` by descending score against `row`, ties by ascending id, with those scores.
+    """The first t of `cols` scoring at least m times the best against `row`, with those scores.
 
-    With `m`, only the rows scoring at least m times the best are kept, and
-    an all-zero row keeps none; with `t`, only the first t of them.
+    They come by descending score, ties by ascending id; an all-zero row keeps none.
     """
     scores = table.scores[row, cols]
-    if m is not None:
-        best = scores.max(initial=0.0)
-        keep = (scores >= m * best) & (best > 0.0)
-        cols, scores = cols[keep], scores[keep]
+    best = scores.max(initial=0.0)
+    keep = (scores >= m * best) & (best > 0.0)
+    cols, scores = cols[keep], scores[keep]
     order = _order(table, cols, scores)[:t]
     return cols[order], scores[order].tolist()
 

@@ -14,13 +14,13 @@ every mode. `PipelineConfig` is the one run configuration and the only
 validator of the mode and of the thresholds m and t, which reach
 enrichment and path deduction as plain arguments.
 
-A run is two stages over the base documents of `build_documents`:
+A run is two stages over the base documents of `build_documents`.
 `table_stage` (biterms, enrichment and similarity tables) depends only on
-whether "b" is on, and `path_stage` deduces the paths and adjusts the
-scores that "o" and "i" ask for, then ranks the mode's candidates once.
-Both read the mode from the config. Neither stage writes to its inputs, so
-one table stage can serve every mode with the same "b", as `run_ablation`
-does.
+"b" and returns the final documents and table. `path_stage` deduces the
+paths and adjusts the scores that "o" and "i" ask for, ranks the mode's
+candidates once from that table, and returns the ranking and the paths;
+`run_pipeline` builds the `PipelineResult`. Neither stage writes to its
+inputs, so one table serves every mode with the same "b" (`run_ablation`).
 
 A row is a manifest position. `build_documents` follows
 `Dataset.all_artifacts()`, so every document list and table row runs
@@ -33,13 +33,13 @@ order, and every selection takes rows. The ranking is the long form,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from numbers import Real
 from pathlib import Path
 
 import numpy as np
 
-from .biterms import Biterms, consensual_filter, extract_biterms
+from .biterms import consensual_filter, extract_biterms
 from .corpus.documents import build_document
 from .corpus.types import Dataset, Document
 from .enrich import add_own_biterms, enrich_artifact, select_related_intermediates
@@ -87,13 +87,14 @@ def _is_int(value) -> bool:
 class PipelineResult:
     documents: dict[str, Document]
     similarity: SimilarityTable
-    candidates: RankedLinks | None = None
-    paths: dict[str, list[TransitivePath]] = field(default_factory=dict)
-    filtered_biterms: dict[str, Biterms] = field(default_factory=dict)
+    candidates: RankedLinks
+    paths: dict[str, list[TransitivePath]]
 
 
 def run_pipeline(dataset: Dataset, config: PipelineConfig) -> PipelineResult:
-    return path_stage(dataset, config, table_stage(dataset, config, build_documents(dataset)))
+    documents, table = table_stage(dataset, config, build_documents(dataset))
+    candidates, paths = path_stage(dataset, config, table)
+    return PipelineResult(dict(zip(table.ids, documents)), table, candidates, paths)
 
 
 def run_ablation(
@@ -110,14 +111,14 @@ def run_ablation(
         raise ConfigError("ablation requires at least one mode")
     configs = {mode: replace(config, mode=mode) for mode in modes}  # checks every mode first
     documents = build_documents(dataset)
-    tables: dict[bool, PipelineResult] = {}
+    tables: dict[bool, SimilarityTable] = {}
     reports: dict[str, EvalReport] = {}
     for mode, mode_config in configs.items():
         has_b = "b" in parse_mode(mode)
         if has_b not in tables:
-            tables[has_b] = table_stage(dataset, mode_config, documents)
-        result = path_stage(dataset, mode_config, tables[has_b])
-        reports[mode] = evaluate_ranking(result.candidates, dataset.oracle_st)
+            tables[has_b] = table_stage(dataset, mode_config, documents)[1]
+        candidates, _ = path_stage(dataset, mode_config, tables[has_b])
+        reports[mode] = evaluate_ranking(candidates, dataset.oracle_st)
     return reports
 
 
@@ -134,15 +135,13 @@ def level_rows(dataset: Dataset) -> tuple[np.ndarray, ...]:
 
 def table_stage(
     dataset: Dataset, config: PipelineConfig, documents: list[Document]
-) -> PipelineResult:
+) -> tuple[list[Document], SimilarityTable]:
     """The final documents and similarity table, with biterm enrichment when the mode has "b".
 
-    Reads only "b" of the mode, so modes that agree on it share the result,
-    which holds no candidates yet; its table holds every pair a path stage
-    of any mode reads. `documents`, in manifest order, is left as it is:
-    enrichment writes to copies.
+    Reads only "b" of the mode, so modes that agree on it share the table,
+    which holds every pair a path stage of any mode reads. `documents`, in
+    manifest order, is left as it is: enrichment writes to copies.
     """
-    filtered: list[Biterms] = []
     sources, intermediates, targets = level_rows(dataset)
 
     if "b" in parse_mode(config.mode):
@@ -169,24 +168,19 @@ def table_stage(
     table = build_similarity_table(
         documents, config.model, config.lsi_rank, rows=np.concatenate((sources, intermediates))
     )
-    return PipelineResult(
-        documents=dict(zip(table.ids, documents)),
-        similarity=table,
-        filtered_biterms=dict(zip(table.ids, filtered)),
-    )
+    return documents, table
 
 
 def path_stage(
-    dataset: Dataset, config: PipelineConfig, tables: PipelineResult
-) -> PipelineResult:
-    """`tables` with the candidates of the mode, ranked once.
+    dataset: Dataset, config: PipelineConfig, table: SimilarityTable
+) -> tuple[RankedLinks, dict[str, list[TransitivePath]]]:
+    """The candidates of the mode, ranked once from `table`, and each source's paths.
 
     With "o" (and "i"), each source's paths are deduced first, and the IR
     scores are multiplied by their `adjust_scores` factors before ranking.
-    Returns a new result and leaves `tables` as it is.
+    Without "o" there are no paths. `table` is left as it is.
     """
     components = parse_mode(config.mode)
-    table = tables.similarity
     levels = level_rows(dataset)
     paths: dict[str, list[TransitivePath]] = {}
     scale = 1.0
@@ -198,6 +192,4 @@ def path_stage(
             for row in levels[0].tolist()
         }
         scale = adjust_scores(paths, dataset.source_ids(), dataset.target_ids())
-    return replace(
-        tables, candidates=rank_candidates(table, levels[0], levels[2], scale), paths=paths
-    )
+    return rank_candidates(table, levels[0], levels[2], scale), paths

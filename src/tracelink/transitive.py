@@ -11,7 +11,8 @@ most max(1, t - h) artifacts scoring at least (0.1 * h + m) times the best,
 ties broken by ascending id. The walk takes each level as its table rows
 (in the pipeline, the level's manifest positions from `level_rows`) and
 carries row indexes; it turns them into ids only to build a
-`TransitivePath`. A path's bonus is the product of its link similarities.
+`TransitivePath`, whose k-th link (kind, score) joins its k-th and next
+node. A path's bonus is the product of its link similarities.
 `adjust_scores` turns the paths into one source x target block of
 multipliers, (1 + bonus) per path; the caller ranks the IR scores times
 that block once, with `irmodels.rank_candidates`, into a `RankedLinks`.
@@ -35,8 +36,6 @@ class LinkKind(str, Enum):
 
 @dataclass(frozen=True)
 class TransitiveLink:
-    from_id: str
-    to_id: str
     kind: LinkKind
     score: float
 
@@ -67,10 +66,9 @@ def form_paths(
 
     def walk(nodes: list[int], kinds: list[LinkKind], scores: list[float], level: int) -> None:
         if level == len(levels) - 1:
-            ids = [table.ids[node] for node in nodes]
-            links = [TransitiveLink(*link) for link in zip(ids, ids[1:], kinds, scores)]
+            links = [TransitiveLink(*link) for link in zip(kinds, scores)]
             bonus = math.prod(scores, start=1.0)
-            paths.append(TransitivePath(nodes=ids, links=links, bonus=bonus))
+            paths.append(TransitivePath([table.ids[node] for node in nodes], links, bonus))
             return
         here, hops = nodes[-1], len(scores)
         moves = [(LinkKind.OUTER, levels[level + 1], level + 1)]

@@ -26,21 +26,23 @@ from test_irmodels import (
 )
 from test_transitive import IdPools, full_table, oracle_paths, random_scenario
 from test_evaluate import oracle_average_precision, oracle_cliffs_delta, oracle_rank_sum_p
+from test_pipeline import spy_filtered_biterms
 
 
 def _report(label: str) -> None:
     print(f"PASS: {label}")
 
 
-def test_motivating_example_golden(motivating_manifest):
+def test_motivating_example_golden(motivating_manifest, monkeypatch):
     started = time.perf_counter()
     dataset = load_dataset(motivating_manifest)
+    filtered = spy_filtered_biterms(monkeypatch, dataset)
     config = PipelineConfig(model="vsm", mode="b+o+i", m=0.5, t=3)
     full = run_pipeline(dataset, config)
     ir_only = run_pipeline(dataset, PipelineConfig(model="vsm", mode="ir-only"))
 
     # (a) consensual filtering leaves exactly (assign, rout) for AFInfoBox
-    assert set(full.filtered_biterms["AFInfoBox"]) == {("assign", "rout")}
+    assert set(filtered["AFInfoBox"]) == {("assign", "rout")}
 
     # (b) the two narrated paths are emitted
     keys = {tuple(p.nodes) for p in full.paths["RE-691"]}

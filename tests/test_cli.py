@@ -566,6 +566,32 @@ class TestExitCodes:
         assert capsys.readouterr().err == "error: out must be a path string, got None\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
+    @pytest.mark.parametrize("command", ["trace", "eval", "ablate"])
+    @pytest.mark.parametrize("bad", ["id_surrogate", "out_nul", "out_surrogate"])
+    def test_text_no_file_can_hold_exits_2(self, tmp_path, capsys, monkeypatch, command, bad):
+        # Valid JSON strings that no UTF-8 output file or OS path can take.
+        monkeypatch.chdir(tmp_path)
+        source = "s\ud800" if bad == "id_surrogate" else "s"
+        out = {"out_nul": "a\u0000b", "out_surrogate": "o\ud800"}.get(bad, "out")
+        if bad != "id_surrogate":
+            monkeypatch.setattr("tracelink.cli.load_dataset", lambda *_: pytest.fail("loaded"))
+        (tmp_path / "a.txt").write_text("The user selects the route.\n")
+        (tmp_path / "b.txt").write_text("The route is selected by the user.\n")
+        (tmp_path / "manifest.json").write_text(json.dumps({
+            "sources": [{"id": source, "path": "a.txt", "kind": "nl"}],
+            "targets": [{"id": "t", "path": "b.txt", "kind": "nl"}],
+            "oracle_st": [[source, "t"]],
+        }))
+        (tmp_path / "config.json").write_text(json.dumps({"out": out}))
+        code = run_cli(
+            command, "--manifest", str(tmp_path / "manifest.json"),
+            "--config", str(tmp_path / "config.json"),
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("target", ["manifest", "config file"])
     def test_deeply_nested_json_exits_2(self, tmp_path, motivating_manifest, capsys, target):
         deep = tmp_path / "deep.json"

@@ -33,6 +33,21 @@ def dataset(motivating_manifest):
     return load_dataset(motivating_manifest)
 
 
+def spy_filtered_biterms(monkeypatch, dataset) -> dict:
+    """Each artifact id's consensual biterms, filled by the runs' own `consensual_filter` calls."""
+    filtered = {}
+    original = pipeline.consensual_filter
+
+    def spy(*levels):
+        result = original(*levels)
+        ids = [artifact.id for artifact in dataset.all_artifacts()]
+        filtered.update(zip(ids, [biterms for level in result for biterms in level]))
+        return result
+
+    monkeypatch.setattr(pipeline, "consensual_filter", spy)
+    return filtered
+
+
 class TestModes:
     def test_ir_only_has_no_enrichment_or_paths(self, dataset):
         result = run_pipeline(dataset, PipelineConfig(mode="ir-only"))
@@ -153,16 +168,15 @@ class TestNoIntermediates:
 
 
 class TestImportedPairs:
-    def test_pairs_dir_replaces_heuristic(self, tmp_path, motivating_manifest):
+    def test_pairs_dir_replaces_heuristic(self, tmp_path, motivating_manifest, monkeypatch):
         pairs_dir = tmp_path / "pairs"
         pairs_dir.mkdir()
         # A parse that keeps only one biterm for DD-647.
         (pairs_dir / "DD-647.tsv").write_text("obj\tselect\tUAV\n")
         dataset = load_dataset(motivating_manifest)
-        result = run_pipeline(
-            dataset, PipelineConfig(mode="b", pairs_dir=pairs_dir)
-        )
-        dd647 = result.filtered_biterms["DD-647"]
+        filtered = spy_filtered_biterms(monkeypatch, dataset)
+        run_pipeline(dataset, PipelineConfig(mode="b", pairs_dir=pairs_dir))
+        dd647 = filtered["DD-647"]
         assert set(dd647) <= {("select", "uav")}
 
 
@@ -198,14 +212,13 @@ class TestAblation:
     def test_stages_leave_their_inputs_unchanged(self, dataset):
         documents = build_documents(dataset)
         base = copy.deepcopy(documents)
-        tables = table_stage(dataset, PipelineConfig(), documents)
+        _, table = table_stage(dataset, PipelineConfig(), documents)
         assert documents == base
-        scores = tables.similarity.scores.tolist()
+        scores = table.scores.tolist()
         for mode in ABLATION_MODES:
-            result = path_stage(dataset, PipelineConfig(mode=mode), tables)
-            assert result is not tables and result.candidates
-        assert tables.candidates is None and tables.paths == {}
-        assert tables.similarity.scores.tolist() == scores
+            candidates, _ = path_stage(dataset, PipelineConfig(mode=mode), table)
+            assert candidates
+        assert table.scores.tolist() == scores
 
     def test_empty_modes_rejected(self, dataset):
         with pytest.raises(ConfigError):

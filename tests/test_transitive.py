@@ -25,9 +25,7 @@ from hypothesis import given, strategies as st
 
 from tracelink.enrich import select_related_intermediates
 from tracelink.irmodels import SimilarityTable, rank_candidates, select_rows
-from tracelink.pipeline import (
-    ABLATION_MODES, PipelineConfig, PipelineResult, level_rows, path_stage,
-)
+from tracelink.pipeline import ABLATION_MODES, PipelineConfig, level_rows, path_stage
 from tracelink.transitive import LinkKind, TransitivePath, adjust_scores, form_paths
 
 
@@ -256,7 +254,8 @@ def test_selection_matches_sorted_oracle_under_ties(scenario, m, t, allow_inner)
     for row, a in enumerate(table.ids):
         pool = [b for b in table.ids if b != a]
         cols = rows(table, pool)
-        assert selected_ids(table, row, cols, None, None) == oracle_ranked(table, a, pool)
+        ranked = rank_candidates(table, np.array([row]), cols, 1.0)[a]
+        assert ranked == oracle_ranked(table, a, pool)
         expected = oracle_top_related(table, a, pool, m, t)
         assert selected_ids(table, row, cols, m, t) == expected
         related = select_related_intermediates(table, row, cols, m, t)
@@ -306,16 +305,16 @@ class TestFormPaths:
                     assert path.nodes[-1] in targets
                     inner_links = [l for l in path.links if l.kind is LinkKind.INNER]
                     assert len(inner_links) == (len(path.links) - 2)
-                    for link in path.links:
+                    for from_id, to_id, link in zip(path.nodes, path.nodes[1:], path.links):
                         levels = {
                             n: ("s" if n in sources else "i" if n in inters else "t")
-                            for n in (link.from_id, link.to_id)
+                            for n in (from_id, to_id)
                         }
                         if link.kind is LinkKind.INNER:
-                            assert levels[link.from_id] == levels[link.to_id]
-                            assert levels[link.from_id] != "t"
+                            assert levels[from_id] == levels[to_id]
+                            assert levels[from_id] != "t"
                         else:
-                            assert {levels[link.from_id], levels[link.to_id]} in (
+                            assert {levels[from_id], levels[to_id]} in (
                                 {"s", "i"}, {"i", "t"},
                             )
                     assert 0.0 <= path.bonus <= 1.0
@@ -410,7 +409,8 @@ def oracle_candidates(pools, table, paths):
 
 
 def run_path_stage(pools, table, mode, m=0.5, t=3):
-    return path_stage(pools, PipelineConfig(mode=mode, m=m, t=t), PipelineResult({}, table))
+    """The ranking and paths of `path_stage` under `mode`."""
+    return path_stage(pools, PipelineConfig(mode=mode, m=m, t=t), table)
 
 
 _SCENARIOS = tie_scenarios() | st.integers(0, 2**32 - 1).map(
@@ -422,10 +422,10 @@ _SCENARIOS = tie_scenarios() | st.integers(0, 2**32 - 1).map(
        st.integers(1, 4))
 def test_path_stage_candidates_equal_dict_oracle(scenario, mode, m, t):
     pools, table = scenario
-    result = run_path_stage(pools, table, mode, m, t)
-    assert result.candidates == oracle_candidates(pools, table, result.paths)
+    candidates, paths = run_path_stage(pools, table, mode, m, t)
+    assert candidates == oracle_candidates(pools, table, paths)
     # Mapping equality ignores order, and MAP sums per-query APs in source order.
-    assert list(result.candidates) == pools.source_ids()
+    assert list(candidates) == pools.source_ids()
 
 
 def test_dict_oracle_cases_occur():
@@ -434,11 +434,11 @@ def test_dict_oracle_cases_occur():
     seen = Counter()
     for _ in range(100):
         pools, table = random_scenario(rng)
-        result = run_path_stage(pools, table, "o+i")
-        assert result.candidates == oracle_candidates(pools, table, result.paths)
+        candidates, paths = run_path_stage(pools, table, "o+i")
+        assert candidates == oracle_candidates(pools, table, paths)
         targets = pools.target_ids()
         seen["ids out of sorted order"] += targets != sorted(targets)
-        for source, found in result.paths.items():
+        for source, found in paths.items():
             per_target = Counter(p.nodes[-1] for p in found)
             seen["no path"] += not found
             seen["two paths to one target"] += max(per_target.values(), default=0) >= 2
@@ -457,8 +457,8 @@ def test_ties_made_by_adjustment_break_by_id():
         ("j", "t10"): 0.5, ("s", "tb"): 0.5, ("s", "ta"): 0.25,
         ("s", "t9"): 0.125, ("s", "t10"): 0.125,
     })
-    result = run_path_stage(pools, table, "o")
-    assert result.candidates == oracle_candidates(pools, table, result.paths) == {
+    candidates, paths = run_path_stage(pools, table, "o")
+    assert candidates == oracle_candidates(pools, table, paths) == {
         "s": [("ta", 0.5), ("tb", 0.5), ("t10", 0.1875), ("t9", 0.1875)]
     }
 
@@ -507,7 +507,7 @@ class TestAdjustScores:
         rng = random.Random(127)
         for _ in range(30):
             pools, table = random_scenario(rng)
-            adjusted = run_path_stage(pools, table, "o+i").candidates
+            adjusted, _ = run_path_stage(pools, table, "o+i")
             for s in pools.source_ids():
                 before = dict(oracle_ranked(table, s, pools.target_ids()))
                 for t, score in adjusted[s]:
