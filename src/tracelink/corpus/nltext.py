@@ -2,10 +2,13 @@
 
 Prose, the text of an NL artifact as much as a code comment, becomes
 sentences of plain tokens; the tagger runs when biterms are extracted. It
-assigns one of four coarse tags (noun, verb, adj, other) from a bundled
-lexicon of common English words plus suffix heuristics, defaulting open-class
-unknowns to noun. Purely numeric tokens get no tag at all. This is
-deliberately lightweight: downstream only needs to separate content words
+assigns one of four coarse tags (noun, verb, adj, other) by the first rule
+that fits, in this order: the lexicon table `_LEXICONS` (other, verb, adj and
+noun words), an "-ly" ending (other), the token's singular in the verb and
+then the noun lexicon, an all-caps token of two or more characters (noun),
+the suffix table `_SUFFIXES` (adj, noun and verb suffixes), and otherwise
+noun. Purely numeric tokens get no tag at all. This is deliberately
+lightweight: downstream only needs to separate content words
 (noun/verb/adjective) from everything else.
 """
 
@@ -28,8 +31,10 @@ _ABBREVIATIONS = frozenset({
     "prof", "inc", "ltd", "co", "jr", "sr", "st", "dept", "approx",
 })
 
-# Closed-class words and common adverbs; everything here tags as `other`.
-_OTHER_WORDS = frozenset("""
+# The lexicons of common English words, in check order: a word in two of them
+# takes the first one's tag. `other` holds closed-class words and common adverbs.
+_LEXICONS = {
+    OTHER: frozenset("""
 the a an this that these those my your his her its our their any some each
 every either neither no not and or but nor so yet if then else when whenever
 while where wherever why how what which who whom whose as than because since
@@ -42,9 +47,8 @@ need dare it he she they them we us you i me him hers ours theirs mine
 there here now always never often sometimes usually rarely seldom already
 just only also too very quite rather almost nearly both all many much more
 most less least few fewer enough such same other another several
-""".split())
-
-_VERB_WORDS = frozenset("""
+""".split()),
+    VERB: frozenset("""
 apply applies applied applying select selects selected selecting assign
 assigns assigned assigning halt halts halted halting stop stops stopped
 stopping show shows showed shown showing display displays displayed view
@@ -67,17 +71,15 @@ chooses chose chosen edit edits edited build builds built write writes wrote
 written read reads parse parses parsed render renders rendered fetch fetches
 fetched request requests requested notify notifies notified record records
 recorded report reports reported
-""".split())
-
-_ADJ_WORDS = frozenset("""
+""".split()),
+    ADJ: frozenset("""
 available current standard new active inactive valid invalid main primary
 secondary remote local manual automatic visible hidden required optional
 default internal external global maximum minimum high low wide narrow fast
 slow safe unsafe ready busy early late big small large little good bad
 entire whole
-""".split())
-
-_NOUN_WORDS = frozenset("""
+""".split()),
+    NOUN: frozenset("""
 user users pilot pilots operator operators uav uavs drone drones route
 routes list lists operation operations flight flights battery batteries
 status aircraft fleet fleets alarm alarms button buttons icon icons box
@@ -90,13 +92,16 @@ number numbers time times date dates screen screens page pages item items
 field fields type types value values result results state states event
 events task tasks action actions option options setting settings summary
 summaries emergency emergencies
-""".split())
+""".split()),
+}
 
-_NOUN_SUFFIXES = ("tion", "sion", "ness", "ment", "ance", "ence", "ity",
-                  "ship", "ism", "ist", "hood", "age", "ery", "er", "or")
-_ADJ_SUFFIXES = ("able", "ible", "ous", "ful", "less", "ive", "ish",
-                 "ic", "ical", "ary", "al")
-_VERB_SUFFIXES = ("ize", "ise", "ify", "ate", "ing", "ed")
+# The suffix rules, in check order; a suffix counts only after three other letters.
+_SUFFIXES = {
+    ADJ: ("able", "ible", "ous", "ful", "less", "ive", "ish", "ic", "ical", "ary", "al"),
+    NOUN: ("tion", "sion", "ness", "ment", "ance", "ence", "ity", "ship", "ism", "ist", "hood",
+           "age", "ery", "er", "or"),
+    VERB: ("ize", "ise", "ify", "ate", "ing", "ed"),
+}
 
 
 @lru_cache(maxsize=None)
@@ -105,34 +110,21 @@ def tag_token(token: str) -> str | None:
     if token.isdigit():
         return None
     lowered = token.lower()
-    if lowered in _OTHER_WORDS:
-        return OTHER
-    if lowered in _VERB_WORDS:
-        return VERB
-    if lowered in _ADJ_WORDS:
-        return ADJ
-    if lowered in _NOUN_WORDS:
-        return NOUN
+    for tag, words in _LEXICONS.items():
+        if lowered in words:
+            return tag
     if lowered.endswith("ly"):
         return OTHER
-    # Plural lookup: strip trailing s/es and retry the lexicon.
+    # Plural lookup: strip trailing s/es and retry the verbs, then the nouns.
     singular = _strip_plural(lowered)
-    if singular is not None:
-        if singular in _VERB_WORDS:
-            return VERB
-        if singular in _NOUN_WORDS:
-            return NOUN
+    for tag in (VERB, NOUN):
+        if singular in _LEXICONS[tag]:
+            return tag
     if token.isupper() and len(token) >= 2:
         return NOUN
-    for suffix in _ADJ_SUFFIXES:
-        if lowered.endswith(suffix) and len(lowered) > len(suffix) + 2:
-            return ADJ
-    for suffix in _NOUN_SUFFIXES:
-        if lowered.endswith(suffix) and len(lowered) > len(suffix) + 2:
-            return NOUN
-    for suffix in _VERB_SUFFIXES:
-        if lowered.endswith(suffix) and len(lowered) > len(suffix) + 2:
-            return VERB
+    for tag, suffixes in _SUFFIXES.items():
+        if lowered[3:].endswith(suffixes):
+            return tag
     return NOUN
 
 

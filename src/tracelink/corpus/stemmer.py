@@ -7,103 +7,63 @@ length <= 2 are returned unchanged.
 
 Only lowercase ASCII words are stemmed; anything containing a non-letter is
 returned as-is so that numeric tokens pass through untouched.
+
+Every consonant and vowel test reads the word's form (`_form`), one "c" or
+"v" per letter, where a "y" after a consonant is a vowel and a leading "y" a
+consonant. The measure m of [C](VC)^m[V] is the form's count of "vc".
 """
 
 from __future__ import annotations
 
-_VOWELS = frozenset("aeiou")
 
-
-def _is_consonant(word: str, i: int) -> bool:
-    c = word[i]
-    if c in _VOWELS:
-        return False
-    if c == "y":
-        return True if i == 0 else not _is_consonant(word, i - 1)
-    return True
+def _form(word: str) -> str:
+    """The consonant/vowel form of `word`: one "c" or "v" per letter."""
+    form = ""
+    for letter in word:
+        form += "v" if letter in "aeiou" or letter == "y" and form.endswith("c") else "c"
+    return form
 
 
 def _measure(stem: str) -> int:
     """Count VC sequences in the [C](VC)^m[V] decomposition of `stem`."""
-    m = 0
-    prev_vowel = False
-    for i in range(len(stem)):
-        if _is_consonant(stem, i):
-            if prev_vowel:
-                m += 1
-            prev_vowel = False
-        else:
-            prev_vowel = True
-    return m
-
-
-def _contains_vowel(stem: str) -> bool:
-    return any(not _is_consonant(stem, i) for i in range(len(stem)))
+    return _form(stem).count("vc")
 
 
 def _ends_double_consonant(word: str) -> bool:
-    return (
-        len(word) >= 2
-        and word[-1] == word[-2]
-        and _is_consonant(word, len(word) - 1)
-    )
+    return len(word) >= 2 and word[-1] == word[-2] and _form(word).endswith("c")
 
 
 def _ends_cvc(word: str) -> bool:
     """True when word ends consonant-vowel-consonant and the last is not w, x or y."""
-    if len(word) < 3:
-        return False
-    if not _is_consonant(word, len(word) - 3):
-        return False
-    if _is_consonant(word, len(word) - 2):
-        return False
-    if not _is_consonant(word, len(word) - 1):
-        return False
-    return word[-1] not in "wxy"
+    return _form(word).endswith("cvc") and word[-1] not in "wxy"
 
 
 def _step1a(word: str) -> str:
-    if word.endswith("sses"):
+    if word.endswith(("sses", "ies")):
         return word[:-2]
-    if word.endswith("ies"):
-        return word[:-2]
-    if word.endswith("ss"):
-        return word
-    if word.endswith("s"):
+    if word.endswith("s") and not word.endswith("ss"):
         return word[:-1]
     return word
 
 
 def _step1b(word: str) -> str:
     if word.endswith("eed"):
-        stem = word[:-3]
-        if _measure(stem) > 0:
-            return word[:-1]
+        return word[:-1] if _measure(word[:-3]) > 0 else word
+    stem = word[:-2] if word.endswith("ed") else word.removesuffix("ing")
+    if stem == word or "v" not in _form(stem):
         return word
-    if word.endswith("ed"):
-        stem = word[:-2]
-        if not _contains_vowel(stem):
-            return word
-        word = stem
-    elif word.endswith("ing"):
-        stem = word[:-3]
-        if not _contains_vowel(stem):
-            return word
-        word = stem
-    else:
-        return word
-    # Cleanup after stripping -ed/-ing.
-    if word.endswith(("at", "bl", "iz")):
-        return word + "e"
-    if _ends_double_consonant(word) and not word.endswith(("l", "s", "z")):
-        return word[:-1]
-    if _measure(word) == 1 and _ends_cvc(word):
-        return word + "e"
-    return word
+    # Cleanup after stripping -ed/-ing from a stem with a vowel.
+    if stem.endswith(("at", "bl", "iz")):
+        return stem + "e"
+    if _ends_double_consonant(stem) and not stem.endswith(("l", "s", "z")):
+        return stem[:-1]
+    if _measure(stem) == 1 and _ends_cvc(stem):
+        return stem + "e"
+    return stem
 
 
 def _step1c(word: str) -> str:
-    if word.endswith("y") and _contains_vowel(word[:-1]):
+    if word.endswith("y") and "v" in _form(word[:-1]):
         return word[:-1] + "i"
     return word
 
@@ -165,13 +125,9 @@ def _replace_longest(word: str, rules: dict[str, str], min_measure: int) -> str:
 
 
 def _step5a(word: str) -> str:
-    if not word.endswith("e"):
-        return word
+    # Drop a final e after a measure above 1, or of 1 when the stem does not end cvc.
     stem = word[:-1]
-    m = _measure(stem)
-    if m > 1:
-        return stem
-    if m == 1 and not _ends_cvc(stem):
+    if word.endswith("e") and _measure(stem) > (1 if _ends_cvc(stem) else 0):
         return stem
     return word
 

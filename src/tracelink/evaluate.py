@@ -9,10 +9,12 @@ list (all sources' links sorted together by descending score, then source
 and target id); MAP averages per-query AP, each over its source's links in
 the order given, over queries that have at least one relevant target, in
 the ranking's source order. The report's curve is two lists, recall and
-precision, one value per cutoff. The Wilcoxon rank-sum test is exact (full
-enumeration via a subset-sum count) for small samples and falls back to the
-tie-corrected normal approximation; Cliff's delta uses the absolute-value
-form with the 0.15/0.33/0.47 category cutpoints.
+precision, one value per cutoff. The Wilcoxon rank-sum test is exact for
+small samples, one masked sum over an int64 array that counts subsets by
+size and doubled rank sum; past `_EXACT_LIMIT` subsets, as for the 100 F
+values a side of `eval --compare`, it takes the tie-corrected normal
+approximation. Cliff's delta counts dominances by binary search and uses
+the absolute-value form with the 0.15/0.33/0.47 category cutpoints.
 """
 
 from __future__ import annotations
@@ -110,23 +112,18 @@ def _exact_rank_sum_p(rank2: list[int], n1: int, w2_obs: int) -> float:
     total2 = sum(rank2)
     # mean of W2 over subsets = n1 * total2 / n; compare scaled by n to stay integral
     dev_obs = abs(w2_obs * n - n1 * total2)
-
-    # counts[size][sum2] = number of subsets of that size and doubled-rank sum
-    counts: list[dict[int, int]] = [dict() for _ in range(n1 + 1)]
-    counts[0][0] = 1
-    for r in rank2:
-        for size in range(min(n1, len(counts) - 1), 0, -1):
-            lower = counts[size - 1]
-            if not lower:
-                continue
-            target = counts[size]
-            for s, c in lower.items():
-                target[s + r] = target.get(s + r, 0) + c
-    total_subsets = math.comb(n, n1)
-    extreme = sum(
-        c for s, c in counts[n1].items() if abs(s * n - n1 * total2) >= dev_obs
-    )
-    return extreme / total_subsets
+    # A subset and its complement deviate equally, so count the smaller size k.
+    k = min(n1, n - n1)
+    ranks = sorted(rank2)
+    # counts[size, sum2] = number of subsets of that size and doubled-rank sum
+    counts = np.zeros((k + 1, sum(ranks[n - k:]) + 1), np.int64)
+    counts[0, 0] = 1
+    for i, r in enumerate(ranks):
+        # Subsets of fewer than k of the ranks so far sum to below `reach`.
+        reach = sum(ranks[max(0, i - k + 1):i]) + 1
+        counts[1:, r:r + reach] += counts[:-1, :reach]
+    deviation = np.abs(np.arange(counts.shape[1]) * n - k * total2)
+    return int(counts[k, deviation >= dev_obs].sum()) / math.comb(n, n1)
 
 
 def wilcoxon_rank_sum(a: list[float], b: list[float]) -> float:
@@ -170,24 +167,16 @@ def cliffs_delta(a: list[float], b: list[float]) -> float:
     """
     if not a or not b:
         raise EvaluationError("both samples must be nonempty")
-    sorted_b = sorted(b)
-    n1, n2 = len(a), len(b)
-    greater = 0
-    less = 0
-    for x in a:
-        greater += bisect.bisect_left(sorted_b, x)          # b values < x
-        less += n2 - bisect.bisect_right(sorted_b, x)       # b values > x
-    return abs(greater - less) / (n1 * n2)
+    sorted_b = np.sort(b)
+    pairs = len(a) * len(b)
+    greater = int(np.searchsorted(sorted_b, a, side="left").sum())          # pairs with x > y
+    less = pairs - int(np.searchsorted(sorted_b, a, side="right").sum())    # pairs with x < y
+    return abs(greater - less) / pairs
 
 
 def delta_category(delta: float) -> str:
-    if delta < 0.15:
-        return "negligible"
-    if delta < 0.33:
-        return "small"
-    if delta < 0.47:
-        return "medium"
-    return "large"
+    size = bisect.bisect_right((0.15, 0.33, 0.47), delta)
+    return ("negligible", "small", "medium", "large")[size]
 
 
 def compare_runs(f_a: list[float], f_b: list[float]) -> StatComparison:

@@ -77,6 +77,9 @@ class PipelineConfig:
             raise ConfigError(f"cap t must be an integer >= 1, got {self.t!r}")
         if self.lsi_rank is not None and (not _is_int(self.lsi_rank) or self.lsi_rank < 1):
             raise ConfigError(f"LSI rank must be an integer >= 1, got {self.lsi_rank!r}")
+        # is_dir is also False for a path the OS cannot take, such as one holding a NUL.
+        if self.pairs_dir is not None and not Path(self.pairs_dir).is_dir():
+            raise ConfigError(f"pairs_dir is not a directory: {str(self.pairs_dir)!r}")
 
 
 def _is_int(value) -> bool:

@@ -537,6 +537,25 @@ class TestExitCodes:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: cannot look for dependency-pair file")
 
+    @pytest.mark.parametrize("command", ["trace", "ablate"])
+    @pytest.mark.parametrize("bad", ["missing", "file", "nul"])
+    def test_pairs_dir_not_a_directory_exits_2(
+        self, tmp_path, motivating_manifest, capsys, monkeypatch, command, bad
+    ):
+        monkeypatch.setattr("tracelink.cli.load_dataset", lambda *_: pytest.fail("loaded"))
+        out = tmp_path / "out"
+        command = [command, "--manifest", str(motivating_manifest), "--out", str(out)]
+        if bad == "nul":  # no command line can hold a NUL, a config file can
+            (tmp_path / "config.json").write_text(json.dumps({"pairs_dir": "a\u0000b"}))
+            command += ["--config", str(tmp_path / "config.json")]
+        else:
+            pairs = tmp_path / "gone" if bad == "missing" else motivating_manifest
+            command += ["--pairs-dir", str(pairs)]
+        assert run_cli(*command) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: pairs_dir is not a directory: ") and err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["trace", "eval", "ablate"])
     @pytest.mark.parametrize("under", [False, True], ids=["file", "path_under_a_file"])
     def test_out_naming_a_file_exits_2(

@@ -386,14 +386,18 @@ class TestWilcoxon:
         assert wilcoxon_rank_sum(a, b) == pytest.approx(oracle_rank_sum_p(a, b), abs=1e-9)
 
     def test_exact_matches_enumeration_random(self):
+        # Both sides divide the same subset count by C(n1 + n2, n1).
         rng = random.Random(11)
-        for _ in range(100):
+        for trial in range(200):
             n1, n2 = rng.randint(1, 8), rng.randint(1, 8)
-            a = [round(rng.uniform(0, 5), 1) for _ in range(n1)]
-            b = [round(rng.uniform(0, 5), 1) for _ in range(n2)]
-            assert wilcoxon_rank_sum(a, b) == pytest.approx(
-                oracle_rank_sum_p(a, b), abs=1e-9
-            )
+            if trial % 2:  # three or four tied values
+                values = rng.sample([0.0, 0.5, 1.0, 2.5, 100.0], rng.randint(3, 4))
+                a = [rng.choice(values) for _ in range(n1)]
+                b = [rng.choice(values) for _ in range(n2)]
+            else:
+                a = [round(rng.uniform(0, 5), 1) for _ in range(n1)]
+                b = [round(rng.uniform(0, 5), 1) for _ in range(n2)]
+            assert wilcoxon_rank_sum(a, b) == oracle_rank_sum_p(a, b)
 
     def test_empty_sample_rejected(self):
         with pytest.raises(EvaluationError):
@@ -441,11 +445,17 @@ class TestCliffsDelta:
         assert cliffs_delta(a, b) == pytest.approx(oracle_cliffs_delta(a, b))
 
     def test_random_matches_brute_force(self):
+        # Both sides divide the same dominance count by n1 * n2.
         rng = random.Random(13)
         for _ in range(50):
             a = [rng.uniform(0, 3) for _ in range(rng.randint(1, 12))]
             b = [rng.uniform(0, 3) for _ in range(rng.randint(1, 12))]
-            assert cliffs_delta(a, b) == pytest.approx(oracle_cliffs_delta(a, b))
+            assert cliffs_delta(a, b) == oracle_cliffs_delta(a, b)
+        for _ in range(20):  # the shape `eval --compare` passes: 100 F values over a few values
+            values = [0.0, 100.0, *(rng.uniform(0, 100) for _ in range(rng.randint(0, 3)))]
+            a = [rng.choice(values) for _ in range(100)]
+            b = [rng.choice(values) for _ in range(100)]
+            assert cliffs_delta(a, b) == oracle_cliffs_delta(a, b)
 
     def test_category_cutpoints(self):
         assert delta_category(0.1499999) == "negligible"
