@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus.manifest import load_dataset
+from .corpus.manifest import load_dataset, read_manifest
 from .errors import (
     ConfigError,
     EvaluationError,
@@ -208,14 +208,13 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 def _cmd_eval(args: argparse.Namespace) -> int:
     merged = _merge_config(args)
     out = _output_dir(merged["out"])
-    dataset = load_dataset(args.manifest)
+    # A saved ranking needs only the manifest's ids and oracle, not the artifact files.
+    dataset = read_manifest(args.manifest) if args.ranked else load_dataset(args.manifest)
     if not dataset.oracle_st:
         raise ConfigError("manifest has no oracle_st; evaluation needs true links")
 
-    if args.ranked:
-        links = _read_ranked(args.ranked)
-    else:
-        links = run_pipeline(dataset, _pipeline_config(merged)).candidates
+    links = (_read_ranked(args.ranked) if args.ranked
+             else run_pipeline(dataset, _pipeline_config(merged)).candidates)
     report = evaluate_ranking(links, dataset.oracle_st)
     # Both rankings are read and evaluated before any output is written.
     other = None

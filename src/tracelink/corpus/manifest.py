@@ -1,4 +1,4 @@
-"""Dataset manifest loading.
+"""Dataset manifest reading and loading.
 
 A manifest is a single JSON document:
 
@@ -15,30 +15,49 @@ Artifact bodies are plain-text files; paths are resolved relative to the
 manifest location. `kind` is "nl" or "code"; Java and C code are scanned
 alike, whatever the file suffix. Each level is a list of objects whose
 `id`, `path` and `kind` are strings, with an `id` that UTF-8 can encode;
-any other shape raises `ValidationError`. Each level loads into the
-`Dataset` list of the same name, which is all that records an artifact's
-level. A body is parsed as it is read, and its text is not kept. Both
-kinds parse into `CodeParts`: a code body through the code scanner, an NL
-body as prose, into the `comments` part that holds the comment sentences
-of code.
+any other shape, a repeated id or an oracle pair naming an id outside its
+two levels raises `ValidationError`. `read_manifest` runs these checks and
+opens no artifact file, which is all `eval --ranked` needs; `load_dataset`
+then parses each body, in manifest order, into the `Dataset` list of its
+level, which is all that records an artifact's level, and keeps no text.
+Both kinds parse into `CodeParts`: a code body through the code scanner,
+an NL body as prose, into the `comments` part that holds code's comments.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain
 from pathlib import Path
+from typing import NamedTuple
 
 from ..errors import LoadError, ValidationError, read_text
 from .codescan import CodeParts, scan_code
 from .nltext import tokenize_natural
 from .types import Artifact, Dataset, Kind
 
+_LEVELS = ("sources", "intermediates", "targets")
+_ORACLES = {"oracle_st": ("sources", "targets"), "oracle_si": ("sources", "intermediates"),
+            "oracle_it": ("intermediates", "targets")}
+_KINDS = dict.fromkeys(("nl", "natural", "naturallanguage", "text"), Kind.NATURAL_LANGUAGE)
+_KINDS["code"] = Kind.CODE
 
-def load_dataset(manifest_path: str | Path) -> Dataset:
+
+class Manifest(NamedTuple):
+    """A checked manifest: each level's (id, path, kind) entries, in order, and the oracles."""
+
+    sources: list[tuple[str, str, Kind]]
+    intermediates: list[tuple[str, str, Kind]]
+    targets: list[tuple[str, str, Kind]]
+    oracle_st: set[tuple[str, str]]
+    oracle_si: set[tuple[str, str]]
+    oracle_it: set[tuple[str, str]]
+
+
+def read_manifest(manifest_path: str | Path) -> Manifest:
     manifest_path = Path(manifest_path)
-    text = read_text(manifest_path, "manifest")
     try:
-        spec = json.loads(text)
+        spec = json.loads(read_text(manifest_path, "manifest"))
     except json.JSONDecodeError as exc:
         raise LoadError(f"manifest {manifest_path} is not valid JSON: {exc}") from exc
     except RecursionError:
@@ -46,17 +65,23 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
     if not isinstance(spec, dict):
         raise ValidationError(f"manifest {manifest_path} must be a JSON object")
 
-    base = manifest_path.parent
-    dataset = Dataset(
-        sources=[_load_artifact(entry, base) for entry in _list(spec, "sources")],
-        intermediates=[_load_artifact(entry, base) for entry in _list(spec, "intermediates")],
-        targets=[_load_artifact(entry, base) for entry in _list(spec, "targets")],
-        oracle_st=_load_oracle(spec, "oracle_st"),
-        oracle_si=_load_oracle(spec, "oracle_si"),
-        oracle_it=_load_oracle(spec, "oracle_it"),
-    )
-    dataset.validate()
-    return dataset
+    levels = {key: [_entry(item) for item in _list(spec, key)] for key in _LEVELS}
+    seen: set[str] = set()
+    for doc_id, _, _ in chain(*levels.values()):
+        if doc_id in seen:
+            raise ValidationError(f"duplicate artifact id {doc_id!r}")
+        seen.add(doc_id)
+    ids = {key: {doc_id for doc_id, _, _ in entries} for key, entries in levels.items()}
+    return Manifest(**levels, **{key: _load_oracle(spec, key, ids[left], ids[right])
+                                 for key, (left, right) in _ORACLES.items()})
+
+
+def load_dataset(manifest_path: str | Path) -> Dataset:
+    manifest = read_manifest(manifest_path)
+    base = Path(manifest_path).parent
+    levels = {key: [_load_artifact(*entry, base) for entry in getattr(manifest, key)]
+              for key in _LEVELS}
+    return Dataset(**{**manifest._asdict(), **levels})
 
 
 def _list(spec: dict, key: str) -> list:
@@ -66,7 +91,7 @@ def _list(spec: dict, key: str) -> list:
     return items
 
 
-def _load_artifact(entry: dict, base: Path) -> Artifact:
+def _entry(entry: dict) -> tuple[str, str, Kind]:
     if not isinstance(entry, dict):
         raise ValidationError(f"artifact entry must be an object, got {entry!r}")
     for required in ("id", "path", "kind"):
@@ -78,23 +103,25 @@ def _load_artifact(entry: dict, base: Path) -> Artifact:
         entry["id"].encode("utf-8")
     except UnicodeEncodeError:  # a lone surrogate, which no output file can hold
         raise ValidationError(f"artifact 'id' must be valid UTF-8 text: {entry!r}") from None
-    text = read_text(base / entry["path"], "artifact file")
-
-    kind_name = entry["kind"].lower()
-    if kind_name in ("nl", "natural", "naturallanguage", "text"):
-        prose = CodeParts(comments=tokenize_natural(text))
-        return Artifact(entry["id"], Kind.NATURAL_LANGUAGE, prose)
-    if kind_name == "code":
-        return Artifact(entry["id"], Kind.CODE, scan_code(text))
-    raise ValidationError(f"unknown artifact kind {entry['kind']!r} for {entry['id']!r}")
+    if entry["kind"].lower() not in _KINDS:
+        raise ValidationError(f"unknown artifact kind {entry['kind']!r} for {entry['id']!r}")
+    return entry["id"], entry["path"], _KINDS[entry["kind"].lower()]
 
 
-def _load_oracle(spec: dict, key: str) -> set[tuple[str, str]]:
+def _load_artifact(doc_id: str, path: str, kind: Kind, base: Path) -> Artifact:
+    text = read_text(base / path, "artifact file")
+    parts = scan_code(text) if kind is Kind.CODE else CodeParts(comments=tokenize_natural(text))
+    return Artifact(doc_id, kind, parts)
+
+
+def _load_oracle(spec: dict, key: str, left: set[str], right: set[str]) -> set[tuple[str, str]]:
     pairs = set()
     for item in _list(spec, key):
         if not isinstance(item, (list, tuple)) or len(item) != 2:
             raise ValidationError(f"{key} entries must be [left, right] pairs, got {item!r}")
         if not all(isinstance(doc_id, str) for doc_id in item):
             raise ValidationError(f"{key} ids must be strings, got {item!r}")
+        if item[0] not in left or item[1] not in right:
+            raise ValidationError(f"{key} references unknown pair ({item[0]!r}, {item[1]!r})")
         pairs.add(tuple(item))
     return pairs

@@ -12,7 +12,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 
-from ..errors import ValidationError
 from .codescan import CodeParts
 
 
@@ -72,24 +71,5 @@ class Dataset:
     def source_ids(self) -> list[str]:
         return [a.id for a in self.sources]
 
-    def intermediate_ids(self) -> list[str]:
-        return [a.id for a in self.intermediates]
-
     def target_ids(self) -> list[str]:
         return [a.id for a in self.targets]
-
-    def validate(self) -> None:
-        seen: set[str] = set()
-        for artifact in self.all_artifacts():
-            if artifact.id in seen:
-                raise ValidationError(f"duplicate artifact id {artifact.id!r}")
-            seen.add(artifact.id)
-        for name, oracle, left, right in (
-            ("oracle_st", self.oracle_st, self.source_ids(), self.target_ids()),
-            ("oracle_si", self.oracle_si, self.source_ids(), self.intermediate_ids()),
-            ("oracle_it", self.oracle_it, self.intermediate_ids(), self.target_ids()),
-        ):
-            left_set, right_set = set(left), set(right)
-            for a, b in oracle:
-                if a not in left_set or b not in right_set:
-                    raise ValidationError(f"{name} references unknown pair ({a!r}, {b!r})")

@@ -114,16 +114,20 @@ def _exact_rank_sum_p(rank2: list[int], n1: int, w2_obs: int) -> float:
     dev_obs = abs(w2_obs * n - n1 * total2)
     # A subset and its complement deviate equally, so count the smaller size k.
     k = min(n1, n - n1)
-    ranks = sorted(rank2)
-    # counts[size, sum2] = number of subsets of that size and doubled-rank sum
-    counts = np.zeros((k + 1, sum(ranks[n - k:]) + 1), np.int64)
-    counts[0, 0] = 1
-    for i, r in enumerate(ranks):
-        # Subsets of fewer than k of the ranks so far sum to below `reach`.
-        reach = sum(ranks[max(0, i - k + 1):i]) + 1
-        counts[1:, r:r + reach] += counts[:-1, :reach]
-    deviation = np.abs(np.arange(counts.shape[1]) * n - k * total2)
-    return int(counts[k, deviation >= dev_obs].sum()) / math.comb(n, n1)
+    if k == 1:  # the subsets of one rank are the ranks themselves
+        row = np.bincount(rank2)
+    else:
+        ranks = sorted(rank2)
+        # counts[size, sum2] = number of subsets of that size and doubled-rank sum
+        counts = np.zeros((k + 1, sum(ranks[n - k:]) + 1), np.int64)
+        counts[0, 0] = 1
+        for i, r in enumerate(ranks):
+            # Subsets of fewer than k of the ranks so far sum to below `reach`.
+            reach = sum(ranks[max(0, i - k + 1):i]) + 1
+            counts[1:, r:r + reach] += counts[:-1, :reach]
+        row = counts[k]
+    deviation = np.abs(np.arange(len(row)) * n - k * total2)
+    return int(row[deviation >= dev_obs].sum()) / math.comb(n, n1)
 
 
 def wilcoxon_rank_sum(a: list[float], b: list[float]) -> float:
@@ -190,11 +194,11 @@ def evaluate_ranking(links: RankedLinks, oracle: set[tuple[str, str]]) -> EvalRe
     """Full report for one run: global list metrics plus per-query MAP.
 
     The global list orders every link by (-score, source id, target id): one
-    stable lexsort over id ranks gives that order, and the curve is the
-    running hit count with the same float64 operations per cutoff as a
-    Python loop. Per-query ranks come from the links grouped by source. AP
-    sums in rank order in Python, as `np.sum` would sum pairwise and change
-    the last bits; only relevant links reach Python.
+    lexsort over the score and one key of id ranks gives that order, and the
+    curve is the running hit count with the same float64 operations per
+    cutoff as a Python loop. Per-query ranks come from the links grouped by
+    source. AP sums in rank order in Python, as `np.sum` would sum pairwise
+    and change the last bits; only relevant links reach Python.
     """
     if not oracle:
         raise EvaluationError("evaluation requires a nonempty oracle")
@@ -214,8 +218,9 @@ def evaluate_ranking(links: RankedLinks, oracle: set[tuple[str, str]]) -> EvalRe
     if not per_query_ap:
         raise EvaluationError("no query has any relevant target")
 
-    order = np.lexsort((sorted_rank(links.targets)[links.target_codes],
-                        sorted_rank(links.sources)[links.source_codes], -links.scores))
+    id_key = (sorted_rank(links.sources)[links.source_codes] * len(links.targets)
+              + sorted_rank(links.targets)[links.target_codes])
+    order = np.lexsort((id_key, -links.scores))
     ranked_relevant = relevant[order]
     found = np.cumsum(ranked_relevant)
     precision = 100.0 * found / np.arange(1, len(found) + 1)

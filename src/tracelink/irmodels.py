@@ -420,13 +420,12 @@ def parse_ranked_csv(text: str) -> RankedLinks:
     links, lines = _plain_links(text), None
     if links is None:
         links, lines = _read_rows(text)
-    # A stable sort keeps each pair's links in file order, so every link after
-    # the first of its pair is a repeat.
     codes = links.pair_codes()
-    order = np.argsort(codes, kind="stable")
-    repeats = order[1:][np.diff(codes[order]) == 0]
-    if repeats.size:
-        again = int(repeats.min())
+    if (np.diff(np.sort(codes)) == 0).any():
+        # A stable sort keeps each pair's links in file order, so every link after
+        # the first of its pair is a repeat.
+        order = np.argsort(codes, kind="stable")
+        again = int(order[1:][np.diff(codes[order]) == 0].min())
         source = links.sources[links.source_codes[again]]
         target = links.targets[links.target_codes[again]]
         number = again + 2 if lines is None else lines[again]

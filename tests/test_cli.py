@@ -251,6 +251,45 @@ class TestEval:
         assert code == 2
         assert "line 2: field larger than field limit" in capsys.readouterr().err
 
+    def test_ranked_does_not_load_the_dataset(self, tmp_path, motivating_manifest, monkeypatch):
+        monkeypatch.setattr("tracelink.cli.load_dataset", lambda *_: pytest.fail("loaded"))
+        ranked = tmp_path / "ranked.csv"
+        ranked.write_text("source_id,target_id,score\nRE-691,AFInfoBox,0.9\n")
+        code = run_cli(
+            "eval", "--manifest", str(motivating_manifest), "--ranked", str(ranked),
+            "--compare", str(ranked), "--out", str(tmp_path / "out"),
+        )
+        assert code == 0
+
+    @pytest.mark.parametrize("damage", ["deleted", "not_utf8"])
+    def test_ranked_output_needs_no_artifact_file(
+        self, tmp_path, motivating_manifest, capsys, damage
+    ):
+        manifest = _copy_motivating(motivating_manifest, tmp_path)
+        good = tmp_path / "good.csv"
+        good.write_text("source_id,target_id,score\nRE-691,AFInfoBox,0.9\nRE-695,AFInfoBox,0.4\n")
+        bad = tmp_path / "bad.csv"
+        bad.write_text("source_id,target_id,score\nRE-695,AFInfoBox,0.9\nRE-691,AFInfoBox,0.4\n")
+
+        def outputs(out):
+            code = run_cli("eval", "--manifest", str(manifest), "--ranked", str(good),
+                           "--compare", str(bad), "--out", str(out))
+            assert code == 0
+            return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+        intact = outputs(tmp_path / "intact")
+        artifact = manifest.parent / "AFInfoBox.java"
+        if damage == "deleted":
+            artifact.unlink()
+        else:
+            artifact.write_bytes(NOT_UTF8)
+        assert outputs(tmp_path / "damaged") == intact
+        capsys.readouterr()
+        # Every other command still reads each artifact file.
+        for command in ("eval", "trace"):
+            assert run_cli(command, "--manifest", str(manifest), "--out", str(tmp_path / "o")) == 2
+            assert capsys.readouterr().err.startswith("error: cannot read artifact file")
+
     def test_in_process_run(self, tmp_path, motivating_manifest):
         out = tmp_path / "out"
         code = run_cli(
@@ -488,6 +527,16 @@ _configs = st.fixed_dictionaries(
 )
 
 
+_MALFORMED_MANIFESTS = {
+    "entry_not_an_object": lambda spec: spec["targets"].append("AFInfoBox"),
+    "missing_path": lambda spec: spec["intermediates"][1].pop("path"),
+    "unknown_kind": lambda spec: spec["targets"][0].update(kind="binary"),
+    "duplicate_id": lambda spec: spec["targets"].append(dict(spec["sources"][0])),
+    "oracle_unknown_id": lambda spec: spec["oracle_it"].append(["DD-647", "Missing"]),
+    "surrogate_id": lambda spec: spec["sources"][1].update(id="RE-\ud800"),
+}
+
+
 class TestExitCodes:
     @pytest.mark.parametrize(
         "target", ["manifest", "artifact", "config", "ranked", "compare", "pairs"]
@@ -610,6 +659,26 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("malform", sorted(_MALFORMED_MANIFESTS))
+    def test_malformed_manifest_same_error_under_every_command(
+        self, tmp_path, motivating_manifest, capsys, malform
+    ):
+        # `eval --ranked` reads only the manifest; it rejects what the full load rejects.
+        manifest = _copy_motivating(motivating_manifest, tmp_path)
+        spec = json.loads(manifest.read_text())
+        _MALFORMED_MANIFESTS[malform](spec)
+        manifest.write_text(json.dumps(spec))
+        ranked = tmp_path / "ranked.csv"
+        ranked.write_text("source_id,target_id,score\nRE-691,AFInfoBox,0.9\n")
+        errors = []
+        for command in (["eval", "--ranked", str(ranked)], ["trace"], ["eval"]):
+            out = tmp_path / "out"
+            assert run_cli(*command, "--manifest", str(manifest), "--out", str(out)) == 2
+            errors.append(capsys.readouterr().err)
+        assert errors[0].startswith("error: ") and errors[0].count("\n") == 1
+        assert errors == [errors[0]] * 3
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("target", ["manifest", "config file"])
     def test_deeply_nested_json_exits_2(self, tmp_path, motivating_manifest, capsys, target):

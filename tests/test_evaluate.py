@@ -399,6 +399,17 @@ class TestWilcoxon:
                 b = [round(rng.uniform(0, 5), 1) for _ in range(n2)]
             assert wilcoxon_rank_sum(a, b) == oracle_rank_sum_p(a, b)
 
+    @pytest.mark.parametrize("single", ["n1", "n2"])
+    def test_exact_one_value_side_matches_enumeration(self, single):
+        # A side of one value counts its size-1 subsets from a histogram of the ranks.
+        rng = random.Random(13)
+        for trial in range(100):
+            draw = ((lambda: rng.choice([0.0, 0.5, 1.0, 2.5])) if trial % 2
+                    else (lambda: round(rng.uniform(0, 5), 1)))
+            one, many = [draw()], [draw() for _ in range(rng.randint(1, 40))]
+            a, b = (one, many) if single == "n1" else (many, one)
+            assert wilcoxon_rank_sum(a, b) == oracle_rank_sum_p(a, b)
+
     def test_empty_sample_rejected(self):
         with pytest.raises(EvaluationError):
             wilcoxon_rank_sum([], [1.0])

@@ -1,14 +1,20 @@
 """Dataset manifest loading and validation."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import tracelink
 from tracelink.cli import main as cli_main
 from tracelink.corpus.codescan import CodeParts
-from tracelink.corpus.manifest import load_dataset
+from tracelink.corpus.manifest import load_dataset, read_manifest
 from tracelink.corpus.types import Kind
 from tracelink.errors import LoadError, ValidationError
+
+SRC = os.path.dirname(os.path.dirname(tracelink.__file__))
 
 
 def write_dataset(tmp_path, *, oracle_st=None, intermediates=True, duplicate=False):
@@ -44,7 +50,7 @@ def test_six_artifact_dataset(tmp_path):
     dataset = load_dataset(write_dataset(tmp_path))
     assert len(dataset.all_artifacts()) == 6
     assert dataset.source_ids() == ["RE-1", "RE-2"]
-    assert dataset.intermediate_ids() == ["DD-1", "DD-2"]
+    assert [a.id for a in dataset.intermediates] == ["DD-1", "DD-2"]
     assert dataset.target_ids() == ["A.java", "B.java"]
     assert all(a.kind is Kind.CODE for a in dataset.targets)
     assert dataset.oracle_st == {("RE-1", "A.java")}
@@ -67,6 +73,38 @@ def test_zero_intermediates_allowed(tmp_path):
 def test_oracle_with_unknown_id_rejected(tmp_path):
     path = write_dataset(tmp_path, oracle_st=[["RE-1", "Missing.java"]])
     with pytest.raises(ValidationError):
+        load_dataset(path)
+
+
+def test_first_unknown_oracle_pair_named_under_any_hash_seed(tmp_path):
+    # Six unknown pairs: the error names the first in list order, not in set order.
+    path = write_dataset(tmp_path, oracle_st=[["RE-1", f"x{i}"] for i in range(6)])
+    script = ("import sys; from tracelink.corpus.manifest import read_manifest\n"
+              "try: read_manifest(sys.argv[1])\nexcept Exception as exc: print(exc)")
+    for seed in range(4):
+        env = {**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": SRC}
+        found = subprocess.run([sys.executable, "-c", script, str(path)], env=env,
+                               capture_output=True, text=True, check=True).stdout
+        assert found == "oracle_st references unknown pair ('RE-1', 'x0')\n"
+
+
+def test_read_manifest_opens_no_artifact_file(tmp_path):
+    path = write_dataset(tmp_path)
+    for artifact in tmp_path.iterdir():
+        if artifact != path:
+            artifact.unlink()
+    manifest = read_manifest(path)
+    assert manifest.sources == [("RE-1", "RE-1.txt", Kind.NATURAL_LANGUAGE),
+                                ("RE-2", "RE-2.txt", Kind.NATURAL_LANGUAGE)]
+    assert [entry[2] for entry in manifest.targets] == [Kind.CODE, Kind.CODE]
+    assert manifest.oracle_st == {("RE-1", "A.java")}
+    assert manifest.oracle_si == manifest.oracle_it == set()
+
+
+def test_manifest_errors_come_before_unreadable_files(tmp_path):
+    path = write_dataset(tmp_path, duplicate=True)
+    (tmp_path / "RE-1.txt").unlink()
+    with pytest.raises(ValidationError, match="duplicate artifact id 'RE-1'"):
         load_dataset(path)
 
 

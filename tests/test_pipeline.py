@@ -265,7 +265,7 @@ class TestRowsAreManifestPositions:
             levels = level_rows(dataset)
             assert np.concatenate(levels).tolist() == list(range(len(manifest)))
             assert [[manifest[row] for row in rows.tolist()] for rows in levels] == [
-                dataset.source_ids(), dataset.intermediate_ids(), dataset.target_ids()
+                dataset.source_ids(), [a.id for a in dataset.intermediates], dataset.target_ids()
             ]
 
 
