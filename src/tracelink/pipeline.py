@@ -167,6 +167,7 @@ def table_stage(
                 documents[row] = enrich_artifact(
                     documents[row], [filtered[i] for i in related.tolist()]
                 )
+            del pre_table  # Free its score matrix before the final table is built.
 
     table = build_similarity_table(
         documents, config.model, config.lsi_rank, rows=np.concatenate((sources, intermediates))

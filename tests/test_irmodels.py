@@ -238,9 +238,15 @@ class TfIdf:
 
 
 def tf_idf(docs):
-    """The tf-idf matrix of `docs`, from the count matrix every table is built from."""
-    vocabulary = sorted(set().union(*(d.weighted_terms() for d in docs)))
-    weights = irmodels._tf_idf(irmodels._count_matrix(docs))
+    """The tf-idf matrix of `docs` from a dense loop: tf = raw count, idf = ln(N/df)."""
+    counts = [d.weighted_terms() for d in docs]
+    vocabulary = sorted(set().union(*counts))
+    weights = np.zeros((len(docs), len(vocabulary)))
+    for j, term in enumerate(vocabulary):
+        df = sum(c[term] > 0 for c in counts)
+        idf = np.log(len(docs) / np.maximum(df, 1))
+        for i, c in enumerate(counts):
+            weights[i, j] = c[term] * idf
     return TfIdf(vocabulary, [d.artifact_id for d in docs], weights)
 
 
@@ -560,6 +566,66 @@ def js_corpora(draw):
     return [doc(f"d{k}", terms[i]) for k, i in enumerate(order)]
 
 
+def per_column_gram(vectors):
+    """Dot products of every pair of rows, each summed column by column in order.
+
+    The loop the ordered scatter and fold replace, kept as their oracle: one
+    fancy-index scatter of each column's nonzero products.
+    """
+    n = len(vectors)
+    gram = np.zeros(n * n)
+    columns, rows = np.nonzero(vectors.T)  # by column, then by row
+    values = vectors[rows, columns]
+    starts = np.flatnonzero(np.diff(columns)) + 1
+    for r, v in zip(np.split(rows, starts), np.split(values, starts)):
+        if len(r) > 1:
+            gram[(r * n)[:, None] + r] += np.multiply.outer(v, v)
+    return gram.reshape(n, n)
+
+
+def triplets(matrix):
+    """The nonzero entries of `matrix` as rows, columns and values, by column, then row."""
+    cols, rows = np.nonzero(matrix.T)
+    return rows, cols, matrix[rows, cols]
+
+
+@st.composite
+def gram_inputs(draw):
+    """A matrix with zeros, -0.0, negative values, a copied row and a zero row, and a held mask."""
+    n, width = draw(st.integers(1, 8)), draw(st.integers(1, 10))
+    entries = st.sampled_from([0.0, -0.0]) | st.floats(-100.0, 100.0)
+    matrix = draw(hnp.arrays(np.float64, (n, width), elements=entries, fill=st.nothing()))
+    copied = matrix[draw(st.integers(0, n - 1))]
+    matrix = np.vstack((matrix, copied, np.zeros(width)))[draw(st.permutations(range(n + 2)))]
+    mask = draw(hnp.arrays(bool, (n + 2, n + 2), fill=st.nothing()))
+    return matrix, (mask | mask.T) & ~np.eye(n + 2, dtype=bool)
+
+
+class TestOrderedGram:
+    """The ordered scatter and fold against the per-column loop, on the held upper cells."""
+
+    @given(gram_inputs(), st.sampled_from([None, 1, 20]))
+    def test_scatter_and_fold_equal_the_per_column_loop_bit_for_bit(self, inputs, block):
+        matrix, held = inputs
+        upper = np.triu(held, 1)
+        expected = per_column_gram(matrix)[upper]
+        with (mock.patch.object(irmodels, "_CELL_BLOCK", block or irmodels._CELL_BLOCK),
+              mock.patch.object(irmodels, "_FOLD_BLOCK", block or irmodels._FOLD_BLOCK)):
+            scatter = irmodels._scatter(len(matrix), *triplets(matrix), held)
+            fold = irmodels._fold(matrix, held)
+        for gram in (scatter, fold):
+            assert gram[upper].tobytes() == expected.tobytes()
+            assert not gram[~upper].any()
+
+    @given(hnp.arrays(bool, hnp.array_shapes(min_dims=2, max_dims=2, max_side=12)))
+    def test_gram_of_a_mask_counts_shared_columns(self, used):
+        rows, cols, _ = triplets(used)
+        gram = irmodels._scatter(len(used), rows, cols, None, ~np.eye(len(used), dtype=bool))
+        mask = used.tolist()
+        for i, j in id_pairs(range(len(mask))):
+            assert gram[i, j] == sum(a and b for a, b in zip(mask[i], mask[j]))
+
+
 class TestJsTable:
     """The batched JS table, pair for pair, at any block size and corpus shape."""
 
@@ -568,14 +634,6 @@ class TestJsTable:
         scores = assert_js_table_exact(docs).scores
         with mock.patch.object(irmodels, "_JS_BLOCK", 1):
             assert np.array_equal(assert_js_table_exact(docs).scores, scores)
-
-    @given(hnp.arrays(bool, hnp.array_shapes(min_dims=2, max_dims=2, max_side=12)))
-    def test_gram_of_a_mask_counts_shared_columns(self, used):
-        gram = irmodels._gram(used)
-        rows = used.tolist()
-        for i, j in id_pairs(range(len(rows))):
-            shared = sum(a and b for a, b in zip(rows[i], rows[j]))
-            assert gram[i, j] == gram[j, i] == shared
 
     @pytest.mark.parametrize("nonempty", [0, 1, 2])
     @pytest.mark.parametrize("empty", [0, 2])
