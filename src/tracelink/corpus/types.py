@@ -46,13 +46,6 @@ class Document:
         merged.update(self.added_biterm_terms)
         return merged
 
-    def copy(self) -> "Document":
-        return Document(
-            artifact_id=self.artifact_id,
-            terms=Counter(self.terms),
-            added_biterm_terms=Counter(self.added_biterm_terms),
-        )
-
 
 @dataclass
 class Dataset:

@@ -7,10 +7,14 @@ intermediate artifacts are added once each with weight 1, on top of any
 own weight for the same pair. `irmodels.select_rows` picks the related
 intermediates on rows of the pre-enrichment table, and
 `select_related_intermediates` returns them as rows: manifest positions,
-which index the pipeline's list of consensual biterm sets directly.
+which index the pipeline's list of consensual biterm sets directly. Both
+steps return a new `Document` with a fresh `added_biterm_terms` Counter
+that shares the base `terms` Counter, which nothing writes to.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 
@@ -32,18 +36,17 @@ def select_related_intermediates(
 
 def add_own_biterms(document: Document, own: Biterms) -> Document:
     """Add the artifact's own consensual biterms, weighted by importance count."""
-    enriched = document.copy()
+    added = document.added_biterm_terms.copy()
     for pair, count in own.items():
-        enriched.added_biterm_terms[compound_term(pair)] += count
-    return enriched
+        added[compound_term(pair)] += count
+    return replace(document, added_biterm_terms=added)
 
 
 def enrich_artifact(document: Document, related: list[Biterms]) -> Document:
     """Add each distinct biterm across the related sets once, with weight 1."""
-    enriched = document.copy()
-    for pair in sorted(set().union(*related)):
-        enriched.added_biterm_terms[compound_term(pair)] += 1
-    return enriched
+    added = document.added_biterm_terms.copy()
+    added.update(map(compound_term, sorted(set().union(*related))))
+    return replace(document, added_biterm_terms=added)
 
 
 def corpus_dump_payload(documents: dict[str, Document]) -> list[dict]:

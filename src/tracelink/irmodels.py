@@ -125,29 +125,28 @@ def sorted_rank(ids: list[str]) -> np.ndarray:
 class SimilarityTable:
     """Symmetric pairwise similarities in [0, 1] over the pairs the table holds.
 
-    `scores[i, j]` is the similarity of `ids[i]` and `ids[j]`; only the
-    strict upper triangle of the given matrix is read, so the stored matrix
-    is exactly symmetric. The symmetric mask `held` marks the pairs the
-    table holds (default: every pair of two documents); every other entry
-    is 0, and a document has no similarity with itself. `id_rank[i]` is the
-    position of `ids[i]` in sorted id order.
+    `scores[i, j]` is the similarity of `ids[i]` and `ids[j]`, and the
+    symmetric mask `held`, false on the diagonal, marks the pairs the table
+    holds. `scores` comes as every builder writes it, a float64 matrix that
+    is 0 but at the held strict-upper cells; the table takes it over and
+    clips and mirrors it in place. `id_rank[i]` is the position of `ids[i]`
+    in sorted id order.
     """
 
-    def __init__(self, ids: list[str], scores: np.ndarray, held: np.ndarray | None = None):
+    def __init__(self, ids: list[str], scores: np.ndarray, held: np.ndarray):
         n = len(ids)
         if len(set(ids)) != n:
             raise ValidationError("duplicate document ids in similarity table")
-        if scores.shape != (n, n):
-            raise ValidationError(f"score matrix shape {scores.shape} does not match {n} ids")
-        held = ~np.eye(n, dtype=bool) if held is None else held
+        if scores.dtype != np.float64 or scores.shape != (n, n):
+            raise ValidationError(f"scores must be a float64 {n} x {n} matrix, not {scores.shape}")
         if (held.dtype != bool or held.shape != (n, n)
                 or held.diagonal().any() or (held != held.T).any()):
             raise ValidationError(f"held must be a symmetric {n} x {n} bool mask, false on the diagonal")
-        upper = np.triu(np.clip(scores, 0.0, 1.0), 1)
-        upper[~held] = 0.0
+        np.clip(scores, 0.0, 1.0, out=scores)
+        # `scores.T` is read from a copy; its +0.0 lower half turns -0.0 into 0.0.
+        scores += scores.T
         self.ids = list(ids)
-        # The zeros of `upper.T` also turn a clipped -0.0 into 0.0 ("0.000000").
-        self.scores = upper + upper.T
+        self.scores = scores
         self.held = held
         self._index = {doc_id: i for i, doc_id in enumerate(self.ids)}
         self.id_rank = sorted_rank(self.ids)

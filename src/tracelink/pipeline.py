@@ -20,7 +20,8 @@ A run is two stages over the base documents of `build_documents`.
 paths and adjusts the scores that "o" and "i" ask for, ranks the mode's
 candidates once from that table, and returns the ranking and the paths;
 `run_pipeline` builds the `PipelineResult`. Neither stage writes to its
-inputs, so one table serves every mode with the same "b" (`run_ablation`).
+inputs (enrichment returns new documents), so one table serves every mode
+with the same "b" (`run_ablation`).
 
 A row is a manifest position. `build_documents` follows
 `Dataset.all_artifacts()`, so every document list and table row runs
@@ -89,7 +90,6 @@ def _is_int(value) -> bool:
 @dataclass
 class PipelineResult:
     documents: dict[str, Document]
-    similarity: SimilarityTable
     candidates: RankedLinks
     paths: dict[str, list[TransitivePath]]
 
@@ -97,7 +97,7 @@ class PipelineResult:
 def run_pipeline(dataset: Dataset, config: PipelineConfig) -> PipelineResult:
     documents, table = table_stage(dataset, config, build_documents(dataset))
     candidates, paths = path_stage(dataset, config, table)
-    return PipelineResult(dict(zip(table.ids, documents)), table, candidates, paths)
+    return PipelineResult(dict(zip(table.ids, documents)), candidates, paths)
 
 
 def run_ablation(
@@ -143,7 +143,7 @@ def table_stage(
 
     Reads only "b" of the mode, so modes that agree on it share the table,
     which holds every pair a path stage of any mode reads. `documents`, in
-    manifest order, is left as it is: enrichment writes to copies.
+    manifest order, is left as it is: enrichment returns new documents.
     """
     sources, intermediates, targets = level_rows(dataset)
 

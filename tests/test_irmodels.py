@@ -35,7 +35,7 @@ from tracelink.irmodels import (
     rank_candidates,
 )
 
-from test_transitive import rows
+from test_transitive import hand_table, oracle_scores, rows
 
 
 # Ids lean on the characters that CSV quoting and line splitting treat specially.
@@ -689,9 +689,35 @@ class TestHeldPairs:
             assert table.pairs() == {pair: full.pairs()[pair] for pair in between}
 
 
+class TestTableContract:
+    """Each builder hands the constructor a matrix that is 0 off the held strict-upper cells."""
+
+    @settings(deadline=None)
+    @given(st.randoms(use_true_random=False), st.data(), st.sampled_from(["vsm", "lsi", "js"]))
+    def test_builders_write_only_the_held_upper_cells(self, rng, data, model):
+        docs = random_documents(rng, rng.randint(1, 9), rng.randint(1, 12))
+        indexes = st.lists(st.integers(0, len(docs) - 1), unique=True)
+        for i in data.draw(indexes):  # Empty documents have a zero norm.
+            docs[i] = doc(docs[i].artifact_id, [])
+        rows, cols = (np.array(data.draw(indexes), dtype=np.intp) for _ in range(2))
+        handed = []
+        init = SimilarityTable.__init__
+
+        def spy(table, ids, scores, held):
+            handed.append((scores.copy(), held))
+            init(table, ids, scores, held)
+
+        with mock.patch.object(SimilarityTable, "__init__", spy):
+            table = build_similarity_table(docs, model, rows=rows, cols=cols)
+        [(scores, held)] = handed
+        off = ~np.triu(held, 1)
+        assert scores[off].tobytes() == np.zeros(int(off.sum())).tobytes()
+        assert table.scores.tobytes() == oracle_scores(scores, held).tobytes()
+
+
 class TestSimilarityTable:
     def test_clamps_to_unit_interval(self):
-        table = SimilarityTable(["a", "b", "c"], np.array([
+        table = hand_table(["a", "b", "c"], np.array([
             [0.0, -0.25, 1.0000001],
             [-0.25, 0.0, -0.0],
             [1.0000001, -0.0, 0.0],
@@ -700,10 +726,13 @@ class TestSimilarityTable:
         assert table.score("a", "c") == 1.0
         assert f"{table.score('b', 'c'):.6f}" == "0.000000"
 
-    def test_reads_only_the_upper_triangle(self):
-        table = SimilarityTable(["a", "b"], np.array([[0.0, 0.25], [0.75, 1.0]]))
-        assert table.score("a", "b") == table.score("b", "a") == 0.25
-        assert table.pairs() == {("a", "b"): 0.25}
+    def test_clips_and_mirrors_the_given_matrix_in_place(self):
+        upper = np.array([[0.0, -0.25, 1.0000001], [0.0, 0.0, -0.0], [0.0, 0.0, 0.0]])
+        table = SimilarityTable(["a", "b", "c"], upper, ~np.eye(3, dtype=bool))
+        assert table.scores is upper
+        expected = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        assert table.scores.tobytes() == expected.tobytes()
+        assert table.pairs() == {("a", "b"): 0.0, ("a", "c"): 1.0, ("b", "c"): 0.0}
 
     def test_self_pair_and_unknown_ids_rejected(self):
         table = build_similarity_table([doc("a", ["x"]), doc("b", ["x", "y"])], "vsm")
@@ -716,10 +745,11 @@ class TestSimilarityTable:
             build_similarity_table([doc("a", ["x"]), doc("b", ["x", "y"])], "bm25")
 
     def test_bad_construction_rejected(self):
-        with pytest.raises(ValidationError):
-            SimilarityTable(["a", "a"], np.zeros((2, 2)))
-        with pytest.raises(ValidationError):
-            SimilarityTable(["a", "b"], np.zeros((2, 3)))
+        every = ~np.eye(2, dtype=bool)
+        for ids, scores in ((["a", "a"], np.zeros((2, 2))), (["a", "b"], np.zeros((2, 3))),
+                            (["a", "b"], np.zeros((2, 2), int))):
+            with pytest.raises(ValidationError):
+                SimilarityTable(ids, scores, every)
         for held in (np.array([[False, True], [False, False]]), np.ones((2, 2), bool),
                      np.zeros((2, 3), bool), np.array([[0, 1], [1, 0]])):
             with pytest.raises(ValidationError):

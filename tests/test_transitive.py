@@ -12,7 +12,9 @@ level sizes alone, so its table must have its rows in manifest order, as
 as the sorted ones of `table_from_pairs`. `oracle_candidates` is the ranking
 as dicts of (target, score) lists, adjusted per target and re-sorted with a
 Python key: the reference, bit for bit, for the array ranking of
-`path_stage`.
+`path_stage`. `hand_table` builds every table from a hand-written matrix:
+`oracle_scores` is the matrix the table must store, and the table is
+handed its upper half, as a builder writes it.
 """
 
 import itertools
@@ -45,6 +47,24 @@ class IdPools:
         return list(self.targets)
 
 
+def oracle_scores(matrix, held):
+    """The matrix a table must store for `matrix`: its strict upper triangle,
+    clipped into [0, 1] and masked by `held`, plus its transpose."""
+    upper = np.triu(np.clip(matrix, 0.0, 1.0), 1)
+    upper[~held] = 0.0
+    return upper + upper.T
+
+
+def hand_table(ids, matrix, held=None):
+    """A table over a hand-written matrix, of which only the held upper cells count.
+
+    `held` defaults to every pair of two ids. The table is handed the upper
+    half of `oracle_scores`, the form every builder writes.
+    """
+    held = ~np.eye(len(ids), dtype=bool) if held is None else held
+    return SimilarityTable(ids, np.triu(oracle_scores(matrix, held)), held)
+
+
 def table_from_pairs(scores, ids=None):
     """A vsm table over `ids` (default: every id in `scores`); unlisted pairs score 0."""
     if ids is None:
@@ -52,7 +72,7 @@ def table_from_pairs(scores, ids=None):
     matrix = np.array([
         [scores.get((a, b), scores.get((b, a), 0.0)) for b in ids] for a in ids
     ])
-    return SimilarityTable(ids, matrix)
+    return hand_table(ids, matrix)
 
 
 def rows(table, ids):
@@ -234,7 +254,7 @@ def tie_scenarios(draw):
     matrix = np.array(draw(st.lists(_TIE_SCORES, min_size=n * n, max_size=n * n))).reshape(n, n)
     zero = draw(st.lists(st.integers(0, n - 1), max_size=3))
     matrix[zero, :] = matrix[:, zero] = 0.0
-    return pools, SimilarityTable(ids, matrix)
+    return pools, hand_table(ids, matrix)
 
 
 def selected_ids(table, row, cols, m, t):
