@@ -5,11 +5,11 @@ underscore-joined). An artifact's own consensual biterms are added with
 their importance count as weight; biterms pulled in from highly related
 intermediate artifacts are added once each with weight 1, on top of any
 own weight for the same pair. `irmodels.select_rows` picks the related
-intermediates on rows of the pre-enrichment table, and
-`select_related_intermediates` returns them as rows: manifest positions,
-which index the pipeline's list of consensual biterm sets directly. Both
-steps return a new `Document` with a fresh `added_biterm_terms` Counter
-that shares the base `terms` Counter, which nothing writes to.
+intermediates on a row of the pre-enrichment table, whose columns are the
+intermediates, and `select_related_intermediates` returns their column
+positions, which index the intermediates' consensual biterm sets directly.
+Both steps return a new `Document` with a fresh `added_biterm_terms`
+Counter that shares the base `terms` Counter, which nothing writes to.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ def compound_term(pair: Pair) -> str:
 def select_related_intermediates(
     table: SimilarityTable, row: int, intermediates: np.ndarray, m: float, t: int
 ) -> np.ndarray:
-    """The first t rows of `intermediates` scoring at least m times the best against `row`."""
+    """The first t columns of `intermediates` scoring at least m times the best against `row`."""
     return select_rows(table, row, intermediates, m, t)[0]
 
 

@@ -1,4 +1,4 @@
-"""tf-idf indexing and the pairwise similarity table under VSM, LSI and JS.
+"""tf-idf indexing and the similarity table under VSM, LSI and JS.
 
 Each table starts from the raw term counts, including enrichment weights,
 as (row, column, count) triplets ordered by column, then row, with columns
@@ -7,29 +7,28 @@ ln(N/df). LSI takes a deterministic dense SVD of the tf-idf matrix and
 compares documents in the scaled topic space; JS compares smoothed term
 distributions with base-2 Jensen-Shannon divergence.
 
-`build_similarity_table` computes one n x n score matrix per table, one row
-per document in the order given; the pipeline gives them in manifest order,
-so a row is a manifest position. A table holds the pairs with one document
-in a row set and the other in a column set, and stores 0 for the rest. VSM
-and LSI divide each held pair's dot product by the product of its two row
-norms. A dot product adds its column products in column order from +0.0,
-so a held score does not depend on which pairs are held, and identical
-documents tie exactly: VSM sums the products of the pairs of triplets that
-share a column in one ordered scatter, LSI folds its dense topic
-coordinates over the held pairs column by column. JS scores only the
-held pairs, each over its own sorted union vocabulary (epsilon smoothing,
-base-2 KL), with the per-document work done once: each document's used
-columns form one sorted list, and a pair's union columns are a merge of its
-two lists, so no step scans the whole vocabulary per pair. It batches the
-pairs by union size, one row per pair, and reduces along rows only, so each
-score is the one that pair would get alone and exact ties stay exact. All
-stored similarities are clamped into [0, 1] and symmetric.
+`build_similarity_table` computes one block of scores per table: a row
+per document of a row set and a column per document of a column set, each
+in the order given (by default every document, the full matrix), with 0 at
+a document's cell with itself. VSM and LSI divide each cell's dot product
+by its two documents' norms. A dot product adds its column products in
+column order from +0.0, so a score does not depend on which other cells
+the block has, and identical documents tie exactly: VSM sums the products
+of the pairs of triplets that share a column in one ordered scatter, LSI
+folds its dense topic coordinates over the block column by column. JS
+scores each pair of documents once, over its own sorted union vocabulary
+(epsilon smoothing, base-2 KL), with the per-document work done once: each
+document's used columns form one sorted list, and a pair's union columns
+are a merge of its two lists, so no step scans the whole vocabulary per
+pair. It batches the pairs by union size, one row per pair, and reduces
+along rows only, so each score is the one that pair would get alone and
+exact ties stay exact. All stored similarities are clamped into [0, 1].
 
-Ranking and selection take row indexes only, and `_order` owns their one
-order: a lexsort by descending score and then by each id's rank in sorted id
-order, so exact ties break by ascending id. `select_rows` applies it to one
-row; `rank_candidates` applies it to every row of the source x target block,
-times the path stage's multipliers.
+Ranking and selection take row and column positions only, and `_order`
+owns their one order: a lexsort by descending score and then by each
+column id's rank in sorted id order, so exact ties break by ascending id.
+`select_rows` applies it to one row; `rank_candidates` applies it to every
+row of the source x target block, times the path stage's multipliers.
 
 A ranking has one form, `RankedLinks`, the long form: each link's source
 code, target code and score in file order, with one id list per level.
@@ -59,13 +58,13 @@ _JS_EPSILON = 1e-9
 # Elements per gathered (pairs x union size) JS block. Larger blocks raise peak
 # memory and save no time, and smaller ones pay more per-block overhead.
 _JS_BLOCK = 1 << 12
-# Cells per block of the ordered scatter, which bounds its count array and,
-# in practice, its pair arrays. Larger blocks raise peak memory at scale and
-# save no time.
-_CELL_BLOCK = 1 << 20
-# Held cells per block of the fold, which then reads the same few rows of the
-# topic coordinates for every column: about 2.5 times faster than unblocked on
-# 1,500 documents with 450 coordinates each.
+# Cells per block of rows of the ordered scatter, which bounds its count array
+# and, in practice, its pair arrays: each row triplet pairs with every column
+# triplet of its term. Larger blocks raise peak memory at scale and save no time.
+_CELL_BLOCK = 1 << 19
+# Cells per block of rows of the fold, which then reads the same few rows of
+# the topic coordinates for every column: about 2.4 times faster than
+# unblocked for 1,000 x 1,500 cells with 450 coordinates each.
 _FOLD_BLOCK = 1 << 15
 
 
@@ -123,52 +122,39 @@ def sorted_rank(ids: list[str]) -> np.ndarray:
 
 
 class SimilarityTable:
-    """Symmetric pairwise similarities in [0, 1] over the pairs the table holds.
+    """Similarities in [0, 1] of each row artifact with each column artifact.
 
-    `scores[i, j]` is the similarity of `ids[i]` and `ids[j]`, and the
-    symmetric mask `held`, false on the diagonal, marks the pairs the table
-    holds. `scores` comes as every builder writes it, a float64 matrix that
-    is 0 but at the held strict-upper cells; the table takes it over and
-    clips and mirrors it in place. `id_rank[i]` is the position of `ids[i]`
-    in sorted id order.
+    `scores[i, j]` is the similarity of `row_ids[i]` and `col_ids[j]`, 0 where
+    both name the same artifact: the float64 block the builder wrote, which
+    the table takes over, clips in place and adds +0.0 to, so that -0.0
+    becomes 0.0. `id_rank[j]` is the position of `col_ids[j]` in sorted order.
     """
 
-    def __init__(self, ids: list[str], scores: np.ndarray, held: np.ndarray):
-        n = len(ids)
-        if len(set(ids)) != n:
+    def __init__(self, row_ids: list[str], col_ids: list[str], scores: np.ndarray):
+        self.row_ids, self.col_ids, self.scores = list(row_ids), list(col_ids), scores
+        self._rows, self._cols = dict(zip(row_ids, count())), dict(zip(col_ids, count()))
+        shape = (len(self.row_ids), len(self.col_ids))
+        if (len(self._rows), len(self._cols)) != shape:
             raise ValidationError("duplicate document ids in similarity table")
-        if scores.dtype != np.float64 or scores.shape != (n, n):
-            raise ValidationError(f"scores must be a float64 {n} x {n} matrix, not {scores.shape}")
-        if (held.dtype != bool or held.shape != (n, n)
-                or held.diagonal().any() or (held != held.T).any()):
-            raise ValidationError(f"held must be a symmetric {n} x {n} bool mask, false on the diagonal")
+        if scores.dtype != np.float64 or scores.shape != shape:
+            raise ValidationError(f"scores must be a float64 {shape} block, not {scores.shape}")
         np.clip(scores, 0.0, 1.0, out=scores)
-        # `scores.T` is read from a copy; its +0.0 lower half turns -0.0 into 0.0.
-        scores += scores.T
-        self.ids = list(ids)
-        self.scores = scores
-        self.held = held
-        self._index = {doc_id: i for i, doc_id in enumerate(self.ids)}
-        self.id_rank = sorted_rank(self.ids)
+        scores += 0.0
+        self.id_rank = sorted_rank(self.col_ids)
 
     def score(self, a: str, b: str) -> float:
-        try:
-            i, j = self._index[a], self._index[b]
-        except KeyError as exc:
-            raise ValidationError(f"unknown document id {exc.args[0]!r}") from None
-        if not self.held[i, j]:
-            raise ValidationError(f"no similarity stored for pair ({a!r}, {b!r})")
-        return float(self.scores[i, j])
+        """The similarity of two artifacts, from the cell (a, b) or else (b, a)."""
+        for row, col in ((a, b), (b, a)):
+            i, j = self._rows.get(row), self._cols.get(col)
+            if a != b and i is not None and j is not None:
+                return float(self.scores[i, j])
+        raise ValidationError(f"no similarity stored for pair ({a!r}, {b!r})")
 
     def pairs(self) -> dict[tuple[str, str], float]:
-        """Every held pair, keyed by its two ids in ascending order."""
-        first, second = np.nonzero(np.triu(self.held, 1))
-        ids = np.array(self.ids, object)
-        return {
-            (a, b) if a <= b else (b, a): score
-            for a, b, score in zip(ids[first].tolist(), ids[second].tolist(),
-                                   self.scores[first, second].tolist())
-        }
+        """Every cell of two artifacts, keyed by their ids in ascending order."""
+        return {(a, b) if a <= b else (b, a): score
+                for a, row in zip(self.row_ids, self.scores.tolist())
+                for b, score in zip(self.col_ids, row) if a != b}
 
 
 def _by_row(n: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -195,128 +181,139 @@ def _norms(n: int, width: int, rows: np.ndarray, cols: np.ndarray,
     return norms
 
 
-def _scatter(n: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray | None,
-             held: np.ndarray) -> np.ndarray:
-    """Each held upper cell's sum of products over the columns its two rows share, in column order.
+def _scatter(n: int, doc_at: np.ndarray, term_at: np.ndarray, values: np.ndarray | None,
+             rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Each block cell's sum of products over the columns its two documents share, in order.
 
-    `rows`, `cols` and `values` are triplets ordered by column, then row, so
-    triplet p pairs with each later triplet q of its column, at the upper
-    cell (rows[p], rows[q]). The pairs are listed by p, then q, so by column
-    for every cell. One `np.bincount` per block of cell rows adds each held
+    The triplets of n documents are ordered by column, then document, and
+    each of a row document pairs with every triplet of its column whose
+    document is a column, at the cell of the two: listed by row triplet, so
+    by column for every cell. One `np.bincount` per block of rows adds each
     cell's products from +0.0 in that order, as a loop over the columns
-    would: identical rows tie exactly with every third one, where a blocked
-    BLAS product (`x @ x.T`) sums by position and can split them by an ulp.
-    With `values` None each pair adds 1, so a cell counts its shared columns.
-    Every other cell is 0.
+    would: identical documents tie exactly with every third one, where a
+    blocked BLAS product (`x @ x.T`) sums by position and can split them by
+    an ulp. With `values` None each pair adds 1, so a cell counts its shared
+    columns.
     """
-    later = np.searchsorted(cols, cols, side="right") - np.arange(len(cols)) - 1
-    gram = np.zeros((n, n), np.intp if values is None else np.float64)
-    step = max(1, _CELL_BLOCK // n)
-    for start in range(0, n, step):
-        stop = min(start + step, n)
-        mine = np.flatnonzero((rows >= start) & (rows < stop))
-        take = later[mine]
-        first = np.repeat(mine, take)
-        second = np.repeat(mine + 1 - (np.cumsum(take) - take), take)
-        second += np.arange(len(second))
-        cells = (rows[first] - start) * n + rows[second]
-        keep = held[start:stop].ravel()[cells]
-        first, second, cells = first[keep], second[keep], cells[keep]
+    row_at, col_at = np.full((2, n), -1)  # each document's row and column, or -1
+    row_at[rows], col_at[cols] = np.arange(len(rows)), np.arange(len(cols))
+    row_at, col_at = row_at[doc_at], col_at[doc_at]
+    partners = np.flatnonzero(col_at >= 0)
+    # Each triplet's term column runs over partners[lo:hi].
+    lo = np.searchsorted(term_at[partners], term_at, side="left")
+    take = np.searchsorted(term_at[partners], term_at, side="right") - lo
+    width = len(cols)
+    gram = np.zeros((len(rows), width), np.intp if values is None else np.float64)
+    step = max(1, _CELL_BLOCK // max(width, 1))
+    for start in range(0, len(rows), step):
+        block = gram[start:start + step]
+        mine = np.flatnonzero((row_at >= start) & (row_at < start + len(block)))
+        counts = take[mine]
+        first = np.repeat(mine, counts)
+        offsets = np.repeat(lo[mine] - np.cumsum(counts) + counts, counts)
+        second = partners[offsets + np.arange(len(offsets))]
+        cells = (row_at[first] - start) * width + col_at[second]
         weights = None if values is None else values[first] * values[second]
-        gram[start:stop] = np.bincount(cells, weights, (stop - start) * n).reshape(-1, n)
+        block[...] = np.bincount(cells, weights, block.size).reshape(block.shape)
     return gram
 
 
-def _fold(vectors: np.ndarray, held: np.ndarray) -> np.ndarray:
-    """Each held upper cell's dot product of two dense rows, column by column in order.
+def _fold(vectors: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Each block cell's dot product of two rows of `vectors`, column by column in order.
 
     It adds the same products as `_scatter` in the same order, and also those
     of a zero entry. Each of those is ±0.0, which leaves every sum as it is:
     a sum starts at +0.0 and never becomes -0.0, since x + (-x) is +0.0.
-    Every other cell is 0.
     """
-    first, second = np.nonzero(np.triu(held, 1))
-    dots = np.zeros(len(first))
-    for start in range(0, len(first), _FOLD_BLOCK):
-        cells = slice(start, start + _FOLD_BLOCK)
-        a, b, block = first[cells], second[cells], dots[cells]
-        for column in vectors.T:  # strided views, not a transposed copy
-            block += column[a] * column[b]
-    gram = np.zeros((len(vectors), len(vectors)))
-    gram[first, second] = dots
+    gram = np.zeros((len(rows), len(cols)))
+    step = max(1, _FOLD_BLOCK // max(len(cols), 1))
+    right = vectors[cols].T.copy()  # contiguous columns
+    for start in range(0, len(rows), step):
+        block = gram[start:start + step]
+        for a, b in zip(vectors[rows[start:start + step]].T, right):
+            block += np.multiply.outer(a, b)
     return gram
 
 
-def _cosines(gram: np.ndarray, norms: np.ndarray) -> np.ndarray:
-    """`gram` divided in place by the outer product of the norms; a zero norm scores 0."""
+def _cosines(gram: np.ndarray, norms: np.ndarray, rows: np.ndarray,
+             cols: np.ndarray) -> np.ndarray:
+    """`gram` divided in place by its cells' two norms; a zero norm or a self cell scores 0."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        gram /= np.outer(norms, norms)
-    zero = norms == 0.0
-    gram[zero, :] = 0.0
-    gram[:, zero] = 0.0
+        gram /= norms[rows, None] * norms[cols]
+    gram[norms[rows] == 0.0] = 0.0
+    gram[:, norms[cols] == 0.0] = 0.0
+    gram[rows[:, None] == cols] = 0.0
     return gram
 
 
-def _js_matrix(n: int, width: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray,
-               held: np.ndarray) -> np.ndarray:
-    """1 - base-2 JSD for each `held` pair of nonempty rows of the count triplets, in pair blocks.
+def _js_block(n: int, width: int, doc_at: np.ndarray, term_at: np.ndarray, values: np.ndarray,
+              rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """1 - base-2 JSD of each block cell of two distinct nonempty documents, in pair blocks.
 
-    Only the strict upper triangle is written, and only at held pairs; every
-    other entry stays 0. Each pair smooths and normalizes over its own union
-    vocabulary: the columns of the shared sorted vocabulary that either
-    document uses. Its size L is |A| + |B| - |A n B|, with the shared counts
-    from `_scatter`. Pairs are grouped by L. For each block of a group, the
-    two ascending column lists of every pair, padded with the sentinel V
-    (the vocabulary size), are sorted together along the row; the values
-    that differ from their left neighbour and are not V are the pair's
-    union columns in vocabulary order. So a block costs O(pairs x L), not
-    O(pairs x V). Each block is gathered into two (pairs x L) arrays. Every
-    reduction runs along a row, so each score is summed over exactly its
-    own pair's values in the same order as a per-pair computation, and
-    exact ties (say, between duplicate documents) stay exact.
+    Every other cell stays 0, and a pair with both its cells in the block is
+    scored once and written to both. Each pair smooths and normalizes over
+    its own union vocabulary: the columns of the shared sorted vocabulary
+    that either document uses. Its size L is |A| + |B| - |A n B|, with the
+    shared counts from `_scatter`. Pairs are grouped by L. For each block of
+    a group, the two ascending column lists of every pair, padded with the
+    sentinel V (the vocabulary size), are sorted together along the row; the
+    values that differ from their left neighbour and are not V are the
+    pair's union columns in vocabulary order. So a block costs
+    O(pairs x L), not O(pairs x V). Each block is gathered into two
+    (pairs x L) arrays. Every reduction runs along a row, so each score is
+    summed over exactly its own pair's values in the same order as a
+    per-pair computation, and exact ties (say, between duplicates) stay exact.
 
     A document uses exactly its columns with a count above 0. Epsilon is
     positive, so every smoothed probability is positive and the KL sums
     need no `p > 0` mask.
     """
     used = values > 0
-    rows, cols, values = rows[used], cols[used], values[used]
-    scores = np.zeros((n, n))
-    lengths = np.bincount(rows, minlength=n)
-    nonempty = lengths > 0
-    first, second = np.nonzero(np.triu(held & nonempty & nonempty[:, None], 1))
-    if not len(first):
+    doc_at, term_at, values = doc_at[used], term_at[used], values[used]
+    scores = np.zeros((len(rows), len(cols)))
+    lengths = np.bincount(doc_at, minlength=n)
+    row_at, col_at = np.full((2, n), -1)  # each document's row and column, or -1
+    row_at[rows], col_at[cols] = np.arange(len(rows)), np.arange(len(cols))
+    i, j = np.nonzero((lengths[rows] > 0)[:, None] & (lengths[cols] > 0))
+    a, b = rows[i], cols[j]
+    keep = (a != b) & ~((row_at[b] >= 0) & (col_at[a] >= 0) & (b < a))
+    i, j = i[keep], j[keep]
+    if not len(i):
         return scores
-    shared = _scatter(n, rows, cols, None, held)[first, second]
-    dense = _dense(n, width, rows, cols, values)
+    shared = _scatter(n, doc_at, term_at, None, rows, cols)[i, j]
+    dense = _dense(n, width, doc_at, term_at, values)
     # Row d holds document d's used columns in ascending order, then the sentinel V.
     padded = np.full((n, lengths.max()), width)
-    padded[np.arange(lengths.max()) < lengths[:, None]] = cols[_by_row(n, rows)[0]]
-    sizes = lengths[first] + lengths[second] - shared
+    padded[np.arange(lengths.max()) < lengths[:, None]] = term_at[_by_row(n, doc_at)[0]]
+    sizes = lengths[rows[i]] + lengths[cols[j]] - shared
     order = np.argsort(sizes, kind="stable")
-    first, second, sizes = first[order], second[order], sizes[order]
-    starts = np.flatnonzero(np.diff(sizes)) + 1
-    for a_group, b_group, size in zip(
-        np.split(first, starts), np.split(second, starts), sizes[np.r_[0, starts]].tolist()
-    ):
+    i, j, sizes = i[order], j[order], sizes[order]
+    similarity = np.empty(len(i))
+    bounds = np.r_[0, np.flatnonzero(np.diff(sizes)) + 1, len(sizes)].tolist()
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        size = int(sizes[lo])
         step = max(1, _JS_BLOCK // size)
-        for k in range(0, len(a_group), step):
-            a, b = a_group[k:k + step], b_group[k:k + step]
+        for k in range(lo, hi, step):
+            a, b = rows[i[k:min(k + step, hi)]], cols[j[k:min(k + step, hi)]]
             merged = np.concatenate(
                 (padded[a, :lengths[a].max()], padded[b, :lengths[b].max()]), axis=1
             )
             merged.sort(axis=1)
             keep = merged != width
             keep[:, 1:] &= merged[:, 1:] != merged[:, :-1]
-            cols = merged[keep].reshape(len(a), size)
-            p = dense[a[:, None], cols] + _JS_EPSILON
+            union = merged[keep].reshape(len(a), size)
+            p = dense[a[:, None], union] + _JS_EPSILON
             p = p / p.sum(axis=1, keepdims=True)
-            q = dense[b[:, None], cols] + _JS_EPSILON
+            q = dense[b[:, None], union] + _JS_EPSILON
             q = q / q.sum(axis=1, keepdims=True)
             m = (p + q) / 2.0
             jsd = (0.5 * np.sum(p * np.log2(p / m), axis=1)
                    + 0.5 * np.sum(q * np.log2(q / m), axis=1))
-            scores[a, b] = 1.0 - jsd
+            similarity[k:k + len(a)] = 1.0 - jsd
+    scores[i, j] = similarity
+    a, b = rows[i], cols[j]
+    mirrored = (row_at[b] >= 0) & (col_at[a] >= 0)
+    scores[row_at[b[mirrored]], col_at[a[mirrored]]] = similarity[mirrored]
     return scores
 
 
@@ -327,11 +324,11 @@ def build_similarity_table(
     rows: np.ndarray | slice = slice(None),
     cols: np.ndarray | slice = slice(None),
 ) -> SimilarityTable:
-    """Similarities under `model` of the pairs of `documents` with one in `rows`, one in `cols`.
+    """Similarities under `model` of each document of `rows` with each document of `cols`.
 
-    `rows` and `cols` index `documents`, and both default to every document.
-    The table stores 0 for every other pair. The counts are listed once, as
-    triplets, and handed to the model. Documents that are entirely empty
+    `rows` and `cols` index `documents` and default to every document. The
+    counts are listed once, as triplets, and handed to the model. A
+    document's cell with itself is 0. Documents that are entirely empty
     compare as 0 to everything, and when every document is empty the table
     is all zeros (degenerate but well-defined).
     """
@@ -339,16 +336,14 @@ def build_similarity_table(
         raise ConfigError(f"unknown IR model {model!r}; expected one of {MODELS}")
     ids = [d.artifact_id for d in documents]
     n = len(ids)
-    in_rows, in_cols = np.zeros((2, n), bool)
-    in_rows[rows] = in_cols[cols] = True
-    held = np.outer(in_rows, in_cols)
-    held |= held.T
-    np.fill_diagonal(held, False)
+    rows, cols = np.arange(n)[rows], np.arange(n)[cols]
+    row_ids, col_ids = [ids[r] for r in rows.tolist()], [ids[c] for c in cols.tolist()]
     width, doc_at, term_at, values = _triplets(documents)
-    if not width:
-        return SimilarityTable(ids, np.zeros((n, n)), held)
     if model == "js":
-        return SimilarityTable(ids, _js_matrix(n, width, doc_at, term_at, values, held), held)
+        scores = _js_block(n, width, doc_at, term_at, values, rows, cols)
+        return SimilarityTable(row_ids, col_ids, scores)
+    if not width:
+        return SimilarityTable(row_ids, col_ids, np.zeros((len(rows), len(cols))))
     df = np.bincount(term_at[values > 0], minlength=width)
     values = values * np.log(n / np.maximum(df, 1))[term_at]
     if model == "lsi":
@@ -357,11 +352,13 @@ def build_similarity_table(
         del doc_at, term_at, values  # The SVD sets the peak: free the triplets first.
         vectors = lsi_document_space(weights, k)
         norms = np.array([np.linalg.norm(row) for row in vectors])
-        return SimilarityTable(ids, _cosines(_fold(vectors, held), norms), held)
-    nonzero = values != 0.0
-    doc_at, term_at, values = doc_at[nonzero], term_at[nonzero], values[nonzero]
-    gram = _scatter(n, doc_at, term_at, values, held)
-    return SimilarityTable(ids, _cosines(gram, _norms(n, width, doc_at, term_at, values)), held)
+        gram = _fold(vectors, rows, cols)
+    else:
+        nonzero = values != 0.0
+        doc_at, term_at, values = doc_at[nonzero], term_at[nonzero], values[nonzero]
+        gram = _scatter(n, doc_at, term_at, values, rows, cols)
+        norms = _norms(n, width, doc_at, term_at, values)
+    return SimilarityTable(row_ids, col_ids, _cosines(gram, norms, rows, cols))
 
 
 def _order(table: SimilarityTable, cols: np.ndarray, scores: np.ndarray) -> np.ndarray:
@@ -374,7 +371,8 @@ def select_rows(
 ) -> tuple[np.ndarray, list[float]]:
     """The first t of `cols` scoring at least m times the best against `row`, with those scores.
 
-    They come by descending score, ties by ascending id; an all-zero row keeps none.
+    `cols` are column positions. They come by descending score, ties by
+    ascending id; an all-zero row keeps none.
     """
     scores = table.scores[row, cols]
     best = scores.max(initial=0.0)
@@ -389,16 +387,17 @@ def rank_candidates(
 ) -> RankedLinks:
     """Each source's targets by descending score, ties by ascending id, with those scores.
 
-    The scores are the `sources` x `targets` block of the table times
-    `scale`: a number, or one multiplier per pair. The long form lists the ids
-    in the order given and each source's links in rank order, source by source.
+    The scores are the table's cells of the rows `sources` and the columns
+    `targets`, times `scale`: a number, or one multiplier per pair. The long
+    form lists the ids in the order given and each source's links in rank
+    order, source by source.
     """
     scores = table.scores[np.ix_(sources, targets)] * scale
     order = _order(table, targets, scores)
     return RankedLinks(
-        [table.ids[row] for row in sources.tolist()],
+        [table.row_ids[row] for row in sources.tolist()],
         np.repeat(np.arange(len(sources), dtype=np.int64), len(targets)),
-        [table.ids[col] for col in targets.tolist()],
+        [table.col_ids[col] for col in targets.tolist()],
         order.ravel(),
         np.take_along_axis(scores, order, axis=1).ravel(),
     )

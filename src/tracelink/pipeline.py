@@ -6,10 +6,10 @@ biterm enrichment, "o" turns on outer-transitive path deduction and score
 adjustment, and "i" additionally allows one inner-transitive link per path.
 Enrichment similarities are taken from a pre-enrichment table built over
 documents carrying only their own biterm terms; candidate generation and
-path deduction use a table rebuilt after enrichment. Each table holds only
-the pairs its readers take: the pre-enrichment table each source or target
-with each intermediate, and the final table every pair but two targets
-(outer links S-I and I-T, inner links S-S and I-I, candidates S-T), for
+path deduction use a table rebuilt after enrichment. Each table is the
+block of cells its readers take: sources and targets by intermediates
+before enrichment, and sources and intermediates by every artifact after
+it (outer links S-I and I-T, inner links S-S and I-I, candidates S-T), for
 every mode. `PipelineConfig` is the one run configuration and the only
 validator of the mode and of the thresholds m and t, which reach
 enrichment and path deduction as plain arguments.
@@ -24,12 +24,13 @@ inputs (enrichment returns new documents), so one table serves every mode
 with the same "b" (`run_ablation`).
 
 A row is a manifest position. `build_documents` follows
-`Dataset.all_artifacts()`, so every document list and table row runs
-sources, intermediates, targets, and each level is one contiguous run of
-rows; `level_rows` takes those runs from the level sizes alone, with no id
-lookup. The consensual biterm sets and the documents are lists in that
-order, and every selection takes rows. The ranking is the long form,
-`irmodels.RankedLinks`, with its sources in manifest order.
+`Dataset.all_artifacts()`, so every document list runs sources,
+intermediates, targets, and each level is one contiguous run of rows;
+`level_rows` takes those runs from the level sizes alone, with no id
+lookup. The consensual biterm sets, the documents and the final table's
+columns are in that order, and the table's rows are its first two levels,
+so row k and column k are both manifest position k. The ranking is the
+long form, `irmodels.RankedLinks`, with its sources in manifest order.
 """
 
 from __future__ import annotations
@@ -97,7 +98,7 @@ class PipelineResult:
 def run_pipeline(dataset: Dataset, config: PipelineConfig) -> PipelineResult:
     documents, table = table_stage(dataset, config, build_documents(dataset))
     candidates, paths = path_stage(dataset, config, table)
-    return PipelineResult(dict(zip(table.ids, documents)), candidates, paths)
+    return PipelineResult(dict(zip(table.col_ids, documents)), candidates, paths)
 
 
 def run_ablation(
@@ -142,7 +143,7 @@ def table_stage(
     """The final documents and similarity table, with biterm enrichment when the mode has "b".
 
     Reads only "b" of the mode, so modes that agree on it share the table,
-    which holds every pair a path stage of any mode reads. `documents`, in
+    which holds every cell a path stage of any mode reads. `documents`, in
     manifest order, is left as it is: enrichment returns new documents.
     """
     sources, intermediates, targets = level_rows(dataset)
@@ -160,14 +161,13 @@ def table_stage(
             pre_table = build_similarity_table(
                 documents, config.model, config.lsi_rank, rows=enriched, cols=intermediates
             )
-            for row in enriched.tolist():
-                related = select_related_intermediates(
-                    pre_table, row, intermediates, config.m, config.t
+            columns = np.arange(len(intermediates))
+            for row, document in enumerate(enriched.tolist()):
+                related = select_related_intermediates(pre_table, row, columns, config.m, config.t)
+                documents[document] = enrich_artifact(
+                    documents[document], [f_inters[c] for c in related.tolist()]
                 )
-                documents[row] = enrich_artifact(
-                    documents[row], [filtered[i] for i in related.tolist()]
-                )
-            del pre_table  # Free its score matrix before the final table is built.
+            del pre_table  # Free its scores before the final table is built.
 
     table = build_similarity_table(
         documents, config.model, config.lsi_rank, rows=np.concatenate((sources, intermediates))
@@ -190,7 +190,7 @@ def path_stage(
     scale = 1.0
     if "o" in components:
         paths = {
-            table.ids[row]: form_paths(
+            table.row_ids[row]: form_paths(
                 row, levels, table, config.m, config.t, allow_inner="i" in components
             )
             for row in levels[0].tolist()

@@ -68,7 +68,7 @@ def form_paths(
         if level == len(levels) - 1:
             links = [TransitiveLink(*link) for link in zip(kinds, scores)]
             bonus = math.prod(scores, start=1.0)
-            paths.append(TransitivePath([table.ids[node] for node in nodes], links, bonus))
+            paths.append(TransitivePath([table.col_ids[node] for node in nodes], links, bonus))
             return
         here, hops = nodes[-1], len(scores)
         moves = [(LinkKind.OUTER, levels[level + 1], level + 1)]

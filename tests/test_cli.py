@@ -440,6 +440,41 @@ class TestAblate:
             assert path1.read_bytes() == path2.read_bytes()
 
 
+# The levels each manifest empties: each leaves the tables a block with no
+# rows, no columns or neither.
+EMPTY_LEVELS = {
+    "no-sources": ("sources",),
+    "no-targets": ("targets",),
+    "sources-only": ("intermediates", "targets"),
+    "every-level-empty": ("sources", "intermediates", "targets"),
+}
+
+
+class TestEmptyLevels:
+    @pytest.mark.parametrize("model", MODELS)
+    @pytest.mark.parametrize("empty", EMPTY_LEVELS)
+    def test_trace_exits_0_with_deterministic_outputs(
+        self, tmp_path, motivating_manifest, empty, model
+    ):
+        manifest = _copy_motivating(motivating_manifest, tmp_path)
+        data = json.loads(manifest.read_text())
+        for level in EMPTY_LEVELS[empty]:
+            data[level] = []
+        kept = {a["id"] for level in ("sources", "intermediates", "targets") for a in data[level]}
+        for key in ("oracle_st", "oracle_si", "oracle_it"):
+            data[key] = [pair for pair in data[key] if set(pair) <= kept]
+        manifest.write_text(json.dumps(data))
+        outputs = []
+        for out in (tmp_path / "one", tmp_path / "two"):
+            assert run_cli(
+                "trace", "--manifest", str(manifest), "--model", model,
+                "--dump-corpus", "--out", str(out),
+            ) == 0
+            outputs.append({path.name: path.read_bytes() for path in out.iterdir()})
+        assert sorted(outputs[0]) == ["enriched_corpus.json", "path_traces.json", "ranked_links.csv"]
+        assert outputs[0] == outputs[1]
+
+
 NOT_UTF8 = b"\xffselect the UAV\n"
 
 

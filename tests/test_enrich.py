@@ -28,9 +28,9 @@ class TestConfig:
 def select(table, artifact_id, intermediate_ids, m, t):
     """`select_related_intermediates` over ids: the artifact and its pool resolved to rows."""
     related = select_related_intermediates(
-        table, table.ids.index(artifact_id), rows(table, intermediate_ids), m, t
+        table, table.row_ids.index(artifact_id), rows(table, intermediate_ids), m, t
     )
-    return [table.ids[row] for row in related.tolist()]
+    return [table.col_ids[col] for col in related.tolist()]
 
 
 class TestSelectRelated:

@@ -9,6 +9,7 @@ LSI document space, and a direct two-term summation for Jensen-Shannon.
 import csv
 import dataclasses
 import io
+import itertools
 import math
 import random
 from collections import Counter
@@ -24,6 +25,7 @@ from tracelink.corpus.types import Document
 from tracelink.errors import ConfigError, ParseError, ValidationError
 from tracelink.evaluate import evaluate_ranking
 from tracelink.irmodels import (
+    MODELS,
     RankedLinks,
     SimilarityTable,
     _JS_EPSILON,
@@ -35,7 +37,7 @@ from tracelink.irmodels import (
     rank_candidates,
 )
 
-from test_transitive import hand_table, oracle_scores, rows
+from test_transitive import hand_table, rows
 
 
 # Ids lean on the characters that CSV quoting and line splitting treat specially.
@@ -567,7 +569,7 @@ def js_corpora(draw):
 
 
 def per_column_gram(vectors):
-    """Dot products of every pair of rows, each summed column by column in order.
+    """Dot products of every two rows, a row with itself included, each summed column by column.
 
     The loop the ordered scatter and fold replace, kept as their oracle: one
     fancy-index scatter of each column's nonzero products.
@@ -578,8 +580,7 @@ def per_column_gram(vectors):
     values = vectors[rows, columns]
     starts = np.flatnonzero(np.diff(columns)) + 1
     for r, v in zip(np.split(rows, starts), np.split(values, starts)):
-        if len(r) > 1:
-            gram[(r * n)[:, None] + r] += np.multiply.outer(v, v)
+        gram[(r * n)[:, None] + r] += np.multiply.outer(v, v)
     return gram.reshape(n, n)
 
 
@@ -590,39 +591,50 @@ def triplets(matrix):
 
 
 @st.composite
+def block_sets(draw, n):
+    """Row and column indexes over n documents, each set in a drawn order.
+
+    Each document is drawn into the rows, the columns, both or neither, so
+    the two sets overlap, are disjoint or are empty as the draws fall.
+    """
+    member = draw(st.lists(st.sampled_from(["row", "col", "both", "none"]), min_size=n, max_size=n))
+    rows = [k for k, kind in enumerate(member) if kind in ("row", "both")]
+    cols = [k for k, kind in enumerate(member) if kind in ("col", "both")]
+    return tuple(np.array(draw(st.permutations(s)), dtype=np.intp) for s in (rows, cols))
+
+
+@st.composite
 def gram_inputs(draw):
-    """A matrix with zeros, -0.0, negative values, a copied row and a zero row, and a held mask."""
+    """A matrix with zeros, -0.0, negative values, a copied row and a zero row, and a block of it."""
     n, width = draw(st.integers(1, 8)), draw(st.integers(1, 10))
     entries = st.sampled_from([0.0, -0.0]) | st.floats(-100.0, 100.0)
     matrix = draw(hnp.arrays(np.float64, (n, width), elements=entries, fill=st.nothing()))
     copied = matrix[draw(st.integers(0, n - 1))]
     matrix = np.vstack((matrix, copied, np.zeros(width)))[draw(st.permutations(range(n + 2)))]
-    mask = draw(hnp.arrays(bool, (n + 2, n + 2), fill=st.nothing()))
-    return matrix, (mask | mask.T) & ~np.eye(n + 2, dtype=bool)
+    return (matrix, *draw(block_sets(n + 2)))
 
 
 class TestOrderedGram:
-    """The ordered scatter and fold against the per-column loop, on the held upper cells."""
+    """The ordered scatter and fold against the per-column loop, on every cell of a block."""
 
     @given(gram_inputs(), st.sampled_from([None, 1, 20]))
     def test_scatter_and_fold_equal_the_per_column_loop_bit_for_bit(self, inputs, block):
-        matrix, held = inputs
-        upper = np.triu(held, 1)
-        expected = per_column_gram(matrix)[upper]
+        matrix, rows, cols = inputs
+        expected = per_column_gram(matrix)[np.ix_(rows, cols)]
         with (mock.patch.object(irmodels, "_CELL_BLOCK", block or irmodels._CELL_BLOCK),
               mock.patch.object(irmodels, "_FOLD_BLOCK", block or irmodels._FOLD_BLOCK)):
-            scatter = irmodels._scatter(len(matrix), *triplets(matrix), held)
-            fold = irmodels._fold(matrix, held)
+            scatter = irmodels._scatter(len(matrix), *triplets(matrix), rows, cols)
+            fold = irmodels._fold(matrix, rows, cols)
         for gram in (scatter, fold):
-            assert gram[upper].tobytes() == expected.tobytes()
-            assert not gram[~upper].any()
+            assert gram.tobytes() == expected.tobytes()
 
     @given(hnp.arrays(bool, hnp.array_shapes(min_dims=2, max_dims=2, max_side=12)))
     def test_gram_of_a_mask_counts_shared_columns(self, used):
         rows, cols, _ = triplets(used)
-        gram = irmodels._scatter(len(used), rows, cols, None, ~np.eye(len(used), dtype=bool))
+        every = np.arange(len(used))
+        gram = irmodels._scatter(len(used), rows, cols, None, every, every)
         mask = used.tolist()
-        for i, j in id_pairs(range(len(mask))):
+        for i, j in itertools.product(range(len(mask)), repeat=2):
             assert gram[i, j] == sum(a and b for a, b in zip(mask[i], mask[j]))
 
 
@@ -661,58 +673,168 @@ class TestJsTable:
             assert np.array_equal(assert_js_table_exact(docs).scores, scores)
 
 
-class TestHeldPairs:
-    """A table built for row and column sets is the full table on exactly the pairs between them."""
+# The n x n builder that the block builder replaced, kept as its oracle. It
+# stores each pair with one document in `rows` and the other in `cols`, the
+# `held` pairs, and 0 for every other pair and on the diagonal; the table
+# then clipped the matrix and mirrored its strict upper triangle.
+
+
+def square_scatter(n, rows, cols, values, held):
+    """Each held upper cell's sum of products over the columns its two rows share, in column order.
+
+    Triplet p pairs with each later triplet q of its column, at the upper
+    cell (rows[p], rows[q]), and one `np.bincount` per block of cell rows
+    adds each held cell's products from +0.0 in that order.
+    """
+    later = np.searchsorted(cols, cols, side="right") - np.arange(len(cols)) - 1
+    gram = np.zeros((n, n), np.intp if values is None else np.float64)
+    step = max(1, irmodels._CELL_BLOCK // n)
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        mine = np.flatnonzero((rows >= start) & (rows < stop))
+        take = later[mine]
+        first = np.repeat(mine, take)
+        second = np.repeat(mine + 1 - (np.cumsum(take) - take), take)
+        second += np.arange(len(second))
+        cells = (rows[first] - start) * n + rows[second]
+        keep = held[start:stop].ravel()[cells]
+        first, second, cells = first[keep], second[keep], cells[keep]
+        weights = None if values is None else values[first] * values[second]
+        gram[start:stop] = np.bincount(cells, weights, (stop - start) * n).reshape(-1, n)
+    return gram
+
+
+def square_fold(vectors, held):
+    """Each held upper cell's dot product of two dense rows, column by column in order."""
+    first, second = np.nonzero(np.triu(held, 1))
+    dots = np.zeros(len(first))
+    for start in range(0, len(first), irmodels._FOLD_BLOCK):
+        cells = slice(start, start + irmodels._FOLD_BLOCK)
+        a, b, block = first[cells], second[cells], dots[cells]
+        for column in vectors.T:
+            block += column[a] * column[b]
+    gram = np.zeros((len(vectors), len(vectors)))
+    gram[first, second] = dots
+    return gram
+
+
+def square_cosines(gram, norms):
+    """`gram` divided in place by the outer product of the norms; a zero norm scores 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gram /= np.outer(norms, norms)
+    zero = norms == 0.0
+    gram[zero, :] = 0.0
+    gram[:, zero] = 0.0
+    return gram
+
+
+def square_js(n, width, rows, cols, values, held):
+    """1 - base-2 JSD at each held upper cell of two nonempty rows, in pair blocks by union size."""
+    used = values > 0
+    rows, cols, values = rows[used], cols[used], values[used]
+    scores = np.zeros((n, n))
+    lengths = np.bincount(rows, minlength=n)
+    nonempty = lengths > 0
+    first, second = np.nonzero(np.triu(held & nonempty & nonempty[:, None], 1))
+    if not len(first):
+        return scores
+    shared = square_scatter(n, rows, cols, None, held)[first, second]
+    dense = irmodels._dense(n, width, rows, cols, values)
+    padded = np.full((n, lengths.max()), width)
+    padded[np.arange(lengths.max()) < lengths[:, None]] = cols[irmodels._by_row(n, rows)[0]]
+    sizes = lengths[first] + lengths[second] - shared
+    order = np.argsort(sizes, kind="stable")
+    first, second, sizes = first[order], second[order], sizes[order]
+    starts = np.flatnonzero(np.diff(sizes)) + 1
+    for a_group, b_group, size in zip(
+        np.split(first, starts), np.split(second, starts), sizes[np.r_[0, starts]].tolist()
+    ):
+        step = max(1, irmodels._JS_BLOCK // size)
+        for k in range(0, len(a_group), step):
+            a, b = a_group[k:k + step], b_group[k:k + step]
+            merged = np.concatenate(
+                (padded[a, :lengths[a].max()], padded[b, :lengths[b].max()]), axis=1
+            )
+            merged.sort(axis=1)
+            keep = merged != width
+            keep[:, 1:] &= merged[:, 1:] != merged[:, :-1]
+            union = merged[keep].reshape(len(a), size)
+            p = dense[a[:, None], union] + _JS_EPSILON
+            p = p / p.sum(axis=1, keepdims=True)
+            q = dense[b[:, None], union] + _JS_EPSILON
+            q = q / q.sum(axis=1, keepdims=True)
+            m = (p + q) / 2.0
+            jsd = (0.5 * np.sum(p * np.log2(p / m), axis=1)
+                   + 0.5 * np.sum(q * np.log2(q / m), axis=1))
+            scores[a, b] = 1.0 - jsd
+    return scores
+
+
+def square_scores(documents, model, rows=slice(None), cols=slice(None)):
+    """The n x n matrix the square builder's table stored for `rows` and `cols`."""
+    n = len(documents)
+    in_rows, in_cols = np.zeros((2, n), bool)
+    in_rows[rows] = in_cols[cols] = True
+    held = np.outer(in_rows, in_cols)
+    held |= held.T
+    np.fill_diagonal(held, False)
+    width, doc_at, term_at, values = irmodels._triplets(documents)
+    if not width:
+        scores = np.zeros((n, n))
+    elif model == "js":
+        scores = square_js(n, width, doc_at, term_at, values, held)
+    else:
+        df = np.bincount(term_at[values > 0], minlength=width)
+        values = values * np.log(n / np.maximum(df, 1))[term_at]
+        if model == "lsi":
+            weights = irmodels._dense(n, width, doc_at, term_at, values)
+            vectors = lsi_document_space(weights, default_lsi_rank(n))
+            norms = np.array([np.linalg.norm(row) for row in vectors])
+            scores = square_cosines(square_fold(vectors, held), norms)
+        else:
+            nonzero = values != 0.0
+            doc_at, term_at, values = doc_at[nonzero], term_at[nonzero], values[nonzero]
+            gram = square_scatter(n, doc_at, term_at, values, held)
+            scores = square_cosines(gram, irmodels._norms(n, width, doc_at, term_at, values))
+    np.clip(scores, 0.0, 1.0, out=scores)
+    scores += scores.T
+    return scores
+
+
+class TestTableBlocks:
+    """A block against the square builder it replaced, cell for cell and byte for byte."""
 
     @settings(deadline=None)
     @given(st.randoms(use_true_random=False), st.data())
-    def test_equals_the_full_table_on_held_pairs_only(self, rng, data):
-        docs = documents_with_duplicates(rng)
+    def test_distinct_cells_equal_the_square_oracle(self, rng, data):
+        if data.draw(st.booleans()):
+            docs = documents_with_duplicates(rng)
+        else:
+            docs = random_documents(rng, rng.randint(1, 9), rng.randint(1, 12))
+            indexes = st.lists(st.integers(0, len(docs) - 1), unique=True)
+            for i in data.draw(indexes):  # Empty documents have a zero norm.
+                docs[i] = doc(docs[i].artifact_id, [])
+        rows, cols = data.draw(block_sets(len(docs)))
         ids = [d.artifact_id for d in docs]
-        subsets = st.lists(st.integers(0, len(docs) - 1), unique=True)
-        rows, cols = (np.array(data.draw(subsets), dtype=np.intp) for _ in range(2))
         between = {(ids[i], ids[j]) if ids[i] <= ids[j] else (ids[j], ids[i])
                    for i in rows.tolist() for j in cols.tolist() if i != j}
-        for model in ("vsm", "lsi", "js"):
+        distinct = rows[:, None] != cols
+        for model in MODELS:
             full = build_similarity_table(docs, model)
+            assert full.scores.tobytes() == square_scores(docs, model).tobytes()
             table = build_similarity_table(docs, model, rows=rows, cols=cols)
-            assert set(table.pairs()) == between
-            for i, a in enumerate(ids):
-                for j, b in enumerate(ids):
-                    if (min(a, b), max(a, b)) in between:
-                        assert table.scores[i, j].tobytes() == full.scores[i, j].tobytes()
-                        assert table.score(a, b) == full.score(a, b)
-                    else:
-                        assert table.scores[i, j].tobytes() == np.float64(0.0).tobytes()
-                        with pytest.raises(ValidationError):
-                            table.score(a, b)
+            assert table.row_ids == [ids[i] for i in rows.tolist()]
+            assert table.col_ids == [ids[j] for j in cols.tolist()]
+            square = square_scores(docs, model, rows, cols)[np.ix_(rows, cols)]
+            assert table.scores[distinct].tobytes() == square[distinct].tobytes()
+            assert table.scores[~distinct].tobytes() == bytes(8 * int((~distinct).sum()))
             assert table.pairs() == {pair: full.pairs()[pair] for pair in between}
-
-
-class TestTableContract:
-    """Each builder hands the constructor a matrix that is 0 off the held strict-upper cells."""
-
-    @settings(deadline=None)
-    @given(st.randoms(use_true_random=False), st.data(), st.sampled_from(["vsm", "lsi", "js"]))
-    def test_builders_write_only_the_held_upper_cells(self, rng, data, model):
-        docs = random_documents(rng, rng.randint(1, 9), rng.randint(1, 12))
-        indexes = st.lists(st.integers(0, len(docs) - 1), unique=True)
-        for i in data.draw(indexes):  # Empty documents have a zero norm.
-            docs[i] = doc(docs[i].artifact_id, [])
-        rows, cols = (np.array(data.draw(indexes), dtype=np.intp) for _ in range(2))
-        handed = []
-        init = SimilarityTable.__init__
-
-        def spy(table, ids, scores, held):
-            handed.append((scores.copy(), held))
-            init(table, ids, scores, held)
-
-        with mock.patch.object(SimilarityTable, "__init__", spy):
-            table = build_similarity_table(docs, model, rows=rows, cols=cols)
-        [(scores, held)] = handed
-        off = ~np.triu(held, 1)
-        assert scores[off].tobytes() == np.zeros(int(off.sum())).tobytes()
-        assert table.scores.tobytes() == oracle_scores(scores, held).tobytes()
+            for a, b in itertools.product(ids, repeat=2):
+                if (min(a, b), max(a, b)) in between:
+                    assert table.score(a, b) == full.score(a, b)
+                else:
+                    with pytest.raises(ValidationError):
+                        table.score(a, b)
 
 
 class TestSimilarityTable:
@@ -726,13 +848,15 @@ class TestSimilarityTable:
         assert table.score("a", "c") == 1.0
         assert f"{table.score('b', 'c'):.6f}" == "0.000000"
 
-    def test_clips_and_mirrors_the_given_matrix_in_place(self):
-        upper = np.array([[0.0, -0.25, 1.0000001], [0.0, 0.0, -0.0], [0.0, 0.0, 0.0]])
-        table = SimilarityTable(["a", "b", "c"], upper, ~np.eye(3, dtype=bool))
-        assert table.scores is upper
-        expected = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    def test_clips_the_given_block_in_place(self):
+        block = np.array([[0.0, -0.25, 1.0000001], [-0.25, 0.0, -0.0]])
+        table = SimilarityTable(["a", "b"], ["a", "b", "c"], block)
+        assert table.scores is block
+        expected = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
         assert table.scores.tobytes() == expected.tobytes()
         assert table.pairs() == {("a", "b"): 0.0, ("a", "c"): 1.0, ("b", "c"): 0.0}
+        # Only the cell (a, c) holds the pair; score reads it either way round.
+        assert table.score("c", "a") == table.score("a", "c") == 1.0
 
     def test_self_pair_and_unknown_ids_rejected(self):
         table = build_similarity_table([doc("a", ["x"]), doc("b", ["x", "y"])], "vsm")
@@ -745,15 +869,15 @@ class TestSimilarityTable:
             build_similarity_table([doc("a", ["x"]), doc("b", ["x", "y"])], "bm25")
 
     def test_bad_construction_rejected(self):
-        every = ~np.eye(2, dtype=bool)
-        for ids, scores in ((["a", "a"], np.zeros((2, 2))), (["a", "b"], np.zeros((2, 3))),
-                            (["a", "b"], np.zeros((2, 2), int))):
+        for row_ids, col_ids, scores in (
+            (["a", "a"], ["a", "b"], np.zeros((2, 2))),
+            (["a"], ["b", "b"], np.zeros((1, 2))),
+            (["a", "b"], ["a", "b"], np.zeros((2, 3))),
+            (["a"], ["a", "b"], np.zeros((2, 1))),
+            (["a", "b"], ["a", "b"], np.zeros((2, 2), int)),
+        ):
             with pytest.raises(ValidationError):
-                SimilarityTable(ids, scores, every)
-        for held in (np.array([[False, True], [False, False]]), np.ones((2, 2), bool),
-                     np.zeros((2, 3), bool), np.array([[0, 1], [1, 0]])):
-            with pytest.raises(ValidationError):
-                SimilarityTable(["a", "b"], np.zeros((2, 2)), held)
+                SimilarityTable(row_ids, col_ids, scores)
 
     def test_rows_read_the_scores_of_score(self):
         rng = random.Random(37)

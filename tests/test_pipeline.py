@@ -236,7 +236,7 @@ def bundled_datasets(name):
 
 
 class TestRowsAreManifestPositions:
-    """The premise of `level_rows`: every table's rows follow the manifest."""
+    """The premise of `level_rows`: every table's rows and columns follow the manifest."""
 
     @pytest.mark.parametrize("name", ["motivating", "modes"])
     @pytest.mark.parametrize("model", MODELS)
@@ -251,12 +251,15 @@ class TestRowsAreManifestPositions:
         monkeypatch.setattr(pipeline, "build_similarity_table", spy)
         for dataset in bundled_datasets(name):
             manifest = [a.id for a in dataset.all_artifacts()]
+            sources, intermediates = dataset.source_ids(), [a.id for a in dataset.intermediates]
             for mode in ABLATION_MODES:
                 tables.clear()
                 run_pipeline(dataset, PipelineConfig(model=model, mode=mode))
                 # With "b" and intermediates, a pre-enrichment table comes first.
                 pre = "b" in parse_mode(mode) and bool(dataset.intermediates)
-                assert [table.ids for table in tables] == [manifest] * (1 + pre)
+                assert [(table.row_ids, table.col_ids) for table in tables] == [
+                    (sources + dataset.target_ids(), intermediates)
+                ] * pre + [(sources + intermediates, manifest)]
 
     @pytest.mark.parametrize("name", ["motivating", "modes"])
     def test_level_rows_split_the_manifest_by_level_sizes(self, name):
@@ -269,49 +272,37 @@ class TestRowsAreManifestPositions:
             ]
 
 
-def held_by_level(dataset, pre):
-    """The pairs a table must hold, from the level sizes alone.
-
-    Before enrichment, each pair of a source or target with an intermediate;
-    after it, every pair but two targets.
-    """
-    sizes = [len(dataset.sources), len(dataset.intermediates), len(dataset.targets)]
-    level = np.repeat([0, 1, 2], sizes)
-    a, b = level[:, None], level[None, :]
-    held = ((a != 1) & (b == 1)) | ((a == 1) & (b != 1)) if pre else (a != 2) | (b != 2)
-    np.fill_diagonal(held, False)
-    return held
-
-
 class TestTablesHoldWhatThePipelineReads:
-    """No stage reads a pair its table does not hold."""
+    """Each table is the block of cells its stage reads, and no stage reads a self cell."""
 
     @pytest.mark.parametrize("name", ["motivating", "modes"])
     @pytest.mark.parametrize("model", MODELS)
     def test_unheld_pairs_are_never_read(self, monkeypatch, name, model):
         original = pipeline.build_similarity_table
-        held = []
-
-        def full(documents, model, lsi_rank=None, **_):
-            return original(documents, model, lsi_rank)
+        tables = []
 
         def poisoned(*args, **kwargs):
             table = original(*args, **kwargs)
-            held.append(table.held)
-            table.scores[~table.held] = np.nan
+            tables.append(table)
+            itself = np.array(table.row_ids, object)[:, None] == np.array(table.col_ids, object)
+            table.scores[itself] = np.nan
             return table
 
         for dataset in bundled_datasets(name):
+            s, i, t = len(dataset.sources), len(dataset.intermediates), len(dataset.targets)
             for mode in ABLATION_MODES:
                 config = PipelineConfig(model=model, mode=mode)
-                monkeypatch.setattr(pipeline, "build_similarity_table", full)
+                monkeypatch.setattr(pipeline, "build_similarity_table", original)
                 expected = run_pipeline(dataset, config)
                 monkeypatch.setattr(pipeline, "build_similarity_table", poisoned)
-                held.clear()
+                tables.clear()
                 result = run_pipeline(dataset, config)
                 assert result.candidates == expected.candidates
                 assert result.paths == expected.paths
                 pre = "b" in parse_mode(mode) and bool(dataset.intermediates)
-                assert [mask.tolist() for mask in held] == [
-                    held_by_level(dataset, True).tolist()
-                ] * pre + [held_by_level(dataset, False).tolist()]
+                # Before enrichment (S u T) x I; after it (S u I) x all.
+                assert [table.scores.shape for table in tables] == [
+                    (s + t, i)
+                ] * pre + [(s + i, s + i + t)]
+                final = tables[-1]
+                assert final.row_ids == final.col_ids[:len(final.row_ids)]

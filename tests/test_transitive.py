@@ -14,7 +14,7 @@ as dicts of (target, score) lists, adjusted per target and re-sorted with a
 Python key: the reference, bit for bit, for the array ranking of
 `path_stage`. `hand_table` builds every table from a hand-written matrix:
 `oracle_scores` is the matrix the table must store, and the table is
-handed its upper half, as a builder writes it.
+handed it whole, with every id both a row and a column.
 """
 
 import itertools
@@ -47,22 +47,20 @@ class IdPools:
         return list(self.targets)
 
 
-def oracle_scores(matrix, held):
+def oracle_scores(matrix):
     """The matrix a table must store for `matrix`: its strict upper triangle,
-    clipped into [0, 1] and masked by `held`, plus its transpose."""
+    clipped into [0, 1], plus its transpose."""
     upper = np.triu(np.clip(matrix, 0.0, 1.0), 1)
-    upper[~held] = 0.0
     return upper + upper.T
 
 
-def hand_table(ids, matrix, held=None):
-    """A table over a hand-written matrix, of which only the held upper cells count.
+def hand_table(ids, matrix):
+    """A table over a hand-written matrix, of which only the strict upper cells count.
 
-    `held` defaults to every pair of two ids. The table is handed the upper
-    half of `oracle_scores`, the form every builder writes.
+    Every id is both a row and a column, and the table is handed
+    `oracle_scores`, which is symmetric and 0 on the diagonal.
     """
-    held = ~np.eye(len(ids), dtype=bool) if held is None else held
-    return SimilarityTable(ids, np.triu(oracle_scores(matrix, held)), held)
+    return SimilarityTable(ids, ids, oracle_scores(matrix))
 
 
 def table_from_pairs(scores, ids=None):
@@ -76,13 +74,17 @@ def table_from_pairs(scores, ids=None):
 
 
 def rows(table, ids):
-    """The row of each of `ids` in `table`, in the order given."""
-    return np.array([table.ids.index(doc_id) for doc_id in ids], dtype=np.intp)
+    """The column of each of `ids` in `table`, in the order given.
+
+    Every table here lists its row ids first among its column ids, so the
+    column of an id that is a row is also its row.
+    """
+    return np.array([table.col_ids.index(doc_id) for doc_id in ids], dtype=np.intp)
 
 
 def paths_from(source, pools, table, m, t, allow_inner=True):
     """`form_paths` from the id `source`, over `level_rows(pools)` in a manifest-ordered `table`."""
-    return form_paths(table.ids.index(source), level_rows(pools), table, m, t, allow_inner)
+    return form_paths(table.row_ids.index(source), level_rows(pools), table, m, t, allow_inner)
 
 
 def full_table(pools, scores):
@@ -260,7 +262,7 @@ def tie_scenarios(draw):
 def selected_ids(table, row, cols, m, t):
     """`select_rows` as (id, score) pairs."""
     rows, scores = select_rows(table, row, cols, m, t)
-    return list(zip([table.ids[r] for r in rows.tolist()], scores))
+    return list(zip([table.col_ids[r] for r in rows.tolist()], scores))
 
 
 @given(tie_scenarios(), st.sampled_from([0.1, 0.5, 0.75, 1.0]), st.integers(1, 4), st.booleans())
@@ -271,8 +273,8 @@ def test_selection_matches_sorted_oracle_under_ties(scenario, m, t, allow_inner)
     assert rank_candidates(table, sources, targets, 1.0) == {
         s: oracle_ranked(table, s, target_ids) for s in pools.source_ids()
     }
-    for row, a in enumerate(table.ids):
-        pool = [b for b in table.ids if b != a]
+    for row, a in enumerate(table.row_ids):
+        pool = [b for b in table.col_ids if b != a]
         cols = rows(table, pool)
         ranked = rank_candidates(table, np.array([row]), cols, 1.0)[a]
         assert ranked == oracle_ranked(table, a, pool)
