@@ -801,19 +801,13 @@ def square_scores(documents, model, rows=slice(None), cols=slice(None)):
     return scores
 
 
-class TestTableBlocks:
-    """A block against the square builder it replaced, cell for cell and byte for byte."""
+class TestHeldPairs:
+    """A table built for row and column sets is the full table on exactly the pairs between them."""
 
     @settings(deadline=None)
     @given(st.randoms(use_true_random=False), st.data())
-    def test_distinct_cells_equal_the_square_oracle(self, rng, data):
-        if data.draw(st.booleans()):
-            docs = documents_with_duplicates(rng)
-        else:
-            docs = random_documents(rng, rng.randint(1, 9), rng.randint(1, 12))
-            indexes = st.lists(st.integers(0, len(docs) - 1), unique=True)
-            for i in data.draw(indexes):  # Empty documents have a zero norm.
-                docs[i] = doc(docs[i].artifact_id, [])
+    def test_equals_the_full_table_on_held_pairs_only(self, rng, data):
+        docs = documents_with_duplicates(rng)
         rows, cols = data.draw(block_sets(len(docs)))
         ids = [d.artifact_id for d in docs]
         between = {(ids[i], ids[j]) if ids[i] <= ids[j] else (ids[j], ids[i])
@@ -821,12 +815,11 @@ class TestTableBlocks:
         distinct = rows[:, None] != cols
         for model in MODELS:
             full = build_similarity_table(docs, model)
-            assert full.scores.tobytes() == square_scores(docs, model).tobytes()
             table = build_similarity_table(docs, model, rows=rows, cols=cols)
             assert table.row_ids == [ids[i] for i in rows.tolist()]
             assert table.col_ids == [ids[j] for j in cols.tolist()]
-            square = square_scores(docs, model, rows, cols)[np.ix_(rows, cols)]
-            assert table.scores[distinct].tobytes() == square[distinct].tobytes()
+            cells = full.scores[np.ix_(rows, cols)]
+            assert table.scores[distinct].tobytes() == cells[distinct].tobytes()
             assert table.scores[~distinct].tobytes() == bytes(8 * int((~distinct).sum()))
             assert table.pairs() == {pair: full.pairs()[pair] for pair in between}
             for a, b in itertools.product(ids, repeat=2):
@@ -835,6 +828,26 @@ class TestTableBlocks:
                 else:
                     with pytest.raises(ValidationError):
                         table.score(a, b)
+
+
+class TestTableContract:
+    """Each builder writes, byte for byte, what the square builder wrote at its held upper cells."""
+
+    @settings(deadline=None)
+    @given(st.randoms(use_true_random=False), st.data(), st.sampled_from(MODELS))
+    def test_builders_write_only_the_held_upper_cells(self, rng, data, model):
+        docs = random_documents(rng, rng.randint(1, 9), rng.randint(1, 12))
+        indexes = st.lists(st.integers(0, len(docs) - 1), unique=True)
+        for i in data.draw(indexes):  # Empty documents have a zero norm.
+            docs[i] = doc(docs[i].artifact_id, [])
+        rows, cols = data.draw(block_sets(len(docs)))
+        distinct = rows[:, None] != cols
+        full = build_similarity_table(docs, model)
+        assert full.scores.tobytes() == square_scores(docs, model).tobytes()
+        table = build_similarity_table(docs, model, rows=rows, cols=cols)
+        square = square_scores(docs, model, rows, cols)[np.ix_(rows, cols)]
+        assert table.scores[distinct].tobytes() == square[distinct].tobytes()
+        assert table.scores[~distinct].tobytes() == bytes(8 * int((~distinct).sum()))
 
 
 class TestSimilarityTable:
