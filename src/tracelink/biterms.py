@@ -16,6 +16,8 @@ artifact each belongs to.
 
 from __future__ import annotations
 
+from collections import Counter
+from itertools import chain
 from pathlib import Path
 
 from .corpus.nltext import ADJ, NOUN, VERB, tag_token
@@ -56,25 +58,19 @@ def canonical_pair(a: str, b: str) -> Pair | None:
 
 
 def _window_pairs(tokens: list[str], window: int) -> list[Pair]:
-    """Canonical stem pairs of token positions at distance < `window`, in position order.
+    """Canonical stem pairs of token positions at distance < `window`, grouped by distance.
 
     A token that normalization drops (stopword/special) breaks its pairs but
     not the window geometry. A window of `len(tokens)` pairs every two kept
-    tokens, as an identifier needs.
+    tokens, as an identifier needs. Each token is normalized once.
     """
-    stems = [normalize_token(tok) for tok in tokens]
-    pairs: list[Pair] = []
-    n = len(stems)
-    for i in range(n):
-        if stems[i] is None:
-            continue
-        for j in range(i + 1, min(i + window, n)):
-            if stems[j] is None:
-                continue
-            pair = canonical_pair(stems[i], stems[j])
-            if pair is not None:
-                pairs.append(pair)
-    return pairs
+    stems = list(map(normalize_token, tokens))
+    return [
+        (a, b) if a < b else (b, a)
+        for distance in range(1, min(window, len(stems)))
+        for a, b in zip(stems, stems[distance:])
+        if a is not None and b is not None and a != b
+    ]
 
 
 def import_parsed_pairs(pairs_file: str | Path) -> Biterms:
@@ -128,25 +124,19 @@ def extract_biterms(artifact: Artifact, pairs_dir: str | Path | None = None) -> 
             return import_parsed_pairs(candidate)
 
     parts = artifact.parts
-    strong: dict[Pair, int] = {}
-    comment: dict[Pair, int] = {}
-    weak: set[Pair] = set()
-
-    for part_name in _STRONG_PARTS:
-        for identifier_tokens in getattr(parts, part_name):
-            for pair in _window_pairs(identifier_tokens, len(identifier_tokens)):
-                strong[pair] = strong.get(pair, 0) + 1
-    for tokens in parts.comments:
-        content_words = [tok for tok in tokens if tag_token(tok) in _CONTENT_TAGS]
-        for pair in _window_pairs(content_words, _WINDOW):
-            comment[pair] = comment.get(pair, 0) + 1
-    for part_name in _WEAK_PARTS:
-        for identifier_tokens in getattr(parts, part_name):
-            weak.update(_window_pairs(identifier_tokens, len(identifier_tokens)))
-
+    strong = Counter(chain.from_iterable(
+        _window_pairs(tokens, len(tokens)) for name in _STRONG_PARTS for tokens in getattr(parts, name)
+    ))
+    comment = Counter(chain.from_iterable(
+        _window_pairs([tok for tok in tokens if tag_token(tok) in _CONTENT_TAGS], _WINDOW)
+        for tokens in parts.comments
+    ))
+    weak = set(chain.from_iterable(
+        _window_pairs(tokens, len(tokens)) for name in _WEAK_PARTS for tokens in getattr(parts, name)
+    ))
     return {
         pair: 2 * strong.get(pair, 0) + comment.get(pair, 0) + (1 if pair in weak else 0)
-        for pair in sorted(set(strong) | set(comment) | weak)
+        for pair in sorted(strong.keys() | comment.keys() | weak)
     }
 
 

@@ -10,32 +10,30 @@ returned as-is so that numeric tokens pass through untouched.
 
 Every consonant and vowel test reads the word's form (`_form`), one "c" or
 "v" per letter, where a "y" after a consonant is a vowel and a leading "y" a
-consonant. The measure m of [C](VC)^m[V] is the form's count of "vc".
+consonant. `porter_stem` computes it after step 1a and again only after a step
+rewrites the word: a stem's form is the word's cut to the stem's length, so
+its measure m of [C](VC)^m[V] is `form[:len(stem)].count("vc")`.
 """
 
 from __future__ import annotations
 
+# Each letter's class: "v" for a, e, i, o and u, "c" for the rest ("y" is settled in `_form`).
+_CV = str.maketrans("abcdefghijklmnopqrstuvwxyz", "vcccvcccvcccccvcccccvccccc")
+
 
 def _form(word: str) -> str:
     """The consonant/vowel form of `word`: one "c" or "v" per letter."""
+    if "y" not in word:
+        return word.translate(_CV)
     form = ""
     for letter in word:
         form += "v" if letter in "aeiou" or letter == "y" and form.endswith("c") else "c"
     return form
 
 
-def _measure(stem: str) -> int:
-    """Count VC sequences in the [C](VC)^m[V] decomposition of `stem`."""
-    return _form(stem).count("vc")
-
-
-def _ends_double_consonant(word: str) -> bool:
-    return len(word) >= 2 and word[-1] == word[-2] and _form(word).endswith("c")
-
-
-def _ends_cvc(word: str) -> bool:
+def _ends_cvc(word: str, form: str) -> bool:
     """True when word ends consonant-vowel-consonant and the last is not w, x or y."""
-    return _form(word).endswith("cvc") and word[-1] not in "wxy"
+    return form.endswith("cvc") and word[-1] not in "wxy"
 
 
 def _step1a(word: str) -> str:
@@ -46,24 +44,25 @@ def _step1a(word: str) -> str:
     return word
 
 
-def _step1b(word: str) -> str:
+def _step1b(word: str, form: str) -> str:
     if word.endswith("eed"):
-        return word[:-1] if _measure(word[:-3]) > 0 else word
+        return word[:-1] if form[:-3].count("vc") > 0 else word
     stem = word[:-2] if word.endswith("ed") else word.removesuffix("ing")
-    if stem == word or "v" not in _form(stem):
+    form = form[: len(stem)]
+    if stem == word or "v" not in form:
         return word
     # Cleanup after stripping -ed/-ing from a stem with a vowel.
     if stem.endswith(("at", "bl", "iz")):
         return stem + "e"
-    if _ends_double_consonant(stem) and not stem.endswith(("l", "s", "z")):
+    if stem[-1] not in "lsz" and stem[-2:] == 2 * stem[-1] and form[-1] == "c":
         return stem[:-1]
-    if _measure(stem) == 1 and _ends_cvc(stem):
+    if form.count("vc") == 1 and _ends_cvc(stem, form):
         return stem + "e"
     return stem
 
 
-def _step1c(word: str) -> str:
-    if word.endswith("y") and "v" in _form(word[:-1]):
+def _step1c(word: str, form: str) -> str:
+    if word.endswith("y") and "v" in form[:-1]:
         return word[:-1] + "i"
     return word
 
@@ -109,33 +108,43 @@ _STEP4 = dict.fromkeys((
 ), "")
 
 
-def _replace_longest(word: str, rules: dict[str, str], min_measure: int) -> str:
-    """Apply the rule of the longest suffix in `rules` that ends `word`.
+def _replace_longest(rules: dict[str, str], min_measure: int):
+    """Step 2, 3 or 4: apply the rule of the longest suffix in `rules` that ends the word.
 
-    The stem left must have a measure above `min_measure` (and, for step 4's
-    -ion, end in s or t); otherwise `word` comes back unchanged.
+    Suffixes are tried longest first. The stem left must have a measure above
+    `min_measure` (and, for -ion, end in s or t); otherwise the word stays.
     """
-    suffix = max(filter(word.endswith, rules), key=len, default=None)
-    if suffix is None:
+    lengths = sorted({len(suffix) for suffix in rules}, reverse=True)
+
+    def step(word: str, form: str) -> str:
+        for length in lengths:
+            suffix = word[-length:]  # the whole word when it is shorter
+            if suffix in rules:
+                stem = word[: len(word) - len(suffix)]
+                measure = form[: len(stem)].count("vc")
+                if measure <= min_measure or suffix == "ion" and not stem.endswith(("s", "t")):
+                    return word
+                return stem + rules[suffix]
         return word
-    stem = word[: len(word) - len(suffix)]
-    if _measure(stem) <= min_measure or (suffix == "ion" and not stem.endswith(("s", "t"))):
-        return word
-    return stem + rules[suffix]
+    return step
 
 
-def _step5a(word: str) -> str:
+def _step5a(word: str, form: str) -> str:
     # Drop a final e after a measure above 1, or of 1 when the stem does not end cvc.
-    stem = word[:-1]
-    if word.endswith("e") and _measure(stem) > (1 if _ends_cvc(stem) else 0):
+    stem, form = word[:-1], form[:-1]
+    if word.endswith("e") and form.count("vc") > (1 if _ends_cvc(stem, form) else 0):
         return stem
     return word
 
 
-def _step5b(word: str) -> str:
-    if word.endswith("ll") and _measure(word) > 1:
+def _step5b(word: str, form: str) -> str:
+    if word.endswith("ll") and form.count("vc") > 1:
         return word[:-1]
     return word
+
+
+_STEPS = (_step1b, _step1c, _replace_longest(_STEP2, 0), _replace_longest(_STEP3, 0),
+          _replace_longest(_STEP4, 1), _step5a, _step5b)
 
 
 def porter_stem(word: str) -> str:
@@ -143,11 +152,9 @@ def porter_stem(word: str) -> str:
     if len(word) <= 2 or not word.isalpha() or not word.isascii():
         return word
     word = _step1a(word)
-    word = _step1b(word)
-    word = _step1c(word)
-    word = _replace_longest(word, _STEP2, 0)
-    word = _replace_longest(word, _STEP3, 0)
-    word = _replace_longest(word, _STEP4, 1)
-    word = _step5a(word)
-    word = _step5b(word)
+    form = _form(word)
+    for step in _STEPS:
+        stemmed = step(word, form)
+        if stemmed is not word:
+            word, form = stemmed, _form(stemmed)
     return word

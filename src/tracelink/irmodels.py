@@ -237,12 +237,19 @@ def _fold(vectors: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray
 
 def _cosines(gram: np.ndarray, norms: np.ndarray, rows: np.ndarray,
              cols: np.ndarray) -> np.ndarray:
-    """`gram` divided in place by its cells' two norms; a zero norm or a self cell scores 0."""
+    """`gram` divided in place by its cells' two norms; a zero norm or a self cell scores 0.
+
+    It works by blocks of `_CELL_BLOCK` cells, so no divisor or mask is as large as `gram`.
+    """
+    col_norms = norms[cols]
+    step = max(1, _CELL_BLOCK // max(len(cols), 1))
     with np.errstate(divide="ignore", invalid="ignore"):
-        gram /= norms[rows, None] * norms[cols]
+        for start in range(0, len(rows), step):
+            block, mine = gram[start:start + step], rows[start:start + step]
+            block /= norms[mine, None] * col_norms
+            block[mine[:, None] == cols] = 0.0
     gram[norms[rows] == 0.0] = 0.0
-    gram[:, norms[cols] == 0.0] = 0.0
-    gram[rows[:, None] == cols] = 0.0
+    gram[:, col_norms == 0.0] = 0.0
     return gram
 
 

@@ -2,12 +2,19 @@
 
 import json
 import tempfile
+from collections import Counter
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tracelink.biterms import (
+    _CONTENT_TAGS,
+    _STRONG_PARTS,
+    _WEAK_PARTS,
+    _WINDOW,
+    _window_pairs,
     canonical_pair,
     consensual_filter,
     extract_biterms,
@@ -16,7 +23,7 @@ from tracelink.biterms import (
 from tracelink.corpus.codescan import CodeParts
 from tracelink.corpus.documents import build_document
 from tracelink.corpus.manifest import load_dataset
-from tracelink.corpus.nltext import tokenize_natural
+from tracelink.corpus.nltext import tag_token, tokenize_natural
 from tracelink.corpus.preprocess import normalize_token
 from tracelink.corpus.types import Artifact, Kind
 from tracelink.errors import ParseError
@@ -241,3 +248,71 @@ def test_filter_monotone_in_intermediates(sources, inters):
     shrunk, _, _ = consensual_filter(sources, inters[:-1], [])
     for wide, narrow in zip(full, shrunk):
         assert set(narrow) <= set(wide)
+
+
+def oracle_window_pairs(tokens, window):
+    """The position-order window loop `_window_pairs` replaced."""
+    stems = [normalize_token(tok) for tok in tokens]
+    pairs = []
+    n = len(stems)
+    for i in range(n):
+        if stems[i] is None:
+            continue
+        for j in range(i + 1, min(i + window, n)):
+            if stems[j] is None:
+                continue
+            pair = canonical_pair(stems[i], stems[j])
+            if pair is not None:
+                pairs.append(pair)
+    return pairs
+
+
+def oracle_extract(parts):
+    """Heuristic extraction with the oracle's pairs, counted pair by pair into dicts."""
+    strong, comment, weak = {}, {}, set()
+    for part_name in _STRONG_PARTS:
+        for tokens in getattr(parts, part_name):
+            for pair in oracle_window_pairs(tokens, len(tokens)):
+                strong[pair] = strong.get(pair, 0) + 1
+    for tokens in parts.comments:
+        content_words = [tok for tok in tokens if tag_token(tok) in _CONTENT_TAGS]
+        for pair in oracle_window_pairs(content_words, _WINDOW):
+            comment[pair] = comment.get(pair, 0) + 1
+    for part_name in _WEAK_PARTS:
+        for tokens in getattr(parts, part_name):
+            weak.update(oracle_window_pairs(tokens, len(tokens)))
+    return {
+        pair: 2 * strong.get(pair, 0) + comment.get(pair, 0) + (1 if pair in weak else 0)
+        for pair in sorted(set(strong) | set(comment) | weak)
+    }
+
+
+# Stopwords, punctuation-only tokens, digits, case variants, words of one stem
+# ("route", "routes", "Routed") and content words of each tag, plus any text.
+_TOKEN = st.one_of(
+    st.sampled_from((
+        "the", "of", "and", "get", "a", "--", "...", "?", "(", "647", "2", "v2",
+        "Route", "route", "ROUTE", "routes", "Routed", "select", "selected", "selecting",
+        "UAV", "uav", "assign", "available", "list", "icon", "box", "info", "quickly",
+    )),
+    st.text(max_size=6),
+)
+_GROUPS = st.lists(st.lists(_TOKEN, max_size=8), max_size=4)  # empty groups too
+_PARTS = st.fixed_dictionaries({f.name: _GROUPS for f in fields(CodeParts)}).map(
+    lambda groups: CodeParts(**groups)
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_PARTS)
+def test_extraction_matches_the_position_order_oracle(parts):
+    """Same pairs, counts and key order as the per-pair loop, in windows of 3 and full length."""
+    expected = oracle_extract(parts)
+    assert list(extract_biterms(code_artifact(parts)).items()) == list(expected.items())
+
+
+@given(st.lists(_TOKEN, max_size=12), st.integers(min_value=1, max_value=14))
+def test_window_pairs_are_the_oracle_pairs(tokens, window):
+    """Any window, up to past the token count, gives the oracle's pairs in some order."""
+    for width in (window, _WINDOW, len(tokens)):
+        assert Counter(_window_pairs(tokens, width)) == Counter(oracle_window_pairs(tokens, width))

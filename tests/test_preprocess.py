@@ -70,6 +70,7 @@ def test_case_variants_stemmed_once(monkeypatch):
     stemmed = []
     stem = preprocess_module.porter_stem
     monkeypatch.setattr(preprocess_module, "porter_stem", lambda w: stemmed.append(w) or stem(w))
+    normalize_token.cache_clear()
     _normalize_lowered.cache_clear()
     assert {normalize_token(t) for t in ("Route", "route", "ROUTE")} == {"rout"}
     assert stemmed == ["route"]

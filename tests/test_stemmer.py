@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tracelink.corpus.manifest import load_dataset
 from tracelink.corpus.stemmer import _STEP2, _STEP3, _STEP4, porter_stem
 
 FIXTURE = Path(__file__).parent / "data" / "porter_pairs.txt"
@@ -182,6 +183,19 @@ def oracle_stem(word):
 
 def test_oracle_passes_the_fixture():
     assert all(oracle_stem(word) == stem for word, stem in fixture_pairs())
+
+
+def test_matches_the_oracle_on_the_motivating_vocabulary(motivating_manifest):
+    dataset = load_dataset(motivating_manifest)
+    words = {
+        token.lower()
+        for artifact in dataset.all_artifacts()
+        for groups in vars(artifact.parts).values()
+        for group in groups
+        for token in group
+    }
+    assert len(words) > 60
+    assert [w for w in sorted(words) if porter_stem(w) != oracle_stem(w)] == []
 
 
 # Every suffix a rule strips or tests, so generated words reach each step's branches.
