@@ -198,7 +198,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.manifest)
     result = run_pipeline(dataset, config)
     _write(out / "ranked_links.csv", format_ranked_csv(result.candidates))
-    _write(out / "path_traces.json", _json_text(paths_to_json_payload(result.paths)))
+    _write(out / "path_traces.json", paths_to_json_payload(result.paths))
     if args.dump_corpus:
         _write(out / "enriched_corpus.json", _json_text(corpus_dump_payload(result.documents)))
     print(f"wrote {out / 'ranked_links.csv'} and {out / 'path_traces.json'}")

@@ -4,9 +4,9 @@ Biterms become single compound vocabulary terms ("a_b", canonical order,
 underscore-joined). An artifact's own consensual biterms are added with
 their importance count as weight; biterms pulled in from highly related
 intermediate artifacts are added once each with weight 1, on top of any
-own weight for the same pair. `irmodels.select_rows` picks the related
-intermediates on a row of the pre-enrichment table, whose columns are the
-intermediates, and `select_related_intermediates` returns their column
+own weight for the same pair. `select_related_intermediates` picks those
+of every row of the pre-enrichment table, whose columns are the
+intermediates, from one `irmodels.selection_lists` block, as column
 positions, which index the intermediates' consensual biterm sets directly.
 Both steps return a new `Document` with a fresh `added_biterm_terms`
 Counter that shares the base `terms` Counter, which nothing writes to.
@@ -20,18 +20,19 @@ import numpy as np
 
 from .biterms import Biterms, Pair
 from .corpus.types import Document
-from .irmodels import SimilarityTable, select_rows
+from .irmodels import SimilarityTable, kept, selection_lists
 
 
 def compound_term(pair: Pair) -> str:
     return f"{pair[0]}_{pair[1]}"
 
 
-def select_related_intermediates(
-    table: SimilarityTable, row: int, intermediates: np.ndarray, m: float, t: int
-) -> np.ndarray:
-    """The first t columns of `intermediates` scoring at least m times the best against `row`."""
-    return select_rows(table, row, intermediates, m, t)[0]
+def select_related_intermediates(table: SimilarityTable, m: float, t: int) -> list[list[int]]:
+    """Per row, the first t columns scoring at least m times the row's best, in selection order."""
+    cols, scores, best = selection_lists(
+        table, np.arange(len(table.row_ids)), np.arange(len(table.col_ids)), t
+    )
+    return [mine[:kept(found, top, m, t)] for mine, found, top in zip(cols, scores, best)]
 
 
 def add_own_biterms(document: Document, own: Biterms) -> Document:

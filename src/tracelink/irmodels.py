@@ -27,8 +27,9 @@ exact ties stay exact. All stored similarities are clamped into [0, 1].
 Ranking and selection take row and column positions only, and `_order`
 owns their one order: a lexsort by descending score and then by each
 column id's rank in sorted id order, so exact ties break by ascending id.
-`select_rows` applies it to one row; `rank_candidates` applies it to every
-row of the source x target block, times the path stage's multipliers.
+`selection_lists` applies it once to a block of rows over one pool, and
+each selection is a prefix of a row's list (`kept`); `rank_candidates`
+applies it to the source x target block, times the path multipliers.
 
 A ranking has one form, `RankedLinks`, the long form: each link's source
 code, target code and score in file order, with one id list per level.
@@ -45,7 +46,7 @@ import io
 import math
 from collections.abc import Iterable, Iterator, Mapping
 from functools import cached_property
-from itertools import chain, count
+from itertools import accumulate, chain, count, repeat
 
 import numpy as np
 
@@ -66,6 +67,9 @@ _CELL_BLOCK = 1 << 19
 # the topic coordinates for every column: about 2.4 times faster than
 # unblocked for 1,000 x 1,500 cells with 450 coordinates each.
 _FOLD_BLOCK = 1 << 15
+# Lines per %-format of the CSV writer, which bounds its argument tuple and its
+# score objects, so that only the text grows with the file.
+_LINK_BLOCK = 1 << 16
 
 
 def _triplets(documents: list[Document]) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
@@ -266,9 +270,9 @@ def _js_block(n: int, width: int, doc_at: np.ndarray, term_at: np.ndarray, value
     sentinel V (the vocabulary size), are sorted together along the row; the
     values that differ from their left neighbour and are not V are the
     pair's union columns in vocabulary order. So a block costs
-    O(pairs x L), not O(pairs x V). Each block is gathered into two
-    (pairs x L) arrays. Every reduction runs along a row, so each score is
-    summed over exactly its own pair's values in the same order as a
+    O(pairs x L), not O(pairs x V). Each block is gathered from the flat
+    counts into two (pairs x L) arrays. Every reduction runs along a row,
+    so each score sums exactly its own pair's values in the same order as a
     per-pair computation, and exact ties (say, between duplicates) stay exact.
 
     A document uses exactly its columns with a count above 0. Epsilon is
@@ -288,7 +292,7 @@ def _js_block(n: int, width: int, doc_at: np.ndarray, term_at: np.ndarray, value
     if not len(i):
         return scores
     shared = _scatter(n, doc_at, term_at, None, rows, cols)[i, j]
-    dense = _dense(n, width, doc_at, term_at, values)
+    flat = _dense(n, width, doc_at, term_at, values).ravel()
     # Row d holds document d's used columns in ascending order, then the sentinel V.
     padded = np.full((n, lengths.max()), width)
     padded[np.arange(lengths.max()) < lengths[:, None]] = term_at[_by_row(n, doc_at)[0]]
@@ -309,9 +313,9 @@ def _js_block(n: int, width: int, doc_at: np.ndarray, term_at: np.ndarray, value
             keep = merged != width
             keep[:, 1:] &= merged[:, 1:] != merged[:, :-1]
             union = merged[keep].reshape(len(a), size)
-            p = dense[a[:, None], union] + _JS_EPSILON
+            p = flat.take(a[:, None] * width + union) + _JS_EPSILON
             p = p / p.sum(axis=1, keepdims=True)
-            q = dense[b[:, None], union] + _JS_EPSILON
+            q = flat.take(b[:, None] * width + union) + _JS_EPSILON
             q = q / q.sum(axis=1, keepdims=True)
             m = (p + q) / 2.0
             jsd = (0.5 * np.sum(p * np.log2(p / m), axis=1)
@@ -373,20 +377,28 @@ def _order(table: SimilarityTable, cols: np.ndarray, scores: np.ndarray) -> np.n
     return np.lexsort((np.broadcast_to(table.id_rank[cols], scores.shape), -scores), axis=-1)
 
 
-def select_rows(
-    table: SimilarityTable, row: int, cols: np.ndarray, m: float, t: int
-) -> tuple[np.ndarray, list[float]]:
-    """The first t of `cols` scoring at least m times the best against `row`, with those scores.
+def selection_lists(
+    table: SimilarityTable, rows: np.ndarray, pool: np.ndarray, t: int, inner: bool = False
+) -> tuple[list[list[int]], list[list[float]], list[float]]:
+    """Per row of `rows`: its first t columns of `pool` in `_order`, their scores, and its best.
 
-    `cols` are column positions. They come by descending score, ties by
-    ascending id; an all-zero row keeps none.
+    With `inner`, `pool` is `rows` and the gathered block's diagonal is
+    zeroed, so no row reads its own cell; a 0 is never `kept`, so the list
+    serves the pool without the row.
     """
-    scores = table.scores[row, cols]
-    best = scores.max(initial=0.0)
-    keep = (scores >= m * best) & (best > 0.0)
-    cols, scores = cols[keep], scores[keep]
-    order = _order(table, cols, scores)[:t]
-    return cols[order], scores[order].tolist()
+    scores = table.scores[np.ix_(rows, pool)]
+    if inner:
+        np.fill_diagonal(scores, 0.0)
+    order = _order(table, pool, scores)[:, :t]
+    return (pool[order].tolist(), np.take_along_axis(scores, order, axis=1).tolist(),
+            scores.max(axis=1, initial=0.0).tolist())
+
+
+def kept(scores: list[float], best: float, m: float, t: int) -> int:
+    """How many of a selection list's first t `scores` score at least m times `best`: as the
+    list descends, that many lead it. A row whose best is 0 selects none."""
+    cutoff = m * best
+    return sum(score >= cutoff for score in scores[:t]) if best > 0.0 else 0
 
 
 def rank_candidates(
@@ -413,23 +425,55 @@ def rank_candidates(
 _CSV_HEADER = ["source_id", "target_id", "score"]
 
 
+def _csv_fields(ids: list[str], quoting: int) -> list[str]:
+    """Each id as `csv.writer` writes a row's first field, with the comma after it."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n", quoting=quoting)
+    # A lone empty field is written '""', so each id takes an empty second field. Half the
+    # length of a row of two empty fields (`writerow` returns it) follows each row's comma.
+    ends = list(accumulate(map(writer.writerow, zip(ids, repeat(""))),
+                           initial=writer.writerow(("", ""))))
+    cut, text = ends[0] // 2, buffer.getvalue()
+    return [text[start:end - cut] for start, end in zip(ends, ends[1:])]
+
+
+def _csv_columns(links: RankedLinks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The links in file order: their two id fields, each with its comma, their scores, and
+    whether each is written as under csv.QUOTE_ALL.
+
+    With a "\n" terminator the writer leaves a bare "\r" unquoted, which the
+    reader splits on, so a link with a "\r" in either id quotes every field.
+    """
+    order = np.argsort(sorted_rank(links.sources)[links.source_codes], kind="stable")
+    columns = [(links.sources, links.source_codes[order]),
+               (links.targets, links.target_codes[order])]
+    quoted = np.any([np.array(["\r" in doc_id for doc_id in ids], bool)[codes]
+                     for ids, codes in columns], axis=0)
+    fields = np.empty((len(order), 2), object)
+    for column, (ids, codes) in enumerate(columns):
+        for quoting, rows in ((csv.QUOTE_MINIMAL, ~quoted), (csv.QUOTE_ALL, quoted)):
+            fields[rows, column] = np.array(_csv_fields(ids, quoting), object)[codes[rows]]
+    return fields, links.scores[order], quoted
+
+
 def format_ranked_csv(links: RankedLinks) -> str:
     """CSV export: source_id,target_id,score sorted by source id, each source's links in order.
 
     Fields are quoted only where they must be, so plain ids are written bare.
+    Each id's field comes from `csv.writer` once, and each block of
+    `_LINK_BLOCK` lines from one %-format.
     """
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    # With a "\n" terminator the writer leaves a bare "\r" unquoted, which the reader splits on.
-    quote_all = csv.writer(buffer, lineterminator="\n", quoting=csv.QUOTE_ALL)
-    writer.writerow(_CSV_HEADER)
-    order = np.argsort(sorted_rank(links.sources)[links.source_codes], kind="stable")
-    sources = np.array(links.sources, object)[links.source_codes[order]].tolist()
-    targets = np.array(links.targets, object)[links.target_codes[order]].tolist()
-    for source, target, score in zip(sources, targets, links.scores[order].tolist()):
-        row = (source, target, f"{score:.6f}")
-        (quote_all if "\r" in source or "\r" in target else writer).writerow(row)
-    return buffer.getvalue()
+    fields, scores, quoted = _csv_columns(links)
+    lines = ("%s%s%.6f\n", '%s%s"%.6f"\n')  # each quoted as csv.QUOTE_ALL writes the score
+    text = [",".join(_CSV_HEADER) + "\n"]
+    for start in range(0, len(scores), _LINK_BLOCK):
+        block = slice(start, start + _LINK_BLOCK)
+        mine = quoted[block]
+        cells = np.empty((len(mine), 3), object)
+        cells[:, :2], cells[:, 2] = fields[block], scores[block].tolist()
+        layout = "".join(map(lines.__getitem__, mine.tolist())) if mine.any() else lines[0] * len(mine)
+        text.append(layout % tuple(cells.ravel()))
+    return "".join(text)
 
 
 class RankedLinks(Mapping):

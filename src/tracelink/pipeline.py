@@ -16,9 +16,9 @@ enrichment and path deduction as plain arguments.
 
 A run is two stages over the base documents of `build_documents`.
 `table_stage` (biterms, enrichment and similarity tables) depends only on
-"b" and returns the final documents and table. `path_stage` deduces the
-paths and adjusts the scores that "o" and "i" ask for, ranks the mode's
-candidates once from that table, and returns the ranking and the paths;
+"b" and returns the final documents and table. `path_stage` walks the
+`hop_lists` of that table for the paths that "o" and "i" ask for, adjusts
+the scores, ranks the mode's candidates once, and returns both;
 `run_pipeline` builds the `PipelineResult`. Neither stage writes to its
 inputs (enrichment returns new documents), so one table serves every mode
 with the same "b" (`run_ablation`).
@@ -48,7 +48,7 @@ from .enrich import add_own_biterms, enrich_artifact, select_related_intermediat
 from .errors import ConfigError
 from .evaluate import EvalReport, evaluate_ranking
 from .irmodels import MODELS, RankedLinks, SimilarityTable, build_similarity_table, rank_candidates
-from .transitive import TransitivePath, adjust_scores, form_paths
+from .transitive import TransitivePath, adjust_scores, form_paths, hop_lists
 
 ABLATION_MODES = ("ir-only", "b", "o", "b+o", "o+i", "b+o+i")
 
@@ -161,11 +161,10 @@ def table_stage(
             pre_table = build_similarity_table(
                 documents, config.model, config.lsi_rank, rows=enriched, cols=intermediates
             )
-            columns = np.arange(len(intermediates))
-            for row, document in enumerate(enriched.tolist()):
-                related = select_related_intermediates(pre_table, row, columns, config.m, config.t)
+            related = select_related_intermediates(pre_table, config.m, config.t)
+            for document, columns in zip(enriched.tolist(), related):
                 documents[document] = enrich_artifact(
-                    documents[document], [f_inters[c] for c in related.tolist()]
+                    documents[document], [f_inters[c] for c in columns]
                 )
             del pre_table  # Free its scores before the final table is built.
 
@@ -189,9 +188,10 @@ def path_stage(
     paths: dict[str, list[TransitivePath]] = {}
     scale = 1.0
     if "o" in components:
+        lists = hop_lists(table, levels, config.t)
         paths = {
             table.row_ids[row]: form_paths(
-                row, levels, table, config.m, config.t, allow_inner="i" in components
+                row, lists, table.col_ids, config.m, config.t, allow_inner="i" in components
             )
             for row in levels[0].tolist()
         }

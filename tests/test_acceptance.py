@@ -19,7 +19,7 @@ from tracelink.corpus.types import Artifact, Document, Kind
 from tracelink.evaluate import cliffs_delta, evaluate_ranking, wilcoxon_rank_sum
 from tracelink.irmodels import build_similarity_table
 from tracelink.pipeline import PipelineConfig, level_rows, run_pipeline
-from tracelink.transitive import adjust_scores, form_paths
+from tracelink.transitive import adjust_scores, form_paths, hop_lists
 
 from test_irmodels import (
     brute_cosine, long_form, oracle_jsd_similarity, random_documents, tf_idf,
@@ -135,9 +135,10 @@ def test_transitive_path_oracle():
     for _ in range(100):
         pools, table = random_scenario(rng)
         levels = level_rows(pools)
+        lists = hop_lists(table, levels, t)
         for source, row in zip(pools.source_ids(), levels[0].tolist()):
-            outer_only = form_paths(row, levels, table, m, t, allow_inner=False)
-            with_inner = form_paths(row, levels, table, m, t, allow_inner=True)
+            outer_only = form_paths(row, lists, table.col_ids, m, t, allow_inner=False)
+            with_inner = form_paths(row, lists, table.col_ids, m, t, allow_inner=True)
             got_outer = {tuple(p.nodes) for p in outer_only}
             got_inner = {tuple(p.nodes) for p in with_inner}
             assert got_outer == oracle_paths(source, pools, table, m, t, False)
@@ -165,7 +166,8 @@ def test_hop_state_arithmetic():
             ("i", "t1"): 1.0, ("i", "t2"): second_best,
         })
         levels = level_rows(pools)
-        return {tuple(p.nodes) for p in form_paths(int(levels[0][0]), levels, table, 0.5, 3)}
+        paths = form_paths(int(levels[0][0]), hop_lists(table, levels, 3), table.col_ids, 0.5, 3)
+        return {tuple(p.nodes) for p in paths}
 
     assert ("s", "i", "t2") in paths_with(0.6)          # exactly 0.6 x best: kept
     assert ("s", "i", "t2") not in paths_with(0.59)

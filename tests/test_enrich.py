@@ -7,6 +7,7 @@ import pytest
 from tracelink.corpus.types import Document
 from tracelink.enrich import add_own_biterms, enrich_artifact, select_related_intermediates
 from tracelink.errors import ConfigError
+from tracelink.irmodels import SimilarityTable
 from tracelink.pipeline import PipelineConfig
 
 from test_transitive import rows, table_from_pairs
@@ -26,11 +27,13 @@ class TestConfig:
 
 
 def select(table, artifact_id, intermediate_ids, m, t):
-    """`select_related_intermediates` over ids: the artifact and its pool resolved to rows."""
-    related = select_related_intermediates(
-        table, table.row_ids.index(artifact_id), rows(table, intermediate_ids), m, t
+    """`select_related_intermediates` over ids: a one-row table of the artifact and its pool."""
+    row = table.row_ids.index(artifact_id)
+    block = table.scores[row, rows(table, intermediate_ids)][None, :].copy()
+    (related,) = select_related_intermediates(
+        SimilarityTable([artifact_id], intermediate_ids, block), m, t
     )
-    return [table.col_ids[col] for col in related.tolist()]
+    return [intermediate_ids[col] for col in related]
 
 
 class TestSelectRelated:

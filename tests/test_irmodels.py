@@ -980,10 +980,13 @@ class TestRanking:
             max_size=4,
         ),
         st.randoms(use_true_random=False),
+        st.integers(1, 4),
     )
-    def test_writer_matches_dict_writer_byte_for_byte(self, ranked, rng):
+    def test_writer_matches_dict_writer_byte_for_byte(self, ranked, rng, block):
         links = long_form(ranked)
         assert format_ranked_csv(links) == oracle_format_ranked_csv(ranked)
+        with mock.patch.object(irmodels, "_LINK_BLOCK", block):  # many %-format blocks
+            assert format_ranked_csv(links) == oracle_format_ranked_csv(ranked)
         # The same links with the sources interleaved, each source's links still in order:
         # `long_form` groups them by source code, and link g moves to the g-th place of
         # a shuffled list of their source codes, in stable source order.

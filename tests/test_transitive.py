@@ -4,7 +4,13 @@ The path oracle re-enumerates every level-legal 2/3-hop node sequence and
 filters each hop independently, so it shares no traversal code with the
 implementation. `oracle_ranked` and `oracle_top_related` are the selection
 rule as a Python sort over ids, the reference for the row-index selection
-of `irmodels` and `enrich` and for every hop of `form_paths`. `paths_from`
+of `irmodels` and `enrich` and for every hop of `form_paths`. `select_rows`
+is that rule on one row of a table, as the pipeline ran it per hop and per
+enriched artifact before it cut prefixes of `irmodels.selection_lists`; it
+is the reference for those prefixes, and `oracle_walk`, the recursive walk
+over it, for `form_paths` over `hop_lists`. `oracle_paths_payload` is the
+path_traces.json payload as dicts, whose `json.dumps` text
+`paths_to_json_payload` must equal byte for byte. `paths_from`
 walks from a source id over the level rows of `pipeline.level_rows`, as the
 path stage does: each level's run of manifest positions, taken from the
 level sizes alone, so its table must have its rows in manifest order, as
@@ -18,6 +24,8 @@ handed it whole, with every id both a row and a column.
 """
 
 import itertools
+import json
+import math
 import random
 from collections import Counter
 
@@ -26,9 +34,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tracelink.enrich import select_related_intermediates
-from tracelink.irmodels import SimilarityTable, rank_candidates, select_rows
+from tracelink.irmodels import SimilarityTable, _order, kept, rank_candidates, selection_lists
 from tracelink.pipeline import ABLATION_MODES, PipelineConfig, level_rows, path_stage
-from tracelink.transitive import LinkKind, TransitivePath, adjust_scores, form_paths
+from tracelink.transitive import (
+    LinkKind,
+    TransitiveLink,
+    TransitivePath,
+    adjust_scores,
+    form_paths,
+    hop_lists,
+    paths_to_json_payload,
+)
 
 
 class IdPools:
@@ -84,7 +100,45 @@ def rows(table, ids):
 
 def paths_from(source, pools, table, m, t, allow_inner=True):
     """`form_paths` from the id `source`, over `level_rows(pools)` in a manifest-ordered `table`."""
-    return form_paths(table.row_ids.index(source), level_rows(pools), table, m, t, allow_inner)
+    lists = hop_lists(table, level_rows(pools), t)
+    return form_paths(table.row_ids.index(source), lists, table.col_ids, m, t, allow_inner)
+
+
+def select_rows(table, row, cols, m, t):
+    """The first t of `cols` scoring at least m times the best against `row`, with those scores.
+
+    The selection rule on one row, as the pipeline applied it per hop and
+    per enriched artifact before it cut prefixes of `selection_lists`.
+    """
+    scores = table.scores[row, cols]
+    best = scores.max(initial=0.0)
+    keep = (scores >= m * best) & (best > 0.0)
+    cols, scores = cols[keep], scores[keep]
+    order = _order(table, cols, scores)[:t]
+    return cols[order], scores[order].tolist()
+
+
+def oracle_walk(source_row, levels, table, m, t, allow_inner=True):
+    """`form_paths` as a recursive walk that selects every hop with `select_rows`."""
+    paths = []
+
+    def walk(nodes, kinds, scores, level):
+        if level == len(levels) - 1:
+            links = [TransitiveLink(*link) for link in zip(kinds, scores)]
+            bonus = math.prod(scores, start=1.0)
+            paths.append(TransitivePath([table.col_ids[node] for node in nodes], links, bonus))
+            return
+        here, hops = nodes[-1], len(scores)
+        moves = [(LinkKind.OUTER, levels[level + 1], level + 1)]
+        if allow_inner and hops == level:
+            moves.append((LinkKind.INNER, levels[level][levels[level] != here], level))
+        for kind, pool, next_level in moves:
+            rows, found = select_rows(table, here, pool, 0.1 * hops + m, max(1, t - hops))
+            for row, score in zip(rows.tolist(), found):
+                walk([*nodes, row], [*kinds, kind], [*scores, score], next_level)
+
+    walk([source_row], [], [], 0)
+    return paths
 
 
 def full_table(pools, scores):
@@ -265,6 +319,31 @@ def selected_ids(table, row, cols, m, t):
     return list(zip([table.col_ids[r] for r in rows.tolist()], scores))
 
 
+def check_selection_lists(table, rows_, pool, m, t, inner=False):
+    """`selection_lists` of `rows_` over `pool`, against `oracle_ranked` and `select_rows`.
+
+    Each row's list is the first t of its pool in oracle order, its best is
+    the pool's best or 0, and the prefix `kept` cuts is what `select_rows`
+    selects. With `inner` the pool is `rows_` and each row's pool leaves the
+    row out; the row may then stand in its own list, scoring 0.
+    """
+    cols, scores, best = selection_lists(table, rows_, pool, t, inner)
+    assert len(cols) == len(scores) == len(best) == len(rows_)
+    for row, mine, found, top in zip(rows_.tolist(), cols, scores, best):
+        others = pool[pool != row] if inner else pool
+        ranked = sorted(((table.col_ids[col], float(table.scores[row, col]))
+                         for col in others.tolist()), key=lambda item: (-item[1], item[0]))
+        assert len(mine) == len(found) == min(t, len(pool))
+        assert all(score == 0.0 for col, score in zip(mine, found) if inner and col == row)
+        listed = [(table.col_ids[col], score) for col, score in zip(mine, found)
+                  if not (inner and col == row)]
+        assert listed == ranked[:len(listed)]
+        assert top == max([score for _, score in ranked], default=0.0)
+        k = kept(found, top, m, t)
+        expected_cols, expected_scores = select_rows(table, row, others, m, t)
+        assert (mine[:k], found[:k]) == (expected_cols.tolist(), expected_scores)
+
+
 @given(tie_scenarios(), st.sampled_from([0.1, 0.5, 0.75, 1.0]), st.integers(1, 4), st.booleans())
 def test_selection_matches_sorted_oracle_under_ties(scenario, m, t, allow_inner):
     pools, table = scenario
@@ -280,8 +359,15 @@ def test_selection_matches_sorted_oracle_under_ties(scenario, m, t, allow_inner)
         assert ranked == oracle_ranked(table, a, pool)
         expected = oracle_top_related(table, a, pool, m, t)
         assert selected_ids(table, row, cols, m, t) == expected
-        related = select_related_intermediates(table, row, cols, m, t)
-        assert related.tolist() == rows(table, [b for b, _ in expected]).tolist()
+    every_row, every_col = np.arange(len(table.row_ids)), np.arange(len(table.col_ids))
+    related = select_related_intermediates(table, m, t)
+    assert related == [select_rows(table, row, every_col, m, t)[0].tolist() for row in every_row]
+    # Every level and every column as a pool of every row, an empty pool, and each
+    # level as its own inner pool; t may exceed a pool, and tie_scenarios has all-zero rows.
+    for pool in (*level_rows(pools), every_col, np.array([], np.intp)):
+        check_selection_lists(table, every_row, pool, m, t)
+    for level in level_rows(pools):
+        check_selection_lists(table, level, level, m, t, inner=True)
     for source in pools.source_ids():
         got = path_tuples(paths_from(source, pools, table, m, t, allow_inner))
         assert got == reference_paths(source, pools, table, m, t, allow_inner)
@@ -536,3 +622,76 @@ class TestAdjustScores:
                     assert score >= before[t] - 1e-15
                 values = [score for _, score in adjusted[s]]
                 assert values == sorted(values, reverse=True)
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([0.1, 0.5, 0.9, 0.95, 1.0]),
+       st.integers(1, 4), st.booleans())
+def test_walk_over_lists_matches_per_hop_selection(seed, m, t, allow_inner):
+    """Every path, link score and bonus of `form_paths` equals the per-hop `select_rows` walk's."""
+    pools, table = random_scenario(random.Random(seed))
+    levels = level_rows(pools)
+    lists = hop_lists(table, levels, t)
+    for row in levels[0].tolist():
+        got = form_paths(row, lists, table.col_ids, m, t, allow_inner)
+        assert path_tuples(got) == path_tuples(oracle_walk(row, levels, table, m, t, allow_inner))
+
+
+def oracle_paths_payload(paths):
+    """The path_traces.json payload as a list of dicts, for `json.dumps`."""
+    payload = []
+    for source in sorted(paths):
+        payload.append({
+            "source": source,
+            "paths": [
+                {
+                    "nodes": list(p.nodes),
+                    "link_kinds": [link.kind.value for link in p.links],
+                    "link_scores": [round(link.score, 6) for link in p.links],
+                    "bonus": round(p.bonus, 6),
+                }
+                for p in paths[source]
+            ],
+        })
+    return payload
+
+
+# Ids that json escapes: quotes, backslashes, control, non-ASCII and non-BMP characters.
+_JSON_IDS = st.text(st.sampled_from('s1"\\\x00\x1f\né \U0001f600') | st.characters(),
+                    max_size=4)
+# Scores that round to 0, to 1e-05 (written "1e-05"), to values of 1 or more, and any other.
+_JSON_SCORES = st.sampled_from(
+    [0.0, 4e-7, 6e-6, 1e-5, 1.04e-5, 0.5, 0.9999996, 1.0, 1.5, 12.3456789]
+) | st.floats(0.0, 20.0)
+
+
+@st.composite
+def drawn_path(draw):
+    links = draw(st.lists(st.tuples(st.sampled_from(LinkKind), _JSON_SCORES), max_size=3))
+    nodes = draw(st.lists(_JSON_IDS, max_size=4))
+    return TransitivePath(nodes, [TransitiveLink(*link) for link in links], draw(_JSON_SCORES))
+
+
+_PATH_SETS = (
+    st.dictionaries(_JSON_IDS, st.lists(drawn_path(), max_size=3), max_size=4)
+    | st.tuples(_SCENARIOS, st.sampled_from(ABLATION_MODES)).map(
+        lambda drawn: run_path_stage(*drawn[0], drawn[1])[1])
+)
+
+
+@given(_PATH_SETS)
+def test_path_text_is_json_dumps_of_the_payload(paths):
+    expected = json.dumps(oracle_paths_payload(paths), sort_keys=True, indent=2) + "\n"
+    assert paths_to_json_payload(paths) == expected
+
+
+def test_path_text_cases():
+    assert paths_to_json_payload({}) == "[]\n"
+    text = paths_to_json_payload({"sé": [], "s": [
+        TransitivePath(["s", "i", "t"], [TransitiveLink(LinkKind.OUTER, 4e-7),
+                                         TransitiveLink(LinkKind.OUTER, 1.0)], 1.04e-5)]})
+    assert json.loads(text) == [
+        {"paths": [{"bonus": 1e-05, "link_kinds": ["outer", "outer"],
+                    "link_scores": [0.0, 1.0], "nodes": ["s", "i", "t"]}], "source": "s"},
+        {"paths": [], "source": "sé"},
+    ]
+    assert '"bonus": 1e-05,' in text and '"source": "s\\u00e9"' in text
