@@ -24,9 +24,7 @@ import numpy as np
 from .corpus.manifest import load_dataset, read_manifest
 from .errors import (
     ConfigError,
-    EvaluationError,
     LoadError,
-    NumericError,
     ParseError,
     TracelinkError,
     ValidationError,
@@ -282,7 +280,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, ValidationError, LoadError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NumericError, EvaluationError, TracelinkError) as exc:
+    except TracelinkError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

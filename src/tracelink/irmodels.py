@@ -15,7 +15,11 @@ by its two documents' norms. A dot product adds its column products in
 column order from +0.0, so a score does not depend on which other cells
 the block has, and identical documents tie exactly: VSM sums the products
 of the pairs of triplets that share a column in one ordered scatter, LSI
-folds its dense topic coordinates over the block column by column. JS
+folds its dense topic coordinates over the block column by column. A VSM
+norm is the square root of its document's squares added the same way, in
+column order, the order of its cells, so a document and its exact copy
+score g / (sqrt(g) sqrt(g)) with one sum g. LSI takes each norm with
+`np.linalg.norm` of the document's row of topic coordinates. JS
 scores each pair of documents once, over its own sorted union vocabulary
 (epsilon smoothing, base-2 KL), with the per-document work done once: each
 document's used columns form one sorted list, and a pair's union columns
@@ -161,30 +165,6 @@ class SimilarityTable:
                 for b, score in zip(self.col_ids, row) if a != b}
 
 
-def _by_row(n: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The order of column-ordered triplets by row, then column, and where each row starts."""
-    order = np.argsort(rows, kind="stable")
-    return order, np.searchsorted(rows[order], np.arange(n + 1))
-
-
-def _norms(n: int, width: int, rows: np.ndarray, cols: np.ndarray,
-           values: np.ndarray) -> np.ndarray:
-    """Each row's Euclidean norm, taken over its dense row as `np.linalg.norm` sums it.
-
-    One zeroed scratch row of the vocabulary's width is filled and cleared per
-    row, so the BLAS sum sees each value at its column's position.
-    """
-    scratch = np.zeros(width)
-    norms = np.zeros(n)
-    order, bounds = _by_row(n, rows)
-    for row, (start, stop) in enumerate(zip(bounds[:-1].tolist(), bounds[1:].tolist())):
-        mine = order[start:stop]
-        scratch[cols[mine]] = values[mine]
-        norms[row] = np.linalg.norm(scratch)
-        scratch[cols[mine]] = 0.0
-    return norms
-
-
 def _scatter(n: int, doc_at: np.ndarray, term_at: np.ndarray, values: np.ndarray | None,
              rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Each block cell's sum of products over the columns its two documents share, in order.
@@ -295,7 +275,7 @@ def _js_block(n: int, width: int, doc_at: np.ndarray, term_at: np.ndarray, value
     flat = _dense(n, width, doc_at, term_at, values).ravel()
     # Row d holds document d's used columns in ascending order, then the sentinel V.
     padded = np.full((n, lengths.max()), width)
-    padded[np.arange(lengths.max()) < lengths[:, None]] = term_at[_by_row(n, doc_at)[0]]
+    padded[np.arange(lengths.max()) < lengths[:, None]] = term_at[np.argsort(doc_at, kind="stable")]
     sizes = lengths[rows[i]] + lengths[cols[j]] - shared
     order = np.argsort(sizes, kind="stable")
     i, j, sizes = i[order], j[order], sizes[order]
@@ -368,7 +348,7 @@ def build_similarity_table(
         nonzero = values != 0.0
         doc_at, term_at, values = doc_at[nonzero], term_at[nonzero], values[nonzero]
         gram = _scatter(n, doc_at, term_at, values, rows, cols)
-        norms = _norms(n, width, doc_at, term_at, values)
+        norms = np.sqrt(np.bincount(doc_at, values * values, n))
     return SimilarityTable(row_ids, col_ids, _cosines(gram, norms, rows, cols))
 
 

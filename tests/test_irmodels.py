@@ -533,6 +533,17 @@ class TestTableOracles:
                 cols = rows(table, others)
                 assert table.scores[original, cols].tolist() == table.scores[copy, cols].tolist()
 
+    @given(st.integers(0, 2**32 - 1))
+    def test_vsm_copy_scores_its_ordered_sum_over_its_two_norms(self, seed):
+        # The dot product of a document with its copy and each of their norms
+        # add the same squares in column order, so the cell is g / (sqrt(g) * sqrt(g)).
+        docs = documents_with_duplicates(random.Random(seed))
+        width, doc_at, term_at, values = irmodels._triplets(docs)
+        values = tf_idf_values(len(docs), width, term_at, values)
+        g = ordered_squares(len(docs), doc_at, values)[0]
+        expected = min(1.0, g / (math.sqrt(g) * math.sqrt(g))) if g else 0.0
+        assert build_similarity_table(docs, "vsm").score("d0", "copy") == expected
+
 
 def assert_js_table_exact(docs):
     """The JS table equals `similarity_js` on every pair, 0 where a document is empty."""
@@ -718,6 +729,20 @@ def square_fold(vectors, held):
     return gram
 
 
+def tf_idf_values(n, width, term_at, values):
+    """The counts of n documents' triplets times ln(N/df), as the vsm and lsi builders scale them."""
+    df = np.bincount(term_at[values > 0], minlength=width)
+    return values * np.log(n / np.maximum(df, 1))[term_at]
+
+
+def ordered_squares(n, doc_at, values):
+    """Each document's squares of `values`, added from +0.0 in triplet order, in plain Python."""
+    squares = [0.0] * n
+    for d, value in zip(doc_at.tolist(), values.tolist()):
+        squares[d] += value * value
+    return squares
+
+
 def square_cosines(gram, norms):
     """`gram` divided in place by the outer product of the norms; a zero norm scores 0."""
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -741,7 +766,7 @@ def square_js(n, width, rows, cols, values, held):
     shared = square_scatter(n, rows, cols, None, held)[first, second]
     dense = irmodels._dense(n, width, rows, cols, values)
     padded = np.full((n, lengths.max()), width)
-    padded[np.arange(lengths.max()) < lengths[:, None]] = cols[irmodels._by_row(n, rows)[0]]
+    padded[np.arange(lengths.max()) < lengths[:, None]] = cols[np.argsort(rows, kind="stable")]
     sizes = lengths[first] + lengths[second] - shared
     order = np.argsort(sizes, kind="stable")
     first, second, sizes = first[order], second[order], sizes[order]
@@ -784,8 +809,7 @@ def square_scores(documents, model, rows=slice(None), cols=slice(None)):
     elif model == "js":
         scores = square_js(n, width, doc_at, term_at, values, held)
     else:
-        df = np.bincount(term_at[values > 0], minlength=width)
-        values = values * np.log(n / np.maximum(df, 1))[term_at]
+        values = tf_idf_values(n, width, term_at, values)
         if model == "lsi":
             weights = irmodels._dense(n, width, doc_at, term_at, values)
             vectors = lsi_document_space(weights, default_lsi_rank(n))
@@ -795,7 +819,8 @@ def square_scores(documents, model, rows=slice(None), cols=slice(None)):
             nonzero = values != 0.0
             doc_at, term_at, values = doc_at[nonzero], term_at[nonzero], values[nonzero]
             gram = square_scatter(n, doc_at, term_at, values, held)
-            scores = square_cosines(gram, irmodels._norms(n, width, doc_at, term_at, values))
+            norms = np.array([math.sqrt(g) for g in ordered_squares(n, doc_at, values)])
+            scores = square_cosines(gram, norms)
     np.clip(scores, 0.0, 1.0, out=scores)
     scores += scores.T
     return scores
