@@ -15,13 +15,16 @@ Expected layout (see README, "EBT reference corpus"):
 
 The manifest must declare requirements as sources, test-case descriptions
 as intermediates, source code as targets, and the requirement-to-code
-answer set as oracle_st.
+answer set as oracle_st. A missing manifest, or one the pipeline cannot
+run on, exits with code 2; the latter's error goes to stderr as one
+`error: <message>` line.
 """
 
 import sys
 from pathlib import Path
 
 from tracelink.corpus.manifest import load_dataset
+from tracelink.errors import TracelinkError
 from tracelink.evaluate import evaluate_ranking
 from tracelink.pipeline import PipelineConfig, run_pipeline
 
@@ -37,9 +40,13 @@ def main() -> int:
         print("(converted to this package's manifest format; see README).")
         return 2
 
-    dataset = load_dataset(manifest)
-    result = run_pipeline(dataset, PipelineConfig(model="vsm", mode="b+o+i"))
-    report = evaluate_ranking(result.candidates, dataset.oracle_st)
+    try:
+        dataset = load_dataset(manifest)
+        result = run_pipeline(dataset, PipelineConfig(model="vsm", mode="b+o+i"))
+        report = evaluate_ranking(result.candidates, dataset.oracle_st)
+    except TracelinkError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     print(f"{'':14}{'AP':>10}{'MAP':>10}")
     print(f"{'this run':14}{report.ap:>10.2f}{report.map:>10.2f}")

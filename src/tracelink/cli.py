@@ -31,7 +31,7 @@ from .errors import (
     read_text,
 )
 from .enrich import corpus_dump_payload
-from .evaluate import compare_runs, evaluate_ranking
+from .evaluate import EvalReport, compare_runs, evaluate_ranking
 from .irmodels import MODELS, RankedLinks, format_ranked_csv, parse_ranked_csv
 from .pipeline import ABLATION_MODES, PipelineConfig, run_ablation, run_pipeline
 from .transitive import paths_to_json_payload
@@ -159,7 +159,7 @@ def _json_text(payload, pr_curve: tuple[list[float], list[float]] | None = None,
     as `json` writes `round(value, 6)`. For zeros and for 1e-4 <= |value| <
     1e9 that is the "%.6f" text without its trailing zeros, as it has at most
     15 significant digits, so the points are laid out from the rows of
-    `curve_csv`, the curve's `_pr_curve_csv` text (made here if not given);
+    `curve_csv`, the curve's `_pr_curve_csv` text, which each caller gives;
     if any value lies outside, each takes `float.__repr__` in turn.
     """
     if pr_curve is None:
@@ -171,7 +171,7 @@ def _json_text(payload, pr_curve: tuple[list[float], list[float]] | None = None,
     if ((size == 0.0) | ((size >= 1e-4) & (size < 1e9))).all():
         # A "|" marks each value's end and a "#" each row's end. The passes strip
         # up to six trailing zeros, and an all-zero fraction gets its "0" back.
-        rows = (curve_csv or _pr_curve_csv(pr_curve))[len(_CURVE_HEADER):]
+        rows = curve_csv[len(_CURVE_HEADER):]
         curve = rows.replace("\n", "|#").replace(",", "|,")
         for zeros in ("0000|", "00|", "0|"):
             curve = curve.replace(zeros, "|")
@@ -187,6 +187,13 @@ def _json_text(payload, pr_curve: tuple[list[float], list[float]] | None = None,
 def _pr_curve_csv(pr_curve: tuple[list[float], list[float]]) -> str:
     """The curve as CSV: a header, then each point's recall and precision as "%.6f"."""
     return _CURVE_HEADER + ("%.6f,%.6f\n" * len(pr_curve[0])) % _curve_values(pr_curve)
+
+
+def _write_report(report: EvalReport, path: Path, curve_path: Path) -> None:
+    """Write `report` as JSON to `path` and its precision-recall curve as CSV to `curve_path`."""
+    curve = _pr_curve_csv(report.pr_curve)
+    _write(path, _json_text(report.to_payload(), report.pr_curve, curve))
+    _write(curve_path, curve)
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
@@ -219,9 +226,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     if args.compare:
         other = evaluate_ranking(_read_ranked(args.compare), dataset.oracle_st)
 
-    curve = _pr_curve_csv(report.pr_curve)
-    _write(out / "eval_report.json", _json_text(report.to_payload(), report.pr_curve, curve))
-    _write(out / "pr_curve.csv", curve)
+    _write_report(report, out / "eval_report.json", out / "pr_curve.csv")
     written = [out / "eval_report.json", out / "pr_curve.csv"]
 
     if other is not None:
@@ -260,9 +265,7 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
     summary = ["mode,ap,map"]
     for mode, report in reports.items():
         safe = mode.replace("+", "_")
-        curve = _pr_curve_csv(report.pr_curve)
-        _write(out / f"report_{safe}.json", _json_text(report.to_payload(), report.pr_curve, curve))
-        _write(out / f"pr_curve_{safe}.csv", curve)
+        _write_report(report, out / f"report_{safe}.json", out / f"pr_curve_{safe}.csv")
         written.append(out / f"report_{safe}.json")
         summary.append(f"{mode},{report.ap:.6f},{report.map:.6f}")
     _write(out / "ablation_summary.csv", "\n".join(summary) + "\n")

@@ -34,7 +34,9 @@ class Document:
     """Preprocessed bag of stems for one artifact, plus enrichment terms.
 
     `added_biterm_terms` holds compound terms ("a_b") with integer weights;
-    they participate in term frequency alongside the base stems.
+    they participate in term frequency alongside the base stems. The two
+    never share a key: a base stem is ASCII alphanumeric, and every compound
+    term holds the "_" that joins its pair.
     """
 
     artifact_id: str
@@ -42,9 +44,7 @@ class Document:
     added_biterm_terms: Counter[str] = field(default_factory=Counter)
 
     def weighted_terms(self) -> Counter[str]:
-        merged = Counter(self.terms)
-        merged.update(self.added_biterm_terms)
-        return merged
+        return Counter({**self.terms, **self.added_biterm_terms})
 
 
 @dataclass

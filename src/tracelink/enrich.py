@@ -4,10 +4,10 @@ Biterms become single compound vocabulary terms ("a_b", canonical order,
 underscore-joined). An artifact's own consensual biterms are added with
 their importance count as weight; biterms pulled in from highly related
 intermediate artifacts are added once each with weight 1, on top of any
-own weight for the same pair. `select_related_intermediates` picks those
-of every row of the pre-enrichment table, whose columns are the
-intermediates, from one `irmodels.selection_lists` block, as column
-positions, which index the intermediates' consensual biterm sets directly.
+own weight for the same pair. `select_related_intermediates` cuts a
+prefix (`kept`) of each pre-enrichment table row's list, which leads with
+its best, from one `irmodels.selection_lists` block over the
+intermediates; its column positions index their consensual biterm sets.
 Both steps return a new `Document` with a fresh `added_biterm_terms`
 Counter that shares the base `terms` Counter, which nothing writes to.
 """
@@ -29,10 +29,10 @@ def compound_term(pair: Pair) -> str:
 
 def select_related_intermediates(table: SimilarityTable, m: float, t: int) -> list[list[int]]:
     """Per row, the first t columns scoring at least m times the row's best, in selection order."""
-    cols, scores, best = selection_lists(
+    cols, scores = selection_lists(
         table, np.arange(len(table.row_ids)), np.arange(len(table.col_ids)), t
     )
-    return [mine[:kept(found, top, m, t)] for mine, found, top in zip(cols, scores, best)]
+    return [mine[:kept(found, m, t)] for mine, found in zip(cols, scores)]
 
 
 def add_own_biterms(document: Document, own: Biterms) -> Document:

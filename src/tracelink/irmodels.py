@@ -31,9 +31,10 @@ exact ties stay exact. All stored similarities are clamped into [0, 1].
 Ranking and selection take row and column positions only, and `_order`
 owns their one order: a lexsort by descending score and then by each
 column id's rank in sorted id order, so exact ties break by ascending id.
-`selection_lists` applies it once to a block of rows over one pool, and
-each selection is a prefix of a row's list (`kept`); `rank_candidates`
-applies it to the source x target block, times the path multipliers.
+`selection_lists` applies it once to a block of rows over one pool, so
+each row's list leads with its best, and each selection is a prefix of
+that list (`kept`); `rank_candidates` applies it to the source x target
+block, times the path multipliers.
 
 A ranking has one form, `RankedLinks`, the long form: each link's source
 code, target code and score in file order, with one id list per level.
@@ -165,7 +166,7 @@ class SimilarityTable:
                 for b, score in zip(self.col_ids, row) if a != b}
 
 
-def _scatter(n: int, doc_at: np.ndarray, term_at: np.ndarray, values: np.ndarray | None,
+def _scatter(n: int, doc_at: np.ndarray, term_at: np.ndarray, values: np.ndarray,
              rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Each block cell's sum of products over the columns its two documents share, in order.
 
@@ -176,8 +177,7 @@ def _scatter(n: int, doc_at: np.ndarray, term_at: np.ndarray, values: np.ndarray
     cell's products from +0.0 in that order, as a loop over the columns
     would: identical documents tie exactly with every third one, where a
     blocked BLAS product (`x @ x.T`) sums by position and can split them by
-    an ulp. With `values` None each pair adds 1, so a cell counts its shared
-    columns.
+    an ulp. With weights of 1 a cell counts its shared columns, exactly.
     """
     row_at, col_at = np.full((2, n), -1)  # each document's row and column, or -1
     row_at[rows], col_at[cols] = np.arange(len(rows)), np.arange(len(cols))
@@ -187,7 +187,7 @@ def _scatter(n: int, doc_at: np.ndarray, term_at: np.ndarray, values: np.ndarray
     lo = np.searchsorted(term_at[partners], term_at, side="left")
     take = np.searchsorted(term_at[partners], term_at, side="right") - lo
     width = len(cols)
-    gram = np.zeros((len(rows), width), np.intp if values is None else np.float64)
+    gram = np.zeros((len(rows), width))
     step = max(1, _CELL_BLOCK // max(width, 1))
     for start in range(0, len(rows), step):
         block = gram[start:start + step]
@@ -197,7 +197,7 @@ def _scatter(n: int, doc_at: np.ndarray, term_at: np.ndarray, values: np.ndarray
         offsets = np.repeat(lo[mine] - np.cumsum(counts) + counts, counts)
         second = partners[offsets + np.arange(len(offsets))]
         cells = (row_at[first] - start) * width + col_at[second]
-        weights = None if values is None else values[first] * values[second]
+        weights = values[first] * values[second]
         block[...] = np.bincount(cells, weights, block.size).reshape(block.shape)
     return gram
 
@@ -245,11 +245,11 @@ def _js_block(n: int, width: int, doc_at: np.ndarray, term_at: np.ndarray, value
     scored once and written to both. Each pair smooths and normalizes over
     its own union vocabulary: the columns of the shared sorted vocabulary
     that either document uses. Its size L is |A| + |B| - |A n B|, with the
-    shared counts from `_scatter`. Pairs are grouped by L. For each block of
-    a group, the two ascending column lists of every pair, padded with the
-    sentinel V (the vocabulary size), are sorted together along the row; the
-    values that differ from their left neighbour and are not V are the
-    pair's union columns in vocabulary order. So a block costs
+    shared counts from `_scatter` (weights of 1). Pairs are grouped by L.
+    For each block of a group, the two ascending column lists of every pair,
+    padded with the sentinel V (the vocabulary size), are sorted together
+    along the row; the values that differ from their left neighbour and are
+    not V are the pair's union columns in vocabulary order. So a block costs
     O(pairs x L), not O(pairs x V). Each block is gathered from the flat
     counts into two (pairs x L) arrays. Every reduction runs along a row,
     so each score sums exactly its own pair's values in the same order as a
@@ -271,7 +271,7 @@ def _js_block(n: int, width: int, doc_at: np.ndarray, term_at: np.ndarray, value
     i, j = i[keep], j[keep]
     if not len(i):
         return scores
-    shared = _scatter(n, doc_at, term_at, None, rows, cols)[i, j]
+    shared = _scatter(n, doc_at, term_at, np.ones(len(doc_at)), rows, cols)[i, j]
     flat = _dense(n, width, doc_at, term_at, values).ravel()
     # Row d holds document d's used columns in ascending order, then the sentinel V.
     padded = np.full((n, lengths.max()), width)
@@ -357,28 +357,24 @@ def _order(table: SimilarityTable, cols: np.ndarray, scores: np.ndarray) -> np.n
     return np.lexsort((np.broadcast_to(table.id_rank[cols], scores.shape), -scores), axis=-1)
 
 
-def selection_lists(
-    table: SimilarityTable, rows: np.ndarray, pool: np.ndarray, t: int, inner: bool = False
-) -> tuple[list[list[int]], list[list[float]], list[float]]:
-    """Per row of `rows`: its first t columns of `pool` in `_order`, their scores, and its best.
+def selection_lists(table: SimilarityTable, rows: np.ndarray, pool: np.ndarray,
+                    t: int) -> tuple[list[list[int]], list[list[float]]]:
+    """Per row of `rows`: its first t columns of `pool` in `_order`, and their scores.
 
-    With `inner`, `pool` is `rows` and the gathered block's diagonal is
-    zeroed, so no row reads its own cell; a 0 is never `kept`, so the list
-    serves the pool without the row.
+    A list descends, so it leads with the row's best over the pool. A row's
+    cell with itself is 0, and `kept` never keeps a 0, so a level can be its
+    own pool: the list then serves the pool without the row.
     """
     scores = table.scores[np.ix_(rows, pool)]
-    if inner:
-        np.fill_diagonal(scores, 0.0)
     order = _order(table, pool, scores)[:, :t]
-    return (pool[order].tolist(), np.take_along_axis(scores, order, axis=1).tolist(),
-            scores.max(axis=1, initial=0.0).tolist())
+    return pool[order].tolist(), np.take_along_axis(scores, order, axis=1).tolist()
 
 
-def kept(scores: list[float], best: float, m: float, t: int) -> int:
-    """How many of a selection list's first t `scores` score at least m times `best`: as the
-    list descends, that many lead it. A row whose best is 0 selects none."""
-    cutoff = m * best
-    return sum(score >= cutoff for score in scores[:t]) if best > 0.0 else 0
+def kept(scores: list[float], m: float, t: int) -> int:
+    """How many of a selection list's first t `scores` score at least m times its first, the
+    row's best: as the list descends, that many lead it. A list whose best is 0 selects none."""
+    best = scores[0] if scores else 0.0
+    return sum(score >= m * best for score in scores[:t]) if best > 0.0 else 0
 
 
 def rank_candidates(

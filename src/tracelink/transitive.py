@@ -51,7 +51,7 @@ class TransitivePath:
 
 
 def hop_lists(table: SimilarityTable, levels: tuple[np.ndarray, ...], t: int) -> dict:
-    """Per link kind, each source and intermediate row's (columns, scores, best) selection list.
+    """Per link kind, each source and intermediate row's (columns, scores) selection list.
 
     An outer move runs over the next level, an inner one over the row's own
     level without the row: four `selection_lists` blocks, S-I, S-S, I-T, I-I.
@@ -59,8 +59,7 @@ def hop_lists(table: SimilarityTable, levels: tuple[np.ndarray, ...], t: int) ->
     lists: dict[LinkKind, dict] = {LinkKind.OUTER: {}, LinkKind.INNER: {}}
     for here, below in zip(levels, levels[1:]):
         for kind, by_row in lists.items():
-            inner = kind is LinkKind.INNER
-            found = selection_lists(table, here, here if inner else below, t, inner)
+            found = selection_lists(table, here, here if kind is LinkKind.INNER else below, t)
             by_row.update(zip(here.tolist(), zip(*found)))
     return lists
 
@@ -88,8 +87,8 @@ def form_paths(
         if allow_inner and hops == level:
             moves.append((LinkKind.INNER, level))
         for kind, next_level in moves:
-            cols, found, best = lists[kind][nodes[-1]]
-            k = kept(found, best, 0.1 * hops + m, max(1, t - hops))
+            cols, found = lists[kind][nodes[-1]]
+            k = kept(found, 0.1 * hops + m, max(1, t - hops))
             for node, score in zip(cols[:k], found[:k]):
                 walk([*nodes, node], [*kinds, kind], [*scores, score], next_level)
 

@@ -1,12 +1,14 @@
 """Lexical code scanning into the eight part categories."""
 
 import re
+from itertools import chain
 from unittest import mock
 
 from hypothesis import given, strategies as st
 
 from tracelink.corpus import codescan
 from tracelink.corpus.codescan import CodeParts, _preceding_word, _scan_fields, scan_code
+from tracelink.corpus.nltext import tokenize_natural
 
 JAVA_SAMPLE = """
 /** Route details are shown in this info box. */
@@ -206,3 +208,17 @@ def test_scan_code_matches_any_overlap_scan(code):
     got = scan_code(code)
     with mock.patch.object(codescan, "_scan_fields", _scan_fields_any):
         assert got == scan_code(code)
+
+
+# Code with comments and identifiers that hold "_", digits and non-ASCII word characters.
+_WORDY_CODE = st.lists(st.sampled_from([
+    "class Été_x {", "/* ünï_code a_b */", "// snake_case x2y\n", "void m_é(int a_1, Ab_C b){",
+    "Foo_Bar٣ f_g;", "g_h(x);", "}", "²½", "\n",
+]) | st.text(_SCAN_CHARS | st.characters(), max_size=8), max_size=12).map(" ".join)
+
+
+@given(_CODE | _WORDY_CODE)
+def test_every_token_is_ascii_alphanumeric(text):
+    # So no base stem holds the "_" of a compound term (see `Document`).
+    groups = [*chain.from_iterable(vars(scan_code(text)).values()), *tokenize_natural(text)]
+    assert all(token.isascii() and token.isalnum() for group in groups for token in group)

@@ -1,4 +1,4 @@
-"""Every name a `src/` module imports is used in that module.
+"""Every name a `src/` module or a `scripts/` script imports is used in that file.
 
 No linter ships with the test dependencies, so this walks each module's
 syntax tree with the standard `ast` module. A name counts as used when it
@@ -12,8 +12,14 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src"
-MODULES = sorted(SRC.rglob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+MODULES = sorted(SRC.rglob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+
+
+def module_id(path: Path) -> str:
+    """A module's path under `src/`, or a script's under the repository root."""
+    return str(path.relative_to(SRC if SRC in path.parents else ROOT))
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -49,7 +55,7 @@ def unused_imports(source: str, is_package: bool) -> list[str]:
     ]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
+@pytest.mark.parametrize("path", MODULES, ids=module_id)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8"), path.name == "__init__.py") == []
 

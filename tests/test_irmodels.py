@@ -643,7 +643,7 @@ class TestOrderedGram:
     def test_gram_of_a_mask_counts_shared_columns(self, used):
         rows, cols, _ = triplets(used)
         every = np.arange(len(used))
-        gram = irmodels._scatter(len(used), rows, cols, None, every, every)
+        gram = irmodels._scatter(len(used), rows, cols, np.ones(len(rows)), every, every)
         mask = used.tolist()
         for i, j in itertools.product(range(len(mask)), repeat=2):
             assert gram[i, j] == sum(a and b for a, b in zip(mask[i], mask[j]))

@@ -2,6 +2,7 @@
 
 import copy
 import json
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -306,3 +307,15 @@ class TestTablesHoldWhatThePipelineReads:
                 ] * pre + [(s + i, s + i + t)]
                 final = tables[-1]
                 assert final.row_ids == final.col_ids[:len(final.row_ids)]
+
+
+@pytest.mark.parametrize("name", ["motivating", "modes"])
+def test_base_and_compound_terms_never_share_a_key(name):
+    """So `Document.weighted_terms` is the two maps side by side, as a `Counter.update` merge."""
+    for dataset in bundled_datasets(name):
+        for mode in ABLATION_MODES:
+            for document in run_pipeline(dataset, PipelineConfig(mode=mode)).documents.values():
+                assert not document.terms.keys() & document.added_biterm_terms.keys()
+                merged = Counter(document.terms)
+                merged.update(document.added_biterm_terms)
+                assert list(document.weighted_terms().items()) == list(merged.items())

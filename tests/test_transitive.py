@@ -322,26 +322,40 @@ def selected_ids(table, row, cols, m, t):
 def check_selection_lists(table, rows_, pool, m, t, inner=False):
     """`selection_lists` of `rows_` over `pool`, against `oracle_ranked` and `select_rows`.
 
-    Each row's list is the first t of its pool in oracle order, its best is
-    the pool's best or 0, and the prefix `kept` cuts is what `select_rows`
-    selects. With `inner` the pool is `rows_` and each row's pool leaves the
-    row out; the row may then stand in its own list, scoring 0.
+    Each row's list is the first t of its pool in oracle order, it leads with
+    the pool's best (or is empty), and the prefix `kept` cuts is what
+    `select_rows` selects. With `inner` the pool is `rows_` and each row's
+    pool leaves the row out; the row may then stand in its own list, with
+    the table's own 0 at its cell with itself.
     """
-    cols, scores, best = selection_lists(table, rows_, pool, t, inner)
-    assert len(cols) == len(scores) == len(best) == len(rows_)
-    for row, mine, found, top in zip(rows_.tolist(), cols, scores, best):
+    cols, scores = selection_lists(table, rows_, pool, t)
+    assert len(cols) == len(scores) == len(rows_)
+    for row, mine, found in zip(rows_.tolist(), cols, scores):
         others = pool[pool != row] if inner else pool
         ranked = sorted(((table.col_ids[col], float(table.scores[row, col]))
                          for col in others.tolist()), key=lambda item: (-item[1], item[0]))
         assert len(mine) == len(found) == min(t, len(pool))
+        assert not inner or table.scores[row, row] == 0.0
         assert all(score == 0.0 for col, score in zip(mine, found) if inner and col == row)
         listed = [(table.col_ids[col], score) for col, score in zip(mine, found)
                   if not (inner and col == row)]
         assert listed == ranked[:len(listed)]
-        assert top == max([score for _, score in ranked], default=0.0)
-        k = kept(found, top, m, t)
+        assert (found[0] if found else 0.0) == max([score for _, score in ranked], default=0.0)
+        k = kept(found, m, t)
         expected_cols, expected_scores = select_rows(table, row, others, m, t)
         assert (mine[:k], found[:k]) == (expected_cols.tolist(), expected_scores)
+
+
+@pytest.mark.parametrize("scores, m, t, expected", [
+    ([], 0.5, 3, 0),  # an empty list
+    ([0.0, 0.0], 0.5, 3, 0),  # a list led by 0.0: a row whose best is 0
+    ([0.8, 0.4, 0.4, 0.3], 0.5, 4, 3),  # two ties exactly at the cutoff 0.5 * 0.8
+    ([0.7, 0.7, 0.6], 1.0, 3, 2),  # ties with the best at m = 1
+    ([0.9, 0.9, 0.9, 0.5], 0.5, 2, 2),  # a cap below the list's length
+    ([0.9, 0.3], 0.5, 1, 1),  # a cap of 1 keeps the best alone
+])
+def test_kept_reads_the_best_from_the_head_of_the_list(scores, m, t, expected):
+    assert kept(scores, m, t) == expected
 
 
 @given(tie_scenarios(), st.sampled_from([0.1, 0.5, 0.75, 1.0]), st.integers(1, 4), st.booleans())
