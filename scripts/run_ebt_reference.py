@@ -16,8 +16,7 @@ Expected layout (see README, "EBT reference corpus"):
 The manifest must declare requirements as sources, test-case descriptions
 as intermediates, source code as targets, and the requirement-to-code
 answer set as oracle_st. A missing manifest, or one the pipeline cannot
-run on, exits with code 2; the latter's error goes to stderr as one
-`error: <message>` line.
+run on, exits with code 2 and one `error: <message>` line on stderr.
 """
 
 import sys
@@ -35,9 +34,8 @@ REFERENCE_MAP = 38.10  # published EBT/VSM mean average precision
 def main() -> int:
     manifest = Path(sys.argv[1]) if len(sys.argv) > 1 else Path("data/ebt/manifest.json")
     if not manifest.exists():
-        print(f"EBT corpus not found at {manifest}.")
-        print("Place the externally published preprocessed EBT data there")
-        print("(converted to this package's manifest format; see README).")
+        print(f"error: EBT corpus not found at {manifest}; place the published preprocessed"
+              " EBT data there in this package's manifest format (see README)", file=sys.stderr)
         return 2
 
     try:

@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Iterable, Iterator
 from dataclasses import fields
 from pathlib import Path
 
@@ -129,71 +130,86 @@ def _output_dir(text: str) -> Path:
     return out
 
 
-def _write(path: Path, text: str) -> None:
+def _write(path: Path, chunks: Iterable[str]) -> None:
+    """Write the text `chunks` make, in turn, to the file at `path`."""
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, encoding="utf-8", newline="")
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.writelines(chunks)
     except OSError as exc:  # e.g. --out names a file, or a path under one
         raise ConfigError(f"cannot write output file {path}: {exc}") from exc
 
 
-# One pr_curve point as `json.dumps(..., indent=2)` writes it in a report.
+# Curve points per formatted block of a report, which bounds the text held at
+# once; a curve shorter than this is formatted in one block.
+_POINT_BLOCK = 1 << 12
+# One pr_curve point as `json.dumps(..., indent=2)` writes it in a report, and
+# the text between two points.
 _JSON_POINT = "[\n      %s,\n      %s\n    ]"
-_CURVE_HEADER = "recall,precision\n"
+_POINT_SEPARATOR = ",\n    "
 
 
-def _curve_values(curve: tuple[list[float], list[float]]) -> tuple[float, ...]:
-    """The curve's values point by point: recall, precision, recall, precision, ..."""
-    recall, precision = curve
-    values = [0.0] * (2 * len(recall))
-    values[0::2], values[1::2] = recall, precision
-    return tuple(values)
+def _curve_blocks(curve: tuple[np.ndarray, np.ndarray]) -> Iterator[np.ndarray]:
+    """The curve's values, `_POINT_BLOCK` points a block: recall, precision, recall, ..."""
+    recall, precision = (np.asarray(values, np.float64) for values in curve)
+    for start in range(0, len(recall), _POINT_BLOCK):
+        block = slice(start, start + _POINT_BLOCK)
+        yield np.stack((recall[block], precision[block]), axis=1).ravel()
 
 
-def _json_text(payload, pr_curve: tuple[list[float], list[float]] | None = None,
-               curve_csv: str = "") -> str:
-    """`payload` as sorted, indented JSON; with `pr_curve`, its points go under "pr_curve".
+def _json_text(payload, pr_curve: tuple[np.ndarray, np.ndarray] | None = None) -> Iterator[str]:
+    """`payload` as sorted, indented JSON in chunks, with `pr_curve`'s points under "pr_curve".
 
     `json.dumps` with `indent` runs its pure-Python encoder, and a curve has
-    a point per link, so the curve is spliced in as text, each value written
-    as `json` writes `round(value, 6)`. For zeros and for 1e-4 <= |value| <
-    1e9 that is the "%.6f" text without its trailing zeros, as it has at most
-    15 significant digits, so the points are laid out from the rows of
-    `curve_csv`, the curve's `_pr_curve_csv` text, which each caller gives;
-    if any value lies outside, each takes `float.__repr__` in turn.
+    a point per link, so the curve is spliced in as text, a block of points
+    at a time, each value written as `json` writes `round(value, 6)`. For
+    zeros and for 1e-4 <= |value| < 1e9 that is the "%.6f" text without its
+    trailing zeros, as it has at most 15 significant digits, so a block
+    whose values all lie there is laid out from that text; any other block
+    takes `float.__repr__` of each value in turn.
     """
-    if pr_curve is None:
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    text = json.dumps({**payload, "pr_curve": []}, sort_keys=True, indent=2) + "\n"
-    if not pr_curve[0]:
-        return text
-    size = np.abs(np.array(pr_curve, np.float64))
-    if ((size == 0.0) | ((size >= 1e-4) & (size < 1e9))).all():
-        # A "|" marks each value's end and a "#" each row's end. The passes strip
-        # up to six trailing zeros, and an all-zero fraction gets its "0" back.
-        rows = curve_csv[len(_CURVE_HEADER):]
-        curve = rows.replace("\n", "|#").replace(",", "|,")
-        for zeros in ("0000|", "00|", "0|"):
-            curve = curve.replace(zeros, "|")
-        curve = curve.replace(".|", ".0|").replace("|,", ",\n      ")
-        curve = "[\n      " + curve[:-2].replace("|#", "\n    ],\n    [\n      ") + "\n    ]"
-    else:
-        curve = ",\n    ".join([_JSON_POINT] * len(pr_curve[0])) % tuple(
-            float.__repr__(round(v, 6)) for v in _curve_values(pr_curve))
+    if pr_curve is not None:
+        payload = {**payload, "pr_curve": []}
+    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    if pr_curve is None or not len(pr_curve[0]):
+        yield text
+        return
     # Only a top-level key starts a line with a two-space indent.
-    return text.replace('\n  "pr_curve": []', '\n  "pr_curve": [\n    ' + curve + "\n  ]", 1)
+    head, _, tail = text.partition('\n  "pr_curve": []')
+    yield head + '\n  "pr_curve": [\n    '
+    for number, values in enumerate(_curve_blocks(pr_curve)):
+        size = np.abs(values)
+        points = len(values) // 2
+        if ((size == 0.0) | ((size >= 1e-4) & (size < 1e9))).all():
+            # A "|" marks each value's end and a "#" each point's end. The passes
+            # strip up to six trailing zeros, and an all-zero fraction gets its
+            # "0" back.
+            block = ("%.6f|,%.6f|#" * points) % tuple(values.tolist())
+            for zeros in ("0000|", "00|", "0|"):
+                block = block.replace(zeros, "|")
+            block = block.replace(".|", ".0|").replace("|,", ",\n      ")
+            block = block[:-2].replace("|#", "\n    ],\n    [\n      ")
+            block = "[\n      " + block + "\n    ]"
+        else:
+            block = _POINT_SEPARATOR.join([_JSON_POINT] * points) % tuple(
+                float.__repr__(round(v, 6)) for v in values.tolist())
+        if number:
+            yield _POINT_SEPARATOR
+        yield block
+    yield "\n  ]" + tail
 
 
-def _pr_curve_csv(pr_curve: tuple[list[float], list[float]]) -> str:
-    """The curve as CSV: a header, then each point's recall and precision as "%.6f"."""
-    return _CURVE_HEADER + ("%.6f,%.6f\n" * len(pr_curve[0])) % _curve_values(pr_curve)
+def _pr_curve_csv(pr_curve: tuple[np.ndarray, np.ndarray]) -> Iterator[str]:
+    """The curve as CSV, in chunks: a header, then each point's recall and precision as "%.6f"."""
+    yield "recall,precision\n"
+    for values in _curve_blocks(pr_curve):
+        yield ("%.6f,%.6f\n" * (len(values) // 2)) % tuple(values.tolist())
 
 
 def _write_report(report: EvalReport, path: Path, curve_path: Path) -> None:
     """Write `report` as JSON to `path` and its precision-recall curve as CSV to `curve_path`."""
-    curve = _pr_curve_csv(report.pr_curve)
-    _write(path, _json_text(report.to_payload(), report.pr_curve, curve))
-    _write(curve_path, curve)
+    _write(path, _json_text(report.to_payload(), report.pr_curve))
+    _write(curve_path, _pr_curve_csv(report.pr_curve))
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
@@ -202,8 +218,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     out = _output_dir(merged["out"])
     dataset = load_dataset(args.manifest)
     result = run_pipeline(dataset, config)
-    _write(out / "ranked_links.csv", format_ranked_csv(result.candidates))
-    _write(out / "path_traces.json", paths_to_json_payload(result.paths))
+    _write(out / "ranked_links.csv", [format_ranked_csv(result.candidates)])
+    _write(out / "path_traces.json", [paths_to_json_payload(result.paths)])
     if args.dump_corpus:
         _write(out / "enriched_corpus.json", _json_text(corpus_dump_payload(result.documents)))
     print(f"wrote {out / 'ranked_links.csv'} and {out / 'path_traces.json'}")
@@ -268,7 +284,7 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
         _write_report(report, out / f"report_{safe}.json", out / f"pr_curve_{safe}.csv")
         written.append(out / f"report_{safe}.json")
         summary.append(f"{mode},{report.ap:.6f},{report.map:.6f}")
-    _write(out / "ablation_summary.csv", "\n".join(summary) + "\n")
+    _write(out / "ablation_summary.csv", ["\n".join(summary) + "\n"])
     written.append(out / "ablation_summary.csv")
     print("wrote " + ", ".join(str(p) for p in written))
     return 0

@@ -8,12 +8,12 @@ array core on it. Precision/recall/F and AP work on the global ranked link
 list (all sources' links sorted together by descending score, then source
 and target id); MAP averages per-query AP, each over its source's links in
 the order given, over queries that have at least one relevant target, in
-the ranking's source order. The report's curve is two lists, recall and
-precision, one value per cutoff. The Wilcoxon rank-sum test is exact for
-small samples, one masked sum over an int64 array that counts subsets by
-size and doubled rank sum; past `_EXACT_LIMIT` subsets, as for the 100 F
-values a side of `eval --compare`, it takes the tie-corrected normal
-approximation. Cliff's delta counts dominances by binary search and uses
+the ranking's source order. The report's curve is two float64 arrays,
+recall and precision, one value per cutoff. The Wilcoxon rank-sum test is
+exact for small samples, one masked sum over an int64 array that counts
+subsets by size and doubled rank sum; past `_EXACT_LIMIT` subsets, as for
+the 100 F values a side of `eval --compare`, it takes the tie-corrected
+normal approximation. Cliff's delta counts dominances by binary search and uses
 the absolute-value form with the 0.15/0.33/0.47 category cutpoints.
 """
 
@@ -37,7 +37,7 @@ _EXACT_LIMIT = 500_000
 class EvalReport:
     """Precision-recall curve, sampled F values, AP and MAP for one run."""
 
-    pr_curve: tuple[list[float], list[float]]    # (recall%, precision%) lists, one per cutoff
+    pr_curve: tuple[np.ndarray, np.ndarray]      # (recall%, precision%) float64 arrays, per cutoff
     f_at_recall: list[float]                     # F sampled at recall levels 1..100
     ap: float
     map: float
@@ -74,23 +74,19 @@ def f_measure(precision: float, recall: float) -> float:
     return 2.0 * precision * recall / (precision + recall)
 
 
-def f_at_recall_levels(curve: tuple[list[float], list[float]]) -> list[float]:
+def f_at_recall_levels(curve: tuple[np.ndarray, np.ndarray]) -> list[float]:
     """F at integer recall levels 1..100, stepping on the (recall, precision) curve.
 
     For each level the curve point at the smallest cutoff reaching that
-    recall supplies both precision and recall; unreachable levels give 0.
-    Recall never decreases along a ranking's curve, so that point is found
-    by bisection.
+    recall supplies both precision and recall; unreachable levels, the
+    highest ones, give 0. Recall never decreases along a ranking's curve, so
+    those points are found by one binary search.
     """
-    recall, precision = curve
-    values: list[float] = []
-    for level in range(1, 101):
-        index = bisect.bisect_left(recall, level)
-        if index == len(recall):
-            values.append(0.0)
-        else:
-            values.append(f_measure(precision[index], recall[index]))
-    return values
+    recall, precision = (np.asarray(values, np.float64) for values in curve)
+    index = np.searchsorted(recall, np.arange(1, 101), side="left")
+    index = index[index < len(recall)]
+    values = list(map(f_measure, precision[index].tolist(), recall[index].tolist()))
+    return values + [0.0] * (100 - len(values))
 
 
 def _average_precision(relevant_ranks: list[int], n_relevant: int) -> float:
@@ -225,7 +221,7 @@ def evaluate_ranking(links: RankedLinks, oracle: set[tuple[str, str]]) -> EvalRe
     found = np.cumsum(ranked_relevant)
     precision = 100.0 * found / np.arange(1, len(found) + 1)
     recall = 100.0 * found / len(oracle)
-    curve = (recall.tolist(), precision.tolist())
+    curve = (recall, precision)
     ap = _average_precision((np.flatnonzero(ranked_relevant) + 1).tolist(), len(oracle))
     return EvalReport(
         pr_curve=curve,

@@ -39,9 +39,10 @@ block, times the path multipliers.
 A ranking has one form, `RankedLinks`, the long form: each link's source
 code, target code and score in file order, with one id list per level.
 `rank_candidates` builds it from the ordered block, `format_ranked_csv`
-writes it and `parse_ranked_csv` reads it back, the latter from one comma
-split of plain text, with any other text, and every malformed line, read
-through csv.reader. Evaluation reads it without a Python tuple per link.
+writes it and `parse_ranked_csv` reads it back, the latter from comma
+splits of plain text in blocks of lines, with any other text, and every
+malformed line, read through csv.reader. Evaluation reads it without a
+Python tuple per link.
 """
 
 from __future__ import annotations
@@ -75,6 +76,9 @@ _FOLD_BLOCK = 1 << 15
 # Lines per %-format of the CSV writer, which bounds its argument tuple and its
 # score objects, so that only the text grows with the file.
 _LINK_BLOCK = 1 << 16
+# Characters per block of lines that the CSV reader splits at commas, which
+# bounds its field strings. Larger blocks raise peak memory and save no time.
+_PARSE_BLOCK = 1 << 15
 
 
 def _triplets(documents: list[Document]) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
@@ -512,8 +516,16 @@ class RankedLinks(Mapping):
 
 def _codes(ids: list[str]) -> tuple[list[str], np.ndarray]:
     """The distinct `ids` in order of first appearance, and each id's index among them."""
-    index = dict(zip(dict.fromkeys(ids), count()))
-    return list(index), np.fromiter(map(index.__getitem__, ids), np.int64, len(ids))
+    index: dict[str, int] = {}
+    codes = _code_into(index, ids)
+    return list(index), codes
+
+
+def _code_into(index: dict[str, int], ids: list[str]) -> np.ndarray:
+    """The codes of `ids` in `index`, each new id taking the next code in order of appearance."""
+    new = [doc_id for doc_id in dict.fromkeys(ids) if doc_id not in index]
+    index.update(zip(new, count(len(index))))
+    return np.fromiter(map(index.__getitem__, ids), np.int64, len(ids))
 
 
 def parse_ranked_csv(text: str) -> RankedLinks:
@@ -521,14 +533,16 @@ def parse_ranked_csv(text: str) -> RankedLinks:
 
     A score must be finite, and a (source, target) pair may appear only once:
     a repeat names the first line whose pair an earlier line has. Plain text
-    takes one comma split (`_plain_links`); the rest, and every other error,
-    goes through csv.reader.
+    is split at commas in blocks of lines (`_plain_links`); the rest, and
+    every other error, goes through csv.reader.
     """
     links, lines = _plain_links(text), None
     if links is None:
         links, lines = _read_rows(text)
-    codes = links.pair_codes()
-    if (np.diff(np.sort(codes)) == 0).any():
+    ordered = links.pair_codes()
+    ordered.sort()  # in place: no second array of codes
+    if (ordered[1:] == ordered[:-1]).any():
+        codes = links.pair_codes()
         # A stable sort keeps each pair's links in file order, so every link after
         # the first of its pair is a repeat.
         order = np.argsort(codes, kind="stable")
@@ -541,39 +555,58 @@ def parse_ranked_csv(text: str) -> RankedLinks:
 
 
 def _plain_links(text: str) -> RankedLinks | None:
-    """The long form of `text` from one comma split, or None where csv.reader must read it.
+    """The long form of `text` from comma splits, or None where csv.reader must read it.
 
     csv.reader reads a line without quotes, "\r" or NUL as its comma-split
     fields, unless a field exceeds its size limit. Any other text, and text
     with a bad header, a blank line, a line without three fields or a score
     that is not a finite number, goes to csv.reader, which names the line.
+    The lines are split in blocks of whole lines, each ending at the first
+    line end past `_PARSE_BLOCK` characters, and each block's ids are coded
+    into running dicts in order of first appearance, so only one block's
+    field strings are held at a time. The arrays hold a link per line end,
+    as each block checks.
     """
     start = text.find("\n")
     if (start < 0 or '"' in text or "\r" in text or "\0" in text
             or [field.strip() for field in text[:start].split(",")] != _CSV_HEADER):
         return None
-    # Each line keeps the "\n" before it, and a comma goes in front of every
-    # "\n", so a field holds at most one "\n", at its start. With as many
-    # lines as sources and a "\n" leading every distinct source, every line
-    # has three fields.
-    body = text[start:len(text) - text.endswith("\n")]
-    fields = body.replace("\n", ",\n").split(",")
-    sources, targets, score_texts = fields[1::3], fields[2::3], fields[3::3]
-    if len(fields) != 3 * len(sources) + 1 or body.count("\n") != len(sources):
+    stop = len(text) - text.endswith("\n")
+    source_index: dict[str, int] = {}
+    target_index: dict[str, int] = {}
+    size = text.count("\n", start, stop)
+    source_codes, target_codes = np.empty(size, np.int64), np.empty(size, np.int64)
+    scores = np.empty(size)
+    done = 0
+    limit = csv.field_size_limit()
+    while start < stop:
+        end = text.find("\n", start + _PARSE_BLOCK, stop)
+        block = text[start:stop if end < 0 else end]
+        start += len(block)
+        # Each line keeps the "\n" before it, and a comma goes in front of every
+        # "\n", so a field holds at most one "\n", at its start. With as many
+        # lines as sources and a "\n" leading every distinct source, every line
+        # has three fields.
+        fields = block.replace("\n", ",\n").split(",")
+        sources, targets, score_texts = fields[1::3], fields[2::3], fields[3::3]
+        if len(fields) != 3 * len(sources) + 1 or block.count("\n") != len(sources):
+            return None
+        rows = slice(done, done + len(sources))
+        done = rows.stop
+        try:
+            scores[rows] = np.fromiter(map(float, score_texts), np.float64, len(score_texts))
+        except ValueError:
+            return None
+        # No field of a block is longer than the block.
+        if (not np.isfinite(scores[rows]).all()
+                or len(block) > limit and max(map(len, fields)) > limit):
+            return None
+        source_codes[rows] = _code_into(source_index, sources)
+        target_codes[rows] = _code_into(target_index, targets)
+    if not all(source.startswith("\n") for source in source_index):
         return None
-    try:
-        scores = np.fromiter(map(float, score_texts), np.float64, len(score_texts))
-    except ValueError:
-        return None
-    source_ids, source_codes = _codes(sources)
-    target_ids, target_codes = _codes(targets)
-    if (not all(source.startswith("\n") for source in source_ids)
-            or not np.isfinite(scores).all()
-            or max(map(len, chain(source_ids, target_ids, score_texts)), default=0)
-            > csv.field_size_limit()):
-        return None
-    source_ids = [source[1:] for source in source_ids]
-    return RankedLinks(source_ids, source_codes, target_ids, target_codes, scores)
+    source_ids = [source[1:] for source in source_index]
+    return RankedLinks(source_ids, source_codes, list(target_index), target_codes, scores)
 
 
 def _read_rows(text: str) -> tuple[RankedLinks, list[int]]:

@@ -3,11 +3,15 @@
 import csv
 import json
 import shutil
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+import tracelink.cli as cli
 from tracelink.cli import _json_text, _pr_curve_csv, main
+from tracelink.evaluate import EvalReport
 from tracelink.irmodels import MODELS
 from tracelink.pipeline import ABLATION_MODES
 
@@ -334,14 +338,42 @@ class TestReportWriter:
     def test_spliced_curve_matches_json_dumps(self, payload, points):
         full = {**payload, "pr_curve": [[round(r, 6), round(p, 6)] for r, p in points]}
         expected = json.dumps(full, sort_keys=True, indent=2) + "\n"
-        assert _json_text(payload, columns(points), _pr_curve_csv(columns(points))) == expected
-        assert _json_text(payload) == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        assert "".join(_json_text(payload, columns(points))) == expected
+        for block in (1, 2):  # a block per point, or a point left over in the last block
+            with mock.patch.object(cli, "_POINT_BLOCK", block):
+                assert "".join(_json_text(payload, columns(points))) == expected
+        assert "".join(_json_text(payload)) == json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
     @given(st.lists(st.tuples(st.sampled_from([0.0, -0.0, 50.0, 1e-07]) | _finite, _finite),
-                    max_size=6))
-    def test_curve_csv_formats_every_point(self, points):
-        expected = "".join(f"{r:.6f},{p:.6f}\n" for r, p in points)
-        assert _pr_curve_csv(columns(points)) == "recall,precision\n" + expected
+                    max_size=6), st.integers(1, 3))
+    def test_curve_csv_formats_every_point(self, points, block):
+        expected = "recall,precision\n" + "".join(f"{r:.6f},{p:.6f}\n" for r, p in points)
+        assert "".join(_pr_curve_csv(columns(points))) == expected
+        with mock.patch.object(cli, "_POINT_BLOCK", block):
+            assert "".join(_pr_curve_csv(columns(points))) == expected
+
+    @given(st.lists(st.tuples(_finite, _finite), min_size=1, max_size=4),
+           st.integers(0, 40), st.integers(1, 8))
+    # One value that "%.6f" misprints, in one block of eleven: json writes 5e-05
+    # and 1e+16, where "%.6f" gives 0.000050 and 10000000000000000.000000.
+    @example([(5e-05, 50.0)], 12, 4)
+    @example([(50.0, 1e16)], 7, 4)
+    def test_report_files_match_json_dumps_across_point_blocks(self, tmp_path_factory, odd,
+                                                               at, block):
+        # A long in-range curve with a few arbitrary points spliced in at one place.
+        points = [(100.0 * k / 41, 100.0 / (k + 1)) for k in range(41)]
+        points[at:at] = odd
+        report = EvalReport(pr_curve=tuple(np.array(values) for values in columns(points)),
+                            f_at_recall=[0.5] * 100, ap=12.5, map=25.0, per_query_ap={"s": 25.0})
+        full = {**report.to_payload(),
+                "pr_curve": [[round(r, 6), round(p, 6)] for r, p in points]}
+        out = tmp_path_factory.mktemp("report")
+        with mock.patch.object(cli, "_POINT_BLOCK", block):
+            cli._write_report(report, out / "report.json", out / "curve.csv")
+        assert (out / "report.json").read_text("utf-8") == json.dumps(
+            full, sort_keys=True, indent=2) + "\n"
+        assert (out / "curve.csv").read_text("utf-8") == "recall,precision\n" + "".join(
+            "%.6f,%.6f\n" % point for point in points)
 
 
 class TestAblate:

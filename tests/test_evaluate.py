@@ -10,7 +10,9 @@ import itertools
 import math
 import random
 from collections import Counter
+from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -89,7 +91,8 @@ def oracle_evaluate_ranking(candidates, oracle):
     if not oracle:
         raise EvaluationError("evaluation requires a nonempty oracle")
     global_links = [(s, t) for s, t, _ in global_ranked_links(candidates)]
-    curve = columns(precision_recall(global_links, oracle))
+    curve = tuple(np.array(values, np.float64)
+                  for values in columns(precision_recall(global_links, oracle)))
     ap = average_precision(global_links, oracle)
     per_query = {s: [(s, t) for t, _ in targets] for s, targets in candidates.items()}
     map_value, per_query_ap = mean_average_precision(per_query, oracle)
@@ -112,11 +115,13 @@ _SCORES = st.one_of(
 
 
 def _outcome(function, *args):
-    """repr of the result, or the error's type and message: equal only bit for bit."""
+    """repr of the report, its curve arrays as lists, or the error's type and message:
+    equal only bit for bit."""
     try:
-        return repr(function(*args))
+        report = function(*args)
     except EvaluationError as exc:
         return ("EvaluationError", str(exc))
+    return repr(replace(report, pr_curve=tuple(values.tolist() for values in report.pr_curve)))
 
 
 class TestEvaluateRanking:

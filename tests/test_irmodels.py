@@ -12,6 +12,8 @@ import io
 import itertools
 import math
 import random
+import re
+import tracemalloc
 from collections import Counter
 from unittest import mock
 
@@ -1050,4 +1052,81 @@ class TestRanking:
         ranked = {"s2": [("t1", 0.5)], "s1": [("t1", 0.5), ("t2", 0.9)]}
         # Global order (s1, t2), (s1, t1), (s2, t1): the one relevant link comes third.
         report = evaluate_ranking(long_form(ranked), {("s2", "t1")})
-        assert report.pr_curve[1] == [0.0, 0.0, 100.0 / 3]
+        assert report.pr_curve[1].tolist() == [0.0, 0.0, 100.0 / 3]
+
+
+def _long_form_outcome(parse, text):
+    """The parsed ids, codes and score bits, or the error's message."""
+    try:
+        links = parse(text)
+    except ParseError as exc:
+        return ("ParseError", str(exc))
+    return (links.sources, links.source_codes.tolist(), links.targets,
+            links.target_codes.tolist(), links.scores.tobytes())
+
+
+def _through_csv_reader(text):
+    with mock.patch.object(irmodels, "_plain_links", lambda text: None):
+        return _long_form_outcome(parse_ranked_csv, text)
+
+
+# Plain rankings long enough that small parse blocks cut between many of their lines.
+_plain_rankings = st.lists(
+    st.tuples(_small_id, _small_id | st.sampled_from(["u", "\u2028"]) | st.integers(0, 50).map(str),
+              st.sampled_from(["0.5", " 1 ", "-0.0", "0.123456"])).map(",".join),
+    max_size=30,
+).map(lambda body: "\n".join(["source_id,target_id,score", *body, ""]))
+
+
+class TestParseBlocks:
+    """`_plain_links` splits blocks of whole lines into running id codes, as one split would."""
+
+    @given(_plain_rankings | _ranking_texts, st.integers(1, 12))
+    def test_blocks_match_csv_reader(self, text, block):
+        whole = irmodels._plain_links(text)
+        with mock.patch.object(irmodels, "_PARSE_BLOCK", block):
+            in_blocks = irmodels._plain_links(text)
+            outcome = _long_form_outcome(parse_ranked_csv, text)
+        # The block size neither sends text to csv.reader nor keeps it away.
+        assert (in_blocks is None) == (whole is None)
+        assert outcome == _through_csv_reader(text)
+
+    @pytest.mark.parametrize("block", [1, 5, 1 << 15])
+    def test_header_only_text(self, block):
+        text = "source_id,target_id,score\n"
+        with mock.patch.object(irmodels, "_PARSE_BLOCK", block):
+            assert irmodels._plain_links(text) is not None
+            assert _long_form_outcome(parse_ranked_csv, text) == ([], [], [], [], b"")
+
+    def test_repeated_pair_across_blocks_names_the_later_line(self):
+        text = "source_id,target_id,score\na,t,0.5\nb,t,0.5\nb,u,0.5\na,t,0.25\n"
+        message = "line 5: pair ('a', 't') appears more than once"
+        with mock.patch.object(irmodels, "_PARSE_BLOCK", 3):  # a block per line
+            assert irmodels._plain_links(text) is not None
+            with pytest.raises(ParseError, match=re.escape(message)):
+                parse_ranked_csv(text)
+
+    @pytest.mark.parametrize("line, message", [
+        ("c,t", "line 5: expected 3 comma-separated fields, got 2"),
+        ("c,t,x", "line 5: bad score 'x'"),
+        ("c,t,inf", "line 5: score 'inf' is not finite"),
+    ])
+    def test_bad_line_in_a_later_block_keeps_its_number(self, line, message):
+        text = "\n".join(["source_id,target_id,score", "a,t,0.5", "b,t,0.5", "b,u,0.5", line, ""])
+        with mock.patch.object(irmodels, "_PARSE_BLOCK", 3):
+            with pytest.raises(ParseError, match=re.escape(message)):
+                parse_ranked_csv(text)
+
+    def test_parse_peak_stays_a_few_times_the_text(self):
+        # The gated comparison's size: two levels of 300 ids, every pair scored once.
+        rng = random.Random(0)
+        text = "source_id,target_id,score\n" + "".join(
+            f"S{s:04d},T{t:04d},{rng.random():.6f}\n" for s in range(300) for t in range(300))
+        tracemalloc.start()
+        try:
+            links = parse_ranked_csv(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(links.scores) == 90_000
+        assert peak < 5 * len(text), peak / len(text)

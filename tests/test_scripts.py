@@ -35,7 +35,8 @@ def test_prints_the_pipeline_scores_of_the_motivating_manifest(motivating_manife
 def test_a_missing_manifest_exits_2(tmp_path):
     done = run_script(tmp_path / "absent.json")
     assert done.returncode == 2
-    assert "not found" in done.stdout
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: EBT corpus not found at ") and done.stderr.count("\n") == 1
 
 
 def without_oracle(path, motivating_manifest):
