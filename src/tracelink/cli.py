@@ -147,6 +147,10 @@ _POINT_BLOCK = 1 << 12
 # the text between two points.
 _JSON_POINT = "[\n      %s,\n      %s\n    ]"
 _POINT_SEPARATOR = ",\n    "
+# Columns of a value's "%.6f" text in `_digits`: "ddd.dddddd", right-aligned;
+# row k of `_LAST` shows the last k of them.
+_DIGIT_COLUMNS = 10
+_LAST = np.arange(_DIGIT_COLUMNS) >= _DIGIT_COLUMNS - np.arange(_DIGIT_COLUMNS + 1)[:, None]
 
 
 def _curve_blocks(curve: tuple[np.ndarray, np.ndarray]) -> Iterator[np.ndarray]:
@@ -157,16 +161,57 @@ def _curve_blocks(curve: tuple[np.ndarray, np.ndarray]) -> Iterator[np.ndarray]:
         yield np.stack((recall[block], precision[block]), axis=1).ravel()
 
 
+def _digits(values: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Each value's "%.6f" text as ASCII codes, right-aligned in a row of `_DIGIT_COLUMNS`,
+    and each text's length; None unless every value is unsigned and its text below 1000.
+
+    A value's millionths are `np.rint(v * 1e6)`: below 1000 the product is off the
+    exact one by at most 6e-8, so it rounds as "%.6f" does wherever it lies more than
+    1e-6 from a half. The few values nearer a half, exact ties such as 100 / 512
+    among them, take their millionths from "%.6f" itself.
+    """
+    if np.signbit(values).any() or not (values < 1000.0).all():  # also NaN
+        return None
+    scaled = values * 1e6
+    units = np.rint(scaled).astype(np.int64)
+    for i in np.flatnonzero(np.abs(scaled - units) > 0.5 - 1e-6).tolist():
+        units[i] = int(("%.6f" % values[i]).replace(".", ""))
+    if (units >= 10 ** 9).any():  # e.g. 999.9999999 is "1000.000000"
+        return None
+    codes = np.empty((_DIGIT_COLUMNS, len(units)), np.uint8)  # transposed: a column a row
+    rest = units
+    for column in (9, 8, 7, 6, 5, 4, 2, 1, 0):
+        tens = rest // 10  # numpy divides by a constant faster than np.divmod does
+        codes[column] = rest - 10 * tens
+        rest = tens
+    codes += ord("0")
+    codes[3] = ord(".")
+    return codes.T, 8 + (units >= 10 ** 7) + (units >= 10 ** 8)
+
+
+def _laid_out(template: str, codes: np.ndarray, shown: np.ndarray) -> str:
+    """Points laid out by `template`, its two "%s" slots filled from consecutive rows of
+    `codes` cut to their `shown` columns: a row of ASCII codes a point, one mask gather."""
+    head, middle, _ = template.split("%s")
+    row = (template % ("0" * _DIGIT_COLUMNS, "0" * _DIGIT_COLUMNS)).encode("ascii")
+    text = np.tile(np.frombuffer(row, np.uint8), (len(codes) // 2, 1))
+    keep = np.ones(text.shape, bool)
+    for k, start in enumerate((len(head), len(head) + _DIGIT_COLUMNS + len(middle))):
+        text[:, start:start + _DIGIT_COLUMNS] = codes[k::2]
+        keep[:, start:start + _DIGIT_COLUMNS] = shown[k::2]
+    return text[keep].tobytes().decode("ascii")
+
+
 def _json_text(payload, pr_curve: tuple[np.ndarray, np.ndarray] | None = None) -> Iterator[str]:
     """`payload` as sorted, indented JSON in chunks, with `pr_curve`'s points under "pr_curve".
 
     `json.dumps` with `indent` runs its pure-Python encoder, and a curve has
     a point per link, so the curve is spliced in as text, a block of points
     at a time, each value written as `json` writes `round(value, 6)`. For
-    zeros and for 1e-4 <= |value| < 1e9 that is the "%.6f" text without its
-    trailing zeros, as it has at most 15 significant digits, so a block
-    whose values all lie there is laid out from that text; any other block
-    takes `float.__repr__` of each value in turn.
+    values in {0} and [1e-4, 1000) that is the "%.6f" text with its trailing
+    zeros cut but for the first fraction digit, so a block of such values is
+    laid out from `_digits` (`np.rint` millionths, "%.6f" ones within 1e-6 of
+    a half); any other block takes `float.__repr__` of each value in turn.
     """
     if pr_curve is not None:
         payload = {**payload, "pr_curve": []}
@@ -178,20 +223,17 @@ def _json_text(payload, pr_curve: tuple[np.ndarray, np.ndarray] | None = None) -
     head, _, tail = text.partition('\n  "pr_curve": []')
     yield head + '\n  "pr_curve": [\n    '
     for number, values in enumerate(_curve_blocks(pr_curve)):
-        size = np.abs(values)
-        points = len(values) // 2
-        if ((size == 0.0) | ((size >= 1e-4) & (size < 1e9))).all():
-            # A "|" marks each value's end and a "#" each point's end. The passes
-            # strip up to six trailing zeros, and an all-zero fraction gets its
-            # "0" back.
-            block = ("%.6f|,%.6f|#" * points) % tuple(values.tolist())
-            for zeros in ("0000|", "00|", "0|"):
-                block = block.replace(zeros, "|")
-            block = block.replace(".|", ".0|").replace("|,", ",\n      ")
-            block = block[:-2].replace("|#", "\n    ],\n    [\n      ")
-            block = "[\n      " + block + "\n    ]"
+        digits = _digits(values) if ((values == 0.0) | (values >= 1e-4)).all() else None
+        if digits is not None:
+            codes, lengths = digits
+            zeros, run = np.zeros(len(values), np.intp), True  # trailing; the first digit stays
+            for column in (9, 8, 7, 6, 5):
+                run = run & (codes[:, column] == ord("0"))
+                zeros += run
+            shown = np.take(_LAST, lengths, axis=0) & ~np.take(_LAST, zeros, axis=0)
+            block = _laid_out(_JSON_POINT + _POINT_SEPARATOR, codes, shown)[:-len(_POINT_SEPARATOR)]
         else:
-            block = _POINT_SEPARATOR.join([_JSON_POINT] * points) % tuple(
+            block = _POINT_SEPARATOR.join([_JSON_POINT] * (len(values) // 2)) % tuple(
                 float.__repr__(round(v, 6)) for v in values.tolist())
         if number:
             yield _POINT_SEPARATOR
@@ -200,10 +242,16 @@ def _json_text(payload, pr_curve: tuple[np.ndarray, np.ndarray] | None = None) -
 
 
 def _pr_curve_csv(pr_curve: tuple[np.ndarray, np.ndarray]) -> Iterator[str]:
-    """The curve as CSV, in chunks: a header, then each point's recall and precision as "%.6f"."""
+    """The curve as CSV, in chunks: a header, then each point's recall and precision as "%.6f",
+    laid out from `_digits`, or formatted value by value in a block `_digits` refuses."""
     yield "recall,precision\n"
     for values in _curve_blocks(pr_curve):
-        yield ("%.6f,%.6f\n" * (len(values) // 2)) % tuple(values.tolist())
+        digits = _digits(values)
+        if digits is not None:
+            codes, lengths = digits
+            yield _laid_out("%s,%s\n", codes, np.take(_LAST, lengths, axis=0))
+        else:
+            yield ("%.6f,%.6f\n" * (len(values) // 2)) % tuple(values.tolist())
 
 
 def _write_report(report: EvalReport, path: Path, curve_path: Path) -> None:
@@ -261,7 +309,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _read_ranked(path: str) -> RankedLinks:
-    return parse_ranked_csv(read_text(path, "ranked-links file"))
+    # Untranslated, so a quoted "\r" in an id, as `format_ranked_csv` writes it, stays "\r".
+    return parse_ranked_csv(read_text(path, "ranked-links file", newline=""))
 
 
 def _cmd_ablate(args: argparse.Namespace) -> int:

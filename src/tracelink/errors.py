@@ -35,9 +35,11 @@ class NumericError(TracelinkError):
     """A numeric routine failed to converge or produced an unusable result."""
 
 
-def read_text(path: str | Path, what: str) -> str:
-    """The UTF-8 text of the input file `path`; `what` names it in the LoadError."""
+def read_text(path: str | Path, what: str, newline: str | None = None) -> str:
+    """The UTF-8 text of the input file `path`, its line ends read as `open`'s `newline`
+    says ("" keeps them); `what` names the file in the LoadError."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8", newline=newline) as handle:
+            return handle.read()
     except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the path
         raise LoadError(f"cannot read {what} {path}: {exc}") from exc

@@ -50,6 +50,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
 from collections.abc import Iterable, Iterator, Mapping
 from functools import cached_property
 from itertools import accumulate, chain, count, repeat
@@ -558,7 +559,9 @@ def _plain_links(text: str) -> RankedLinks | None:
     """The long form of `text` from comma splits, or None where csv.reader must read it.
 
     csv.reader reads a line without quotes, "\r" or NUL as its comma-split
-    fields, unless a field exceeds its size limit. Any other text, and text
+    fields, unless a field exceeds its size limit. In text without quotes
+    every "\r\n" or "\r" ends a line for csv.reader too, so such text has
+    them read as "\n" first. Any other text, and text
     with a bad header, a blank line, a line without three fields or a score
     that is not a finite number, goes to csv.reader, which names the line.
     The lines are split in blocks of whole lines, each ending at the first
@@ -567,8 +570,10 @@ def _plain_links(text: str) -> RankedLinks | None:
     field strings are held at a time. The arrays hold a link per line end,
     as each block checks.
     """
+    if "\r" in text and '"' not in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     start = text.find("\n")
-    if (start < 0 or '"' in text or "\r" in text or "\0" in text
+    if (start < 0 or '"' in text or "\0" in text
             or [field.strip() for field in text[:start].split(",")] != _CSV_HEADER):
         return None
     stop = len(text) - text.endswith("\n")
@@ -643,9 +648,13 @@ def _read_rows(text: str) -> tuple[RankedLinks, list[int]]:
 
 def _csv_rows(lines: list[str]):
     """(line number, fields) of each record, through csv.reader."""
-    # Each line keeps its "\n", so quoted line breaks survive. An io.StringIO
-    # over the text would copy it at four bytes a character.
-    reader = csv.reader(line + "\n" for line in lines)
+    # Each line keeps its "\n", so quoted line breaks survive, and is cut after each
+    # bare "\r" (one not before "\n"), which csv.reader rejects inside an unquoted
+    # field but takes as a line end at the end of one. An io.StringIO over the text
+    # would copy it at four bytes a character.
+    reader = csv.reader(chain.from_iterable(
+        re.split(r"(?<=\r)(?!\n)", line + "\n") if "\r" in line else (line + "\n",)
+        for line in lines))
     try:
         for fields in reader:
             yield reader.line_num, fields

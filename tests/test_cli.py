@@ -10,9 +10,10 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import tracelink.cli as cli
+import tracelink.irmodels as irmodels
 from tracelink.cli import _json_text, _pr_curve_csv, main
 from tracelink.evaluate import EvalReport
-from tracelink.irmodels import MODELS
+from tracelink.irmodels import MODELS, RankedLinks, format_ranked_csv, parse_ranked_csv
 from tracelink.pipeline import ABLATION_MODES
 
 
@@ -136,6 +137,11 @@ class TestTrace:
             "trace", "--manifest", str(motivating_manifest), "--config", str(config),
         )
         assert code == 2
+
+
+# Ids that `format_ranked_csv` must quote, and any others a UTF-8 file can hold.
+_ranked_ids = st.text(st.sampled_from(',"\r\n x') | st.characters(codec="utf-8"),
+                      min_size=1, max_size=5)
 
 
 class TestEval:
@@ -304,6 +310,53 @@ class TestEval:
         report = json.loads((out / "eval_report.json").read_text())
         assert 0.0 <= report["ap"] <= 100.0
 
+    def test_ranked_keeps_a_carriage_return_in_an_id(self, tmp_path, motivating_manifest):
+        # `trace` quotes an id holding "\r"; read back as "\n", its true links went missing.
+        manifest = _copy_motivating(motivating_manifest, tmp_path)
+        manifest.write_text(manifest.read_text().replace('"RE-691"', '"RE-691\\rx"'))
+        ranked = tmp_path / "trace" / "ranked_links.csv"
+        assert run_cli("trace", "--manifest", str(manifest), "--out", str(ranked.parent)) == 0
+        assert b'"RE-691\rx"' in ranked.read_bytes()
+        for out, extra in (("run", ()), ("read", ("--ranked", str(ranked)))):
+            assert run_cli("eval", "--manifest", str(manifest), "--out",
+                           str(tmp_path / out), *extra) == 0
+        for name in ("eval_report.json", "pr_curve.csv"):
+            read, run = (tmp_path / out / name for out in ("read", "run"))
+            assert read.read_bytes() == run.read_bytes()
+
+    @pytest.mark.parametrize("line_end", ["\r\n", "\r"], ids=["crlf", "cr"])
+    @pytest.mark.parametrize("quoted", [True, False], ids=["quoted", "plain"])
+    def test_other_line_ends_parse_to_the_same_links(self, tmp_path, monkeypatch, line_end,
+                                                     quoted):
+        text = ("source_id,target_id,score\nRE-691,AFInfoBox,0.9\n"
+                '"RE-695",AFInfoBox,0.4\nRE-691,"AF,Box",0.1\n')
+        if not quoted:
+            text = text.replace('"', "").replace("AF,Box", "AF;Box")
+        ranked = tmp_path / "ranked.csv"
+        ranked.write_bytes(text.replace("\n", line_end).encode())
+        read_rows = mock.Mock(wraps=irmodels._read_rows)
+        monkeypatch.setattr(irmodels, "_read_rows", read_rows)
+        links = cli._read_ranked(str(ranked))
+        assert read_rows.called == quoted  # text without quotes keeps the split path
+        box = "AF,Box" if quoted else "AF;Box"
+        assert dict(links) == {"RE-691": [("AFInfoBox", 0.9), (box, 0.1)],
+                               "RE-695": [("AFInfoBox", 0.4)]}
+
+    @given(st.lists(st.tuples(_ranked_ids, _ranked_ids, st.floats(0.0, 1.0)), max_size=6,
+                    unique_by=lambda link: link[:2]))
+    def test_written_ranking_reads_back_through_a_file(self, tmp_path_factory, links):
+        sources = list(dict.fromkeys(source for source, _, _ in links))
+        targets = list(dict.fromkeys(target for _, target, _ in links))
+        ranking = RankedLinks(
+            sources, np.array([sources.index(link[0]) for link in links], np.int64),
+            targets, np.array([targets.index(link[1]) for link in links], np.int64),
+            np.array([score for _, _, score in links], np.float64))
+        path = tmp_path_factory.mktemp("ranked") / "ranked.csv"
+        cli._write(path, [format_ranked_csv(ranking)])
+        expected = {source: [(target, float("%.6f" % score))
+                             for s, target, score in links if s == source] for source in sources}
+        assert dict(cli._read_ranked(str(path))) == expected
+
 
 _finite = st.floats(allow_nan=False, allow_infinity=False)
 _json_values = st.recursive(
@@ -312,6 +365,18 @@ _json_values = st.recursive(
         st.sampled_from(["pr_curve", "ap", "x"]) | st.text(max_size=3), inner, max_size=3),
     max_leaves=8,
 )
+
+
+# Values of a precision-recall curve's family: exact ties at six places, such as
+# 100 / 512, come from the powers of two. Decimal halves such as 0.0978025 are
+# floats next to a tie, where `np.rint(v * 1e6)` may round the wrong way. Each
+# value comes with its two float neighbours.
+_curve_values = (
+    st.builds(lambda a, k: 100.0 * a / 2 ** k, st.integers(0, 2 ** 12), st.integers(0, 16))
+    | st.builds(lambda a, b: 100.0 * a / b, st.integers(0, 10 ** 4), st.integers(1, 10 ** 4))
+    | st.builds(lambda a, b: float("%d.%06d5" % (a, b)), st.integers(0, 999),
+                st.integers(0, 10 ** 6 - 1))
+).flatmap(lambda v: st.sampled_from([v, *(float(np.nextafter(v, to)) for to in (0.0, 2e3))]))
 
 
 def columns(points):
@@ -374,6 +439,55 @@ class TestReportWriter:
             full, sort_keys=True, indent=2) + "\n"
         assert (out / "curve.csv").read_text("utf-8") == "recall,precision\n" + "".join(
             "%.6f,%.6f\n" % point for point in points)
+
+    @given(st.lists(st.tuples(_curve_values, _curve_values), min_size=1, max_size=9))
+    @example([(0.0, 5e-05), (7.5, 99.25), (100.0, 0.1953125)])  # 1-, 2- and 3-digit parts
+    @example([(999.9999995, 14.2578125), (1000.0, 0.0)])
+    @example([(-0.0, 50.0), (50.0, 5e-05)])
+    @example([(float(np.nextafter(0.1953125, 1.0)), float(np.nextafter(14.2578125, 0.0)))])
+    @example([(0.0978025, 61.4997485), (0.0843535, 55.6405615)])  # rint rounds these wrong
+    def test_digit_path_writes_the_float_formats(self, points):
+        payload = {"ap": 1.0}
+        full = {**payload, "pr_curve": [[round(r, 6), round(p, 6)] for r, p in points]}
+        report = json.dumps(full, sort_keys=True, indent=2) + "\n"
+        curve = "recall,precision\n" + "".join("%.6f,%.6f\n" % point for point in points)
+        for block in (1, 2, cli._POINT_BLOCK):
+            with mock.patch.object(cli, "_POINT_BLOCK", block):
+                assert "".join(_json_text(payload, columns(points))) == report
+                assert "".join(_pr_curve_csv(columns(points))) == curve
+
+    @given(st.lists(_curve_values, min_size=1, max_size=16))
+    @example([999.9999995, 0.1953125, 5e-05, 10.0, 0.0978025, 0.0843535])
+    @example([1000.0])
+    def test_digits_are_the_six_place_texts(self, values):
+        texts = ["%.6f" % v for v in values]
+        digits = cli._digits(np.array(values))
+        if max(map(len, texts)) > cli._DIGIT_COLUMNS:  # a text of 1000 or more
+            assert digits is None
+            return
+        codes, lengths = digits
+        assert [row[cli._DIGIT_COLUMNS - n:].tobytes().decode("ascii")
+                for row, n in zip(codes, lengths.tolist())] == texts
+
+    def test_a_curve_takes_the_digit_path(self):
+        ranks = np.arange(1, 3001)
+        hits = np.cumsum(ranks % 7 == 0)
+        curve = (100.0 * hits / hits[-1], 100.0 * hits / ranks)
+        assert curve[1][511] == 14.2578125  # an exact tie at six places
+        real, blocks = cli._digits, []
+
+        def digits(values):
+            blocks.append(real(values))
+            return blocks[-1]
+
+        with mock.patch.object(cli, "_digits", digits):
+            report = "".join(_json_text({}, curve))
+            text = "".join(_pr_curve_csv(curve))
+        assert len(blocks) == 2 and all(block is not None for block in blocks)
+        points = list(zip(*(values.tolist() for values in curve)))
+        assert json.loads(report) == {"pr_curve": [[round(r, 6), round(p, 6)] for r, p in points]}
+        assert report == json.dumps(json.loads(report), sort_keys=True, indent=2) + "\n"
+        assert text == "recall,precision\n" + "".join("%.6f,%.6f\n" % point for point in points)
 
 
 class TestAblate:

@@ -1081,8 +1081,10 @@ _plain_rankings = st.lists(
 class TestParseBlocks:
     """`_plain_links` splits blocks of whole lines into running id codes, as one split would."""
 
-    @given(_plain_rankings | _ranking_texts, st.integers(1, 12))
-    def test_blocks_match_csv_reader(self, text, block):
+    @given(_plain_rankings | _ranking_texts, st.integers(1, 12),
+           st.sampled_from(["\n", "\r\n", "\r"]))
+    def test_blocks_match_csv_reader(self, text, block, line_end):
+        text = text.replace("\n", line_end)
         whole = irmodels._plain_links(text)
         with mock.patch.object(irmodels, "_PARSE_BLOCK", block):
             in_blocks = irmodels._plain_links(text)
