@@ -50,13 +50,6 @@ amod advmod nmod appos acomp xcomp ccomp compound
 """.split())
 
 
-def canonical_pair(a: str, b: str) -> Pair | None:
-    """Order a pair lexicographically; self-pairs collapse to None."""
-    if a == b:
-        return None
-    return (a, b) if a < b else (b, a)
-
-
 def _window_pairs(tokens: list[str], window: int) -> list[Pair]:
     """Canonical stem pairs of token positions at distance < `window`, grouped by distance.
 
@@ -96,11 +89,7 @@ def import_parsed_pairs(pairs_file: str | Path) -> Biterms:
             continue
         if tag_token(term1) not in _CONTENT_TAGS or tag_token(term2) not in _CONTENT_TAGS:
             continue
-        a, b = normalize_token(term1), normalize_token(term2)
-        if a is None or b is None:
-            continue
-        pair = canonical_pair(a, b)
-        if pair is not None:
+        for pair in _window_pairs([term1, term2], 2):
             result[pair] = result.get(pair, 0) + 1
     return result
 

@@ -7,6 +7,12 @@ whose patterns cover the class/struct declarations and function signatures
 of both. It is intentionally heuristic: good enough for single-file
 class/struct sources, not a parser for arbitrary code (imports, nested
 types and macro tricks are out of scope).
+
+Comments and string/character literals are read in one left-to-right pass:
+whichever opener comes first wins, so a `//` inside a string is text, and a
+`/*` or a quote inside a line comment is comment. Each comment is tokenized
+in source order, and every comment and literal is blanked before the
+declarations are matched.
 """
 
 from __future__ import annotations
@@ -18,9 +24,11 @@ from dataclasses import dataclass, field
 from .identifiers import split_identifier
 from .nltext import tokenize_natural
 
-_LINE_COMMENT = re.compile(r"//([^\n]*)")
-_BLOCK_COMMENT = re.compile(r"/\*(.*?)\*/", re.DOTALL)
-_STRING_LITERAL = re.compile(r'"(?:\\.|[^"\\])*"' + r"|'(?:\\.|[^'\\])*'")
+# Block comment, line comment, string literal, character literal.
+_COMMENT_OR_LITERAL = re.compile(
+    r"/\*(?P<block>(?s:.*?))\*/|//(?P<line>[^\n]*)" r'|"(?:\\.|[^"\\])*"' r"|'(?:\\.|[^'\\])*'"
+)
+_STAR_MARGIN = re.compile(r"^\s*\*+", re.MULTILINE)
 _ANNOTATION = re.compile(r"@\w+(?:\([^)]*\))?")
 
 _CLASS_DECL = re.compile(r"\b(?:class|interface|enum|struct|union)\s+(\w+)")
@@ -38,6 +46,10 @@ strictfp
 """.split())
 
 _NON_TYPES = frozenset({"return", "throw", "new", "else", "case", "do", "void"})
+
+# A callable with a `{` or `;` tail declares a method unless one of these
+# precedes its name, which makes it a call (`return f();`) or a construction.
+_STATEMENT_WORDS = frozenset({"return", "throw", "new", "else", "case", "do", "yield", "assert"})
 
 
 @dataclass
@@ -57,9 +69,16 @@ class CodeParts:
 def scan_code(source: str) -> CodeParts:
     """Scan a Java or C source text into CodeParts."""
     parts = CodeParts()
-    code = _extract_comments(source, parts)
-    code = _STRING_LITERAL.sub(" ", code)
-    code = _ANNOTATION.sub(" ", code)
+
+    def blank(m: re.Match[str]) -> str:
+        if m.lastgroup == "block":
+            parts.comments.extend(tokenize_natural(_STAR_MARGIN.sub(" ", m["block"])))
+        elif m.lastgroup == "line":
+            parts.comments.extend(tokenize_natural(m["line"]))
+        return " "
+
+    # Annotations go after the literals, whose text may hold a `)`: `@Pattern(regexp = "(a|b)")`.
+    code = _ANNOTATION.sub(" ", _COMMENT_OR_LITERAL.sub(blank, source))
 
     for m in _CLASS_DECL.finditer(code):
         parts.class_names.append(split_identifier(m.group(1)))
@@ -71,7 +90,7 @@ def scan_code(source: str) -> CodeParts:
             declaration_spans.append(m.span())
             continue
         preceding = _preceding_word(code, m.start())
-        if tail == "{" and preceding not in (None, "new"):
+        if tail and preceding is not None and preceding not in _STATEMENT_WORDS:
             declaration_spans.append(m.span())
             parts.method_names.append(split_identifier(name))
             _scan_parameters(params, parts)
@@ -83,19 +102,6 @@ def scan_code(source: str) -> CodeParts:
 
     _scan_fields(code, declaration_spans, parts)
     return parts
-
-
-def _extract_comments(source: str, parts: CodeParts) -> str:
-    texts: list[tuple[int, str]] = []
-    for m in _BLOCK_COMMENT.finditer(source):
-        body = re.sub(r"^\s*\*+", " ", m.group(1), flags=re.MULTILINE)
-        texts.append((m.start(), body))
-    without_blocks = _BLOCK_COMMENT.sub(" ", source)
-    for m in _LINE_COMMENT.finditer(without_blocks):
-        texts.append((m.start(), m.group(1)))
-    for _, body in sorted(texts):
-        parts.comments.extend(tokenize_natural(body))
-    return _LINE_COMMENT.sub(" ", without_blocks)
 
 
 def _preceding_word(code: str, pos: int) -> str | None:

@@ -15,7 +15,6 @@ from tracelink.biterms import (
     _WEAK_PARTS,
     _WINDOW,
     _window_pairs,
-    canonical_pair,
     consensual_filter,
     extract_biterms,
     import_parsed_pairs,
@@ -37,15 +36,6 @@ def nl_artifact(text, id="X"):
 
 def code_artifact(parts, id="C"):
     return Artifact(id, Kind.CODE, parts)
-
-
-class TestCanonicalPair:
-    def test_orders_lexicographically(self):
-        assert canonical_pair("uav", "select") == ("select", "uav")
-        assert canonical_pair("select", "uav") == ("select", "uav")
-
-    def test_self_pair_dropped(self):
-        assert canonical_pair("uav", "uav") is None
 
 
 class TestExtractNl:
@@ -259,11 +249,9 @@ def oracle_window_pairs(tokens, window):
         if stems[i] is None:
             continue
         for j in range(i + 1, min(i + window, n)):
-            if stems[j] is None:
+            if stems[j] is None or stems[j] == stems[i]:
                 continue
-            pair = canonical_pair(stems[i], stems[j])
-            if pair is not None:
-                pairs.append(pair)
+            pairs.append(tuple(sorted((stems[i], stems[j]))))
     return pairs
 
 

@@ -98,22 +98,24 @@ def test_consecutive_field_declarations_all_found():
     assert parts.field_type_names == [["button"], ["alarm"], ["dialog"], ["timer"]]
 
 
-def test_messy_java_does_not_crash():
-    source = """
-    @SuppressWarnings("all")
-    public final class Tricky<T extends Map<String, List<Integer>>> {
-        private static final String BRACES = "{ not } code ; int x = 1; //";
-        private Map<String, List<Integer>> lookupTable = new HashMap<>();
-        /* multi
-           line comment with code-ish text: int y = 2; */
-        protected <K> K transform(final K input,
-                                  List<String> names) throws IllegalStateException {
-            if (names.isEmpty()) { return input; }
-            return helper(input);   // trailing note
-        }
+MESSY_JAVA = """
+@SuppressWarnings("all")
+public final class Tricky<T extends Map<String, List<Integer>>> {
+    private static final String BRACES = "{ not } code ; int x = 1; //";
+    private Map<String, List<Integer>> lookupTable = new HashMap<>();
+    /* multi
+       line comment with code-ish text: int y = 2; */
+    protected <K> K transform(final K input,
+                              List<String> names) throws IllegalStateException {
+        if (names.isEmpty()) { return input; }
+        return helper(input);   // trailing note
     }
-    """
-    parts = scan_code(source)
+}
+"""
+
+
+def test_messy_java_does_not_crash():
+    parts = scan_code(MESSY_JAVA)
     assert ["tricky"] in parts.class_names
     assert ["transform"] in parts.method_names
     assert ["helper"] in parts.invoked_method_names
@@ -143,6 +145,53 @@ def test_c_struct_and_function():
     assert ["speed"] in parts.field_names
     assert ["force"] in parts.parameter_names
 
+
+
+def test_a_comment_opener_inside_a_string_is_text():
+    source = """
+    private String home = "http://example.com";
+    private int width;
+    void draw(int depth) { show("done"); }
+    private String name = "x";
+    """
+    parts = scan_code(source)
+    assert parts.comments == []
+    assert parts.field_names == [["home"], ["width"], ["name"]]
+    assert parts.method_names == [["draw"]]
+    assert parts.parameter_names == [["depth"]]
+    assert parts.invoked_method_names == [["show"]]
+
+
+def test_a_block_opener_inside_a_line_comment_is_comment():
+    parts = scan_code("// see /* note\nint width;\n/* real */")
+    assert parts.comments == [["see", "note"], ["real"]]
+    assert parts.field_names == [["width"]]
+
+
+def test_block_and_line_comments_come_back_in_source_order():
+    words = ["alpha", *(f"word{i}" for i in range(19))]
+    parts = scan_code(f"/* {' '.join(words)} */\nint a;\n/* beta */\nint b;\n// gamma\n")
+    assert parts.comments == [words, ["beta"], ["gamma"]]
+
+
+def test_literal_text_declares_nothing():
+    # The literal `"{ not } code ; int x = 1; //"` holds a declaration and a line-comment opener.
+    parts = scan_code(MESSY_JAVA)
+    assert ["x"] not in parts.field_names
+    assert ["trailing", "note"] in parts.comments
+
+
+def test_declarations_that_end_in_a_semicolon_are_methods():
+    source = """
+    public interface RouteStore { Route findRoute(String routeName); void clearAll(); }
+    abstract class Shape { public abstract double area(int scale); }
+    int log_event(int code, const char *text);
+    void run() { return compute(x); }
+    """
+    parts = scan_code(source)
+    assert parts.method_names == [["find", "route"], ["clear", "all"], ["area"], ["log", "event"], ["run"]]
+    assert parts.parameter_names == [["route", "name"], ["scale"], ["code"], ["text"]]
+    assert parts.invoked_method_names == [["compute"]]
 
 # Unicode whitespace and digits that `\s`, `\w`, `str.isspace` and `str.isalnum` all see.
 _SCAN_CHARS = st.sampled_from(" \t\n\x0b\x1c\x85\u00a0\u2003\u3000_aZ\u00e9\u0663\u00b2\u00bd(;")
@@ -222,3 +271,36 @@ def test_every_token_is_ascii_alphanumeric(text):
     # So no base stem holds the "_" of a compound term (see `Document`).
     groups = [*chain.from_iterable(vars(scan_code(text)).values()), *tokenize_natural(text)]
     assert all(token.isascii() and token.isalnum() for group in groups for token in group)
+
+
+# String contents with comment openers, quotes, escaped quotes, terminators and brackets.
+_LITERAL_TEXT = st.lists(st.sampled_from(["/", "*", "'", '\\"', ";", "{", "(", ")", "a", "x", " "])).map("".join)
+
+
+@given(st.lists(_STATEMENTS, max_size=12), st.data())
+def test_string_contents_never_change_the_scan(statements, data):
+    at = data.draw(st.integers(0, len(statements)))
+    text = data.draw(_LITERAL_TEXT)
+    for sep in ("", " "):
+        def code(literal):
+            return sep.join([*statements[:at], f"s = {literal};", *statements[at:]])
+
+        assert vars(scan_code(code(f'"{text}"'))) == vars(scan_code(code('""')))
+
+
+# Comment words with the other kind's opener, quotes and code in them; a block word holds no `*`.
+_LINE_WORDS = st.lists(st.sampled_from(["alpha", "beta", "/*", "*/", "//", '"', "'", "int", "x;"]), max_size=5)
+_BLOCK_WORDS = st.lists(st.sampled_from(["gamma", "delta", "//", '"', "'", "int", "y;", "\n"]), max_size=5)
+
+
+@given(st.lists(st.one_of(
+    _LINE_WORDS.map(lambda words: ("line", " ".join(words))),
+    _BLOCK_WORDS.map(lambda words: ("block", " ".join(words))),
+    st.sampled_from(["int z;", "f(x);", "\n"]).map(lambda code: ("code", code)),
+), max_size=10))
+def test_comments_come_back_in_source_order(pieces):
+    source = "".join(
+        {"line": f"//{body}\n", "block": f"/*{body}*/", "code": body}[kind] for kind, body in pieces
+    )
+    expected = [sentence for kind, body in pieces if kind != "code" for sentence in tokenize_natural(body)]
+    assert scan_code(source).comments == expected
