@@ -55,8 +55,11 @@ def _window_pairs(tokens: list[str], window: int) -> list[Pair]:
 
     A token that normalization drops (stopword/special) breaks its pairs but
     not the window geometry. A window of `len(tokens)` pairs every two kept
-    tokens, as an identifier needs. Each token is normalized once.
+    tokens, as an identifier needs. Each token is normalized once; fewer than
+    two tokens make no pair and are not normalized.
     """
+    if len(tokens) < 2:
+        return []
     stems = list(map(normalize_token, tokens))
     return [
         (a, b) if a < b else (b, a)

@@ -10,6 +10,13 @@ the suffix table `_SUFFIXES` (adj, noun and verb suffixes), and otherwise
 noun. Purely numeric tokens get no tag at all. This is deliberately
 lightweight: downstream only needs to separate content words
 (noun/verb/adjective) from everything else.
+
+The two lexicon rules are one dict lookup each, in maps built once from
+`_LEXICONS`: `_WORD_TAGS` maps each word to the tag of the first lexicon
+that holds it, and `_SINGULAR_TAGS` maps each verb and noun to its tag,
+verb where a word is both. Each is exact because a map built in reverse
+check order keeps, for a word in several lexicons, the tag written last,
+which is the one the check order reaches first.
 """
 
 from __future__ import annotations
@@ -104,26 +111,31 @@ _SUFFIXES = {
 }
 
 
+# The two lexicon rules as one lookup each; the module docstring says why they are exact.
+_WORD_TAGS = {word: tag for tag, words in reversed(_LEXICONS.items()) for word in words}
+_SINGULAR_TAGS = {word: tag for tag in (NOUN, VERB) for word in _LEXICONS[tag]}
+
+
 @lru_cache(maxsize=None)
 def tag_token(token: str) -> str | None:
     """Tag one token: noun, verb, adj, other, or None when untaggable (cached per word)."""
     if token.isdigit():
         return None
     lowered = token.lower()
-    for tag, words in _LEXICONS.items():
-        if lowered in words:
-            return tag
+    tag = _WORD_TAGS.get(lowered)
+    if tag is not None:
+        return tag
     if lowered.endswith("ly"):
         return OTHER
     # Plural lookup: strip trailing s/es and retry the verbs, then the nouns.
-    singular = _strip_plural(lowered)
-    for tag in (VERB, NOUN):
-        if singular in _LEXICONS[tag]:
-            return tag
+    tag = _SINGULAR_TAGS.get(_strip_plural(lowered))
+    if tag is not None:
+        return tag
     if token.isupper() and len(token) >= 2:
         return NOUN
+    tail = lowered[3:]
     for tag, suffixes in _SUFFIXES.items():
-        if lowered[3:].endswith(suffixes):
+        if tail.endswith(suffixes):
             return tag
     return NOUN
 

@@ -24,7 +24,8 @@ def normalize_token(token: str) -> str | None:
 
 @lru_cache(maxsize=None)
 def _normalize_lowered(lowered: str) -> str | None:
-    if not any(c.isalnum() for c in lowered) or is_stopword(lowered):
+    # An all-alphanumeric word, the common case, needs no per-character test.
+    if not (lowered.isalnum() or any(c.isalnum() for c in lowered)) or is_stopword(lowered):
         return None
     return porter_stem(lowered)
 

@@ -407,13 +407,24 @@ _CSV_HEADER = ["source_id", "target_id", "score"]
 
 
 def _csv_fields(ids: list[str], quoting: int) -> list[str]:
-    """Each id as `csv.writer` writes a row's first field, with the comma after it."""
+    """Each id as `csv.writer` writes a row's first field, with the comma after it.
+
+    An id the writer refuses (Python 3.10's refuses NUL) raises ValidationError.
+    """
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n", quoting=quoting)
     # A lone empty field is written '""', so each id takes an empty second field. Half the
     # length of a row of two empty fields (`writerow` returns it) follows each row's comma.
-    ends = list(accumulate(map(writer.writerow, zip(ids, repeat(""))),
-                           initial=writer.writerow(("", ""))))
+    try:
+        ends = list(accumulate(map(writer.writerow, zip(ids, repeat(""))),
+                               initial=writer.writerow(("", ""))))
+    except csv.Error as exc:
+        for doc_id in ids:  # name the first id the writer refuses
+            try:
+                writer.writerow((doc_id, ""))
+            except csv.Error:
+                raise ValidationError(f"cannot write id {doc_id!r} as CSV: {exc}") from exc
+        raise
     cut, text = ends[0] // 2, buffer.getvalue()
     return [text[start:end - cut] for start, end in zip(ends, ends[1:])]
 

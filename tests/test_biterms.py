@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tracelink import biterms as biterms_module
 from tracelink.biterms import (
     _CONTENT_TAGS,
     _STRONG_PARTS,
@@ -304,3 +305,11 @@ def test_window_pairs_are_the_oracle_pairs(tokens, window):
     """Any window, up to past the token count, gives the oracle's pairs in some order."""
     for width in (window, _WINDOW, len(tokens)):
         assert Counter(_window_pairs(tokens, width)) == Counter(oracle_window_pairs(tokens, width))
+
+
+@pytest.mark.parametrize("tokens", [[], ["Route"]], ids=["no_token", "one_token"])
+def test_fewer_than_two_tokens_make_no_pair(monkeypatch, tokens):
+    """No pair, and no token normalized, so no stem computed, in any window."""
+    monkeypatch.setattr(biterms_module, "normalize_token", lambda token: pytest.fail(token))
+    for window in (1, 2, _WINDOW, 10):
+        assert _window_pairs(tokens, window) == []

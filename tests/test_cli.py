@@ -12,9 +12,12 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 import tracelink.cli as cli
 import tracelink.irmodels as irmodels
 from tracelink.cli import _json_text, _pr_curve_csv, main
+from tracelink.errors import ValidationError
 from tracelink.evaluate import EvalReport
 from tracelink.irmodels import MODELS, RankedLinks, format_ranked_csv, parse_ranked_csv
 from tracelink.pipeline import ABLATION_MODES
+
+from test_irmodels import NulRefusingWriter, refused_by_writer
 
 
 def run_cli(*argv) -> int:
@@ -351,6 +354,10 @@ class TestEval:
             sources, np.array([sources.index(link[0]) for link in links], np.int64),
             targets, np.array([targets.index(link[1]) for link in links], np.int64),
             np.array([score for _, _, score in links], np.float64))
+        if refused_by_writer(ranking):
+            with pytest.raises(ValidationError):
+                format_ranked_csv(ranking)
+            return
         path = tmp_path_factory.mktemp("ranked") / "ranked.csv"
         cli._write(path, [format_ranked_csv(ranking)])
         expected = {source: [(target, float("%.6f" % score))
@@ -765,6 +772,17 @@ class TestExitCodes:
         )
         assert code == 2
         assert capsys.readouterr().err.startswith("error: cannot look for dependency-pair file")
+
+    def test_id_the_csv_writer_refuses_exits_2(self, tmp_path, motivating_manifest, capsys):
+        """As on Python 3.10, whose csv.writer refuses NUL: one error line, no ranking."""
+        manifest = _copy_motivating(motivating_manifest, tmp_path)
+        manifest.write_text(manifest.read_text().replace('"RE-691"', '"RE-\\u0000691"'))
+        out = tmp_path / "out"
+        with mock.patch.object(irmodels.csv, "writer", NulRefusingWriter):
+            assert run_cli("trace", "--manifest", str(manifest), "--out", str(out)) == 2
+        assert capsys.readouterr().err == (
+            "error: cannot write id 'RE-\\x00691' as CSV: need to escape, but no escapechar set\n")
+        assert not (out / "ranked_links.csv").exists()
 
     @pytest.mark.parametrize("command", ["trace", "ablate"])
     @pytest.mark.parametrize("bad", ["missing", "file", "nul"])

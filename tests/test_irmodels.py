@@ -48,6 +48,36 @@ _ids = st.text(st.sampled_from(',"\r\n\u2028 x') | st.characters(), min_size=1, 
 _writer_ids = st.just("") | st.text(st.sampled_from(',"\r\n\0 x') | st.characters(),
                                     min_size=1, max_size=6)
 
+_CSV_WRITER = csv.writer
+
+
+class NulRefusingWriter:
+    """`csv.writer` as Python 3.10 has it: a field that holds NUL raises csv.Error."""
+
+    def __init__(self, *args, **kwargs):
+        self._writer = _CSV_WRITER(*args, **kwargs)
+
+    def writerow(self, row):
+        if any("\0" in field for field in row):
+            raise csv.Error("need to escape, but no escapechar set")
+        return self._writer.writerow(row)
+
+
+def _writer_refuses_nul():
+    try:
+        csv.writer(io.StringIO()).writerow(["\0"])
+    except csv.Error:
+        return True
+    return False
+
+
+WRITER_REFUSES_NUL = _writer_refuses_nul()
+
+
+def refused_by_writer(links):
+    """True where this Python's csv.writer refuses an id of `links`, as 3.10's does NUL."""
+    return WRITER_REFUSES_NUL and any("\0" in doc_id for doc_id in [*links.sources, *links.targets])
+
 
 # Text without '"', "\r" or NUL, which `parse_ranked_csv` splits without csv.reader.
 _plain_id = st.text(st.sampled_from("ab \u2028\x0b\x1c\u00e9") | st.characters(
@@ -993,6 +1023,10 @@ class TestRanking:
         max_size=4,
     ))
     def test_csv_round_trip_any_ids(self, ranked):
+        if refused_by_writer(long_form(ranked)):
+            with pytest.raises(ValidationError):
+                format_ranked_csv(long_form(ranked))
+            return
         expected = {
             source: [(target, float(f"{score:.6f}")) for target, score in targets]
             for source, targets in ranked.items()
@@ -1011,6 +1045,10 @@ class TestRanking:
     )
     def test_writer_matches_dict_writer_byte_for_byte(self, ranked, rng, block):
         links = long_form(ranked)
+        if refused_by_writer(links):
+            with pytest.raises(ValidationError, match="as CSV"):
+                format_ranked_csv(links)
+            return
         assert format_ranked_csv(links) == oracle_format_ranked_csv(ranked)
         with mock.patch.object(irmodels, "_LINK_BLOCK", block):  # many %-format blocks
             assert format_ranked_csv(links) == oracle_format_ranked_csv(ranked)
@@ -1023,6 +1061,19 @@ class TestRanking:
         interleaved = RankedLinks(links.sources, links.source_codes[order], links.targets,
                                   links.target_codes[order], links.scores[order])
         assert format_ranked_csv(interleaved) == oracle_format_ranked_csv(ranked)
+
+    @pytest.mark.parametrize("ranked, refused", [
+        ({"s\0": [("t", 0.5)], "s": [("t\0", 0.25)]}, "s\0"),
+        ({"s": [("t", 0.5), ("t\r\0", 0.25)]}, "t\r\0"),  # a quoted row
+    ])
+    def test_an_id_the_writer_refuses_is_a_validation_error(self, ranked, refused):
+        with mock.patch.object(irmodels.csv, "writer", NulRefusingWriter):
+            with pytest.raises(ValidationError) as caught:
+                format_ranked_csv(long_form(ranked))
+        assert str(caught.value) == (
+            f"cannot write id {refused!r} as CSV: need to escape, but no escapechar set")
+        if not WRITER_REFUSES_NUL:
+            assert "\0" in format_ranked_csv(long_form(ranked))
 
     @given(_ranking_texts)
     def test_split_fast_path_matches_csv_reader(self, text):

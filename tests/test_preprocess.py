@@ -6,6 +6,8 @@ from hypothesis import given, strategies as st
 
 from tracelink.corpus import preprocess as preprocess_module
 from tracelink.corpus.preprocess import _normalize_lowered, normalize_token, preprocess
+from tracelink.corpus.stemmer import porter_stem
+from tracelink.corpus.stopwords import is_stopword
 
 
 def test_assigned_routes():
@@ -80,3 +82,26 @@ def test_case_variants_stemmed_once(monkeypatch):
 def test_preprocess_unchanged_by_cache(tokens):
     stems = (_normalize_lowered.__wrapped__(token.lower()) for token in tokens)
     assert preprocess(tokens) == Counter(stem for stem in stems if stem is not None)
+
+
+def plain_normalize(token):
+    """Lowercase; None when no character is alphanumeric or the word is a stopword; else stem."""
+    lowered = token.lower()
+    if not any(c.isalnum() for c in lowered) or is_stopword(lowered):
+        return None
+    return porter_stem(lowered)
+
+
+# Punctuation-only, alphanumeric, mixed and non-ASCII tokens, and any text.
+_UNICODE_TOKENS = st.one_of(
+    st.text(st.sampled_from("-_.,;:!?()[]/\\'\" \t\u2028\u00a0\u3002"), max_size=4),
+    st.text(st.sampled_from("aeiouyRouteSELECT0129\u00e9\u00df\u0130\u03a3\u0663\u00bd"),
+            min_size=1, max_size=10),
+    st.text(st.sampled_from("routes-ed_2\u00e9.\u2028"), max_size=8),
+    st.text(),
+)
+
+
+@given(_UNICODE_TOKENS)
+def test_normalize_token_is_its_plain_definition(token):
+    assert normalize_token(token) == plain_normalize(token)
