@@ -13,6 +13,9 @@ whichever opener comes first wins, so a `//` inside a string is text, and a
 `/*` or a quote inside a line comment is comment. Each comment is tokenized
 in source order, and every comment and literal is blanked before the
 declarations are matched.
+Type syntax then reads as the names in it (`Map<String, List<Integer>>`,
+`Route[]`). A keyword before a callable's name makes it a call or a
+statement, and no field has a keyword or `void` as its type.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
-from .identifiers import split_identifier
 from .nltext import tokenize_natural
 
 # Block comment, line comment, string literal, character literal.
@@ -30,13 +32,17 @@ _COMMENT_OR_LITERAL = re.compile(
 )
 _STAR_MARGIN = re.compile(r"^\s*\*+", re.MULTILINE)
 _ANNOTATION = re.compile(r"@\w+(?:\([^)]*\))?")
+# An innermost type-argument list after a name, or an empty `[]`. A list before `(`
+# stays, so `new ArrayList<String>()` calls no method `String`.
+_TYPE_SYNTAX = re.compile(r"(?<=\w)\s*<[\w\s,.?]*>(?!\s*\()|\[\s*\]")
+_TYPE_PUNCTUATION = str.maketrans("<>,[]", "     ")
 
 _CLASS_DECL = re.compile(r"\b(?:class|interface|enum|struct|union)\s+(\w+)")
 _CALLABLE = re.compile(r"\b(\w+)\s*\(([^()]*)\)\s*(?:throws\s+[\w\s,.]+)?(\{|;|)", re.DOTALL)
 
 _KEYWORDS = frozenset("""
 if else for while do switch case default try catch finally return throw
-throws new sizeof assert synchronized break continue goto this super
+throws new sizeof assert synchronized break continue goto this super yield
 """.split())
 
 _MODIFIERS = frozenset("""
@@ -45,11 +51,22 @@ synchronized const unsigned signed short long register extern inline struct
 strictfp
 """.split())
 
-_NON_TYPES = frozenset({"return", "throw", "new", "else", "case", "do", "void"})
+_NOT_TYPES = _MODIFIERS | _KEYWORDS | {"void"}
 
-# A callable with a `{` or `;` tail declares a method unless one of these
-# precedes its name, which makes it a call (`return f();`) or a construction.
-_STATEMENT_WORDS = frozenset({"return", "throw", "new", "else", "case", "do", "yield", "assert"})
+# An acronym before a capitalized word, a word with at most one leading capital,
+# a run of capitals, or a run of digits. Anything but ASCII letters and digits separates.
+_WORD = re.compile(r"[A-Z]+(?=[A-Z][a-z])|[A-Z]?[a-z]+|[A-Z]+|[0-9]+")
+
+
+def split_identifier(identifier: str) -> list[str]:
+    """Split a programming identifier into lowercase component tokens.
+
+    Boundaries: underscores and other separators, lowercase-to-uppercase
+    transitions, and letter/digit transitions. A run of capitals stays
+    together until a lowercase letter follows, in which case the last
+    capital starts the next token ("AFInfoBox" -> af, info, box).
+    """
+    return [word.lower() for word in _WORD.findall(identifier)]
 
 
 @dataclass
@@ -78,7 +95,7 @@ def scan_code(source: str) -> CodeParts:
         return " "
 
     # Annotations go after the literals, whose text may hold a `)`: `@Pattern(regexp = "(a|b)")`.
-    code = _ANNOTATION.sub(" ", _COMMENT_OR_LITERAL.sub(blank, source))
+    code = _plain_types(_ANNOTATION.sub(" ", _COMMENT_OR_LITERAL.sub(blank, source)))
 
     for m in _CLASS_DECL.finditer(code):
         parts.class_names.append(split_identifier(m.group(1)))
@@ -90,7 +107,8 @@ def scan_code(source: str) -> CodeParts:
             declaration_spans.append(m.span())
             continue
         preceding = _preceding_word(code, m.start())
-        if tail and preceding is not None and preceding not in _STATEMENT_WORDS:
+        # A keyword before the name makes it a call (`return f();`) or a construction.
+        if tail and preceding is not None and preceding not in _KEYWORDS:
             declaration_spans.append(m.span())
             parts.method_names.append(split_identifier(name))
             _scan_parameters(params, parts)
@@ -102,6 +120,14 @@ def scan_code(source: str) -> CodeParts:
 
     _scan_fields(code, declaration_spans, parts)
     return parts
+
+
+def _plain_types(code: str) -> str:
+    """`code` with the brackets and commas of its type syntax blanked, innermost lists first."""
+    rewrites = 1
+    while rewrites:
+        code, rewrites = _TYPE_SYNTAX.subn(lambda m: m[0].translate(_TYPE_PUNCTUATION), code)
+    return code
 
 
 def _preceding_word(code: str, pos: int) -> str | None:
@@ -132,7 +158,7 @@ def _scan_parameters(params: str, parts: CodeParts) -> None:
 # statement boundary is a lookbehind so one declaration's terminator can
 # anchor the next.
 _FIELD_DECL = re.compile(
-    r"(?:^|(?<=[;{}]))\s*((?:\w+(?:\s*<[^<>]*>)?(?:\s*\[\s*\])*\s+)+)(\w+)(?:\s*\[\s*\])*\s*(?:=[^;]*)?;",
+    r"(?:^|(?<=[;{}]))\s*((?:\w+\s+)+)(\w+)\s*(?:=[^;]*)?;",
     re.DOTALL,
 )
 
@@ -146,8 +172,7 @@ def _scan_fields(code: str, skip_spans: list[tuple[int, int]], parts: CodeParts)
         if last >= 0 and m.start(1) < skip_spans[last][1]:
             continue
         type_text, name = m.group(1), m.group(2)
-        type_tokens = [t for t in re.findall(r"\w+", type_text) if t not in _MODIFIERS]
-        type_tokens = [t for t in type_tokens if t not in _NON_TYPES]
+        type_tokens = [t for t in re.findall(r"\w+", type_text) if t not in _NOT_TYPES]
         if not type_tokens:
             continue
         type_ident = [t for ts in type_tokens for t in split_identifier(ts)]

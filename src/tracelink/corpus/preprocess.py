@@ -1,12 +1,21 @@
-"""Token normalization: special-token removal, lowercasing, stopwords, stemming."""
+"""Token normalization (special-token removal, lowercasing, stopwords, stemming) and documents.
+
+A document holds the normalized tokens of every `CodeParts` field of an artifact but its
+invoked method names, which count only for biterm importance.
+"""
 
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import fields
 from functools import lru_cache
 
+from .codescan import CodeParts
 from .stemmer import porter_stem
 from .stopwords import is_stopword
+from .types import Artifact, Document
+
+_DOCUMENT_PARTS = [f.name for f in fields(CodeParts) if f.name != "invoked_method_names"]
 
 
 @lru_cache(maxsize=None)
@@ -33,3 +42,9 @@ def _normalize_lowered(lowered: str) -> str | None:
 def preprocess(tokens: list[str]) -> Counter[str]:
     """Map raw word tokens to a multiset of lowercase non-stopword stems."""
     return Counter(stem for stem in map(normalize_token, tokens) if stem is not None)
+
+
+def build_document(artifact: Artifact) -> Document:
+    parts = artifact.parts
+    tokens = [tok for name in _DOCUMENT_PARTS for group in getattr(parts, name) for tok in group]
+    return Document(artifact_id=artifact.id, terms=preprocess(tokens))

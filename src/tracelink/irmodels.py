@@ -376,10 +376,9 @@ def selection_lists(table: SimilarityTable, rows: np.ndarray, pool: np.ndarray,
 
 
 def kept(scores: list[float], m: float, t: int) -> int:
-    """How many of a selection list's first t `scores` score at least m times its first, the
-    row's best: as the list descends, that many lead it. A list whose best is 0 selects none."""
-    best = scores[0] if scores else 0.0
-    return sum(score >= m * best for score in scores[:t]) if best > 0.0 else 0
+    """How many of a selection list's first t `scores` are above 0 and at least m times its
+    first, the row's best: as the list descends, that many lead it. A 0 is never kept."""
+    return sum(0.0 < score >= m * scores[0] for score in scores[:t])
 
 
 def rank_candidates(

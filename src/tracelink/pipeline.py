@@ -42,7 +42,7 @@ from pathlib import Path
 import numpy as np
 
 from .biterms import consensual_filter, extract_biterms
-from .corpus.documents import build_document
+from .corpus.preprocess import build_document
 from .corpus.types import Dataset, Document
 from .enrich import add_own_biterms, enrich_artifact, select_related_intermediates
 from .errors import ConfigError

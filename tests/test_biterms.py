@@ -21,10 +21,9 @@ from tracelink.biterms import (
     import_parsed_pairs,
 )
 from tracelink.corpus.codescan import CodeParts
-from tracelink.corpus.documents import build_document
 from tracelink.corpus.manifest import load_dataset
 from tracelink.corpus.nltext import tag_token, tokenize_natural
-from tracelink.corpus.preprocess import normalize_token
+from tracelink.corpus.preprocess import build_document, normalize_token
 from tracelink.corpus.types import Artifact, Kind
 from tracelink.errors import ParseError
 

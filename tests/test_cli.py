@@ -14,7 +14,7 @@ import tracelink.irmodels as irmodels
 from tracelink.cli import _json_text, _pr_curve_csv, main
 from tracelink.errors import ValidationError
 from tracelink.evaluate import EvalReport
-from tracelink.irmodels import MODELS, RankedLinks, format_ranked_csv, parse_ranked_csv
+from tracelink.irmodels import MODELS, RankedLinks, format_ranked_csv
 from tracelink.pipeline import ABLATION_MODES
 
 from test_irmodels import NulRefusingWriter, refused_by_writer

@@ -4,6 +4,7 @@ import re
 from itertools import chain
 from unittest import mock
 
+import pytest
 from hypothesis import given, strategies as st
 
 from tracelink.corpus import codescan
@@ -193,6 +194,92 @@ def test_declarations_that_end_in_a_semicolon_are_methods():
     assert parts.parameter_names == [["route", "name"], ["scale"], ["code"], ["text"]]
     assert parts.invoked_method_names == [["compute"]]
 
+def test_generic_and_array_return_types_declare_methods():
+    for return_type in ("List<Route>", "Route[]", "Map<String, Route>"):
+        parts = scan_code(f"class A {{ public {return_type} findAll(int limit) {{ }} }}")
+        assert parts.method_names == [["find", "all"]]
+        assert parts.invoked_method_names == []
+        assert parts.parameter_type_names == [["int"]]
+        assert parts.parameter_names == [["limit"]]
+
+
+def test_a_comma_between_type_arguments_separates_no_parameters():
+    parts = scan_code("void put(Map<String, Integer> counts, int size) { }")
+    assert parts.parameter_type_names == [["map", "string", "integer"], ["int"]]
+    assert parts.parameter_names == [["counts"], ["size"]]
+
+
+def test_a_field_of_nested_generic_type_is_found():
+    parts = scan_code("class A { Map<String, List<Integer>> lookupTable = make(); }")
+    assert parts.field_type_names == [["map", "string", "list", "integer"]]
+    assert parts.field_names == [["lookup", "table"]]
+    assert parts.invoked_method_names == [["make"]]
+
+
+def test_keyword_statements_declare_no_fields():
+    parts = scan_code("void run() { assert ready; yield x; break outer; continue inner; goto done; }")
+    assert parts.method_names == [["run"]]
+    assert parts.field_type_names == parts.field_names == []
+
+
+def test_yield_is_not_a_call():
+    parts = scan_code("void run() { yield (a); }")
+    assert parts.method_names == [["run"]]
+    assert parts.invoked_method_names == []
+
+
+@pytest.mark.parametrize("body, found", [
+    ("if (a < b && c > d) { g(); }", {"invoked_method_names": [["g"]]}),
+    ("x = a < b ? c : d;", {}),
+    ("y = v << 2 >> 1;", {}),
+    ("m = new HashMap<>();", {}),
+    # A type-argument list before `(` stays, so the constructor call names no method `string`.
+    ("List<String> names = new ArrayList<String>();",
+     {"field_type_names": [["list", "string"]], "field_names": [["names"]]}),
+])
+def test_comparisons_shifts_and_constructions_read_no_type_syntax(body, found):
+    parts = scan_code(f"void run() {{ {body} }}")
+    assert {name: value for name, value in vars(parts).items() if value} == {
+        "method_names": [["run"]], **found,
+    }
+
+
+def test_a_generic_method_reads_its_names_as_before():
+    parts = scan_code("public <T extends Comparable<T>> T max(List<? extends T> items) { }")
+    assert parts.method_names == [["max"]]
+    assert parts.parameter_type_names == [["list", "extends", "t"]]
+    assert parts.parameter_names == [["items"]]
+    assert parts.invoked_method_names == parts.field_names == []
+
+
+_PLAIN_NAMES = st.from_regex(r"[A-Za-z][A-Za-z0-9_]{0,7}", fullmatch=True).filter(
+    lambda word: word not in codescan._NOT_TYPES)
+_SPACE = st.sampled_from(["", " "])
+# Type arguments nest types, wildcards and arrays, with or without spaces around the syntax.
+_TYPES = st.recursive(
+    _PLAIN_NAMES | _PLAIN_NAMES.map("? extends {}".format),
+    lambda inner: st.builds(
+        "{}{}<{}>".format, _PLAIN_NAMES, _SPACE, st.lists(inner, min_size=1, max_size=3).map(", ".join)
+    ) | st.builds("{}{}[]".format, inner, _SPACE),
+    max_leaves=6,
+)
+_TYPE_SUFFIXES = st.builds(
+    "{}{}{}".format,
+    _SPACE,
+    st.just("") | st.lists(_TYPES, min_size=1, max_size=3).map(lambda args: f"<{', '.join(args)}>"),
+    st.lists(st.sampled_from(["[]", " [ ]"]), max_size=2).map("".join),
+)
+
+
+@given(_PLAIN_NAMES, _PLAIN_NAMES, _PLAIN_NAMES, _PLAIN_NAMES, _TYPE_SUFFIXES, _TYPE_SUFFIXES)
+def test_type_syntax_leaves_method_and_parameter_names(r, name, t, p, r_syntax, t_syntax):
+    plain = scan_code(f"{r} {name}({t} {p}) {{ }}")
+    typed = scan_code(f"{r}{r_syntax} {name}({t}{t_syntax} {p}) {{ }}")
+    assert plain.method_names == [codescan.split_identifier(name)]
+    assert typed.method_names == plain.method_names
+    assert typed.parameter_names == plain.parameter_names
+
+
 # Unicode whitespace and digits that `\s`, `\w`, `str.isspace` and `str.isalnum` all see.
 _SCAN_CHARS = st.sampled_from(" \t\n\x0b\x1c\x85\u00a0\u2003\u3000_aZ\u00e9\u0663\u00b2\u00bd(;")
 
@@ -211,8 +298,7 @@ def _scan_fields_any(code, skip_spans, parts):
         if any(start < m.end(2) and m.start(1) < end for start, end in skip_spans):
             continue
         type_text, name = m.group(1), m.group(2)
-        type_tokens = [t for t in re.findall(r"\w+", type_text) if t not in codescan._MODIFIERS]
-        type_tokens = [t for t in type_tokens if t not in codescan._NON_TYPES]
+        type_tokens = [t for t in re.findall(r"\w+", type_text) if t not in codescan._NOT_TYPES]
         if not type_tokens:
             continue
         type_ident = [t for ts in type_tokens for t in codescan.split_identifier(ts)]

@@ -5,7 +5,7 @@ import re
 import pytest
 from hypothesis import given, strategies as st
 
-from tracelink.corpus.identifiers import split_identifier
+from tracelink.corpus.codescan import split_identifier
 
 
 @pytest.mark.parametrize("identifier,expected", [

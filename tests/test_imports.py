@@ -1,4 +1,4 @@
-"""Every name a `src/` module or a `scripts/` script imports is used in that file.
+"""Every name a `src/` module, a `scripts/` script or a test module imports is used in that file.
 
 No linter ships with the test dependencies, so this walks each module's
 syntax tree with the standard `ast` module. A name counts as used when it
@@ -14,11 +14,12 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
-MODULES = sorted(SRC.rglob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+MODULES = [*sorted(SRC.rglob("*.py")), *sorted((ROOT / "scripts").glob("*.py")),
+           *sorted((ROOT / "tests").glob("*.py"))]
 
 
 def module_id(path: Path) -> str:
-    """A module's path under `src/`, or a script's under the repository root."""
+    """A module's path under `src/`, or a script's or a test's under the repository root."""
     return str(path.relative_to(SRC if SRC in path.parents else ROOT))
 
 

@@ -3,10 +3,13 @@
 Each property runs `tracelink.cli.main(["trace", ...])` in mode b+o+i on
 small generated manifests. The per-word caches (normalization and tagging)
 are cleared before each run, so each run meets the words in its own order.
-`lsi` is left out: two identical artifacts can make its output depend on
-manifest order (ROADMAP item 15).
+The shuffle leaves `lsi` out: two identical artifacts can make its output
+depend on manifest order (ROADMAP item 15). The rename keeps the manifest
+order, so it covers `lsi` too.
 """
 
+import csv
+import io
 import json
 
 import pytest
@@ -31,6 +34,11 @@ _java = st.builds(
     _prose, _names, _names, _names, _names, _names,
 )
 _OUTPUTS = ("ranked_links.csv", "path_traces.json")
+_levels = st.fixed_dictionaries({
+    "sources": st.lists(_prose, min_size=1, max_size=4),
+    "intermediates": st.lists(_prose, max_size=3),
+    "targets": st.lists(_java, min_size=1, max_size=4),
+})
 
 
 def _trace(manifest, out, model):
@@ -41,31 +49,69 @@ def _trace(manifest, out, model):
     return {name: (out / name).read_bytes() for name in _OUTPUTS}
 
 
-@pytest.mark.parametrize("model", ["vsm", "js"])
-@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(
-    sources=st.lists(_prose, min_size=1, max_size=4),
-    intermediates=st.lists(_prose, max_size=3),
-    targets=st.lists(_java, min_size=1, max_size=4),
-    rng=st.randoms(use_true_random=False),
-)
-def test_shuffling_each_level_leaves_the_outputs(
-    tmp_path_factory, model, sources, intermediates, targets, rng
-):
-    base = tmp_path_factory.mktemp("shuffle")
+def _write_levels(base, texts):
+    """Write each level's texts as artifacts `s0`, `i0`, `t0`, ...; return the manifest levels."""
     levels = {}
-    for level, texts, kind, suffix in (("sources", sources, "nl", "txt"),
-                                       ("intermediates", intermediates, "nl", "txt"),
-                                       ("targets", targets, "code", "java")):
+    for level, kind, suffix in (("sources", "nl", "txt"), ("intermediates", "nl", "txt"),
+                                ("targets", "code", "java")):
         levels[level] = []
-        for number, text in enumerate(texts):
+        for number, text in enumerate(texts[level]):
             artifact_id = f"{level[0]}{number}"
             (base / f"{artifact_id}.{suffix}").write_text(text)
             levels[level].append({"id": artifact_id, "path": f"{artifact_id}.{suffix}", "kind": kind})
-    shuffled = {level: rng.sample(entries, len(entries)) for level, entries in levels.items()}
+    return levels
+
+
+def _trace_manifests(base, model, manifests):
+    """`_trace` of each named manifest, with the oracle pair (s0, t0) under its own names."""
     runs = []
-    for name, manifest in (("given", levels), ("shuffled", shuffled)):
+    for name, (levels, oracle) in manifests.items():
         path = base / f"{name}.json"
-        path.write_text(json.dumps({**manifest, "oracle_st": [["s0", "t0"]]}))
+        path.write_text(json.dumps({**levels, "oracle_st": [oracle]}))
         runs.append(_trace(path, base / name, model))
+    return runs
+
+
+@pytest.mark.parametrize("model", ["vsm", "js"])
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(texts=_levels, rng=st.randoms(use_true_random=False))
+def test_shuffling_each_level_leaves_the_outputs(tmp_path_factory, model, texts, rng):
+    base = tmp_path_factory.mktemp("shuffle")
+    levels = _write_levels(base, texts)
+    shuffled = {level: rng.sample(entries, len(entries)) for level, entries in levels.items()}
+    runs = _trace_manifests(base, model, {"given": (levels, ["s0", "t0"]),
+                                          "shuffled": (shuffled, ["s0", "t0"])})
     assert runs[0] == runs[1]
+
+
+def _parsed_outputs(outputs, rename):
+    """The parsed ranking rows and path traces of `outputs`, with every id mapped by `rename`."""
+    header, *rows = csv.reader(io.StringIO(outputs["ranked_links.csv"].decode("utf-8")))
+    traces = json.loads(outputs["path_traces.json"])
+    for trace in traces:
+        trace["source"] = rename[trace["source"]]
+        for path in trace["paths"]:
+            path["nodes"] = [rename[node] for node in path["nodes"]]
+    return header, [[rename[source], rename[target], score] for source, target, score in rows], traces
+
+
+# Ids with punctuation, case, digits and a non-ASCII letter, so they sort unlike their lengths.
+_NEW_IDS = st.lists(st.text("aZ09-_.,é ", min_size=1, max_size=5), min_size=11, max_size=11,
+                    unique=True)
+
+
+@pytest.mark.parametrize("model", ["vsm", "js", "lsi"])
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(texts=_levels, new_ids=_NEW_IDS)
+def test_an_order_keeping_rename_renames_the_outputs(tmp_path_factory, model, texts, new_ids):
+    base = tmp_path_factory.mktemp("rename")
+    levels = _write_levels(base, texts)
+    ids = sorted(entry["id"] for entries in levels.values() for entry in entries)
+    rename = dict(zip(ids, sorted(new_ids)))
+    renamed = {level: [{**entry, "id": rename[entry["id"]]} for entry in entries]
+               for level, entries in levels.items()}
+    given_run, renamed_run = _trace_manifests(base, model, {
+        "given": (levels, ["s0", "t0"]), "renamed": (renamed, [rename["s0"], rename["t0"]]),
+    })
+    identity = {new: new for new in rename.values()}
+    assert _parsed_outputs(given_run, rename) == _parsed_outputs(renamed_run, identity)

@@ -105,14 +105,14 @@ def paths_from(source, pools, table, m, t, allow_inner=True):
 
 
 def select_rows(table, row, cols, m, t):
-    """The first t of `cols` scoring at least m times the best against `row`, with those scores.
+    """The first t of `cols` scoring above 0 and at least m times the best against `row`, with
+    those scores.
 
     The selection rule on one row, as the pipeline applied it per hop and
     per enriched artifact before it cut prefixes of `selection_lists`.
     """
     scores = table.scores[row, cols]
-    best = scores.max(initial=0.0)
-    keep = (scores >= m * best) & (best > 0.0)
+    keep = (scores > 0.0) & (scores >= m * scores.max(initial=0.0))
     cols, scores = cols[keep], scores[keep]
     order = _order(table, cols, scores)[:t]
     return cols[order], scores[order].tolist()
@@ -205,15 +205,13 @@ def oracle_ranked(table, a, pool):
 
 
 def oracle_top_related(table, a, pool, m, t):
-    """The first t of `oracle_ranked` scoring at least m times the best.
+    """The first t of `oracle_ranked` scoring above 0 and at least m times the best.
 
-    An all-zero row selects nothing.
+    A 0 is never selected, so an all-zero row selects nothing.
     """
     scored = oracle_ranked(table, a, pool)
-    if not scored or scored[0][1] <= 0.0:
-        return []
-    cutoff = m * scored[0][1]
-    return [(other, s) for other, s in scored if s >= cutoff][:t]
+    cutoff = m * scored[0][1] if scored else 0.0
+    return [(other, s) for other, s in scored if 0.0 < s >= cutoff][:t]
 
 
 def reference_paths(source, pools, table, m, t, allow_inner):
@@ -353,6 +351,7 @@ def check_selection_lists(table, rows_, pool, m, t, inner=False):
     ([0.7, 0.7, 0.6], 1.0, 3, 2),  # ties with the best at m = 1
     ([0.9, 0.9, 0.9, 0.5], 0.5, 2, 2),  # a cap below the list's length
     ([0.9, 0.3], 0.5, 1, 1),  # a cap of 1 keeps the best alone
+    ([5e-324, 0.0], 0.1, 2, 1),  # m times a subnormal best rounds to 0, and the 0 still goes
 ])
 def test_kept_reads_the_best_from_the_head_of_the_list(scores, m, t, expected):
     assert kept(scores, m, t) == expected
@@ -393,6 +392,15 @@ class TestFormPaths:
         table = full_table(pools, {("s1", "s2"): 0.9, ("s1", "t1"): 0.9, ("s2", "t1"): 0.9})
         m, t = 0.5, 3
         assert paths_from("s1", pools, table, m, t, allow_inner=True) == []
+
+    def test_a_subnormal_best_keeps_no_zero_link(self):
+        # The inner list of `a` leads with b at 5e-324, and 0.5 * 5e-324 rounds to 0; the
+        # row's own 0 cell with itself must still not become the inner link a -> a.
+        pools = IdPools(["a", "b"], ["c"], ["d"])
+        table = full_table(pools, {("a", "b"): 5e-324, ("a", "c"): 0.5, ("c", "d"): 0.5})
+        paths = paths_from("a", pools, table, 0.5, 3)
+        assert [p.nodes for p in paths] == [["a", "c", "d"]]
+        assert all(len(set(p.nodes)) == len(p.nodes) for p in paths)
 
     def test_one_inner_link_max(self):
         pools = IdPools(["s1", "s2"], ["i1", "i2"], ["t1"])
