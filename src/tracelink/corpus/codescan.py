@@ -8,11 +8,13 @@ of both. It is intentionally heuristic: good enough for single-file
 class/struct sources, not a parser for arbitrary code (imports, nested
 types and macro tricks are out of scope).
 
-Comments and string/character literals are read in one left-to-right pass:
-whichever opener comes first wins, so a `//` inside a string is text, and a
-`/*` or a quote inside a line comment is comment. Each comment is tokenized
-in source order, and every comment and literal is blanked before the
-declarations are matched.
+Comments, string/character literals and C preprocessor lines are read in
+one left-to-right pass: whichever opener comes first wins, so a `//` inside
+a string is text, and a `/*` or a quote inside a line comment is comment.
+Each comment is tokenized in source order, and every comment and literal is
+blanked before the declarations are matched. A preprocessor line (`#include`,
+`#define` and its continued lines) becomes a `;`, so it ends a statement and
+its text, a macro body included, is not scanned; a comment on it still is.
 Type syntax then reads as the names in it (`Map<String, List<Integer>>`,
 `Route[]`). A keyword before a callable's name makes it a call or a
 statement, and no field has a keyword or `void` as its type.
@@ -26,9 +28,15 @@ from dataclasses import dataclass, field
 
 from .nltext import tokenize_natural
 
-# Block comment, line comment, string literal, character literal.
+# Block comment, line comment, string literal, character literal, and a
+# preprocessor directive: a `#` first on its line, after spaces or tabs, up to
+# the line end or to a comment outside its literals, with its continued lines.
+# The directive starts with the newline before it, so that every alternative
+# starts with a literal character, which keeps the search fast.
 _COMMENT_OR_LITERAL = re.compile(
     r"/\*(?P<block>(?s:.*?))\*/|//(?P<line>[^\n]*)" r'|"(?:\\.|[^"\\])*"' r"|'(?:\\.|[^'\\])*'"
+    r"|\n[ \t]*#(?P<directive>(?:" r'[^\n\\/"' r"']|\\(?s:.)|/(?![/*])"
+    r'|"(?:\\.|[^"\\\n])*"' r"|'(?:\\.|[^'\\\n])*')*)"
 )
 _STAR_MARGIN = re.compile(r"^\s*\*+", re.MULTILINE)
 _ANNOTATION = re.compile(r"@\w+(?:\([^)]*\))?")
@@ -92,10 +100,13 @@ def scan_code(source: str) -> CodeParts:
             parts.comments.extend(tokenize_natural(_STAR_MARGIN.sub(" ", m["block"])))
         elif m.lastgroup == "line":
             parts.comments.extend(tokenize_natural(m["line"]))
+        elif m.lastgroup == "directive":
+            return ";"  # a directive ends a statement
         return " "
 
     # Annotations go after the literals, whose text may hold a `)`: `@Pattern(regexp = "(a|b)")`.
-    code = _plain_types(_ANNOTATION.sub(" ", _COMMENT_OR_LITERAL.sub(blank, source)))
+    # The newline in front puts a directive on the first line after a newline too.
+    code = _plain_types(_ANNOTATION.sub(" ", _COMMENT_OR_LITERAL.sub(blank, "\n" + source)))
 
     for m in _CLASS_DECL.finditer(code):
         parts.class_names.append(split_identifier(m.group(1)))

@@ -6,9 +6,13 @@ import from the package is the ranking's long form, `irmodels.RankedLinks`
 form the pipeline and the CSV reader give, and `evaluate_ranking` runs one
 array core on it. Precision/recall/F and AP work on the global ranked link
 list (all sources' links sorted together by descending score, then source
-and target id); MAP averages per-query AP, each over its source's links in
-the order given, over queries that have at least one relevant target, in
-the ranking's source order. The report's curve is two float64 arrays,
+and target id), of which they need only each relevant link's position: the
+count of links scoring higher, from one binary search of every score among
+the relevant links' scores, plus its place among the links of equal score,
+from a lexsort of only the links tied with some relevant link. MAP
+averages per-query AP, each over its source's links in the order given,
+over queries that have at least one relevant target, in the ranking's
+source order. The report's curve is two float64 arrays,
 recall and precision, one value per cutoff. The Wilcoxon rank-sum test is
 exact for small samples, one masked sum over an int64 array that counts
 subsets by size and doubled rank sum; past `_EXACT_LIMIT` subsets, as for
@@ -186,15 +190,50 @@ def compare_runs(f_a: list[float], f_b: list[float]) -> StatComparison:
     return StatComparison(p, delta, delta_category(delta))
 
 
+def _hit_positions(links: RankedLinks, relevant: np.ndarray) -> np.ndarray:
+    """The 0-based positions of the `relevant` links in the global order, ascending.
+
+    The global order sorts every link by (-score, source id, target id). A
+    hit's position is the count of links that score strictly higher plus
+    its place among the links of equal score. One binary search of every
+    link's negated score among the distinct hit scores gives both: the
+    links tied with some hit, and a bin per link whose running count is the
+    number of links above each hit score. Only the tied links are lexsorted,
+    on the same key, to find each hit's place. Scores are finite, and -0.0
+    ties with 0.0 in the search, the sort and `==` alike.
+    """
+    negated = -links.scores
+    hit_scores = negated[relevant]
+    hit_scores = hit_scores[np.lexsort((hit_scores,))]
+    distinct = np.ones(len(hit_scores), bool)
+    distinct[1:] = hit_scores[1:] != hit_scores[:-1]
+    hit_scores = hit_scores[distinct]
+    # `below[k]` counts the hit scores below link k's; the appended infinity equals no
+    # finite score, so a link past the last hit score ties with none.
+    below = np.searchsorted(hit_scores, negated, side="left")
+    tie = np.append(hit_scores, np.inf)[below] == negated
+    # Link k scores above hit score j exactly when below[k] + tie[k] <= j.
+    above = np.cumsum(np.bincount(below + tie, minlength=len(hit_scores) + 1))
+    tied = np.flatnonzero(tie)
+    id_key = (sorted_rank(links.sources)[links.source_codes[tied]] * len(links.targets)
+              + sorted_rank(links.targets)[links.target_codes[tied]])
+    tied = tied[np.lexsort((id_key, negated[tied]))]
+    tied_scores = negated[tied]
+    places = np.flatnonzero(relevant[tied])
+    return (above[below[tied[places]]]
+            + places - np.searchsorted(tied_scores, tied_scores[places], side="left"))
+
+
 def evaluate_ranking(links: RankedLinks, oracle: set[tuple[str, str]]) -> EvalReport:
     """Full report for one run: global list metrics plus per-query MAP.
 
-    The global list orders every link by (-score, source id, target id): one
-    lexsort over the score and one key of id ranks gives that order, and the
-    curve is the running hit count with the same float64 operations per
-    cutoff as a Python loop. Per-query ranks come from the links grouped by
-    source. AP sums in rank order in Python, as `np.sum` would sum pairwise
-    and change the last bits; only relevant links reach Python.
+    The global list orders every link by (-score, source id, target id), and
+    `_hit_positions` places each relevant link in that order without sorting
+    the rest. The curve is the running hit count at those positions, with
+    the same float64 operations per cutoff as a Python loop. Per-query ranks
+    come from the links grouped by source. AP sums in rank order in Python,
+    as `np.sum` would sum pairwise and change the last bits; only relevant
+    links reach Python.
     """
     if not oracle:
         raise EvaluationError("evaluation requires a nonempty oracle")
@@ -214,15 +253,14 @@ def evaluate_ranking(links: RankedLinks, oracle: set[tuple[str, str]]) -> EvalRe
     if not per_query_ap:
         raise EvaluationError("no query has any relevant target")
 
-    id_key = (sorted_rank(links.sources)[links.source_codes] * len(links.targets)
-              + sorted_rank(links.targets)[links.target_codes])
-    order = np.lexsort((id_key, -links.scores))
-    ranked_relevant = relevant[order]
+    positions = _hit_positions(links, relevant)
+    ranked_relevant = np.zeros(len(relevant), bool)
+    ranked_relevant[positions] = True
     found = np.cumsum(ranked_relevant)
     precision = 100.0 * found / np.arange(1, len(found) + 1)
     recall = 100.0 * found / len(oracle)
     curve = (recall, precision)
-    ap = _average_precision((np.flatnonzero(ranked_relevant) + 1).tolist(), len(oracle))
+    ap = _average_precision((positions + 1).tolist(), len(oracle))
     return EvalReport(
         pr_curve=curve,
         f_at_recall=f_at_recall_levels(curve),

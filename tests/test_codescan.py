@@ -148,6 +148,38 @@ def test_c_struct_and_function():
 
 
 
+def test_a_preprocessor_line_ends_a_statement():
+    parts = scan_code("#include <stdio.h>\nint counter;\nint other;\n")
+    assert parts.field_names == [["counter"], ["other"]]
+    assert parts.field_type_names == [["int"], ["int"]]
+
+
+@pytest.mark.parametrize("directive", [
+    "#define LIMIT 10\n",
+    "  #if defined(MOTOR_DRIVE)\n",
+    "\t#define MAX(a, b) \\\n    ((a) > (b) ? (a) : (b))\n",
+])
+def test_a_preprocessor_line_between_methods_changes_neither(directive):
+    first = "static int halt_motor(int force) {\n    log_event(force);\n}\n"
+    second = "void run(struct MotorState state) { }\n"
+    assert scan_code(first + directive + second) == scan_code(first + second)
+
+
+def test_define_lines_declare_no_field():
+    source = "#define NAME value;\n#define WIDE \\\n    int hidden;\nint shown; /* kept */\n"
+    parts = scan_code(source)
+    assert parts.field_names == [["shown"]]
+    assert parts.comments == [["kept"]]
+
+
+def test_a_comment_on_a_preprocessor_line_is_comment():
+    source = ('#include <stdio.h> // standard io\n#define HOME "http://example.com" /* home */\n'
+              "#endif /* motor */ \nint speed;\n")
+    parts = scan_code(source)
+    assert parts.comments == [["standard", "io"], ["home"], ["motor"]]
+    assert parts.field_names == [["speed"]]
+
+
 def test_a_comment_opener_inside_a_string_is_text():
     source = """
     private String home = "http://example.com";

@@ -14,7 +14,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from tracelink.errors import ConfigError, EvaluationError
 from tracelink.evaluate import (
@@ -176,6 +176,58 @@ class TestEvaluateRanking:
             assert _outcome(evaluate_ranking, long_form(candidates), oracle) == _outcome(
                 oracle_evaluate_ranking, candidates, oracle
             )
+
+
+# Scores with few distinct values, -0.0 and 0.0 among them, so most hits tie with many misses.
+_TIE_SCORES = (0.0, -0.0, 0.5, 1e-300)
+
+
+def tied_ranking(rng, zeros):
+    """Up to a few hundred links with `_TIE_SCORES`, a `zeros` block of 0-score links, and an oracle.
+
+    Sources and targets are listed out of id order, so the id tie break moves
+    hits. The oracle takes several links of most tie groups and a link of the
+    zero block, or else only pairs absent from the ranking.
+    """
+    targets = rng.sample([f"t{i}" for i in range(40)], rng.randint(1, 40))
+    sources = rng.sample([f"s{i}" for i in range(12)], rng.randint(1, 12))
+    candidates = {s: [(t, rng.choice(_TIE_SCORES)) for t in rng.sample(targets, len(targets))]
+                  for s in sources}
+    if zeros:
+        candidates[sources[-1]] += [(f"z{i}", rng.choice((0.0, -0.0))) for i in range(zeros)]
+    if rng.random() < 0.2:
+        return candidates, {(s, "absent") for s in sources}
+    links = [(s, t) for s, targets in candidates.items() for t, _ in targets]
+    oracle = set(rng.sample(links, rng.randint(1, min(len(links), 60))))
+    if zeros:
+        oracle.add((sources[-1], f"z{rng.randrange(zeros)}"))
+    return candidates, oracle
+
+
+class TestHitPositions:
+    """`evaluate_ranking` places each hit by a count of higher scores and a lexsort of its ties."""
+
+    # A seeded `random.Random` draws the links: Hypothesis's own `randoms()` would record
+    # each of thousands of draws and take seconds.
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32), st.sampled_from([0, 2000]))
+    def test_ties_match_list_oracle_bit_for_bit(self, seed, zeros):
+        candidates, oracle = tied_ranking(random.Random(seed), zeros)
+        assert _outcome(evaluate_ranking, long_form(candidates), oracle) == _outcome(
+            oracle_evaluate_ranking, candidates, oracle
+        )
+
+    def test_source_then_target_id_order_breaks_a_tie(self):
+        # File order puts s1 first and each source's later target last; the global order
+        # is s0-y, s0-z, s1-a, s1-b after the one higher score s1-c.
+        candidates = {"s1": [("c", 0.75), ("a", 0.5), ("b", 0.5)], "s0": [("z", 0.5), ("y", 0.5)]}
+        oracle = {("s1", "b"), ("s0", "y")}
+        report = evaluate_ranking(long_form(candidates), oracle)
+        assert report.pr_curve[0].tolist() == [0.0, 50.0, 50.0, 50.0, 100.0]
+        assert report.ap == pytest.approx(100.0 * (1 / 2 + 2 / 5) / 2)
+        assert _outcome(evaluate_ranking, long_form(candidates), oracle) == _outcome(
+            oracle_evaluate_ranking, candidates, oracle
+        )
 
 
 class TestPrecisionRecall:

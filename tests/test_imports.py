@@ -5,9 +5,17 @@ syntax tree with the standard `ast` module. A name counts as used when it
 is read anywhere in the module, annotations included. `from __future__`
 imports are exempt, and so are the names a package `__init__` lists in
 `__all__`, which it imports to re-export.
+
+It also checks what the commands import at run time: none imports
+`numpy.ma` where `import numpy` does not. numpy 2 loads it on first use (a
+plain `np.unique(x)` calls `np.ma.is_masked`), at a cost of about 19 ms in
+a fresh process.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -67,3 +75,28 @@ def test_the_check_finds_an_unused_import():
     package = 'from .m import f, g\n__all__ = ["f"]\n'
     assert unused_imports(package, True) == ["line 1: g"]
     assert unused_imports(package, False) == ["line 1: f", "line 1: g"]
+
+
+# Runs trace, ablate and eval --ranked --compare in one interpreter, and prints whether
+# numpy.ma was loaded after `import numpy` (numpy 1.x loads it there) and after the commands.
+_COMMANDS = """
+import sys
+import numpy
+print("numpy.ma" in sys.modules)
+from tracelink.cli import main
+manifest, out = sys.argv[1:]
+ranked = f"{out}/trace/ranked_links.csv"
+for command, *args in (["trace", "--out", f"{out}/trace"], ["ablate", "--out", f"{out}/ablate"],
+                       ["eval", "--ranked", ranked, "--compare", ranked, "--out", f"{out}/eval"]):
+    assert main([command, "--manifest", manifest, *args]) == 0
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_no_command_imports_numpy_ma(tmp_path, motivating_manifest):
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    run = subprocess.run([sys.executable, "-c", _COMMANDS, str(motivating_manifest), str(tmp_path)],
+                         env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert lines[-1] == lines[0]

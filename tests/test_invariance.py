@@ -1,11 +1,14 @@
 """Whole-run invariance: a change of the input that must not move `trace`'s output.
 
-Each property runs `tracelink.cli.main(["trace", ...])` in mode b+o+i on
-small generated manifests. The per-word caches (normalization and tagging)
-are cleared before each run, so each run meets the words in its own order.
+Each property runs `tracelink.cli.main(["trace", ...])` on small generated
+manifests, in mode b+o+i unless it says otherwise. The per-word caches
+(normalization and tagging) are cleared before each run, so each run meets
+the words in its own order.
 The shuffle leaves `lsi` out: two identical artifacts can make its output
 depend on manifest order (ROADMAP item 15). The rename keeps the manifest
-order, so it covers `lsi` too.
+order, so it covers `lsi` too. The copy property also leaves `lsi` out, for
+the same reason, and runs the modes without "o": a path through a copy and
+one through its original multiply their factors in different orders.
 """
 
 import csv
@@ -41,11 +44,11 @@ _levels = st.fixed_dictionaries({
 })
 
 
-def _trace(manifest, out, model):
+def _trace(manifest, out, model, mode):
     for cache in (normalize_token, _normalize_lowered, tag_token):
         cache.cache_clear()
     assert main(["trace", "--manifest", str(manifest), "--model", model,
-                 "--mode", "b+o+i", "--out", str(out)]) == 0
+                 "--mode", mode, "--out", str(out)]) == 0
     return {name: (out / name).read_bytes() for name in _OUTPUTS}
 
 
@@ -62,13 +65,13 @@ def _write_levels(base, texts):
     return levels
 
 
-def _trace_manifests(base, model, manifests):
+def _trace_manifests(base, model, manifests, mode="b+o+i"):
     """`_trace` of each named manifest, with the oracle pair (s0, t0) under its own names."""
     runs = []
     for name, (levels, oracle) in manifests.items():
         path = base / f"{name}.json"
         path.write_text(json.dumps({**levels, "oracle_st": [oracle]}))
-        runs.append(_trace(path, base / name, model))
+        runs.append(_trace(path, base / name, model, mode))
     return runs
 
 
@@ -82,6 +85,36 @@ def test_shuffling_each_level_leaves_the_outputs(tmp_path_factory, model, texts,
     runs = _trace_manifests(base, model, {"given": (levels, ["s0", "t0"]),
                                           "shuffled": (shuffled, ["s0", "t0"])})
     assert runs[0] == runs[1]
+
+
+def _with_copy(texts, data):
+    """`texts` with one of them repeated at a drawn place, and the positions of the original and the copy."""
+    original = data.draw(st.integers(0, len(texts) - 1))
+    at = data.draw(st.integers(0, len(texts)))
+    return texts[:at] + [texts[original]] + texts[at:], original + (at <= original), at
+
+
+@pytest.mark.parametrize("model", ["vsm", "js"])
+@pytest.mark.parametrize("mode", ["ir-only", "b"])
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(texts=_levels, data=st.data())
+def test_a_copy_ranks_as_its_original(tmp_path_factory, model, mode, texts, data):
+    base = tmp_path_factory.mktemp("copy")
+    sources, source, source_copy = _with_copy(texts["sources"], data)
+    targets, target, target_copy = _with_copy(texts["targets"], data)
+    levels = _write_levels(base, {**texts, "sources": sources, "targets": targets})
+    (run,) = _trace_manifests(base, model, {"copies": (levels, ["s0", "t0"])}, mode)
+    _, *rows = csv.reader(io.StringIO(run["ranked_links.csv"].decode("utf-8")))
+    ranked = {}
+    for row_source, row_target, score in rows:
+        ranked.setdefault(row_source, []).append((row_target, score))
+    assert ranked[f"s{source_copy}"] == ranked[f"s{source}"]
+    # Targets of equal score are listed in id order, so an exact tie shows in the order too.
+    pair = sorted([f"t{target}", f"t{target_copy}"])
+    for links in ranked.values():
+        twins = [(target_id, score) for target_id, score in links if target_id in pair]
+        assert [target_id for target_id, _ in twins] == pair
+        assert twins[0][1] == twins[1][1]
 
 
 def _parsed_outputs(outputs, rename):
